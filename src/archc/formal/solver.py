@@ -1,9 +1,11 @@
-"""External SMT solver process driver.
+"""SMT solver dispatch: one script in, a status and a model out.
 
 Supported back ends: z3, boolector, bitwuzla, and the bundled `builtin`
-solver (spawned as a separate process exactly like the others). The
-ARCHC_SOLVER_PATH environment variable holds a colon-separated list of
-directories searched before PATH.
+solver. The external solvers run as one process per query, found through
+the ARCHC_SOLVER_PATH environment variable (a colon-separated list of
+directories searched before PATH) and then PATH. The builtin solver runs
+in the calling process as an `archc.smt.solve.Session`, with `timeout`
+as its deadline.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ from __future__ import annotations
 import os
 import shutil
 import subprocess
-import sys
 import tempfile
+import time
 from dataclasses import dataclass
 
 from ..smt.sexpr import parse_all, parse_bv_literal
@@ -36,8 +38,6 @@ def _lookup(name: str) -> str | None:
 
 
 def solver_command(choice: str, script_path: str) -> list[str] | None:
-    if choice == "builtin":
-        return [sys.executable, "-m", "archc.smt.solve", script_path]
     exe = _lookup(choice)
     if exe is None:
         return None
@@ -73,8 +73,11 @@ class SolverResult:
 
 def run_solver(script_text: str, solver: str, timeout: float | None,
                want_values: list[str] | None = None) -> SolverResult:
-    """Write the script to a temp file, spawn the solver, parse the result.
-    `want_values` appends a (get-value ...) request for model extraction."""
+    """Solve one script; on sat, `model` holds the `want_values` constants.
+    An external solver gets the script in a temp file, with a (get-value ...)
+    request appended, and its printed answer is parsed."""
+    if solver == "builtin":
+        return _run_builtin(script_text, timeout, want_values)
     text = script_text
     if want_values:
         names = " ".join(want_values)
@@ -117,6 +120,31 @@ def run_solver(script_text: str, solver: str, timeout: float | None,
             os.unlink(path)
         except OSError:
             pass
+
+
+def _run_builtin(script_text: str, timeout: float | None,
+                 want_values: list[str] | None) -> SolverResult:
+    from ..smt.solve import Session  # imported here: other paths never load it
+    deadline = None if timeout is None else time.monotonic() + timeout
+    session = Session(deadline)
+    try:
+        session.run(script_text)
+        values = {name: session.value_of(name.strip("|"))
+                  for name in want_values or ()} if session.status == "sat" else {}
+    except Exception as e:  # e.g. RecursionError on a deeply nested term
+        raise SolverError("E_SOLVER_PARSE", f"solver `builtin` produced no verdict "
+                          f"({type(e).__name__}: {e})") from None
+    errors = [answer for answer in session.out if answer.startswith("(error")]
+    if errors or session.status is None:
+        head = errors[0] if errors else "no output"
+        raise SolverError("E_SOLVER_PARSE", f"solver `builtin` produced no verdict ({head})")
+    model: dict[str, int] = {}
+    for name, got in values.items():
+        if got is None:
+            raise SolverError("E_SOLVER_PARSE",
+                              f"solver `builtin` returned sat but no value for `{name}`")
+        model[name] = got[0]
+    return SolverResult(session.status, model)
 
 
 def _parse_values(out: str, solver: str) -> dict[str, int]:

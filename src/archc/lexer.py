@@ -105,7 +105,7 @@ class Lexer:
         return self.tokens
 
     def _lex_number(self, start: int, line: int, col: int) -> None:
-        if self._peek() == "0" and self._peek(1) in "xX":
+        if self._peek() == "0" and self._peek(1) in ("x", "X"):
             self._advance(2)
             digits_start = self.pos
             while _is_ident_char(self._peek()):
@@ -142,7 +142,7 @@ class Lexer:
         if kind is TK.KW_END:
             # fuse `end <block-keyword>` into one closer token
             save = (self.pos, self.line, self.col)
-            while self._peek() in " \t":
+            while self._peek() in (" ", "\t"):
                 self._advance()
             word_start = self.pos
             while _is_ident_char(self._peek()):

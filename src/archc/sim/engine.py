@@ -83,6 +83,9 @@ class Simulator:
         image.builder.sink = self._warn
         self._written = image.builder.written
         self._driven = image.builder.driven
+        self._input_slot = {name: i for i, name in enumerate(image.inputs)}
+        self._async_regs = [r for r in image.regs.values()
+                            if r.reset_async and r.reset_net is not None]
         self._update_clock_nets()
 
     # ── plumbing ─────────────────────────────────────────────────
@@ -124,8 +127,7 @@ class Simulator:
         elif not isinstance(net.ty, Vec):
             value &= mask_of(type_width(net.ty))
         self.values[net.index] = value
-        idx = list(self.image.inputs).index(name)
-        self._driven[idx] = True
+        self._driven[self._input_slot[name]] = True
         self._dirty = True
         self._async_resets()
 
@@ -139,12 +141,10 @@ class Simulator:
 
     def _async_resets(self) -> None:
         """Async reset assertion takes effect without waiting for an edge."""
-        for reg in self.image.regs.values():
-            if reg.reset_async and reg.reset_net is not None:
-                active = self.values[reg.reset_net] == (1 if reg.reset_active_high else 0)
-                if active:
-                    self.values[reg.index] = reg.reset_value
-                    self._dirty = True
+        for reg in self._async_regs:
+            if self.values[reg.reset_net] == (1 if reg.reset_active_high else 0):
+                self.values[reg.index] = reg.reset_value
+                self._dirty = True
 
     def _update_clock_nets(self) -> None:
         t = self.time

@@ -6,6 +6,8 @@ Literal encoding: positive ints are variables 1..n; literal = +v / -v.
 
 from __future__ import annotations
 
+import time
+
 
 class SatSolver:
     def __init__(self) -> None:
@@ -186,8 +188,10 @@ class SatSolver:
             return 0
         return best if self.phase[best] >= 0 else -best
 
-    def solve(self, max_conflicts: int | None = None) -> str:
-        """Returns 'sat', 'unsat', or 'unknown' (conflict budget hit)."""
+    def solve(self, max_conflicts: int | None = None,
+              deadline: float | None = None) -> str:
+        """Returns 'sat', 'unsat', 'unknown' (conflict budget hit), or
+        'timeout' (`time.monotonic()` passed `deadline`)."""
         if not self.ok:
             return "unsat"
         self._qhead = 0
@@ -195,6 +199,8 @@ class SatSolver:
         restart_limit = 128
         since_restart = 0
         while True:
+            if deadline is not None and time.monotonic() > deadline:
+                return "timeout"
             ci = self._propagate()
             if ci >= 0:
                 conflicts += 1

@@ -4,11 +4,16 @@ Pipeline: definitional substitution -> branch-refined interval analysis
 (decides most BMC unrollings word-level) -> Tseitin bit-blasting onto a
 CDCL SAT core. Supports (get-value ...) and (get-model) after a sat
 answer. Reads a file argument or stdin.
+
+`Session` is also the in-process API: after `run`, `out` holds the
+answers, `status` the last check-sat answer, and `value_of` reads the
+model.
 """
 
 from __future__ import annotations
 
 import sys
+import time
 
 from .bitblast import BitBlaster
 from .intervals import IntervalEngine
@@ -17,8 +22,11 @@ from .terms import BOOL_SORT, Term, TermBuilder
 
 
 class Session:
-    def __init__(self) -> None:
+    def __init__(self, deadline: float | None = None) -> None:
+        """`deadline` is a `time.monotonic()` value; a check-sat still
+        undecided after the interval pass answers `timeout` once past it."""
         self.builder = TermBuilder()
+        self.deadline = deadline
         self.status: str | None = None
         self.blaster: BitBlaster | None = None
         self.trivial_model = False
@@ -29,7 +37,8 @@ class Session:
         try:
             commands = parse_all(text)
         except SmtParseError as e:
-            return f"(error \"{e}\")"
+            self.out.append(f"(error \"{e}\")")
+            return "\n".join(self.out)
         for cmd in commands:
             if not isinstance(cmd, list) or not cmd:
                 continue
@@ -62,7 +71,14 @@ class Session:
                 self.out.append(self.get_model())
         return "\n".join(self.out)
 
+    def _expired(self) -> bool:
+        return self.deadline is not None and time.monotonic() > self.deadline
+
     def check_sat(self) -> str:
+        self.status = self._decide()
+        return self.status
+
+    def _decide(self) -> str:
         residual, def_order = self.builder.finish()
         self.def_order = def_order
         engine = IntervalEngine()
@@ -72,25 +88,27 @@ class Session:
         for c in residual:
             lo, hi = engine.eval(c)
             if hi == 0:
-                self.status = "unsat"
                 return "unsat"
             if lo != 1:
                 all_true = False
         if all_true:
-            self.status = "sat"
             self.trivial_model = True
             return "sat"
+        if self._expired():
+            return "timeout"
         blaster = BitBlaster()
         for v in def_order:
             blaster.cache[id(v)] = blaster.bits(v.definition)
         for c in residual:
             blaster.assert_true(c)
-        result = blaster.sat.solve()
-        self.status = result
+        if self._expired():
+            return "timeout"
         self.blaster = blaster
-        return result
+        return blaster.sat.solve(deadline=self.deadline)
 
-    def _value_of(self, name: str) -> tuple[int, int] | None:
+    def value_of(self, name: str) -> tuple[int, int] | None:
+        """(value, width) of a declared constant in the model of the last
+        sat answer, Bool as 0/1 of width 1; None if `name` is undeclared."""
         t = self.builder.vars.get(name)
         if t is None:
             return None
@@ -208,7 +226,7 @@ class Session:
             if name is None:
                 continue
             plain = name[1:-1] if name.startswith("|") else name
-            got = self._value_of(plain)
+            got = self.value_of(plain)
             if got is None:
                 return f"(error \"unknown constant {name}\")"
             value, width = got
@@ -220,7 +238,7 @@ class Session:
             return "(error \"model is not available\")"
         parts = []
         for name, t in self.builder.vars.items():
-            got = self._value_of(name)
+            got = self.value_of(name)
             if got is None:
                 continue
             value, width = got

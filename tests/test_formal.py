@@ -2,16 +2,32 @@
 and sim/formal agreement."""
 
 import os
+import subprocess
+import sys
+import time
 
 import pytest
 
-from conftest import build_files, build_text, corpus_path
+from conftest import ROOT, build_files, build_text, corpus_path
 
 from archc.formal import (
     FormalUnsupported, SolverError, available_solvers, encode_bmc,
     formal_scope_check, run_solver, trace_to_stimulus, verify,
 )
 from archc.sim import SimFlags, build_sim, parse_stimulus, run_stimulus
+
+
+FACTOR_ARCH = """\
+module Factor
+  port clk: in Clock<SysDomain>;
+  port rst: in Reset<Sync>;
+  port a: in UInt<16>;
+  port b: in UInt<16>;
+  port p: out UInt<32>;
+  comb p = a.zext<32>() *% b.zext<32>();
+  assert no_factor: (p != 4000000007) || (a == 1) || (b == 1);
+end module Factor
+"""
 
 
 def core_of(fname, top):
@@ -79,7 +95,7 @@ class TestSolverDriver:
             run_solver("(check-sat)\n", "z3-but-not-really", None)
         assert e.value.code == "E_SOLVER_MISSING"
 
-    def test_sat_unsat_roundtrip_via_process(self):
+    def test_sat_unsat_roundtrip_in_process(self):
         res = run_solver("(set-logic QF_BV)\n(declare-const a (_ BitVec 4))\n"
                          "(assert (= a #x3))\n(check-sat)\n", "builtin", 30,
                          want_values=["a"])
@@ -89,6 +105,75 @@ class TestSolverDriver:
                           "(assert (bvult a #x1))\n(assert (bvugt a #x2))\n"
                           "(check-sat)\n", "builtin", 30)
         assert res2.status == "unsat"
+
+    def test_builtin_starts_no_process(self, monkeypatch):
+        def no_process(*args, **kwargs):
+            raise AssertionError("the builtin solver started a process")
+        monkeypatch.setattr(subprocess, "run", no_process)
+        monkeypatch.setattr(subprocess, "Popen", no_process)
+        _, core = core_of("counter_wrap15.arch", "Nibble")
+        v = verify(core, 20, "builtin")
+        r = [r for r in v.results if r.name == "never_full"][0]
+        assert (r.status, r.cycle) == ("REFUTED", 15)
+
+    def test_deep_script_is_a_solver_error(self):
+        depth = 5000
+        text = ("(declare-const a (_ BitVec 4))\n(assert (= a "
+                + "(bvnot " * depth + "a" + ")" * depth + "))\n(check-sat)\n")
+        with pytest.raises(SolverError) as e:
+            run_solver(text, "builtin", 30)
+        assert e.value.code == "E_SOLVER_PARSE"
+        assert "RecursionError" in str(e.value)
+
+    def test_error_answer_is_a_solver_error(self):
+        # an assertion the solver cannot read must not leave a verdict
+        # computed without it
+        text = ("(declare-const a (_ BitVec 4))\n(assert (bvfrob a))\n"
+                "(assert (= a #x3))\n(check-sat)\n")
+        with pytest.raises(SolverError) as e:
+            run_solver(text, "builtin", 30)
+        assert e.value.code == "E_SOLVER_PARSE"
+        assert "unsupported operator" in str(e.value)
+
+    def test_builtin_timeout_is_inconclusive(self, tmp_path):
+        # the interval pass cannot rule out a 16x16-bit factoring of a
+        # 32-bit prime, so the CDCL loop runs until the deadline; the child
+        # process bounds the test if the deadline is ever ignored
+        path = tmp_path / "factor.arch"
+        path.write_text(FACTOR_ARCH)
+        t0 = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "archc.cli", "formal", str(path), "--bound", "1",
+             "--solver", "builtin", "--timeout", "0.5"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")))
+        assert time.monotonic() - t0 < 10
+        assert proc.returncode == 2
+        assert "no_factor: INCONCLUSIVE (timeout)" in proc.stdout
+
+    def test_builtin_needs_no_pythonpath(self, tmp_path):
+        src = os.path.join(ROOT, "src")
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); from archc import cli; "
+                "raise SystemExit(cli.main(sys.argv[2:]))")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, src, "formal",
+             corpus_path("counter_wrap15.arch"), "--bound", "20", "--solver", "builtin"],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "never_full: REFUTED at cycle 15" in proc.stdout
+
+    def test_archc_smt_runs_emitted_scripts(self, tmp_path):
+        _, core = core_of("counter_wrap15.arch", "Nibble")
+        verify(core, 20, "builtin", emit_smt=str(tmp_path / "out.smt2"))
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        answers = {}
+        for prop in ("never_full", "_auto_count_range"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "archc.smt.solve", str(tmp_path / f"out.{prop}.smt2")],
+                capture_output=True, text=True, env=env, timeout=120)
+            answers[prop] = proc.stdout.split()
+        assert answers == {"never_full": ["sat"], "_auto_count_range": ["unsat"]}
 
     def test_archc_solver_path_env(self, tmp_path, monkeypatch):
         fake = tmp_path / "z3"

@@ -1,11 +1,14 @@
 """Lexer and parser: tokens, endings, round-trip, LL(1) localization."""
 
 import glob
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from conftest import CORPUS, corpus_path
+from conftest import CORPUS, ROOT, corpus_path
 
 from archc.diagnostics import CompileError
 from archc.lexer import lex
@@ -70,6 +73,23 @@ class TestLexer:
 
     def test_todo_bang(self):
         assert kinds("todo!") == [TK.TODO_BANG]
+
+    def test_bare_end_at_end_of_input_terminates(self, tmp_path):
+        # run as a child with a time limit: this input once made the lexer
+        # loop forever on the empty end-of-input sentinel
+        path = tmp_path / "m.arch"
+        path.write_text("module M\n  port a: in Bool;\nend")
+        proc = subprocess.run(
+            [sys.executable, "-m", "archc.cli", "check", str(path)],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")))
+        assert proc.returncode == 1
+        assert "error[E_END_MISMATCH]" in proc.stdout
+
+    def test_zero_at_end_of_input(self):
+        _, toks = lex("comb y = 0", "t.arch")
+        assert (toks[-2].kind, toks[-2].value) == (TK.INT, 0)
+        assert kinds("0") == [TK.INT]
 
 
 class TestParser:
