@@ -75,10 +75,6 @@ class Expr:
         self.ty = None  # filled by the type checker
 
 
-def _expr_eq(a, b) -> bool:
-    return type(a) is type(b) and a.key() == b.key()
-
-
 @dataclass
 class IntLit(Expr):
     value: int = 0

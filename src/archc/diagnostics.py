@@ -23,7 +23,7 @@ from .source import SourceFile, Span
 # Stable diagnostic codes. Every code here is documented in the README
 # error manual; tests pin the rendered text for a curated bad-input set.
 LEX_CODES = ["E_LEX", "E_NO_PREPROCESSOR"]
-PARSE_CODES = ["E_PARSE", "E_END_MISMATCH"]
+PARSE_CODES = ["E_PARSE", "E_END_MISMATCH", "E_TOO_DEEP"]
 ELAB_CODES = [
     "E_CONST_DIV0", "E_UNBOUND_PARAM", "E_CONST_OVERFLOW",
     "E_NONCONST_GENERATE", "E_DUP_NAME", "E_UNKNOWN_MODULE",

@@ -131,7 +131,7 @@ def _run_builtin(script_text: str, timeout: float | None,
         session.run(script_text)
         values = {name: session.value_of(name.strip("|"))
                   for name in want_values or ()} if session.status == "sat" else {}
-    except Exception as e:  # e.g. RecursionError on a deeply nested term
+    except Exception as e:  # e.g. a malformed term the session did not catch
         raise SolverError("E_SOLVER_PARSE", f"solver `builtin` produced no verdict "
                           f"({type(e).__name__}: {e})") from None
     errors = [answer for answer in session.out if answer.startswith("(error")]

@@ -139,20 +139,18 @@ class CoreModule:
         from .types import Clock
         return [(p.name, p.ty.domain) for p in self.ports if isinstance(p.ty, Clock)]
 
-    def net_type(self, name: str) -> Type:
-        if name in self.regs:
-            return self.regs[name].ty
-        return self.nets[name].ty
-
 
 # ── expression walking ───────────────────────────────────────────
+
+
+_CHILD_ATTRS = ("lhs", "rhs", "operand", "cond", "then", "els", "base",
+                "index", "hi", "lo", "width", "value")
 
 
 def walk_expr(e: Expr):
     """Yield every node of an expression tree (pre-order)."""
     yield e
-    for attr in ("lhs", "rhs", "operand", "cond", "then", "els", "base",
-                 "index", "hi", "lo", "width", "value"):
+    for attr in _CHILD_ATTRS:
         sub = getattr(e, attr, None)
         if isinstance(sub, Expr):
             yield from walk_expr(sub)
@@ -162,9 +160,18 @@ def expr_reads(e: Expr, out: set[str] | None = None) -> set[str]:
     """Canonical net names read by an expression."""
     if out is None:
         out = set()
-    for node in walk_expr(e):
+    # an explicit stack, not walk_expr: nested generators pass each node up
+    # through every enclosing level, and this runs once per net and edge
+    stack = [e]
+    while stack:
+        node = stack.pop()
         if isinstance(node, NameRef):
             out.add(node.name)
+            continue
+        for attr in _CHILD_ATTRS:
+            sub = getattr(node, attr, None)
+            if isinstance(sub, Expr):
+                stack.append(sub)
     return out
 
 
@@ -346,14 +353,6 @@ def assigned_flag_stmts(stmts: list[Stmt], target: str) -> list[Stmt]:
 def _cond_text(e: Expr) -> str:
     from .printer import print_expr
     return print_expr(e)
-
-
-def comb_block_defs(block: CoreCombBlock) -> dict[str, object]:
-    """Per-net final expressions (or Unassigned) for one comb block."""
-    out: dict[str, object] = {}
-    for target in _targets_of(block.stmts):
-        out[target] = ("pending",)
-    return out
 
 
 # ── comb dependency graph ────────────────────────────────────────

@@ -5,9 +5,14 @@ dedicated message. `//` comments are dropped, `///` doc comments are kept
 as tokens. Integer literals are decimal or 0x-hex. Multi-character
 operators are max-munched (`<-` binds before `<`), and `end <keyword>`
 closers fuse into a single token (see tokens.py).
+
+One compiled alternation is matched at each position. No token spans a
+line, so line and column are tracked from the newlines in whitespace runs.
 """
 
 from __future__ import annotations
+
+import re
 
 from .diagnostics import CompileError, err
 from .source import SourceFile, Span
@@ -26,136 +31,87 @@ _PUNCT = [
     ("%", TK.PERCENT), ("&", TK.AMP), ("|", TK.PIPE), ("^", TK.CARET),
     ("~", TK.TILDE), ("!", TK.BANG),
 ]
+_PUNCT_KIND = dict(_PUNCT)
 
-
-def _is_ident_start(ch: str) -> bool:
-    return ch.isascii() and (ch.isalpha() or ch == "_")
-
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isascii() and (ch.isalnum() or ch == "_")
+# Group numbers are the dispatch keys in Lexer.run. Identifiers are ASCII
+# only; alternatives are tried in order, so `//` wins over `/`, `0x` over
+# a decimal, and the two-character operators (listed first) over one.
+_TOKEN = re.compile(
+    r"([ \t\r\n]+)"                           # 1 whitespace
+    r"|(//[^\n]*)"                            # 2 comment
+    r"|(0[xX][A-Za-z0-9_]*)"                  # 3 hex literal
+    r"|([0-9][A-Za-z0-9_]*)"                  # 4 decimal literal
+    r"|([A-Za-z_][A-Za-z0-9_]*)"              # 5 word
+    r"|(" + "|".join(re.escape(text) for text, _ in _PUNCT) + ")")  # 6 operator
+_END_TAIL = re.compile(r"[ \t]*([A-Za-z0-9_]*)")
 
 
 class Lexer:
     def __init__(self, source: SourceFile) -> None:
         self.src = source
         self.text = source.text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
         self.tokens: list[Token] = []
 
-    def _span(self, start: int, start_line: int, start_col: int) -> Span:
-        return Span(self.src.name, start_line, start_col, start, self.pos)
-
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos < len(self.text):
-                if self.text[self.pos] == "\n":
-                    self.line += 1
-                    self.col = 1
-                else:
-                    self.col += 1
-                self.pos += 1
-
-    def _peek(self, off: int = 0) -> str:
-        idx = self.pos + off
-        return self.text[idx] if idx < len(self.text) else ""
-
-    def _error(self, code: str, message: str, start: int, line: int, col: int) -> CompileError:
-        return CompileError(err(code, message, Span(self.src.name, line, col, start, max(start + 1, self.pos))))
-
     def run(self) -> list[Token]:
-        while self.pos < len(self.text):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
+        text, name, tokens = self.text, self.src.name, self.tokens
+        append, match = tokens.append, _TOKEN.match
+        keywords, punct = KEYWORDS, _PUNCT_KIND
+        n = len(text)
+        pos, line, line_start = 0, 1, 0
+        while pos < n:
+            m = match(text, pos)
+            if m is None:
+                raise self._bad_char(pos, line, pos - line_start + 1)
+            group, end = m.lastindex, m.end()
+            if group == 1:
+                newlines = text.count("\n", pos, end)
+                if newlines:
+                    line += newlines
+                    line_start = text.rindex("\n", pos, end) + 1
+                pos = end
                 continue
-            start, line, col = self.pos, self.line, self.col
-            if ch == "`":
-                self._advance()
-                raise self._error("E_NO_PREPROCESSOR",
-                                  "no preprocessor in Arch: use `param` for constants and "
-                                  "`generate_if` for conditional structure", start, line, col)
-            if ch == "/" and self._peek(1) == "/":
-                is_doc = self._peek(2) == "/"
-                while self.pos < len(self.text) and self._peek() != "\n":
-                    self._advance()
-                if is_doc:
-                    text = self.text[start:self.pos]
-                    self.tokens.append(Token(TK.DOC_COMMENT, text, self._span(start, line, col)))
-                continue
-            if ch.isdigit():
-                self._lex_number(start, line, col)
-                continue
-            if _is_ident_start(ch):
-                self._lex_word(start, line, col)
-                continue
-            matched = False
-            for text, kind in _PUNCT:
-                if self.text.startswith(text, self.pos):
-                    self._advance(len(text))
-                    self.tokens.append(Token(kind, text, self._span(start, line, col)))
-                    matched = True
-                    break
-            if not matched:
-                self._advance()
-                raise self._error("E_LEX", f"unknown character {ch!r}", start, line, col)
-        self.tokens.append(Token(TK.EOF, "", Span(self.src.name, self.line, self.col, self.pos, self.pos)))
-        return self.tokens
+            word = m.group(group)
+            col = pos - line_start + 1
+            if group == 5:
+                kind = keywords.get(word, TK.IDENT)
+                if kind is TK.KW_END:
+                    # fuse `end <block-keyword>` into one closer token
+                    tail = _END_TAIL.match(text, end)
+                    fused = END_FUSION.get(keywords.get(tail.group(1), TK.IDENT))
+                    if fused is not None:
+                        kind, word, end = fused, f"end {tail.group(1)}", tail.end()
+                elif kind is TK.KW_TODO and text.startswith("!", end):
+                    kind, word, end = TK.TODO_BANG, "todo!", end + 1
+                append(Token(kind, word, Span(name, line, col, pos, end)))
+            elif group == 6:
+                append(Token(punct[word], word, Span(name, line, col, pos, end)))
+            elif group == 2:
+                if word.startswith("///"):
+                    append(Token(TK.DOC_COMMENT, word, Span(name, line, col, pos, end)))
+            else:
+                try:
+                    value = int(word[2:], 16) if group == 3 else int(word, 10)
+                except ValueError:
+                    kind_name = "hex" if group == 3 else "integer"
+                    raise CompileError(err("E_LEX", f"malformed {kind_name} literal {word!r}",
+                                           Span(name, line, col, pos, end)))
+                append(Token(TK.INT, word, Span(name, line, col, pos, end), value))
+            pos = end
+        append(Token(TK.EOF, "", Span(name, line, pos - line_start + 1, pos, pos)))
+        return tokens
 
-    def _lex_number(self, start: int, line: int, col: int) -> None:
-        if self._peek() == "0" and self._peek(1) in ("x", "X"):
-            self._advance(2)
-            digits_start = self.pos
-            while _is_ident_char(self._peek()):
-                self._advance()
-            text = self.text[start:self.pos]
-            hexpart = self.text[digits_start:self.pos]
-            try:
-                value = int(hexpart, 16)
-            except ValueError:
-                raise self._error("E_LEX", f"malformed hex literal {text!r}", start, line, col)
-            self.tokens.append(Token(TK.INT, text, self._span(start, line, col), value))
-            return
-        while _is_ident_char(self._peek()):
-            self._advance()
-        text = self.text[start:self.pos]
-        try:
-            value = int(text, 10)
-        except ValueError:
-            raise self._error("E_LEX", f"malformed integer literal {text!r}", start, line, col)
-        self.tokens.append(Token(TK.INT, text, self._span(start, line, col), value))
-
-    def _lex_word(self, start: int, line: int, col: int) -> None:
-        while _is_ident_char(self._peek()):
-            self._advance()
-        word = self.text[start:self.pos]
-        kind = KEYWORDS.get(word)
-        if kind is None:
-            self.tokens.append(Token(TK.IDENT, word, self._span(start, line, col)))
-            return
-        if kind is TK.KW_TODO and self._peek() == "!":
-            self._advance()
-            self.tokens.append(Token(TK.TODO_BANG, "todo!", self._span(start, line, col)))
-            return
-        if kind is TK.KW_END:
-            # fuse `end <block-keyword>` into one closer token
-            save = (self.pos, self.line, self.col)
-            while self._peek() in (" ", "\t"):
-                self._advance()
-            word_start = self.pos
-            while _is_ident_char(self._peek()):
-                self._advance()
-            next_word = self.text[word_start:self.pos]
-            fused = END_FUSION.get(KEYWORDS.get(next_word, TK.IDENT))
-            if fused is not None:
-                self.tokens.append(Token(fused, f"end {next_word}", self._span(start, line, col)))
-                return
-            self.pos, self.line, self.col = save
-            self.tokens.append(Token(TK.KW_END, word, self._span(start, line, col)))
-            return
-        self.tokens.append(Token(kind, word, self._span(start, line, col)))
+    def _bad_char(self, pos: int, line: int, col: int) -> CompileError:
+        ch = self.text[pos]
+        span = Span(self.src.name, line, col, pos, pos + 1)
+        if ch == "`":
+            return CompileError(err(
+                "E_NO_PREPROCESSOR",
+                "no preprocessor in Arch: use `param` for constants and "
+                "`generate_if` for conditional structure", span))
+        if ch.isdigit():
+            # a non-ASCII digit starts a number but no ASCII digit follows
+            return CompileError(err("E_LEX", "malformed integer literal ''", span))
+        return CompileError(err("E_LEX", f"unknown character {ch!r}", span))
 
 
 def lex(source_text: str, file_name: str) -> tuple[SourceFile, list[Token]]:

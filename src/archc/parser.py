@@ -50,6 +50,17 @@ _BIN_LEVELS: list[dict[TK, str]] = [
     {TK.STAR: "*", TK.SLASH: "/", TK.PERCENT: "%", TK.STAR_WRAP: "*%"},
 ]
 _RELATIONAL_LEVEL = 4
+_IMPLIES_LEVEL = -1  # right-associative, looser than every level above
+_BIN_OPS: dict[TK, tuple[int, str]] = {
+    tk: (level, op) for level, ops in enumerate(_BIN_LEVELS) for tk, op in ops.items()}
+_BIN_OPS[TK.KW_IMPLIES] = (_IMPLIES_LEVEL, "implies")
+_UNARY_OPS = (TK.TILDE, TK.BANG, TK.MINUS)
+
+# An expression nested deeper than this is refused with E_TOO_DEEP. Each
+# operator, conversion, index, slice, member access, if-expression and
+# pair of parentheses is one level. The passes after parsing recurse once
+# or a few times per level, and survive about three times this depth.
+MAX_EXPR_DEPTH = 100
 
 
 class Parser:
@@ -58,6 +69,7 @@ class Parser:
         self.tokens = tokens
         self.pos = 0
         self._pending_docs: list[str] = []
+        self._open = 0  # expression levels being parsed (see _parse_ternary)
 
     # ── token access (current token only: LL(1)) ────────────────
 
@@ -636,113 +648,147 @@ class Parser:
     # ── expressions ─────────────────────────────────────────────
 
     def parse_expr(self, *, allow_if_expr: bool = False, type_arg: bool = False) -> Expr:
-        return self._parse_ternary(allow_if_expr, type_arg)
+        return self._parse_ternary(allow_if_expr, type_arg)[0]
 
-    def _parse_ternary(self, if_ok: bool, targ: bool) -> Expr:
-        cond = self._parse_implies(if_ok, targ)
+    # The expression parsers below return (node, depth). Binary operators
+    # and prefix operators are parsed in loops, so the parser recurses only
+    # once per parenthesis, index, slice, conversion width, if-expression
+    # or ternary branch; `_open` counts those open levels.
+
+    def _too_deep(self, span: Span) -> CompileError:
+        return CompileError(err(
+            "E_TOO_DEEP", f"expression nested more than {MAX_EXPR_DEPTH} levels deep", span,
+            help="split it into `let` bindings"))
+
+    def _checked(self, node: Expr, depth: int) -> tuple[Expr, int]:
+        if depth > MAX_EXPR_DEPTH:
+            raise self._too_deep(node.span)
+        return node, depth
+
+    def _parse_ternary(self, if_ok: bool, targ: bool) -> tuple[Expr, int]:
+        self._open += 1
+        if self._open > MAX_EXPR_DEPTH:
+            raise self._too_deep(self.cur.span)
+        cond, depth = self._parse_binary(if_ok, targ)
         if self.at(TK.QUESTION):
             self.advance()
-            then = self._parse_ternary(if_ok, targ)
+            then, d1 = self._parse_ternary(if_ok, targ)
             self.expect(TK.COLON)
-            els = self._parse_ternary(if_ok, targ)
-            return Ternary(cond.span.merge(els.span), cond, then, els)
-        return cond
+            els, d2 = self._parse_ternary(if_ok, targ)
+            cond, depth = self._checked(Ternary(cond.span.merge(els.span), cond, then, els),
+                                        1 + max(depth, d1, d2))
+        self._open -= 1
+        return cond, depth
 
-    def _parse_implies(self, if_ok: bool, targ: bool) -> Expr:
-        lhs = self._parse_binary(0, if_ok, targ)
-        if self.at(TK.KW_IMPLIES):
+    def _parse_binary(self, if_ok: bool, targ: bool) -> tuple[Expr, int]:
+        """Operator precedence over _BIN_LEVELS, with right-associative
+        `implies` below them all, on an explicit operand stack."""
+        operands = [self._parse_unary(if_ok, targ)]
+        pending: list[tuple[int, str]] = []  # (level, op), levels increasing
+        while True:
+            entry = _BIN_OPS.get(self.cur.kind)
+            if entry is None or (targ and entry[0] == _RELATIONAL_LEVEL):
+                # inside type arguments `>` closes the argument list;
+                # relational comparison must be parenthesized there
+                break
             self.advance()
-            rhs = self._parse_implies(if_ok, targ)  # right-associative
-            return Binary(lhs.span.merge(rhs.span), "implies", lhs, rhs)
-        return lhs
+            level = entry[0]
+            while pending and (pending[-1][0] > level
+                               or pending[-1][0] == level != _IMPLIES_LEVEL):
+                self._reduce(operands, pending.pop()[1])
+            pending.append(entry)
+            operands.append(self._parse_unary(if_ok, targ))
+        while pending:
+            self._reduce(operands, pending.pop()[1])
+        return operands[0]
 
-    def _parse_binary(self, level: int, if_ok: bool, targ: bool) -> Expr:
-        if level >= len(_BIN_LEVELS):
-            return self._parse_unary(if_ok, targ)
-        if targ and level == _RELATIONAL_LEVEL:
-            # inside type arguments `>` closes the argument list; relational
-            # comparison must be parenthesized there
-            return self._parse_binary(level + 1, if_ok, targ)
-        ops = _BIN_LEVELS[level]
-        lhs = self._parse_binary(level + 1, if_ok, targ)
-        while self.cur.kind in ops:
-            op = ops[self.advance().kind]
-            rhs = self._parse_binary(level + 1, if_ok, targ)
-            lhs = Binary(lhs.span.merge(rhs.span), op, lhs, rhs)
-        return lhs
+    def _reduce(self, operands: list[tuple[Expr, int]], op: str) -> None:
+        rhs, d2 = operands.pop()
+        lhs, d1 = operands.pop()
+        operands.append(self._checked(Binary(lhs.span.merge(rhs.span), op, lhs, rhs),
+                                      1 + max(d1, d2)))
 
-    def _parse_unary(self, if_ok: bool, targ: bool) -> Expr:
-        tok = self.cur
-        if tok.kind in (TK.TILDE, TK.BANG, TK.MINUS):
-            self.advance()
-            operand = self._parse_unary(if_ok, targ)
-            return Unary(tok.span.merge(operand.span), tok.text, operand)
-        return self._parse_postfix(if_ok, targ)
+    def _parse_unary(self, if_ok: bool, targ: bool) -> tuple[Expr, int]:
+        prefix = []
+        while self.cur.kind in _UNARY_OPS:
+            prefix.append(self.advance())
+        node, depth = self._parse_postfix(if_ok, targ)
+        for tok in reversed(prefix):
+            node, depth = self._checked(Unary(tok.span.merge(node.span), tok.text, node), depth + 1)
+        return node, depth
 
-    def _parse_postfix(self, if_ok: bool, targ: bool) -> Expr:
-        node = self._parse_atom(if_ok, targ)
+    def _parse_postfix(self, if_ok: bool, targ: bool) -> tuple[Expr, int]:
+        node, depth = self._parse_atom(if_ok, targ)
         while True:
             if self.at(TK.DOT):
                 self.advance()
                 if self.cur.kind in (TK.KW_ZEXT, TK.KW_SEXT, TK.KW_TRUNC):
                     kind_tok = self.advance()
                     self.expect(TK.LT)
-                    width = self.parse_expr(type_arg=True)
+                    width, d1 = self._parse_ternary(False, True)
                     self.expect(TK.GT)
                     self.expect(TK.LPAREN)
                     rp = self.expect(TK.RPAREN)
-                    node = Convert(node.span.merge(rp.span), kind_tok.text, node, width)
+                    node, depth = self._checked(
+                        Convert(node.span.merge(rp.span), kind_tok.text, node, width),
+                        1 + max(depth, d1))
                 else:
                     member = self.ident("member name")
-                    node = MemberRef(node.span.merge(member.span), node, member.text)
+                    node, depth = self._checked(
+                        MemberRef(node.span.merge(member.span), node, member.text), depth + 1)
             elif self.at(TK.LBRACKET):
                 self.advance()
-                first = self.parse_expr()
+                first, d1 = self._parse_ternary(False, False)
                 if self.at(TK.COLON):
                     self.advance()
-                    lo = self.parse_expr()
+                    lo, d2 = self._parse_ternary(False, False)
                     rb = self.expect(TK.RBRACKET)
-                    node = Slice(node.span.merge(rb.span), node, first, lo)
+                    node, depth = self._checked(Slice(node.span.merge(rb.span), node, first, lo),
+                                                1 + max(depth, d1, d2))
                 else:
                     rb = self.expect(TK.RBRACKET)
-                    node = Index(node.span.merge(rb.span), node, first)
+                    node, depth = self._checked(Index(node.span.merge(rb.span), node, first),
+                                                1 + max(depth, d1))
             else:
-                return node
+                return node, depth
 
-    def _parse_atom(self, if_ok: bool, targ: bool) -> Expr:
+    def _parse_atom(self, if_ok: bool, targ: bool) -> tuple[Expr, int]:
         tok = self.cur
         if tok.kind is TK.INT:
             self.advance()
-            return IntLit(tok.span, tok.value or 0, tok.text)
+            return IntLit(tok.span, tok.value or 0, tok.text), 1
         if tok.kind is TK.KW_TRUE:
             self.advance()
-            return BoolLit(tok.span, True)
+            return BoolLit(tok.span, True), 1
         if tok.kind is TK.KW_FALSE:
             self.advance()
-            return BoolLit(tok.span, False)
+            return BoolLit(tok.span, False), 1
         if tok.kind is TK.TODO_BANG:
             self.advance()
-            return TodoExpr(tok.span)
+            return TodoExpr(tok.span), 1
         if tok.kind is TK.IDENT:
             self.advance()
             if self.at(TK.COLONCOLON):
                 self.advance()
                 variant = self.ident("enum variant")
-                return EnumRef(tok.span.merge(variant.span), tok.text, variant.text)
-            return NameRef(tok.span, tok.text)
+                return EnumRef(tok.span.merge(variant.span), tok.text, variant.text), 1
+            return NameRef(tok.span, tok.text), 1
         if tok.kind is TK.LPAREN:
             self.advance()
-            inner = self.parse_expr(allow_if_expr=if_ok)
-            self.expect(TK.RPAREN)
-            return inner
+            inner, depth = self._parse_ternary(if_ok, False)
+            rp = self.expect(TK.RPAREN)
+            if depth + 1 > MAX_EXPR_DEPTH:  # a pair of parentheses is one level
+                raise self._too_deep(tok.span.merge(rp.span))
+            return inner, depth + 1
         if tok.kind is TK.KW_IF and if_ok:
             self.advance()
-            cond = self.parse_expr()
+            cond, d1 = self._parse_ternary(False, False)
             self.expect(TK.KW_THEN)
-            then = self.parse_expr(allow_if_expr=True)
+            then, d2 = self._parse_ternary(True, False)
             self.expect(TK.KW_ELSE)
-            els = self.parse_expr(allow_if_expr=True)
-            return IfExpr(tok.span.merge(els.span), cond, then, els)
+            els, d3 = self._parse_ternary(True, False)
+            return self._checked(IfExpr(tok.span.merge(els.span), cond, then, els),
+                                 1 + max(d1, d2, d3))
         self.fail("an expression")
 
 

@@ -113,10 +113,6 @@ def mask_of(width: int) -> int:
     return (1 << width) - 1
 
 
-def wrap_unsigned(v: int, width: int) -> int:
-    return v & ((1 << width) - 1)
-
-
 def wrap_signed(v: int, width: int) -> int:
     v &= (1 << width) - 1
     if v >= (1 << (width - 1)):

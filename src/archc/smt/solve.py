@@ -32,6 +32,7 @@ class Session:
         self.trivial_model = False
         self.def_order: list[Term] = []
         self.out: list[str] = []
+        self.incomplete = False  # a declaration or assertion was dropped
 
     def run(self, text: str) -> str:
         try:
@@ -42,40 +43,47 @@ class Session:
         for cmd in commands:
             if not isinstance(cmd, list) or not cmd:
                 continue
-            head = cmd[0]
-            if head in ("set-logic", "set-option", "set-info", "exit", "push", "pop"):
-                continue
-            if head in ("declare-const", "declare-fun"):
-                name = cmd[1]
-                sort = cmd[-1]
-                if head == "declare-fun" and cmd[2] != []:
-                    self.out.append("(error \"only 0-ary declare-fun supported\")")
-                    continue
-                width = _sort_width(sort)
-                if width is None:
-                    self.out.append(f"(error \"unsupported sort {sort}\")")
-                    continue
-                name = name[1:-1] if name.startswith("|") else name
-                self.builder.declare(name, width)
-            elif head == "assert":
-                try:
-                    self.builder.assertions.append(self.builder.build(cmd[1]))
-                except SmtParseError as e:
-                    self.out.append(f"(error \"{e}\")")
+            try:
+                self._command(cmd)
+            except (SmtParseError, RecursionError) as e:
+                # a declaration or assertion that could not be taken in
+                # leaves every later check-sat undecidable
+                detail = (f"{type(e).__name__}: term nested too deeply"
+                          if isinstance(e, RecursionError) else str(e))
+                self.out.append(f"(error \"{detail}\")")
+                if cmd[0] in ("declare-const", "declare-fun", "assert"):
+                    self.incomplete = True
                     self.status = "unknown"
-            elif head == "check-sat":
-                self.out.append(self.check_sat())
-            elif head == "get-value":
-                self.out.append(self.get_value(cmd[1]))
-            elif head == "get-model":
-                self.out.append(self.get_model())
         return "\n".join(self.out)
+
+    def _command(self, cmd: list) -> None:
+        head = cmd[0]
+        if head in ("set-logic", "set-option", "set-info", "exit", "push", "pop"):
+            return
+        if head in ("declare-const", "declare-fun"):
+            name = cmd[1]
+            sort = cmd[-1]
+            if head == "declare-fun" and cmd[2] != []:
+                raise SmtParseError("only 0-ary declare-fun supported")
+            width = _sort_width(sort)
+            if width is None:
+                raise SmtParseError(f"unsupported sort {sort}")
+            name = name[1:-1] if name.startswith("|") else name
+            self.builder.declare(name, width)
+        elif head == "assert":
+            self.builder.assertions.append(self.builder.build(cmd[1]))
+        elif head == "check-sat":
+            self.out.append(self.check_sat())
+        elif head == "get-value":
+            self.out.append(self.get_value(cmd[1]))
+        elif head == "get-model":
+            self.out.append(self.get_model())
 
     def _expired(self) -> bool:
         return self.deadline is not None and time.monotonic() > self.deadline
 
     def check_sat(self) -> str:
-        self.status = self._decide()
+        self.status = "unknown" if self.incomplete else self._decide()
         return self.status
 
     def _decide(self) -> str:

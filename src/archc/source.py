@@ -33,28 +33,11 @@ class SourceFile:
     def __init__(self, name: str, text: str) -> None:
         self.name = name
         self.text = text
-        self._line_starts = [0]
-        for i, ch in enumerate(text):
-            if ch == "\n":
-                self._line_starts.append(i + 1)
+        self._lines: list[str] | None = None  # split on first lookup
 
     def line_text(self, line: int) -> str:
-        idx = line - 1
-        if idx < 0 or idx >= len(self._line_starts):
+        if self._lines is None:
+            self._lines = self.text.split("\n")
+        if line < 1 or line > len(self._lines):
             return ""
-        start = self._line_starts[idx]
-        end = self.text.find("\n", start)
-        if end < 0:
-            end = len(self.text)
-        return self.text[start:end]
-
-    def span_at(self, start: int, end: int) -> Span:
-        # binary search not needed at our file sizes
-        line = 1
-        col = start + 1
-        for i, ls in enumerate(self._line_starts):
-            if ls > start:
-                break
-            line = i + 1
-            col = start - ls + 1
-        return Span(self.name, line, col, start, end)
+        return self._lines[line - 1]

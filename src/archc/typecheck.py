@@ -730,7 +730,7 @@ def analyze_domains(core: CoreModule, summaries: dict[str, Summary],
 
     def domain_of_expr(e: Expr) -> set[str]:
         out: set[str] = set()
-        for n in sorted(expr_reads(e)):
+        for n in expr_reads(e):
             out |= domains.get(n, set())
         return out
 
@@ -781,12 +781,15 @@ def analyze_domains(core: CoreModule, summaries: dict[str, Summary],
 
     # seq blocks: everything read must live in the block's domain
     # (auto-cdc blocks are the sanctioned synchronizer capture points)
+    seq_reads = []
     for sblock in core.seq_blocks:
-        if sblock.origin == "auto-cdc":
-            continue
         read: set[str] = set()
         for st in sblock.stmts:
             _stmt_reads(st, read)
+        seq_reads.append((sblock, read))
+    for sblock, read in seq_reads:
+        if sblock.origin == "auto-cdc":
+            continue
         for n in sorted(read):
             srcs = domains.get(n, set())
             bad = srcs - {sblock.domain}
@@ -841,45 +844,59 @@ def analyze_domains(core: CoreModule, summaries: dict[str, Summary],
                 and not isinstance(p.ty, (Clock, Reset))]
     out_ports = [p.name for p in core.ports if p.direction == "out"]
 
-    # comb reachability input -> net: BFS over the full graph, so paths
-    # running through (possibly nested) instances are included
-    reach: dict[str, set[str]] = {}
-    for p in in_ports:
-        seen = {p}
-        frontier = [p]
-        while frontier:
-            node = frontier.pop()
-            for nxt in graph.edges.get(node, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        reach[p] = seen
-    for p in in_ports:
-        for o in out_ports:
-            if o in reach[p] and o != p:
-                summary.through.add((p, o))
+    # comb reachability, one pass in topological order: bit i of a node's
+    # mask is set when in_ports[i] reaches it. Register reads are already
+    # cut from the graph and instance through-paths are edges in it, so
+    # paths through (possibly nested) instances are included.
+    reach = {p: 1 << i for i, p in enumerate(in_ports)}
+    rev = graph.rev
+    for node in graph.order:
+        mask = reach.get(node, 0)
+        for src in rev.get(node, ()):
+            mask |= reach[src]
+        reach[node] = mask
+
+    def reach_of(names) -> int:
+        mask = 0
+        for n in names:
+            mask |= reach.get(n, 0)
+        return mask
+
     for o in out_ports:
+        for p in _mask_names(reach.get(o, 0), in_ports):
+            summary.through.add((p, o))
         summary.out_domains[o] = set(domains.get(o, set()))
-    # consumption: input read by a seq block of domain D
-    for sblock in core.seq_blocks:
-        read: set[str] = set()
-        for st in sblock.stmts:
-            _stmt_reads(st, read)
-        for p in in_ports:
-            if read & reach[p]:
-                summary.in_domains.setdefault(p, set()).add(sblock.domain)
-    # consumption through child instances
+    # consumption: an input reaching a read of a seq block of domain D, or
+    # an instance input that the child consumes in D
+    consumed: dict[str, int] = {}
+    for sblock, read in seq_reads:
+        consumed[sblock.domain] = consumed.get(sblock.domain, 0) | reach_of(read)
+    feeds_child = 0  # inputs reaching any child input get an entry, maybe empty
     for inst in core.instances:
         child = summaries.get(inst.module_key)
         if child is None:
             continue
         for port, expr in inst.in_map.items():
-            reads = expr_reads(expr)
-            child_consumed = child.in_domains.get(port, set())
-            for p in in_ports:
-                if reads & reach[p]:
-                    summary.in_domains.setdefault(p, set()).update(child_consumed)
+            mask = reach_of(expr_reads(expr))
+            feeds_child |= mask
+            for d in child.in_domains.get(port, ()):
+                consumed[d] = consumed.get(d, 0) | mask
+    for d, mask in consumed.items():
+        for p in _mask_names(mask, in_ports):
+            summary.in_domains.setdefault(p, set()).add(d)
+    for p in _mask_names(feeds_child, in_ports):
+        summary.in_domains.setdefault(p, set())
     return summary
+
+
+def _mask_names(mask: int, names: list[str]) -> list[str]:
+    """The names whose bit is set in `mask` (bit i is names[i])."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(names[low.bit_length() - 1])
+        mask ^= low
+    return out
 
 
 def _stmt_reads(st: Stmt, out: set[str]) -> None:

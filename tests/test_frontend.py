@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from conftest import CORPUS, ROOT, corpus_path
+from conftest import CORPUS, ROOT, build_text, corpus_path
 
 from archc.diagnostics import CompileError
 from archc.lexer import lex
@@ -189,3 +189,91 @@ class TestLL1:
                     span = e.value if False else e.diagnostics[0].span
                     assert span.start == toks[pos].span.start or \
                         span == eof.span, (fname, pos, bad_text)
+
+
+def _deep_module(expr):
+    return f"""module D
+  port clk: in Clock<SysDomain>;
+  port rst: in Reset<Sync>;
+  port a: in UInt<8>;
+  port c: in Bool;
+  port y: out UInt<8>;
+  reg r: UInt<8> reset rst => 0;
+  seq on clk rising
+    r <= {expr};
+  end seq
+  comb y = {expr};
+  assert p: r != 7 implies r != 8;
+end module D
+"""
+
+
+_DEEP_FORMS = {
+    "wrap_chain": lambda n: " +% ".join(["a"] * n),       # depth n
+    "parens": lambda n: "(" * (n - 1) + "a" + ")" * (n - 1),
+    "unary": lambda n: "~" * (n - 1) + "a",
+    "ternary": lambda n: "c ? a : " * (n - 1) + "a",
+    "nested_rhs": lambda n: "a +% (" * (n // 2 - 1) + "a" + ")" * (n // 2 - 1),
+}
+
+
+class TestDepthLimit:
+    @pytest.mark.parametrize("expr", ["(" * 3000 + "a" + ")" * 3000, " +% ".join(["a"] * 3000)],
+                             ids=["parens3000", "wrap_chain3000"])
+    def test_deep_input_is_a_diagnostic_not_a_traceback(self, tmp_path, expr):
+        path = tmp_path / "deep.arch"
+        path.write_text(_deep_module(expr))
+        proc = subprocess.run(
+            [sys.executable, "-m", "archc.cli", "check", str(path)],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")))
+        assert proc.returncode == 1
+        assert "error[E_TOO_DEEP]: expression nested more than 100 levels deep" in proc.stdout
+        assert "Traceback" not in proc.stderr and proc.stderr == ""
+
+    @pytest.mark.parametrize("form", sorted(_DEEP_FORMS))
+    def test_limit_is_exact(self, form):
+        from archc.parser import MAX_EXPR_DEPTH
+        parse_source(_deep_module(_DEEP_FORMS[form](MAX_EXPR_DEPTH)), "t.arch")
+        with pytest.raises(CompileError) as e:
+            parse_source(_deep_module(_DEEP_FORMS[form](MAX_EXPR_DEPTH + 2)), "t.arch")
+        assert [d.code for d in e.value.diagnostics] == ["E_TOO_DEEP"]
+
+    def test_span_is_the_offending_subexpression(self):
+        text = _deep_module(" +% ".join(["a"] * 150))
+        with pytest.raises(CompileError) as e:
+            parse_source(text, "t.arch")
+        span = e.value.diagnostics[0].span
+        start = text.index("r <= a") + len("r <= ")
+        # the left-nested node holding the first 101 terms is the first too deep
+        assert text[span.start:span.end] == " +% ".join(["a"] * 101)
+        assert span.start == start and span.line == 9
+
+    def test_parens_span_starts_at_a_parenthesis(self):
+        text = _deep_module("(" * 3000 + "a" + ")" * 3000)
+        with pytest.raises(CompileError) as e:
+            parse_source(text, "t.arch")
+        span = e.value.diagnostics[0].span
+        assert text[span.start] == "(" and span.line == 9
+
+    @pytest.mark.parametrize("form", sorted(_DEEP_FORMS))
+    def test_later_passes_survive_the_limit_with_room(self, form):
+        """At the depth limit, check, build, sim and formal all finish
+        even when called 300 frames deep."""
+        from archc.formal import verify
+        from archc.parser import MAX_EXPR_DEPTH
+        from archc.sim import SimFlags, build_sim, run_stimulus
+        from archc.sim.stimulus import Directive, StimulusProgram
+        from archc.sv_emit import emit_module
+
+        def everything():
+            design, _ = build_text(_deep_module(_DEEP_FORMS[form](MAX_EXPR_DEPTH)))
+            emit_module(design.cores["D"])
+            image = build_sim(design.cores, "D", SimFlags())
+            run_stimulus(image, StimulusProgram([Directive("run", (3,), 0)]))
+            return verify(design.cores["D"], 2, "builtin")
+
+        def nest(k):
+            return everything() if k == 0 else nest(k - 1)
+
+        assert nest(300).results

@@ -197,3 +197,34 @@ class TestSession:
 (get-model)
 """)
         assert "(define-fun a () (_ BitVec 4) #b0101)" in out
+
+    def test_redeclared_constant_is_an_error_answer(self):
+        out = Session().run("""
+(declare-const a (_ BitVec 4))
+(declare-const a (_ BitVec 8))
+(assert (= a #x3))
+(check-sat)
+""")
+        assert out.splitlines() == ['(error "redeclared a")', "unknown"]
+
+    def test_deep_term_is_an_error_answer(self):
+        depth = 3000
+        session = Session()
+        out = session.run("(declare-const a (_ BitVec 4))\n(assert (= a "
+                          + "(bvnot " * depth + "a" + ")" * depth + "))\n(check-sat)\n")
+        assert out.splitlines() == ['(error "RecursionError: term nested too deeply")', "unknown"]
+        assert session.status == "unknown"
+
+    def test_dropped_assertion_makes_later_answers_unknown(self):
+        out = Session().run("""
+(declare-const a (_ BitVec 4))
+(check-sat)
+(assert (bvfrob a))
+(assert (= a #x3))
+(check-sat)
+(get-value (a))
+(check-sat)
+""")
+        assert out.splitlines() == [
+            "sat", "(error \"unsupported operator 'bvfrob'\")", "unknown",
+            '(error "model is not available")', "unknown"]
