@@ -70,6 +70,7 @@ class Parser:
         self.pos = 0
         self._pending_docs: list[str] = []
         self._open = 0  # expression levels being parsed (see _parse_ternary)
+        self._nested = 0  # if/match statements being parsed
 
     # ── token access (current token only: LL(1)) ────────────────
 
@@ -547,6 +548,19 @@ class Parser:
         return stmts
 
     def _parse_stmt(self, assign_op: str) -> Stmt:
+        if not (self.at(TK.KW_IF) or self.at(TK.KW_MATCH)):
+            return self._parse_assign(assign_op)
+        # each nested if/match becomes one more mux level around its targets
+        self._nested += 1
+        if self._nested > MAX_EXPR_DEPTH:
+            raise CompileError(err(
+                "E_TOO_DEEP", f"statements nested more than {MAX_EXPR_DEPTH} levels deep",
+                self.cur.span, help="split it into `let` bindings or separate blocks"))
+        stmt = self._parse_branch(assign_op)
+        self._nested -= 1
+        return stmt
+
+    def _parse_branch(self, assign_op: str) -> Stmt:
         if self.at(TK.KW_IF):
             tok = self.advance()
             cond = self.parse_expr()
@@ -558,25 +572,23 @@ class Parser:
                 els = self._parse_stmts(assign_op)
             end = self.expect(TK.END_IF)
             return SIf(tok.span.merge(end.span), cond, then, els)
-        if self.at(TK.KW_MATCH):
-            tok = self.advance()
-            subject = self.parse_expr()
-            cases: list[MatchCase] = []
-            else_stmts = None
-            while self.at(TK.KW_CASE):
+        tok = self.advance()  # match
+        subject = self.parse_expr()
+        cases: list[MatchCase] = []
+        else_stmts = None
+        while self.at(TK.KW_CASE):
+            self.advance()
+            if self.at(TK.KW_ELSE):
                 self.advance()
-                if self.at(TK.KW_ELSE):
-                    self.advance()
-                    self.expect(TK.COLON)
-                    else_stmts = self._parse_stmts(assign_op)
-                    break
-                pattern = self.parse_expr()
                 self.expect(TK.COLON)
-                stmts = self._parse_stmts(assign_op)
-                cases.append(MatchCase([pattern], stmts))
-            end = self.expect(TK.END_MATCH)
-            return SMatch(tok.span.merge(end.span), subject, cases, else_stmts)
-        return self._parse_assign(assign_op)
+                else_stmts = self._parse_stmts(assign_op)
+                break
+            pattern = self.parse_expr()
+            self.expect(TK.COLON)
+            stmts = self._parse_stmts(assign_op)
+            cases.append(MatchCase([pattern], stmts))
+        end = self.expect(TK.END_MATCH)
+        return SMatch(tok.span.merge(end.span), subject, cases, else_stmts)
 
     def _parse_assign(self, assign_op: str) -> SAssign:
         lhs = self._parse_lvalue()

@@ -11,17 +11,21 @@ cycle numbering coincide exactly with the formal unrolling.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Optional
 
 from ..source import Span
 from ..types import SInt, Vec
 from .image import (
-    FlatReg, SimAbortError, SimImage, mask_of, type_width, wrap_signed,
+    ExprCompiler, FlatReg, SimAbortError, SimImage, mask_of, type_width, wrap_signed,
 )
 
 SimAbort = SimAbortError
+
+_TABLE_LIMIT = 4096  # schedule entries kept at once
 
 
 @dataclass
@@ -83,10 +87,15 @@ class Simulator:
         image.builder.sink = self._warn
         self._written = image.builder.written
         self._driven = image.builder.driven
-        self._input_slot = {name: i for i, name in enumerate(image.inputs)}
+        self._inputs = {name: (net.index, slot, _coercion(net.ty))
+                        for slot, (name, net) in enumerate(image.inputs.items())}
         self._async_regs = [r for r in image.regs.values()
                             if r.reset_async and r.reset_net is not None]
-        self._update_clock_nets()
+        # clock schedule: time % lcm(periods) -> (step function or None,
+        # ((clock net index, value), ...)), filled as phases are reached
+        self._lcm = 2
+        self._table: dict[int, tuple] = {}
+        self._set_clocks(self._clock_values(0))
 
     # ── plumbing ─────────────────────────────────────────────────
 
@@ -103,33 +112,30 @@ class Simulator:
         if period < 1:
             raise ValueError("period must be >= 1")
         self.periods[domain] = period
+        self._lcm = math.lcm(*self.periods.values())
+        self._table.clear()
 
     def settle(self) -> None:
         if not self._dirty:
             return
         values = self.values
-        for _ in range(self.image.settle_depth):
-            for idx, fn in self.image.schedule:
-                values[idx] = fn(values)
+        self.image.settle(values)
         if self.image.flags.debug_settle:
             before = list(values)
-            for idx, fn in self.image.schedule:
-                values[idx] = fn(values)
+            self.image.settle_once(values)
             assert values == before, "settle invariant violated: extra pass changed nets"
         self._dirty = False
 
     def set_input(self, name: str, value: int) -> None:
-        net = self.image.inputs.get(name)
-        if net is None:
+        entry = self._inputs.get(name)
+        if entry is None:
             raise KeyError(f"`{name}` is not a primary input")
-        if isinstance(net.ty, SInt):
-            value = wrap_signed(value, net.ty.width)
-        elif not isinstance(net.ty, Vec):
-            value &= mask_of(type_width(net.ty))
-        self.values[net.index] = value
-        self._driven[self._input_slot[name]] = True
+        index, slot, coerce = entry
+        self.values[index] = coerce(value)
+        self._driven[slot] = True
         self._dirty = True
-        self._async_resets()
+        if self._async_regs:
+            self._async_resets()
 
     def peek(self, name: str):
         self.settle()
@@ -146,51 +152,69 @@ class Simulator:
                 self.values[reg.index] = reg.reset_value
                 self._dirty = True
 
-    def _update_clock_nets(self) -> None:
-        t = self.time
+    # ── the clock schedule ───────────────────────────────────────
+
+    def _clock_values(self, phase: int) -> tuple:
+        """Clock net values at a phase: low in the first half of the
+        period, high in the second; the rising edge lands at phase ==
+        ceil(p/2) == p - p//2."""
+        out = []
         for domain, nets in self.image.clock_nets.items():
             p = self.periods.get(domain, 2)
-            phase = t % p
-            value = 1 if (p == 1 or phase >= (p - p // 2)) else 0
-            # clock is low in the first half of the period, high in the second;
-            # the rising edge lands at phase == ceil(p/2) == p - p//2
-            for idx in nets:
-                if self.values[idx] != value:
-                    self.values[idx] = value
-                    self._dirty = True
+            value = 1 if (p == 1 or phase % p >= (p - p // 2)) else 0
+            out.extend((idx, value) for idx in nets)
+        return tuple(out)
 
-    def _edge_domains(self, t: int) -> list[str]:
-        out = []
+    def _set_clocks(self, clocks: tuple) -> None:
+        values = self.values
+        for idx, value in clocks:
+            if values[idx] != value:
+                values[idx] = value
+                self._dirty = True
+
+    def _phase(self, phase: int) -> tuple:
+        """The schedule entry of a phase; the step function of its edge set
+        is generated on first use and kept on the image."""
+        rising, falling = [], []
         for d in self.image.domains:
             p = self.periods.get(d, 2)
-            if t > 0 and (t % p) == (0 if p == 1 else (p - p // 2)):
-                out.append(d)
-        return out
-
-    def _neg_edge_domains(self, t: int) -> list[str]:
-        out = []
-        for d in self.image.domains:
-            p = self.periods.get(d, 2)
-            if t > 0 and (t % p) == 0:
-                out.append(d)
-        return out
+            if phase % p == (0 if p == 1 else (p - p // 2)):
+                rising.append(d)
+            if phase % p == 0:
+                falling.append(d)
+        step = None
+        if rising or falling:
+            key = (tuple(rising), tuple(falling))
+            step = self.image.steps.get(key)
+            if step is None:
+                step = self.image.steps[key] = generate_step(self.image, *key)
+        if len(self._table) >= _TABLE_LIMIT:
+            self._table.clear()  # co-prime periods: keep memory bounded
+        entry = self._table[phase] = (step, self._clock_values(phase))
+        return entry
 
     # ── the tick ─────────────────────────────────────────────────
 
     def tick(self, n: int = 1) -> None:
-        """Advance n global ticks, processing any clock edges encountered."""
+        """Advance n global ticks, processing any clock edges encountered.
+        An edge step samples properties, checks guards and commits the
+        registers of the edges that fired (rising edges also count cycles)."""
+        values, table, lcm = self.values, self._table, self._lcm
         for _ in range(n):
-            self.time += 1
-            rising = self._edge_domains(self.time)
-            falling = self._neg_edge_domains(self.time)
-            if rising or falling:
-                self._edge_step(rising, falling)
-            self._update_clock_nets()
+            self.time = t = self.time + 1
+            step, clocks = table.get(t % lcm) or self._phase(t % lcm)
+            if step is not None:
+                self.settle()
+                stop = step(values, self)
+                self._dirty = True
+                if stop:
+                    raise _StopSim()
+            self._set_clocks(clocks)
             if self._clockless:
                 self._check_clockless()
             if self.trace is not None:
                 self.settle()
-                self.trace.sample(self.time, self.values)
+                self.trace.sample(self.time, values)
 
     def _check_clockless(self) -> None:
         """Pure-comb constructs have no sampling edge; their properties are
@@ -215,95 +239,14 @@ class Simulator:
     def run_cycles(self, domain: str, n: int) -> None:
         """Advance until `domain` has seen n more posedges."""
         target = self.cycles[domain] + n
-        guard = 0
-        while self.cycles[domain] < target:
-            self.tick(1)
-            guard += 1
-            if guard > n * max(self.periods.values()) + 16:
-                raise RuntimeError("clock scheduling failed to advance")
-
-    def _edge_step(self, edging: list[str], falling: list[str]) -> None:
-        """One global time step: rising edges drive property sampling,
-        guard checks, and cycle counting; registers commit on whichever of
-        their clock's edges fired."""
-        self.settle()
-        values = self.values
-        flags = self.image.flags
-
-        # property sampling (pre-edge values = cycle k state)
-        stop = False
-        for prop in self.image.props:
-            if prop.domain is not None and prop.domain not in edging:
-                continue
-            if prop.domain is None and not edging:
-                continue
-            if prop.reset_net is not None:
-                rv = values[prop.reset_net]
-                if rv == (1 if prop.reset_active_high else 0):
-                    continue  # disable iff (reset active)
-            cycle = self.cycles[prop.domain] if prop.domain in self.cycles \
-                else self._max_cycle()
-            try:
-                val = prop.fn(values)
-            except SimAbortError as e:
-                raise e
-            if prop.kind == "assert":
-                if not val:
-                    self.report.assert_failures += 1
-                    self.report.events.append(SimEvent(
-                        "ASSERT_FAIL", cycle, prop.domain or "",
-                        f"assertion `{prop.name}` failed", prop.name))
-                    if flags.stop_on_assert:
-                        stop = True
-            else:
-                if val and self.report.cover_table.get(prop.name) is None:
-                    self.report.cover_table[prop.name] = cycle
-                    self.report.events.append(SimEvent(
-                        "COVER_HIT", cycle, prop.domain or "",
-                        f"cover `{prop.name}` hit", prop.name))
-
-        # guard checks: valid high while the data register was never written
-        for reg in self.image.regs.values():
-            if reg.guard_index is None or reg.domain not in edging:
-                continue
-            if reg.name in self._guard_seen:
-                continue
-            if flags.check_uninit and values[reg.guard_index] == 1 \
-                    and not self._written[reg.written_index]:
-                self._guard_seen.add(reg.name)
-                self.report.events.append(SimEvent(
-                    "GUARD_VIOLATION", self.cycles[reg.domain], reg.domain,
-                    f"guard of `{reg.name}` is high but the register was never "
-                    f"written", reg.name))
-
-        # two-phase commit: compute every next value, then update;
-        # a register commits only on its own clock edge polarity
-        updates: list[tuple[FlatReg, object, bool]] = []
-        for d, want_edge in [(d, "rising") for d in edging] + \
-                            [(d, "falling") for d in falling]:
-            for reg in self.image.regs_by_domain.get(d, ()):
-                if reg.edge != want_edge:
-                    continue
-                if reg.reset_net is not None:
-                    rv = values[reg.reset_net]
-                    if rv == (1 if reg.reset_active_high else 0):
-                        updates.append((reg, reg.reset_value, False))
-                        continue
-                nxt = reg.next_fn(values)
-                wrote = bool(reg.assigned_fn(values)) if reg.assigned_fn else True
-                updates.append((reg, nxt, wrote))
-        for reg, nxt, wrote in updates:
-            if reg.cdc_chain is not None and flags.cdc_random \
-                    and not isinstance(reg.ty, Vec):
-                nxt = self._randomize_capture(reg, nxt)
-            values[reg.index] = nxt
-            if wrote:
-                self._written[reg.written_index] = True
-        for d in edging:
-            self.cycles[d] += 1
-        self._dirty = True
-        if stop:
-            raise _StopSim()
+        if n <= 0:
+            return
+        p = self.periods[domain]
+        rise = 0 if p == 1 else p - p // 2
+        first = self.time + 1 + (rise - self.time - 1) % p  # the next posedge
+        self.tick(first + (n - 1) * p - self.time)
+        if self.cycles[domain] < target:
+            raise RuntimeError("clock scheduling failed to advance")
 
     def _randomize_capture(self, reg: FlatReg, nxt: int) -> int:
         """--cdc-random: per crossing event (bit change), capture now or one
@@ -333,3 +276,106 @@ class Simulator:
 
 class _StopSim(Exception):
     pass
+
+
+def _coercion(ty):
+    """The wrap or mask `set_input` applies to a value for an input of `ty`."""
+    if isinstance(ty, SInt):
+        w = ty.width
+        return lambda value: wrap_signed(value, w)
+    if isinstance(ty, Vec):
+        return lambda value: value
+    m = mask_of(type_width(ty))
+    return lambda value: value & m
+
+
+def generate_step(image: SimImage, rising: tuple, falling: tuple):
+    """Straight-line step function `step(v, sim) -> stop` for one set of
+    clock edges, in the order the events happen: property sampling on
+    pre-edge values (with `disable iff`), guard checks (--check-uninit),
+    every next value of the registers clocked by these edges (reset,
+    `assigned`), then the commit (--cdc-random capture, written
+    bookkeeping) and the cycle counts of the rising domains. Register
+    order follows `image.regs_by_domain` as it stands at first use."""
+    b = image.builder
+    flags = image.flags
+    track_written = flags.check_uninit  # only the uninit checks read it
+    b.ns["_Event"] = SimEvent
+    props = [p for p in image.props
+             if (p.domain in rising if p.domain is not None else rising)]
+    guards = [r for r in image.regs.values()
+              if flags.check_uninit and r.guard_index is not None and r.domain in rising]
+    regs = [r for d in rising for r in image.regs_by_domain.get(d, ()) if r.edge == "rising"]
+    regs += [r for d in falling for r in image.regs_by_domain.get(d, ()) if r.edge == "falling"]
+
+    lines = ["    cyc = s.cycles", "    rep = s.report", "    stop = False"]
+    for p in props:
+        cycle = f"cyc[{p.domain!r}]" if p.domain is not None else "max(cyc.values(), default=0)"
+        cond = ExprCompiler(b).cond(p.expr)
+        pad = "    "
+        if p.reset_net is not None:
+            lines.append(f"    if v[{p.reset_net}] != {1 if p.reset_active_high else 0}:")
+            pad += "    "
+        domain = p.domain or ""
+        if p.kind == "assert":
+            lines += [f"{pad}if not {cond}:",
+                      f"{pad}    rep.assert_failures += 1",
+                      f"{pad}    rep.events.append(_Event('ASSERT_FAIL', {cycle}, {domain!r}, "
+                      f"{f'assertion `{p.name}` failed'!r}, {p.name!r}))"]
+            if flags.stop_on_assert:
+                lines.append(f"{pad}    stop = True")
+        else:
+            lines += [f"{pad}if {cond} and rep.cover_table.get({p.name!r}) is None:",
+                      f"{pad}    rep.cover_table[{p.name!r}] = {cycle}",
+                      f"{pad}    rep.events.append(_Event('COVER_HIT', {cycle}, {domain!r}, "
+                      f"{f'cover `{p.name}` hit'!r}, {p.name!r}))"]
+
+    if guards:
+        lines.append("    seen = s._guard_seen")
+    for r in guards:
+        message = f"guard of `{r.name}` is high but the register was never written"
+        lines += [f"    if v[{r.guard_index}] == 1 and not _written[{r.written_index}] "
+                  f"and {r.name!r} not in seen:",
+                  f"        seen.add({r.name!r})",
+                  f"        rep.events.append(_Event('GUARD_VIOLATION', cyc[{r.domain!r}], "
+                  f"{r.domain!r}, {message!r}, {r.name!r}))"]
+
+    # two-phase commit: every next value, then every update; consecutive
+    # registers on the same reset share its test
+    for (reset_net, high), group in groupby(
+            enumerate(regs), lambda jr: (jr[1].reset_net, jr[1].reset_active_high)):
+        group = list(group)
+        pad = "    "
+        if reset_net is not None:
+            lines.append(f"    if v[{reset_net}] == {1 if high else 0}:")
+            for j, r in group:
+                value = r.reset_value
+                lines.append(f"        n{j} = {value if type(value) is int else b.bind(value, '_k')}")
+                if track_written:
+                    lines.append(f"        w{j} = False")
+            lines.append("    else:")
+            pad = "        "
+        for j, r in group:
+            compiler = ExprCompiler(b, suppress_hook_for=r.name)
+            lines.append(f"{pad}n{j} = {compiler.value(r.next_expr)}")
+            if r.assigned_expr is None:
+                if track_written:
+                    lines.append(f"{pad}w{j} = True")
+                continue
+            compiler = ExprCompiler(b, suppress_hook_for=r.name)
+            assigned = compiler.cond(r.assigned_expr)
+            if track_written:
+                lines.append(f"{pad}w{j} = {assigned}")
+            elif compiler.impure:
+                lines.append(f"{pad}{assigned}")  # for its runtime checks only
+    for j, r in enumerate(regs):
+        if r.cdc_chain is not None and flags.cdc_random and not isinstance(r.ty, Vec):
+            lines.append(f"    v[{r.index}] = s._randomize_capture({b.bind(r, '_r')}, n{j})")
+        else:
+            lines.append(f"    v[{r.index}] = n{j}")
+        if track_written:
+            lines.append(f"    if w{j}:\n        _written[{r.written_index}] = True")
+    lines += [f"    cyc[{d!r}] += 1" for d in rising]
+    lines.append("    return stop\n")
+    name = b.fresh("_step")
+    return b.run(f"def {name}(v, s):\n" + "\n".join(lines))[name]

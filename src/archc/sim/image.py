@@ -1,17 +1,20 @@
 """SimImage: the flattened executable model.
 
-Hierarchy is flattened with dotted instance paths ("f.mem"); the comb
-schedule is the global topological order of all net definitions, evaluated
-settle_depth times per edge (settle depth per module is 1 or 2: 2 when
-comb/let results feed instance inputs). Expressions compile to Python
-closures over a flat value list; ternary/&&/|| evaluate lazily so runtime
-checks fire only on taken paths, exactly like the generated-code backend
-they model.
+Hierarchy is flattened with dotted instance paths ("f.mem"). The design
+compiles to straight-line Python source over a flat value list `v`, run
+through compile()/exec once: the comb schedule (the global topological
+order of all net definitions) is one `settle` function that writes the
+schedule out settle_depth times (settle depth per module is 1 or 2: 2 when
+comb/let results feed instance inputs), and every property is a function
+of its own. The engine generates one step function per set of clock edges
+from the same expression compiler. Ternary/&&/|| stay lazy (conditional
+expressions and `and`/`or`), so runtime checks fire only on taken paths,
+exactly like the generated-code backend they model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ..ast_nodes import (
@@ -50,7 +53,6 @@ class FlatNet:
     ty: Type
     kind: str            # port-in | port-out | let | internal | inst-out | clock
     index: int
-    fn: Optional[Callable] = None
     span: Span = None  # type: ignore[assignment]
 
 
@@ -61,8 +63,8 @@ class FlatReg:
     domain: str
     index: int
     edge: str = "rising"
-    next_fn: Callable = None  # type: ignore[assignment]
-    assigned_fn: Optional[Callable] = None
+    next_expr: Expr = None  # type: ignore[assignment]
+    assigned_expr: Optional[Expr] = None
     reset_net: Optional[int] = None   # value-store index of the reset net
     reset_active_high: bool = True
     reset_async: bool = False
@@ -81,10 +83,11 @@ class FlatProp:
     kind: str
     name: str
     domain: Optional[str]
-    fn: Callable
+    expr: Expr
     reset_net: Optional[int]
     reset_active_high: bool
     span: Span
+    fn: Callable = None  # type: ignore[assignment]
 
 
 @dataclass
@@ -93,7 +96,7 @@ class SimImage:
     nets: dict[str, FlatNet]
     regs: dict[str, FlatReg]
     props: list[FlatProp]
-    schedule: list[tuple[int, Callable]]          # (value index, closure)
+    settle: Callable                              # settle(v): the comb schedule
     regs_by_domain: dict[str, list[FlatReg]]
     domains: list[str]
     clock_nets: dict[str, list[int]]              # domain -> clock net indices
@@ -107,6 +110,8 @@ class SimImage:
     todo_sites: list[Span]
     primary_domain: Optional[str] = None          # first-declared clock of the top
     builder: object = None                        # ImageBuilder (bitmaps, warn sink)
+    settle_once: Optional[Callable] = None        # one pass, under debug_settle
+    steps: dict = field(default_factory=dict)     # engine: edge set -> step fn
 
 
 def mask_of(width: int) -> int:
@@ -151,213 +156,207 @@ def const_value_of(e: Expr, ty: Type) -> object:
 
 # ── expression compilation ───────────────────────────────────────
 
+SPLIT_DEPTH = 36  # node depth at which a subexpression moves to a helper
+# function: a node adds at most 5 bracket levels to the text around its
+# operands, which keeps a function's text under the 200 that compile() takes
+
 
 class ExprCompiler:
     """Compiles typed expressions (already rewritten to flat names) to
-    closures over the value list. `suppress_hook_for` keeps a register's
-    own hold reference inside its next-value expression from counting as
-    a user read site."""
+    Python expression text over the value list `v`. `suppress_hook_for`
+    keeps a register's own hold reference inside its
+    next-value expression from counting as a user read site. `impure`
+    becomes true once the text can raise or warn."""
 
     def __init__(self, image_builder: "ImageBuilder",
                  suppress_hook_for: str | None = None) -> None:
         self.b = image_builder
         self.suppress_hook_for = suppress_hook_for
+        self.impure = False
 
-    def compile(self, e: Expr) -> Callable:
-        b = self.b
+    def _abort(self, kind: str, span: Span, message: str) -> str:
+        """Name of a function that raises the runtime check; `{i}` in the
+        message is filled from its argument."""
+        self.impure = True
+        def abort(i=None):
+            raise SimAbortError(kind, span, message.format(i=i))
+        return self.b.bind(abort, "_a")
+
+    def _temp(self) -> str:
+        return self.b.fresh("t")
+
+    def cond(self, e: Expr, depth: int = 0) -> str:
+        """Text whose truth value is the Bool `e` (no 1/0 conversion)."""
+        if depth >= SPLIT_DEPTH:
+            return self.value(e, depth)
+        if isinstance(e, Binary):
+            op = e.op
+            if op in ("&&", "||", "implies"):
+                a = self.cond(e.lhs, depth + 1)
+                b = self.cond(e.rhs, depth + 1)
+                if op == "&&":
+                    return f"({a} and {b})"
+                if op == "||":
+                    return f"({a} or {b})"
+                return f"(not {a} or {b})"
+            if op in ("==", "!=", "<", "<=", ">", ">="):
+                return f"({self.value(e.lhs, depth + 1)} {op} {self.value(e.rhs, depth + 1)})"
+        if isinstance(e, Unary) and e.op == "!":
+            return f"(not {self.cond(e.operand, depth + 1)})"
+        return self.value(e, depth)
+
+    def value(self, e: Expr, depth: int = 0) -> str:
+        if depth >= SPLIT_DEPTH:
+            return self.b.helper(e, self)
+        d = depth + 1
         if isinstance(e, IntLit):
             ty = e.ty
-            c = wrap_signed(e.value, ty.width) if isinstance(ty, SInt) else e.value
-            return lambda v: c
+            return repr(wrap_signed(e.value, ty.width) if isinstance(ty, SInt) else e.value)
         if isinstance(e, BoolLit):
-            c = 1 if e.value else 0
-            return lambda v: c
+            return "1" if e.value else "0"
         if isinstance(e, EnumRef):
-            c = e.ty.variants.index(e.variant)
-            return lambda v: c
+            return repr(e.ty.variants.index(e.variant))
         if isinstance(e, TodoExpr):
-            span = e.span
-            def todo(v):
-                raise SimAbortError("TODO_REACHED", span,
-                                    f"todo! reached at {span.point()}")
-            return todo
+            return self._abort("TODO_REACHED", e.span,
+                               f"todo! reached at {e.span.point()}") + "()"
         if isinstance(e, NameRef):
-            i = b.index_of(e.name)
+            text = f"v[{self.b.index_of(e.name)}]"
             hook = None if e.name == self.suppress_hook_for \
-                else b.read_hook(e.name, e.span)
+                else self.b.read_hook(e.name, e.span)
             if hook is not None:
-                def read(v, i=i, hook=hook):
-                    hook(v)
-                    return v[i]
-                return read
-            return lambda v, i=i: v[i]
+                self.impure = True
+                return f"{self.b.bind(hook, '_h')}({text})"
+            return text
         if isinstance(e, Unary):
-            f = self.compile(e.operand)
+            a = self.value(e.operand, d)
             ty = e.ty
             w = type_width(ty)
             if e.op == "!":
-                return lambda v: 1 - (f(v) & 1)
+                return f"({a} & 1 ^ 1)"
             if e.op == "~":
                 if isinstance(ty, SInt):
-                    return lambda v: wrap_signed(~f(v), w)
-                m = mask_of(w)
-                return lambda v: (~f(v)) & m
+                    return _wrap(f"~{a}", w)
+                return f"(~{a} & {mask_of(w)})"
             if e.op == "-":
-                return lambda v: wrap_signed(-f(v), w)
+                return _wrap(f"-{a}", w)
             raise AssertionError(e.op)
         if isinstance(e, Binary):
-            return self._binary(e)
+            return self._binary(e, d)
         if isinstance(e, (Ternary, IfExpr)):
-            fc = self.compile(e.cond)
-            ft = self.compile(e.then)
-            fe = self.compile(e.els)
-            return lambda v: ft(v) if fc(v) else fe(v)
+            c = self.cond(e.cond, d)
+            return f"({self.value(e.then, d)} if {c} else {self.value(e.els, d)})"
         if isinstance(e, Index):
-            return self._index(e)
+            return self._index(e, d)
         if isinstance(e, Slice):
-            f = self.compile(e.base)
+            a = self.value(e.base, d)
             lo = e.lo.value
             m = mask_of(e.hi.value - e.lo.value + 1)
-            base_ty = e.base.ty
-            if isinstance(base_ty, SInt):
-                bw = base_ty.width
-                return lambda v: ((f(v) & mask_of(bw)) >> lo) & m
-            return lambda v: (f(v) >> lo) & m
+            if isinstance(e.base.ty, SInt):
+                return f"(({a} & {mask_of(e.base.ty.width)}) >> {lo} & {m})"
+            return f"({a} >> {lo} & {m})"
         if isinstance(e, Convert):
-            f = self.compile(e.base)
-            out_ty = e.ty
-            w = type_width(out_ty)
-            if e.kind == "zext":
-                return f  # unsigned value unchanged
-            if e.kind == "sext":
-                return f  # signed value unchanged, width grows
-            if isinstance(out_ty, SInt):
-                return lambda v: wrap_signed(f(v), w)
-            m = mask_of(w)
-            src_ty = e.base.ty
-            if isinstance(src_ty, SInt):
-                return lambda v: f(v) & m
-            return lambda v: f(v) & m
+            a = self.value(e.base, d)
+            if e.kind in ("zext", "sext"):
+                return a  # value unchanged, width grows
+            w = type_width(e.ty)
+            if isinstance(e.ty, SInt):
+                return _wrap(a, w)
+            return f"({a} & {mask_of(w)})"
         if isinstance(e, VecStore):
-            fb = self.compile(e.base)
-            fi = self.compile(e.index)
-            fv = self.compile(e.value)
+            # index first, then base, then the stored value
             size = e.ty.size
-            span = e.span
-            def store(v):
-                i = fi(v)
-                if i >= size:
-                    raise SimAbortError(
-                        "OUT_OF_BOUNDS", span,
-                        f"index {i} out of bounds for Vec of size {size} at {span.point()}")
-                t = fb(v)
-                return t[:i] + (fv(v),) + t[i + 1:]
-            return store
+            i, t = self._temp(), self._temp()
+            abort = self._abort(
+                "OUT_OF_BOUNDS", e.span,
+                f"index {{i}} out of bounds for Vec of size {size} at {e.span.point()}")
+            idx = self.value(e.index, d)
+            base = self.value(e.base, d)
+            val = self.value(e.value, d)
+            return (f"({abort}({i}) if ({i} := {idx}) >= {size} else "
+                    f"({t} := {base})[:{i}] + ({val},) + {t}[{i} + 1:])")
         raise AssertionError(f"compile: {e!r}")
 
-    def _index(self, e: Index) -> Callable:
-        fb = self.compile(e.base)
-        fi = self.compile(e.index)
+    def _index(self, e: Index, d: int) -> str:
         base_ty = e.base.ty
         span = e.span
         if isinstance(base_ty, Vec):
             size = base_ty.size
-            def read(v):
-                i = fi(v)
-                if i >= size:
-                    raise SimAbortError(
-                        "OUT_OF_BOUNDS", span,
-                        f"index {i} out of bounds for Vec of size {size} at {span.point()}")
-                return fb(v)[i]
-            return read
+            if isinstance(e.index, IntLit) and e.index.value < size:
+                return f"{self.value(e.base, d)}[{e.index.value}]"
+            i = self._temp()
+            abort = self._abort(
+                "OUT_OF_BOUNDS", span,
+                f"index {{i}} out of bounds for Vec of size {size} at {span.point()}")
+            idx = self.value(e.index, d)
+            return f"({abort}({i}) if ({i} := {idx}) >= {size} else {self.value(e.base, d)}[{i}])"
+        # bits at or above the width are never read, so a signed base
+        # needs no mask
         width = type_width(base_ty)
-        signed = isinstance(base_ty, SInt)
-        def bit(v):
-            i = fi(v)
-            if i >= width:
-                raise SimAbortError(
-                    "OUT_OF_BOUNDS", span,
-                    f"bit {i} out of bounds for width {width} at {span.point()}")
-            x = fb(v)
-            if signed:
-                x &= mask_of(width)
-            return (x >> i) & 1
-        return bit
+        if isinstance(e.index, IntLit) and e.index.value < width:
+            return f"({self.value(e.base, d)} >> {e.index.value} & 1)"
+        i = self._temp()
+        abort = self._abort("OUT_OF_BOUNDS", span,
+                            f"bit {{i}} out of bounds for width {width} at {span.point()}")
+        idx = self.value(e.index, d)
+        return f"({abort}({i}) if ({i} := {idx}) >= {width} else {self.value(e.base, d)} >> {i} & 1)"
 
-    def _binary(self, e: Binary) -> Callable:
+    def _binary(self, e: Binary, d: int) -> str:
         op = e.op
-        fl = self.compile(e.lhs)
-        if op in ("&&", "||", "implies"):
-            fr = self.compile(e.rhs)
-            if op == "&&":
-                return lambda v: 1 if (fl(v) and fr(v)) else 0
-            if op == "||":
-                return lambda v: 1 if (fl(v) or fr(v)) else 0
-            return lambda v: 1 if (not fl(v) or fr(v)) else 0
-        fr = self.compile(e.rhs)
-        if op in ("==", "!="):
-            if op == "==":
-                return lambda v: 1 if fl(v) == fr(v) else 0
-            return lambda v: 1 if fl(v) != fr(v) else 0
-        if op in ("<", "<=", ">", ">="):
-            if op == "<":
-                return lambda v: 1 if fl(v) < fr(v) else 0
-            if op == "<=":
-                return lambda v: 1 if fl(v) <= fr(v) else 0
-            if op == ">":
-                return lambda v: 1 if fl(v) > fr(v) else 0
-            return lambda v: 1 if fl(v) >= fr(v) else 0
+        if op in ("&&", "||", "implies", "==", "!=", "<", "<=", ">", ">="):
+            return f"(1 if {self.cond(e, d - 1)} else 0)"
         ty = e.ty
         w = type_width(ty)
         signed = isinstance(ty, SInt)
         m = mask_of(w)
-        span = e.span
-        if op in ("+", "+%"):
-            if signed:
-                return lambda v: wrap_signed(fl(v) + fr(v), w)
-            return lambda v: (fl(v) + fr(v)) & m
-        if op in ("-", "-%"):
-            if signed:
-                return lambda v: wrap_signed(fl(v) - fr(v), w)
-            return lambda v: (fl(v) - fr(v)) & m
-        if op in ("*", "*%"):
-            if signed:
-                return lambda v: wrap_signed(fl(v) * fr(v), w)
-            return lambda v: (fl(v) * fr(v)) & m
         if op in ("/", "%"):
-            is_div = op == "/"
-            def divmod_(v):
-                b_ = fr(v)
-                if b_ == 0:
-                    raise SimAbortError(
-                        "DIV_BY_ZERO", span,
-                        f"division by zero at {span.point()}")
-                a_ = fl(v)
-                if signed:
-                    return wrap_signed(div_trunc(a_, b_) if is_div else rem_trunc(a_, b_), w)
-                return (a_ // b_) if is_div else (a_ % b_)
-            return divmod_
-        if op == "<<":
+            # the divisor is evaluated (and checked) before the dividend
+            t = self._temp()
+            abort = self._abort("DIV_BY_ZERO", e.span,
+                                f"division by zero at {e.span.point()}")
+            b = self.value(e.rhs, d)
+            a = self.value(e.lhs, d)
             if signed:
-                return lambda v: wrap_signed(fl(v) << min(fr(v), w), w)
-            return lambda v: (fl(v) << min(fr(v), w)) & m
-        if op == ">>":
-            if signed:
-                return lambda v: fl(v) >> min(fr(v), w)
-            return lambda v: fl(v) >> min(fr(v), w) if fr(v) < w else 0
+                fn = self.b.bind(div_trunc if op == "/" else rem_trunc, "_f")
+                res = _wrap(f"{fn}({a}, {t})", w)
+            else:
+                res = f"{a} {'//' if op == '/' else '%'} {t}"
+            return f"({abort}() if ({t} := {b}) == 0 else {res})"
+        if op == ">>" and not signed:
+            # the shift amount is evaluated before the shifted value
+            if isinstance(e.rhs, IntLit):
+                c = e.rhs.value
+                return f"({self.value(e.lhs, d)} >> {c})" if c < w else "0"
+            t = self._temp()
+            b = self.value(e.rhs, d)
+            return f"({self.value(e.lhs, d)} >> {t} if ({t} := {b}) < {w} else 0)"
+        a = self.value(e.lhs, d)
+        if op in ("<<", ">>"):
+            if isinstance(e.rhs, IntLit):
+                amount = str(min(e.rhs.value, w))
+            else:
+                t = self._temp()
+                amount = f"({t} if ({t} := {self.value(e.rhs, d)}) < {w} else {w})"
+            if op == ">>":
+                return f"({a} >> {amount})"
+            return _wrap(f"({a} << {amount})", w) if signed else f"({a} << {amount} & {m})"
+        b = self.value(e.rhs, d)
+        if op in ("+", "+%", "-", "-%", "*", "*%"):
+            text = f"{a} {op[0]} {b}"
+            return _wrap(text, w) if signed else f"({text} & {m})"
         if op in ("&", "|", "^"):
             if signed:
-                if op == "&":
-                    return lambda v: wrap_signed(fl(v) & fr(v), w)
-                if op == "|":
-                    return lambda v: wrap_signed(fl(v) | fr(v), w)
-                return lambda v: wrap_signed(fl(v) ^ fr(v), w)
-            if op == "&":
-                return lambda v: fl(v) & fr(v)
-            if op == "|":
-                return lambda v: fl(v) | fr(v)
-            return lambda v: (fl(v) ^ fr(v)) & m
+                return _wrap(f"({a} {op} {b})", w)
+            if op == "^":
+                return f"(({a} ^ {b}) & {m})"
+            return f"({a} {op} {b})"
         raise AssertionError(op)
+
+
+def _wrap(text: str, w: int) -> str:
+    """Text wrapping the value of `text` to a w-bit two's-complement int;
+    `text` must bind at least as tightly as `+`."""
+    h = 1 << (w - 1)
+    return f"(({text} + {h} & {mask_of(w)}) - {h})"
 
 
 # ── flattening ───────────────────────────────────────────────────
@@ -381,9 +380,39 @@ class ImageBuilder:
         self.module_settle: dict[str, int] = {}
         self.todo_sites: list[Span] = []
         self._uninit_state: dict[str, object] = {}
+        self.ns: dict[str, object] = {}       # globals of the generated code
+        self._pending: list[str] = []         # helper functions not yet compiled
+        self._serial = 0
 
     def index_of(self, name: str) -> int:
         return self.indices[name]
+
+    def fresh(self, prefix: str) -> str:
+        self._serial += 1
+        return f"{prefix}{self._serial}"
+
+    def bind(self, obj: object, prefix: str) -> str:
+        """Name under which the generated code sees `obj`."""
+        name = self.fresh(prefix)
+        self.ns[name] = obj
+        return name
+
+    def helper(self, e: Expr, parent: "ExprCompiler") -> str:
+        """Move `e` into a generated function of its own; returns the call."""
+        sub = ExprCompiler(self, parent.suppress_hook_for)
+        text = sub.value(e)
+        parent.impure |= sub.impure
+        name = self.fresh("_e")
+        self._pending.append(f"def {name}(v):\n    return {text}\n")
+        return f"{name}(v)"
+
+    def run(self, source: str) -> dict:
+        """Compile and run `source` together with the helper functions its
+        expressions needed, in the generated code's globals."""
+        code = compile("".join(self._pending) + source, f"<archc sim {self.top}>", "exec")
+        self._pending.clear()
+        exec(code, self.ns)
+        return self.ns
 
     def alloc(self, name: str, init: object) -> int:
         idx = len(self.initial)
@@ -403,12 +432,13 @@ class ImageBuilder:
             written = self.written
             ridx = reg.written_index
             b = self
-            def hook(v):
+            def hook(x):
                 if not written[ridx] and key not in state:
                     state[key] = True
                     b.sink("UNINIT_READ",
                            f"read of never-written reset-none register `{flat_name}`",
                            span)
+                return x
             return hook
         net = self.inputs.get(flat_name)
         if net is not None and self.flags.inputs_start_uninit:
@@ -417,34 +447,41 @@ class ImageBuilder:
             driven = self.driven
             iidx = list(self.inputs).index(flat_name)
             b = self
-            def hook(v):
+            def hook(x):
                 if not driven[iidx] and key not in state:
                     state[key] = True
                     b.sink("UNDRIVEN_INPUT",
                            f"primary input `{flat_name}` read before it was ever set",
                            span)
+                return x
             return hook
         return None
 
     def build(self) -> SimImage:
         self._declare("", self.top)
-        # written/driven bitmaps must exist before closures compile
+        # written/driven bitmaps must exist before the read hooks are made
         for i, reg in enumerate(self.regs.values()):
             reg.written_index = i
         self.written = [False] * len(self.regs)
         self.driven = [False] * len(self.inputs)
-        self._compile("", self.top)
+        self.ns["_written"] = self.written
+        self._collect("", self.top)
 
         graph = build_comb_graph({n: e for n, e in self.defs.items()},
                                  [], set(self.regs), self.def_spans)
-        order = [n for n in graph.order if n in self.defs]
-        schedule = []
-        for name in order:
-            compiler = ExprCompiler(self)
-            fn = compiler.compile(self.defs[name])
-            idx = self.indices[name]
-            schedule.append((idx, fn))
-            self.nets[name].fn = fn
+        order = [(self.indices[n], self.defs[n]) for n in graph.order if n in self.defs]
+        settle_depth = max(self.module_settle.values(), default=1)
+        source = [self._settle_source("_settle", order, settle_depth)]
+        if self.flags.debug_settle:
+            source.append(self._settle_source("_settle_once", order, 1))
+        prop_fns = []
+        for prop in self.props:
+            name = self.fresh("_p")
+            prop_fns.append(name)
+            source.append(f"def {name}(v):\n    return {ExprCompiler(self).value(prop.expr)}\n")
+        ns = self.run("".join(source))
+        for prop, name in zip(self.props, prop_fns):
+            prop.fn = ns[name]
 
         regs_by_domain: dict[str, list[FlatReg]] = {}
         for reg in self.regs.values():
@@ -459,10 +496,10 @@ class ImageBuilder:
         top_clocks = self.cores[self.top].clock_ports()
         return SimImage(
             top=self.top, nets=self.nets, regs=self.regs, props=self.props,
-            schedule=schedule, regs_by_domain=regs_by_domain, domains=domains,
+            settle=ns["_settle"], settle_once=ns.get("_settle_once"),
+            regs_by_domain=regs_by_domain, domains=domains,
             clock_nets=self.clock_nets, inputs=self.inputs,
-            value_count=len(self.initial),
-            settle_depth=max(self.module_settle.values(), default=1),
+            value_count=len(self.initial), settle_depth=settle_depth,
             module_settle=self.module_settle, flags=self.flags,
             initial=self.initial, visible=visible, todo_sites=self.todo_sites,
             primary_domain=top_clocks[0][1] if top_clocks else None)
@@ -482,7 +519,7 @@ class ImageBuilder:
                 kind = "clock"
                 domain = net.ty.domain
                 self.clock_nets.setdefault(domain, []).append(idx)
-            fnet = FlatNet(flat, net.ty, kind, idx, None, net.span)
+            fnet = FlatNet(flat, net.ty, kind, idx, net.span)
             self.nets[flat] = fnet
             if prefix == "" and kind == "port-in":  # clocks are schedule-driven
                 self.inputs[flat] = fnet
@@ -504,41 +541,44 @@ class ImageBuilder:
         for inst in core.instances:
             self._declare(prefix + inst.name + ".", inst.module_key)
 
-    def _compile(self, prefix: str, key: str) -> None:
+    def _collect(self, prefix: str, key: str) -> None:
         core = self.cores[key]
-        compiler = ExprCompiler(self)
         for name, net in core.nets.items():
             flat = prefix + name
             if net.expr is not None and flat not in self.defs:
                 self.defs[flat] = _prefix_expr(net.expr, prefix)
                 self.def_spans[flat] = net.span
         for name, reg in core.regs.items():
-            flat = prefix + name
-            freg = self.regs[flat]
-            next_e = _prefix_expr(reg.next, prefix)
-            reg_compiler = ExprCompiler(self, suppress_hook_for=flat)
-            freg.next_fn = reg_compiler.compile(next_e)
+            freg = self.regs[prefix + name]
+            freg.next_expr = _prefix_expr(reg.next, prefix)
             if reg.assigned is not None:
-                freg.assigned_fn = reg_compiler.compile(_prefix_expr(reg.assigned, prefix))
+                freg.assigned_expr = _prefix_expr(reg.assigned, prefix)
             if reg.reset_sig is not None:
                 freg.reset_net = self.indices[prefix + reg.reset_sig]
             if reg.guard is not None:
                 freg.guard_index = self.indices[prefix + reg.guard]
         for prop in core.properties:
-            fn = compiler.compile(_prefix_expr(prop.expr, prefix))
             reset_net = (self.indices[prefix + prop.reset_sig]
                          if prop.reset_sig is not None else None)
             self.props.append(FlatProp(
-                prop.kind, prefix + prop.name, prop.domain, fn, reset_net,
+                prop.kind, prefix + prop.name, prop.domain,
+                _prefix_expr(prop.expr, prefix), reset_net,
                 prop.reset_polarity != "Low", prop.span))
         for inst in core.instances:
             child_prefix = prefix + inst.name + "."
-            child = self.cores[inst.module_key]
             for port, expr in inst.in_map.items():
                 flat = child_prefix + port
                 self.defs[flat] = _prefix_expr(expr, prefix)
                 self.def_spans[flat] = inst.span
-            self._compile(child_prefix, inst.module_key)
+            self._collect(child_prefix, inst.module_key)
+
+    def _settle_source(self, name: str, order: list[tuple[int, Expr]], passes: int) -> str:
+        """`order` written out `passes` times as one function."""
+        lines = [f"def {name}(v):"]
+        for _ in range(passes):
+            lines += [f"    v[{i}] = {ExprCompiler(self).value(e)}" for i, e in order]
+        lines.append("    return None\n")
+        return "\n".join(lines)
 
 
 def _prefix_expr(e: Expr, prefix: str) -> Expr:

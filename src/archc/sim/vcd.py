@@ -32,27 +32,29 @@ class VcdTrace:
             else:
                 self.vars.append((name, entry.index, -1, type_width(ty),
                                   isinstance(ty, SInt)))
+        self.refs = [_id_of(vi) for vi in range(len(self.vars))]
+        # per variable: (value index, element index or -1, mask, the
+        # format of its change line)
+        self.probes = []
+        for (_name, idx, elem, width, _signed), ref in zip(self.vars, self.refs):
+            ref = ref.replace("{", "{{").replace("}", "}}")
+            line = "{}" + ref if width == 1 else "b{:0%db} %s" % (width, ref)
+            self.probes.append((idx, elem, mask_of(width), line))
         self.changes: list[str] = []
         self.prev: list[int | None] = [None] * len(self.vars)
         self.sample(0, values)
 
-    def _value_bits(self, value: int, width: int) -> str:
-        return format(value & mask_of(width), f"0{width}b")
-
     def sample(self, time: int, values: list) -> None:
         out: list[str] = []
-        for vi, (name, idx, elem, width, _signed) in enumerate(self.vars):
+        prev = self.prev
+        for vi, (idx, elem, mask, line) in enumerate(self.probes):
             v = values[idx]
             if elem >= 0:
                 v = v[elem]
-            if self.prev[vi] == v:
+            if prev[vi] == v:
                 continue
-            self.prev[vi] = v
-            ref = _id_of(vi)
-            if width == 1:
-                out.append(f"{v & 1}{ref}")
-            else:
-                out.append(f"b{self._value_bits(v, width)} {ref}")
+            prev[vi] = v
+            out.append(line.format(v & mask))
         if out:
             self.changes.append(f"#{time}")
             self.changes.extend(out)
@@ -84,7 +86,7 @@ class VcdTrace:
             parts = name.split(".")
             scope, leaf = parts[:-1], parts[-1]
             set_scope(scope)
-            ref = _id_of(vi)
+            ref = self.refs[vi]
             suffix = "" if width == 1 else f" [{width - 1}:0]"
             lines.append(f"$var wire {width} {ref} {leaf}{suffix} $end")
         set_scope([])

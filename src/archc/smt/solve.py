@@ -18,7 +18,10 @@ import time
 from .bitblast import BitBlaster
 from .intervals import IntervalEngine
 from .sexpr import SmtParseError, parse_all
-from .terms import BOOL_SORT, Term, TermBuilder
+from .terms import BOOL_SORT, Term, TermBuilder, check_arity, numeral
+
+# command -> the number of arguments it takes
+_COMMAND_ARITY = {"declare-const": 2, "declare-fun": 3, "assert": 1, "get-value": 1}
 
 
 class Session:
@@ -60,6 +63,8 @@ class Session:
         head = cmd[0]
         if head in ("set-logic", "set-option", "set-info", "exit", "push", "pop"):
             return
+        if head in _COMMAND_ARITY:
+            check_arity(head, len(cmd) - 1, _COMMAND_ARITY[head])
         if head in ("declare-const", "declare-fun"):
             name = cmd[1]
             sort = cmd[-1]
@@ -75,6 +80,8 @@ class Session:
         elif head == "check-sat":
             self.out.append(self.check_sat())
         elif head == "get-value":
+            if not isinstance(cmd[1], list):
+                raise SmtParseError("get-value takes a list of terms")
             self.out.append(self.get_value(cmd[1]))
         elif head == "get-model":
             self.out.append(self.get_model())
@@ -262,7 +269,7 @@ def _sort_width(sort) -> int | None:
         return BOOL_SORT
     if isinstance(sort, list) and len(sort) == 3 and sort[0] == "_" \
             and sort[1] == "BitVec":
-        return int(sort[2])
+        return numeral(sort[2])
     return None
 
 

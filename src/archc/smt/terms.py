@@ -37,6 +37,22 @@ _BV_BINOPS = {
 _BV_CMP = {"bvult", "bvule", "bvugt", "bvuge", "bvslt", "bvsle", "bvsgt", "bvsge"}
 _BOOL_OPS = {"and", "or", "not", "=>", "xor"}
 
+# operator -> the number of arguments it takes (`and`/`or`: at least one)
+_ARITY = {"ite": 3, "=": 2, "distinct": 2, "not": 1, "=>": 2, "xor": 2,
+          "bvnot": 1, "bvneg": 1}
+_ARITY.update({op: 2 for op in _BV_BINOPS | _BV_CMP})
+
+
+def check_arity(what: str, got: int, want: int) -> None:
+    if got != want:
+        raise SmtParseError(f"wrong number of arguments to {what}: {got}")
+
+
+def numeral(sx) -> int:
+    if isinstance(sx, str) and sx.isascii() and sx.isdigit():
+        return int(sx)
+    raise SmtParseError(f"expected a numeral, found {sx!r}")
+
 
 class TermBuilder:
     def __init__(self) -> None:
@@ -73,15 +89,20 @@ class TermBuilder:
             # ((_ extract hi lo) t) / ((_ zero_extend n) t) / ((_ sign_extend n) t)
             if len(head) >= 2 and head[0] == "_":
                 kind = head[1]
-                if kind == "extract":
-                    hi, lo = int(head[2]), int(head[3])
+                if kind in ("extract", "zero_extend", "sign_extend"):
+                    indices = 2 if kind == "extract" else 1
+                    check_arity(f"(_ {kind})", len(head) - 2, indices)
+                    check_arity(kind, len(sx) - 1, 1)
                     arg = self.build(sx[1])
+                if kind == "extract":
+                    hi, lo = numeral(head[2]), numeral(head[3])
                     return Term("extract", hi - lo + 1, (arg,), value=(hi << 16) | lo)
                 if kind in ("zero_extend", "sign_extend"):
-                    n = int(head[2])
-                    arg = self.build(sx[1])
-                    return Term(kind, arg.width + n, (arg,))
+                    return Term(kind, arg.width + numeral(head[2]), (arg,))
             raise SmtParseError(f"unsupported head {head!r}")
+        want = _ARITY.get(head)
+        if want is not None and len(sx) - 1 != want or len(sx) == 1 and head in ("and", "or"):
+            check_arity(head, len(sx) - 1, want or 1)
         args = [self.build(a) for a in sx[1:]]
         if head == "ite":
             c, a, b = args

@@ -146,6 +146,15 @@ end module Oob
                           "--stim", str(stim))
         assert rc == 1 and "E_STIM" in out
 
+    @pytest.mark.parametrize("line", ["tick abc", "run 1.5", "clock SysDomain period x"])
+    def test_stim_bad_count_is_a_diagnostic(self, tmp_path, line):
+        stim = tmp_path / "count.stim"
+        stim.write_text(f"set en 1\n{line}\n")
+        rc, out = run_cli("sim", corpus_path("counter_wrap200.arch"),
+                          "--stim", str(stim))
+        assert rc == 1
+        assert out.startswith("error[E_STIM]: stimulus line 2: bad count")
+
     def test_guard_violation_under_check_uninit(self, tmp_path):
         stim = tmp_path / "g.stim"
         stim.write_text("clock SysDomain period 2\nset start 1\nrun 3\n")

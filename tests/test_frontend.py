@@ -217,6 +217,29 @@ _DEEP_FORMS = {
 }
 
 
+def _nested_ifs(n):
+    """n `if` statements, each inside the one before; r <= min(a, n)."""
+    lines = [f"{'  ' * k}if a > {k} then" for k in range(n)] + [f"{'  ' * n}r <= {n};"]
+    for k in reversed(range(n)):
+        lines += [f"{'  ' * k}else", f"{'  ' * (k + 1)}r <= {k};", f"{'  ' * k}end if"]
+    return "\n".join("    " + line for line in lines)
+
+
+def _nested_module(n):
+    return f"""module N
+  port clk: in Clock<SysDomain>;
+  port rst: in Reset<Sync>;
+  port a: in UInt<8>;
+  port y: out UInt<8>;
+  reg r: UInt<8> reset rst => 0;
+  seq on clk rising
+{_nested_ifs(n)}
+  end seq
+  comb y = r;
+end module N
+"""
+
+
 class TestDepthLimit:
     @pytest.mark.parametrize("expr", ["(" * 3000 + "a" + ")" * 3000, " +% ".join(["a"] * 3000)],
                              ids=["parens3000", "wrap_chain3000"])
@@ -277,3 +300,36 @@ class TestDepthLimit:
             return everything() if k == 0 else nest(k - 1)
 
         assert nest(300).results
+
+    def test_deep_statements_are_a_diagnostic_not_a_traceback(self, tmp_path):
+        path = tmp_path / "nested.arch"
+        path.write_text(_nested_module(1000))
+        proc = subprocess.run(
+            [sys.executable, "-m", "archc.cli", "check", str(path)],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")))
+        assert proc.returncode == 1
+        assert "error[E_TOO_DEEP]: statements nested more than 100 levels deep" in proc.stdout
+        assert proc.stderr == ""
+
+    def test_statement_limit_is_exact_and_points_at_the_statement(self):
+        from archc.parser import MAX_EXPR_DEPTH
+        parse_source(_nested_module(MAX_EXPR_DEPTH), "t.arch")
+        text = _nested_module(MAX_EXPR_DEPTH + 1)
+        with pytest.raises(CompileError) as e:
+            parse_source(text, "t.arch")
+        [d] = e.value.diagnostics
+        assert d.code == "E_TOO_DEEP"
+        assert text[d.span.start:].startswith(f"if a > {MAX_EXPR_DEPTH} then")
+
+    def test_statements_at_the_limit_build_and_simulate(self):
+        from archc.parser import MAX_EXPR_DEPTH
+        from archc.sim import SimFlags, build_sim, parse_stimulus, run_stimulus
+        from archc.sv_emit import emit_module
+        design, _ = build_text(_nested_module(MAX_EXPR_DEPTH))
+        emit_module(design.cores["N"])
+        image = build_sim(design.cores, "N", SimFlags())
+        report = run_stimulus(image, parse_stimulus(
+            "set a 57\nrun 1\nexpect y 57\nset a 200\nrun 1\nexpect y 100\n"
+            "set a 0\nrun 1\nexpect y 0\n"))
+        assert report.passed and report.expect_count == 3, report.lines()

@@ -105,7 +105,6 @@ end fsm One
         design, _ = build_text(fsm_text("Hot3", 3), fsm_encoding="onehot")
         core = design.cores["Hot3"]
         prop = [p for p in core.properties if p.name == "_auto_legal_state"][0]
-        from archc.sim.image import ImageBuilder, ExprCompiler
         image = build_sim(design.cores, "Hot3", SimFlags())
         fprop = [p for p in image.props if p.name == "_auto_legal_state"][0]
         sim = Simulator(image)

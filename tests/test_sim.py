@@ -327,6 +327,15 @@ end module Guarded
         assert report.aborted is not None
         assert "TODO_REACHED" in report.aborted.message
 
+    def test_abort_at_the_first_waveform_sample_is_reported(self, tmp_path):
+        design, _ = build_text(open(corpus_path("todo_stub.arch")).read())
+        image = build_sim(design.cores, "CacheStub", SimFlags())
+        report = run_stimulus(image, parse_stimulus("tick 1\n"),
+                              trace_path=str(tmp_path / "w.vcd"))
+        assert report.aborted is not None
+        assert "TODO_REACHED" in report.aborted.message
+        assert report.lines()[-1].startswith("ABORT: ")
+
     def test_uninit_read_warns_once(self):
         design, _ = build_text("""\
 module Cold
@@ -528,3 +537,59 @@ end module SDiv
         sim.set_input("a", -7)
         sim.set_input("b", 2)
         assert sim.peek("q") == -3  # not floor(-3.5) = -4
+
+
+class TestGeneratedCode:
+    def test_expressions_deeper_than_the_split_depth(self):
+        """Chains at the parser's depth limit are split into helper
+        functions and still evaluate exactly."""
+        from archc.sim.image import SPLIT_DEPTH
+        design, _ = build_text(f"""\
+module Deep
+  port s: in SInt<8>;
+  port u: in UInt<8>;
+  port y: out SInt<8>;
+  port z: out SInt<8>;
+  comb y = s{" << u" * 99};
+  comb z = {"s -% (" * 49}s{")" * 49};
+end module Deep
+""")
+        image = build_sim(design.cores, "Deep", SimFlags())
+        assert any(name.startswith("_e") for name in image.builder.ns)
+        sim = Simulator(image)
+        for s in (-128, -3, 0, 5, 127):
+            for u in (0, 1, 9):
+                sim.set_input("s", s)
+                sim.set_input("u", u)
+                y = s
+                for _ in range(99):
+                    y = wrap_signed(y << min(u, 8), 8)
+                z = s
+                for _ in range(49):
+                    z = wrap_signed(s - z, 8)
+                assert (sim.peek("y"), sim.peek("z")) == (y, z), (s, u)
+        assert 99 > SPLIT_DEPTH
+
+    def test_clock_schedule_follows_period_changes(self):
+        """Edge counts equal the clocking rule (rise at t % P == P - P//2)
+        across co-prime periods whose schedule is longer than the table
+        keeps, and across a period change mid-run."""
+        from conftest import build_files
+        from archc.sim.engine import _TABLE_LIMIT
+        design, _ = build_files([corpus_path("cdc_flag.arch")])
+        sim = Simulator(build_sim(design.cores, "CdcTop", SimFlags()))
+        want = {"SysDomain": 0, "UsbDomain": 0}
+
+        def run(periods, ticks):
+            for d, p in periods.items():
+                sim.set_period(d, p)
+            for t in range(sim.time + 1, sim.time + ticks + 1):
+                for d, p in periods.items():
+                    want[d] += t % p == (0 if p == 1 else p - p // 2)
+            sim.tick(ticks)
+            assert sim.cycles == want
+            assert len(sim._table) <= _TABLE_LIMIT
+
+        run({"SysDomain": 97, "UsbDomain": 89}, 9000)
+        run({"SysDomain": 1, "UsbDomain": 4}, 37)
+        run({"SysDomain": 3, "UsbDomain": 5}, 61)

@@ -3,6 +3,8 @@ and end-to-end sat/unsat answers with models."""
 
 import random
 
+import pytest
+
 from archc.smt.cdcl import SatSolver
 from archc.smt.intervals import IntervalEngine
 from archc.smt.sexpr import parse_all, parse_bv_literal
@@ -228,3 +230,22 @@ class TestSession:
         assert out.splitlines() == [
             "sat", "(error \"unsupported operator 'bvfrob'\")", "unknown",
             '(error "model is not available")', "unknown"]
+
+    @pytest.mark.parametrize("script,error", [
+        ("(declare-const a Bool)\n(assert (ite a a))", "wrong number of arguments to ite: 2"),
+        ("(declare-const a (_ BitVec 4))\n(assert (= a (bvadd a)))",
+         "wrong number of arguments to bvadd: 1"),
+        ("(declare-fun f)", "wrong number of arguments to declare-fun: 1"),
+        ("(declare-const a Bool)\n(assert (and))", "wrong number of arguments to and: 0"),
+        ("(declare-const a (_ BitVec 4))\n(assert (= ((_ extract 3) a) #b1))",
+         "wrong number of arguments to (_ extract): 1"),
+        ("(declare-const a (_ BitVec 4))\n(assert (= ((_ zero_extend 1)) a))",
+         "wrong number of arguments to zero_extend: 0"),
+        ("(declare-const a (_ BitVec x))", "expected a numeral, found 'x'"),
+        ("(assert)", "wrong number of arguments to assert: 0"),
+    ], ids=["ite", "bvadd", "declare-fun", "and", "extract", "zero_extend", "sort", "assert"])
+    def test_wrong_arity_is_an_error_answer(self, script, error):
+        session = Session()
+        out = session.run(script + "\n(check-sat)\n(check-sat)\n")
+        assert out.splitlines() == [f'(error "{error}")', "unknown", "unknown"]
+        assert session.status == "unknown"
