@@ -1,12 +1,14 @@
-"""SMT-LIB2 (QF_BV) bounded-model-checking encoder.
+"""BMC encoding: the design unrolled into QF_BV terms, one frame per cycle.
 
-Per-cycle bit-vector variables `<net>__<cycle>` for cycles 0..N; comb nets
-asserted equal to their definitions; register transitions asserted as
-equalities with the reset input constrained inactive and cycle 0 holding
-the reset values (reset-none registers start at 0, matching the 2-state
-simulator). Each assert becomes one big disjunction of per-cycle
-violations, each cover a disjunction of per-cycle hits, checked by a
-single (check-sat).
+`Unrolling` builds the terms directly through a `TermBuilder`: per-cycle
+bit-vector constants `<net>__<cycle>`, inputs free, every other constant
+defined when it is built (reset inactive, registers by their reset value
+at cycle 0 and their next state after, comb nets by their expression).
+`verify` extends it one frame at a time inside one builtin solver session.
+`encode_bmc` prints the same terms as one self-contained SMT-LIB2 script
+per property, for `--emit-smt` and for external solvers: each assert
+becomes one disjunction of per-cycle violations, each cover one
+disjunction of per-cycle hits, checked by a single (check-sat).
 
 Scope: flat single-clock modules with scalar signals (no sub-instances,
 no Vec, no enum-typed nets, no todo!).
@@ -14,7 +16,8 @@ no Vec, no enum-typed nets, no todo!).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..ast_nodes import (
     Binary, BoolLit, Convert, EnumRef, Expr, IfExpr, Index, IntLit, NameRef,
@@ -22,6 +25,9 @@ from ..ast_nodes import (
 )
 from ..ir import CoreModule, CoreProperty, VecStore
 from ..types import EnumType, Reset, SInt, Type, UInt, Vec
+
+if TYPE_CHECKING:  # the solver's modules load on first use, as in solver.py
+    from ..smt.terms import Term, TermBuilder
 
 
 class FormalUnsupported(Exception):
@@ -59,13 +65,14 @@ def formal_scope_check(core: CoreModule) -> None:
 @dataclass
 class SmtScript:
     text: str
-    prop: CoreProperty
-    bound: int
     decode: dict[str, tuple[str, int]]           # smt var -> (net, cycle)
     all_vars: list[str]
     input_names: list[str]                       # free per-cycle inputs
     state_names: list[str]                       # regs (for trace display)
-    prop_var: dict[int, str] = field(default_factory=dict)  # cycle -> P var
+
+
+def inactive_level(ty: Reset) -> int:
+    return 0 if ty.polarity == "High" else 1
 
 
 def _width(ty: Type) -> int:
@@ -74,208 +81,200 @@ def _width(ty: Type) -> int:
     return 1
 
 
-def _bv(value: int, width: int) -> str:
-    return "#b" + format(value & ((1 << width) - 1), f"0{width}b")
+_CMP = {"<": ("bvult", "bvslt"), "<=": ("bvule", "bvsle"),
+        ">": ("bvugt", "bvsgt"), ">=": ("bvuge", "bvsge")}
+_ARITH = {"+": "bvadd", "-": "bvsub", "*": "bvmul", "<<": "bvshl",
+          "&": "bvand", "|": "bvor", "^": "bvxor",
+          "+%": "bvadd", "-%": "bvsub", "*%": "bvmul"}
+_SIGNED = {"/": ("bvudiv", "bvsdiv"), "%": ("bvurem", "bvsrem"),
+           ">>": ("bvlshr", "bvashr")}
 
 
-class _Encoder:
-    def __init__(self, core: CoreModule, bound: int) -> None:
+class Unrolling:
+    """The design unrolled one cycle (frame) at a time into `Term`s.
+
+    `extend()` adds frame k: a constant `<net>__<k>` per input, reset,
+    register and defined comb net. Only the inputs are free: each reset is
+    defined as inactive, each register as its reset value (k = 0, with
+    reset-none registers at the 2-state 0) or as its next state over frame
+    k-1, each comb net as its expression. Everything a frame mentions is
+    defined before it, in `core.comb_order`, so the builder's declaration
+    order is an evaluation order.
+    """
+
+    def __init__(self, core: CoreModule, builder: TermBuilder) -> None:
+        formal_scope_check(core)
         self.core = core
-        self.bound = bound
-        self.lines: list[str] = ["(set-logic QF_BV)"]
-        self.decode: dict[str, tuple[str, int]] = {}
-        self.all_vars: list[str] = []
+        self.tb = builder
+        clock_names = {name for name, _ in core.clock_ports()}
+        self.inputs = [(p.name, _width(p.ty)) for p in core.ports
+                       if p.direction == "in" and p.name not in clock_names
+                       and not isinstance(p.ty, Reset)]
+        self.resets = [(p.name, inactive_level(p.ty))
+                       for p in core.ports if isinstance(p.ty, Reset)]
+        self.nets = [(name, core.nets[name]) for name in core.comb_order]
+        self.frames: list[dict[str, Term]] = []
+        from ..smt.terms import BOOL_SORT
+        self.bools = (builder.const(0, BOOL_SORT), builder.const(1, BOOL_SORT))
 
-    def var(self, net: str, cycle: int) -> str:
-        return f"{net}__{cycle}"
+    def extend(self) -> dict[str, Term]:
+        k = len(self.frames)
+        tb = self.tb
+        frame: dict[str, Term] = {}
+        self.frames.append(frame)
+        for name, width in self.inputs:
+            frame[name] = tb.declare(f"{name}__{k}", width)
+        for name, inactive in self.resets:
+            frame[name] = tb.define(f"{name}__{k}", 1, tb.const(inactive, 1))
+        for name, reg in self.core.regs.items():
+            width = _width(reg.ty)
+            if k > 0:
+                value = self.term(reg.next, k - 1)
+            elif reg.reset_value is not None:
+                from ..sim.image import const_value_of
+                value = tb.const(const_value_of(reg.reset_value, reg.ty), width)
+            else:
+                value = tb.const(0, width)
+            frame[name] = tb.define(f"{name}__{k}", width, value)
+        for name, net in self.nets:
+            frame[name] = tb.define(f"{name}__{k}", _width(net.ty), self.term(net.expr, k))
+        return frame
 
-    def declare(self, net: str, cycle: int, width: int) -> str:
-        name = self.var(net, cycle)
-        self.lines.append(f"(declare-const {name} (_ BitVec {width}))")
-        self.decode[name] = (net, cycle)
-        self.all_vars.append(name)
-        return name
+    def goal(self, prop: CoreProperty, k: int) -> Term:
+        """Bool term: the assert fails, or the cover holds, at cycle k."""
+        value = self.term(prop.expr, k)
+        return self.tb.app("=", [value, self.tb.const(prop.kind != "assert", 1)])
 
-    # expression -> SMT term at cycle k
-    def term(self, e: Expr, k: int) -> str:
+    # expression -> term at cycle k
+    def term(self, e: Expr, k: int) -> Term:
+        tb = self.tb
         if isinstance(e, IntLit):
-            return _bv(e.value, _width(e.ty))
+            return tb.const(e.value, _width(e.ty))
         if isinstance(e, BoolLit):
-            return "#b1" if e.value else "#b0"
+            return tb.const(int(e.value), 1)
         if isinstance(e, EnumRef):
-            return _bv(e.ty.variants.index(e.variant), _width(e.ty))
+            return tb.const(e.ty.variants.index(e.variant), _width(e.ty))
         if isinstance(e, NameRef):
-            return self.var(e.name, k)
+            got = self.frames[k].get(e.name)
+            if got is None:
+                raise FormalUnsupported(f"`{e.name}` has no value in formal scope")
+            return got
         if isinstance(e, TodoExpr):
             raise FormalUnsupported("todo! in formal scope")
         if isinstance(e, Unary):
-            a = self.term(e.operand, k)
-            if e.op == "!":
-                return f"(bvnot {a})"
-            if e.op == "~":
-                return f"(bvnot {a})"
-            return f"(bvneg {a})"
+            return tb.app("bvneg" if e.op == "-" else "bvnot", [self.term(e.operand, k)])
         if isinstance(e, Binary):
             return self._binary(e, k)
         if isinstance(e, (Ternary, IfExpr)):
-            c = self.bool_term(e.cond, k)
-            return f"(ite {c} {self.term(e.then, k)} {self.term(e.els, k)})"
+            return tb.app("ite", [self.bool_term(e.cond, k),
+                                  self.term(e.then, k), self.term(e.els, k)])
         if isinstance(e, Index):
             base_ty = e.base.ty
             if isinstance(base_ty, Vec):
                 raise FormalUnsupported("Vec indexing in formal scope")
             w = _width(base_ty)
-            base = self.term(e.base, k)
             idx = self.term(e.index, k)
             iw = _width(e.index.ty)
             if iw < w:
-                idx = f"((_ zero_extend {w - iw}) {idx})"
+                idx = tb.app("zero_extend", [idx], w - iw)
             elif iw > w:
-                idx = f"((_ extract {w - 1} 0) {idx})"
-            return f"((_ extract 0 0) (bvlshr {base} {idx}))"
+                idx = tb.app("extract", [idx], w - 1, 0)
+            return tb.app("extract", [tb.app("bvlshr", [self.term(e.base, k), idx])], 0, 0)
         if isinstance(e, Slice):
-            return f"((_ extract {e.hi.value} {e.lo.value}) {self.term(e.base, k)})"
+            return tb.app("extract", [self.term(e.base, k)], e.hi.value, e.lo.value)
         if isinstance(e, Convert):
-            src_w = _width(e.base.ty)
-            dst_w = _width(e.ty)
             inner = self.term(e.base, k)
-            if e.kind == "zext":
-                return inner if dst_w == src_w else f"((_ zero_extend {dst_w - src_w}) {inner})"
-            if e.kind == "sext":
-                return inner if dst_w == src_w else f"((_ sign_extend {dst_w - src_w}) {inner})"
-            return inner if dst_w == src_w else f"((_ extract {dst_w - 1} 0) {inner})"
+            grow = _width(e.ty) - _width(e.base.ty)
+            if grow == 0:
+                return inner
+            if e.kind in ("zext", "sext"):
+                return tb.app("zero_extend" if e.kind == "zext" else "sign_extend",
+                              [inner], grow)
+            return tb.app("extract", [inner], _width(e.ty) - 1, 0)
         if isinstance(e, VecStore):
             raise FormalUnsupported("Vec storage in formal scope")
         raise AssertionError(f"encode: {e!r}")
 
-    def bool_term(self, e: Expr, k: int) -> str:
-        """SMT Bool formula for a 1-bit condition (keeps comparisons
-        word-level so the solver's branch refinement can see them)."""
+    def bool_term(self, e: Expr, k: int) -> Term:
+        """Bool term for a 1-bit condition (keeps comparisons word-level so
+        the solver's branch refinement can see them)."""
+        tb = self.tb
         if isinstance(e, Binary):
             op = e.op
             if op in ("==", "!="):
-                inner = f"(= {self.term(e.lhs, k)} {self.term(e.rhs, k)})"
-                return inner if op == "==" else f"(not {inner})"
-            if op in ("<", "<=", ">", ">="):
-                signed = isinstance(e.lhs.ty, SInt)
-                names = {"<": "bvslt" if signed else "bvult",
-                         "<=": "bvsle" if signed else "bvule",
-                         ">": "bvsgt" if signed else "bvugt",
-                         ">=": "bvsge" if signed else "bvuge"}
-                return f"({names[op]} {self.term(e.lhs, k)} {self.term(e.rhs, k)})"
-            if op == "&&":
-                return f"(and {self.bool_term(e.lhs, k)} {self.bool_term(e.rhs, k)})"
-            if op == "||":
-                return f"(or {self.bool_term(e.lhs, k)} {self.bool_term(e.rhs, k)})"
-            if op == "implies":
-                return f"(=> {self.bool_term(e.lhs, k)} {self.bool_term(e.rhs, k)})"
+                eq = tb.app("=", [self.term(e.lhs, k), self.term(e.rhs, k)])
+                return eq if op == "==" else tb.app("not", [eq])
+            if op in _CMP:
+                name = _CMP[op][isinstance(e.lhs.ty, SInt)]
+                return tb.app(name, [self.term(e.lhs, k), self.term(e.rhs, k)])
+            if op in ("&&", "||", "implies"):
+                name = {"&&": "and", "||": "or", "implies": "=>"}[op]
+                return tb.app(name, [self.bool_term(e.lhs, k), self.bool_term(e.rhs, k)])
         if isinstance(e, Unary) and e.op == "!":
-            return f"(not {self.bool_term(e.operand, k)})"
+            return tb.app("not", [self.bool_term(e.operand, k)])
         if isinstance(e, BoolLit):
-            return "true" if e.value else "false"
-        return f"(= {self.term(e, k)} #b1)"
+            return self.bools[e.value]
+        return tb.app("=", [self.term(e, k), tb.const(1, 1)])
 
-    def _binary(self, e: Binary, k: int) -> str:
+    def _binary(self, e: Binary, k: int) -> Term:
+        tb = self.tb
         op = e.op
+        if op in ("==", "!=") or op in _CMP:
+            cond = self.bool_term(e, k)
+            return tb.app("ite", [cond, tb.const(1, 1), tb.const(0, 1)])
         a = self.term(e.lhs, k)
         b = self.term(e.rhs, k)
-        signed = isinstance(e.lhs.ty, SInt)
-        if op in ("&&",):
-            return f"(bvand {a} {b})"
+        if op == "&&":
+            return tb.app("bvand", [a, b])
         if op == "||":
-            return f"(bvor {a} {b})"
+            return tb.app("bvor", [a, b])
         if op == "implies":
-            return f"(bvor (bvnot {a}) {b})"
-        if op in ("==", "!="):
-            inner = f"(= {a} {b})"
-            if op == "!=":
-                inner = f"(not {inner})"
-            return f"(ite {inner} #b1 #b0)"
-        if op in ("<", "<=", ">", ">="):
-            names = {"<": "bvslt" if signed else "bvult",
-                     "<=": "bvsle" if signed else "bvule",
-                     ">": "bvsgt" if signed else "bvugt",
-                     ">=": "bvsge" if signed else "bvuge"}
-            return f"(ite ({names[op]} {a} {b}) #b1 #b0)"
+            return tb.app("bvor", [tb.app("bvnot", [a]), b])
         if op in ("+%", "-%", "*%"):
             w = _width(e.ty)
             ext = "sign_extend" if isinstance(e.ty, SInt) else "zero_extend"
             lw, rw = _width(e.lhs.ty), _width(e.rhs.ty)
             if lw < w:
-                a = f"((_ {ext} {w - lw}) {a})"
+                a = tb.app(ext, [a], w - lw)
             if rw < w:
-                b = f"((_ {ext} {w - rw}) {b})"
-            name = {"+%": "bvadd", "-%": "bvsub", "*%": "bvmul"}[op]
-            return f"({name} {a} {b})"
-        names = {
-            "+": "bvadd", "-": "bvsub", "*": "bvmul",
-            "/": "bvsdiv" if signed else "bvudiv",
-            "%": "bvsrem" if signed else "bvurem",
-            "<<": "bvshl",
-            ">>": "bvashr" if signed else "bvlshr",
-            "&": "bvand", "|": "bvor", "^": "bvxor",
-        }
-        return f"({names[op]} {a} {b})"
+                b = tb.app(ext, [b], w - rw)
+        if op in _SIGNED:
+            return tb.app(_SIGNED[op][isinstance(e.lhs.ty, SInt)], [a, b])
+        return tb.app(_ARITH[op], [a, b])
 
 
 def encode_bmc(core: CoreModule, prop: CoreProperty, bound: int) -> SmtScript:
-    """One self-contained script checking `prop` over cycles 0..bound."""
-    formal_scope_check(core)
-    enc = _Encoder(core, bound)
-    clock_names = {name for name, _ in core.clock_ports()}
-    inputs = [p.name for p in core.ports
-              if p.direction == "in" and p.name not in clock_names
-              and not isinstance(p.ty, Reset)]
-    resets = [p.name for p in core.ports if isinstance(p.ty, Reset)]
-    reset_types = {p.name: p.ty for p in core.ports if isinstance(p.ty, Reset)}
-    defined = [(n, d) for n, d in core.nets.items()
-               if d.expr is not None]
-    state_names = list(core.regs)
-
+    """One self-contained SMT-LIB script checking `prop` over cycles
+    0..bound with a single (check-sat), printed from an `Unrolling`: each
+    constant is declared, and asserted equal to its definition if it has
+    one, and the goal is one disjunction of per-cycle violations (assert)
+    or hits (cover)."""
+    from ..smt.terms import TermBuilder, term_text
+    tb = TermBuilder()
+    unroll = Unrolling(core, tb)
     for k in range(bound + 1):
-        enc.lines.append(f"; cycle {k}")
-        for name in inputs:
-            ty = next(p.ty for p in core.ports if p.name == name)
-            enc.declare(name, k, _width(ty))
-        for name in resets:
-            v = enc.declare(name, k, 1)
-            inactive = "#b0" if reset_types[name].polarity == "High" else "#b1"
-            enc.lines.append(f"(assert (= {v} {inactive}))")
-        for name, reg in core.regs.items():
-            enc.declare(name, k, _width(reg.ty))
-        for name, net in defined:
-            enc.declare(name, k, _width(net.ty))
-        for name, net in defined:
-            enc.lines.append(f"(assert (= {enc.var(name, k)} {enc.term(net.expr, k)}))")
+        unroll.extend()
+    props = [tb.define(f"__prop__{k}", 1, unroll.term(prop.expr, k))
+             for k in range(bound + 1)]
+    want = tb.const(prop.kind != "assert", 1)
+    goal = tb.app("or", [tb.app("=", [p, want]) for p in props])
+    lines = ["(set-logic QF_BV)"]
+    decode: dict[str, tuple[str, int]] = {}
 
-    # cycle 0 = reset state; reset-none registers start at the 2-state 0
-    for name, reg in core.regs.items():
-        if reg.reset_value is not None:
-            from ..sim.image import const_value_of
-            init = const_value_of(reg.reset_value, reg.ty)
-        else:
-            init = 0
-        enc.lines.append(f"(assert (= {enc.var(name, 0)} {_bv(init, _width(reg.ty))}))")
-    # transitions (reset inactive for every cycle of the unrolling)
-    for k in range(bound):
-        for name, reg in core.regs.items():
-            enc.lines.append(
-                f"(assert (= {enc.var(name, k + 1)} {enc.term(reg.next, k)}))")
+    def define(net: str, k: int, t: Term) -> None:
+        decode[t.name] = (net, k)
+        lines.append(f"(declare-const {t.name} (_ BitVec {t.width}))")
+        if t.definition is not None:
+            lines.append(f"(assert (= {t.name} {term_text(t.definition)}))")
 
-    prop_var: dict[int, str] = {}
-    for k in range(bound + 1):
-        v = f"__prop__{k}"
-        enc.lines.append(f"(declare-const {v} (_ BitVec 1))")
-        enc.lines.append(f"(assert (= {v} {enc.term(prop.expr, k)}))")
-        enc.decode[v] = ("__prop__", k)
-        enc.all_vars.append(v)
-        prop_var[k] = v
-    if prop.kind == "assert":
-        goal = " ".join(f"(= {prop_var[k]} #b0)" for k in range(bound + 1))
-    else:
-        goal = " ".join(f"(= {prop_var[k]} #b1)" for k in range(bound + 1))
-    enc.lines.append(f"; {prop.kind} {prop.name}")
-    enc.lines.append(f"(assert (or {goal}))")
-    enc.lines.append("(check-sat)")
-    return SmtScript("\n".join(enc.lines) + "\n", prop, bound, enc.decode,
-                     enc.all_vars, inputs, state_names, prop_var)
+    for k, frame in enumerate(unroll.frames):
+        lines.append(f"; cycle {k}")
+        for net, t in frame.items():
+            define(net, k, t)
+    lines.append(f"; {prop.kind} {prop.name}")
+    for k, t in enumerate(props):
+        define("__prop__", k, t)
+    lines.append(f"(assert {term_text(goal)})")
+    lines.append("(check-sat)")
+    return SmtScript("\n".join(lines) + "\n", decode, list(tb.vars),
+                     [name for name, _ in unroll.inputs], list(core.regs))

@@ -3,9 +3,11 @@
 Supported back ends: z3, boolector, bitwuzla, and the bundled `builtin`
 solver. The external solvers run as one process per query, found through
 the ARCHC_SOLVER_PATH environment variable (a colon-separated list of
-directories searched before PATH) and then PATH. The builtin solver runs
-in the calling process as an `archc.smt.solve.Session`, with `timeout`
-as its deadline.
+directories searched before PATH) and then PATH. A script given to the
+builtin solver here runs in the calling process as an
+`archc.smt.solve.Session`, with `timeout` as its deadline; `verify` does
+not send its builtin queries through this module, but keeps one live
+session per call (see `formal/verify.py`).
 """
 
 from __future__ import annotations

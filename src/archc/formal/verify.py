@@ -1,22 +1,43 @@
-"""Formal verification driver: encode, dispatch, decode, classify.
+"""Bounded model checking: unroll, solve, decode, replay, classify.
 
 Verdicts: PROVED (assert unviolated up to the bound), REFUTED (+decoded
 counterexample trace), HIT (cover witness at its earliest cycle),
-NOT_REACHED, INCONCLUSIVE. Minimal witness/violation cycles come from a
-binary search over bounds (sat at bound k but not k-1 pins cycle k),
-keeping reported cycles solver-independent.
+NOT_REACHED, INCONCLUSIVE.
+
+The builtin solver runs as one `smt.solve.Session` per `verify` call,
+shared by every property. The design is unrolled one frame at a time,
+k = 0, 1, ..., bound (`encode.Unrolling`), and at each frame every open
+property gets one question: can it fail (assert) or hit (cover) at
+exactly cycle k? Each question is solved under an assumption, so the
+interval cache, the bit-blast cache and the learned clauses carry over to
+the next. The first sat frame is the reported cycle, and the trace is
+read from that same answer. `timeout` bounds the solver time spent on
+each property.
+
+An external solver holds no state between processes, so it gets one
+self-contained script per query (`encode_bmc`): the whole bound first,
+then a binary search over bounds for the earliest cycle (sat at bound k
+but not k-1 pins cycle k). Every query asks for the model values, and
+the trace comes from the last sat answer.
+
+Every REFUTED or HIT trace is replayed in the simulator before it is
+reported; one that does not fail or hit at the reported cycle becomes
+INCONCLUSIVE (replay mismatch: ...).
 
 Exit code: 0 iff every assert PROVED and every cover HIT; 1 if any
-REFUTED or NOT_REACHED; 2 on unknown/timeout.
+REFUTED or NOT_REACHED; 2 on unknown/timeout/replay mismatch.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Optional
 
-from ..ir import CoreModule
-from .encode import SmtScript, encode_bmc
+from ..ir import CoreModule, CoreProperty
+from ..types import Reset
+from .encode import (FormalUnsupported, SmtScript, Unrolling, encode_bmc,
+                     formal_scope_check, inactive_level)
 from .solver import SolverError, pick_solver, run_solver
 
 
@@ -66,6 +87,102 @@ def _classify_exit(results: list[PropResult]) -> int:
     return 0
 
 
+def _found(prop: CoreProperty, cycle: int, trace: list[dict[str, int]]) -> PropResult:
+    status = "REFUTED" if prop.kind == "assert" else "HIT"
+    return PropResult(prop.name, prop.kind, status, cycle, trace)
+
+
+def _not_found(prop: CoreProperty) -> PropResult:
+    status = "PROVED" if prop.kind == "assert" else "NOT_REACHED"
+    return PropResult(prop.name, prop.kind, status)
+
+
+def verify(core: CoreModule, bound: int, solver_choice: str = "auto", *,
+           timeout: float | None = None, emit_smt: str | None = None) -> FormalVerdict:
+    """Check every property of `core` up to `bound`."""
+    formal_scope_check(core)
+    if bound < 0:
+        raise FormalUnsupported(f"bound {bound} is negative")
+    solver = pick_solver(solver_choice)
+    props = list(core.properties)
+    if emit_smt is not None:
+        for prop in props:
+            path = emit_smt
+            if len(props) > 1:
+                stem, dot, ext = emit_smt.rpartition(".")
+                path = (f"{stem}.{prop.name}.{ext}" if dot
+                        else f"{emit_smt}.{prop.name}")
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(encode_bmc(core, prop, bound).text)
+    if solver == "builtin":
+        results = _check_builtin(core, props, bound, timeout)
+    else:
+        results = [_check_external(core, prop, bound, solver, timeout) for prop in props]
+    _replay_all(core, results)
+    verdict = FormalVerdict(results, bound, solver)
+    verdict.exit_code = _classify_exit(results)
+    return verdict
+
+
+def _check_builtin(core: CoreModule, props: list[CoreProperty], bound: int,
+                   timeout: float | None) -> list[PropResult]:
+    from ..smt.solve import Session  # imported here: other paths never load it
+    session = Session()
+    unroll = Unrolling(core, session.builder)
+    results: list[PropResult | None] = [None] * len(props)
+    spent = [0.0] * len(props)  # solver seconds per property
+    for k in range(bound + 1):
+        open_props = [i for i, r in enumerate(results) if r is None]
+        if not open_props:
+            break
+        unroll.extend()
+        for i in open_props:
+            prop = props[i]
+            goal = unroll.goal(prop, k)
+            t0 = time.monotonic()
+            if timeout is not None:
+                session.deadline = t0 + timeout - spent[i]
+            try:
+                status = session.check_assuming(goal)
+                trace = _model_trace(unroll, session, k) if status == "sat" else None
+            except Exception as e:  # e.g. a term nested too deeply
+                raise SolverError("E_SOLVER_PARSE", f"solver `builtin` produced no verdict "
+                                  f"({type(e).__name__}: {e})") from None
+            spent[i] += time.monotonic() - t0
+            if status == "sat":
+                results[i] = _found(prop, k, trace)
+            elif status != "unsat":
+                results[i] = PropResult(prop.name, prop.kind, "INCONCLUSIVE", detail=status)
+    return [r if r is not None else _not_found(p) for r, p in zip(results, props)]
+
+
+def _model_trace(unroll: Unrolling, session, upto: int) -> list[dict[str, int]]:
+    """Inputs and registers of cycles 0..upto in the last sat answer."""
+    names = [name for name, _ in unroll.inputs] + list(unroll.core.regs)
+    return [{name: session.model_value(frame[name]) for name in names}
+            for frame in unroll.frames[:upto + 1]]
+
+
+def _check_external(core: CoreModule, prop: CoreProperty, bound: int, solver: str,
+                    timeout: float | None) -> PropResult:
+    script = encode_bmc(core, prop, bound)
+    res = run_solver(script.text, solver, timeout, want_values=script.all_vars)
+    if res.status == "unsat":
+        return _not_found(prop)
+    lo, hi, model = 0, bound, res.model  # invariant: sat at hi, with `model`
+    while res.status in ("sat", "unsat") and lo < hi:
+        mid = (lo + hi) // 2
+        mid_script = encode_bmc(core, prop, mid)
+        res = run_solver(mid_script.text, solver, timeout, want_values=mid_script.all_vars)
+        if res.status == "sat":
+            hi, model, script = mid, res.model, mid_script
+        elif res.status == "unsat":
+            lo = mid + 1
+    if res.status not in ("sat", "unsat"):
+        return PropResult(prop.name, prop.kind, "INCONCLUSIVE", detail=res.status)
+    return _found(prop, hi, _decode_trace(script, model, hi))
+
+
 def _decode_trace(script: SmtScript, model: dict[str, int],
                   upto: int) -> list[dict[str, int]]:
     trace: list[dict[str, int]] = []
@@ -79,94 +196,43 @@ def _decode_trace(script: SmtScript, model: dict[str, int],
     return trace
 
 
-def _min_true_cycle(script: SmtScript, model: dict[str, int], want: int) -> int:
-    for k in range(script.bound + 1):
-        if model.get(script.prop_var[k], 1 - want) == want:
-            return k
-    return script.bound
-
-
-def verify(core: CoreModule, bound: int, solver_choice: str = "auto", *,
-           timeout: float | None = None, emit_smt: str | None = None,
-           find_min_cycle: bool = True) -> FormalVerdict:
-    """Check every property of `core` up to `bound`."""
-    from .encode import formal_scope_check
-    formal_scope_check(core)
-    solver = pick_solver(solver_choice)
-    results: list[PropResult] = []
-    props = list(core.properties)
-    for prop in props:
-        script = encode_bmc(core, prop, bound)
-        if emit_smt is not None:
-            path = emit_smt
-            if len(props) > 1:
-                stem, dot, ext = emit_smt.rpartition(".")
-                path = (f"{stem}.{prop.name}.{ext}" if dot
-                        else f"{emit_smt}.{prop.name}")
-            with open(path, "w", encoding="utf-8") as f:
-                f.write(script.text)
-        try:
-            first = run_solver(script.text, solver, timeout)
-        except SolverError:
-            raise
-        if first.status in ("unknown", "timeout"):
-            results.append(PropResult(prop.name, prop.kind, "INCONCLUSIVE",
-                                      detail=first.status))
+def _replay_all(core: CoreModule, results: list[PropResult]) -> None:
+    """Replay every REFUTED or HIT trace in the simulator; one that does
+    not fail or hit at its reported cycle becomes INCONCLUSIVE."""
+    found = [r for r in results if r.status in ("REFUTED", "HIT")]
+    if not found:
+        return
+    # imported here, so that a run with nothing to replay never loads the simulator
+    from ..sim import SimFlags, build_sim, parse_stimulus, run_stimulus
+    image = build_sim({core.key: core}, core.key, SimFlags())
+    for r in found:
+        report = run_stimulus(image, parse_stimulus(trace_to_stimulus(core, r)))
+        if r.status == "REFUTED":
+            fails = [e.cycle for e in report.events
+                     if e.kind == "ASSERT_FAIL" and e.name == r.name]
+            got = fails[0] if fails else None
+        else:
+            got = report.cover_table.get(r.name)
+        if report.expect_failures:
+            why = "a register differs from the trace"
+        elif got != r.cycle:
+            verb = "fails" if r.status == "REFUTED" else "hits"
+            why = f"the simulator {verb} at cycle {got}, not {r.cycle}"
+        else:
             continue
-        if prop.kind == "assert":
-            if first.status == "unsat":
-                results.append(PropResult(prop.name, prop.kind, "PROVED"))
-                continue
-            cycle, model, script_k = _minimize(core, prop, bound, solver, timeout,
-                                               script, find_min_cycle)
-            trace = _decode_trace(script_k, model, cycle)
-            results.append(PropResult(prop.name, prop.kind, "REFUTED", cycle, trace))
-        else:
-            if first.status == "unsat":
-                results.append(PropResult(prop.name, prop.kind, "NOT_REACHED"))
-                continue
-            cycle, model, script_k = _minimize(core, prop, bound, solver, timeout,
-                                               script, find_min_cycle)
-            trace = _decode_trace(script_k, model, cycle)
-            results.append(PropResult(prop.name, prop.kind, "HIT", cycle, trace))
-    verdict = FormalVerdict(results, bound, solver)
-    verdict.exit_code = _classify_exit(results)
-    return verdict
-
-
-def _minimize(core: CoreModule, prop, bound: int, solver: str,
-              timeout: float | None, full_script: SmtScript,
-              find_min: bool) -> tuple[int, dict[str, int], SmtScript]:
-    """Binary-search the smallest bound that is still sat, then pull the
-    model at that bound. The minimal sat bound equals the earliest
-    violation/witness cycle."""
-    want = 0 if prop.kind == "assert" else 1
-    if not find_min:
-        model = run_solver(full_script.text, solver, timeout,
-                           want_values=full_script.all_vars).model
-        return _min_true_cycle(full_script, model, want), model, full_script
-    lo, hi = 0, bound  # invariant: sat at hi
-    while lo < hi:
-        mid = (lo + hi) // 2
-        script_mid = encode_bmc(core, prop, mid)
-        res = run_solver(script_mid.text, solver, timeout)
-        if res.status == "sat":
-            hi = mid
-        else:
-            lo = mid + 1
-    script_k = encode_bmc(core, prop, hi)
-    model = run_solver(script_k.text, solver, timeout,
-                       want_values=script_k.all_vars).model
-    return hi, model, script_k
+        r.status, r.detail = "INCONCLUSIVE", f"replay mismatch: {why}"
 
 
 def trace_to_stimulus(core: CoreModule, result: PropResult,
                       expects: bool = True) -> str:
     """Counterexample/witness trace -> replayable stimulus text. Period 1,
-    one set block per cycle; the assertion fires during the final tick."""
+    resets held inactive as in the unrolling, one set block per cycle; the
+    assertion fires during the final tick."""
     assert result.trace is not None
     clock_domain = core.clock_ports()[0][1]
     lines = [f"clock {clock_domain} period 1"]
+    lines += [f"set {p.name} {inactive_level(p.ty)}"
+              for p in core.ports if isinstance(p.ty, Reset)]
     state_names = list(core.regs)
     for k, row in enumerate(result.trace):
         for name, value in row.items():

@@ -1,4 +1,8 @@
-"""Tseitin bit-blasting of the term graph onto the CDCL core."""
+"""Tseitin bit-blasting of the term graph onto the CDCL core.
+
+`bits` blasts a term's uncached cone children first, so deep definition
+chains never recurse. A term whose interval (`known`, from the interval
+pass) is a single value is blasted as that constant, without its cone."""
 
 from __future__ import annotations
 
@@ -7,7 +11,8 @@ from .terms import BOOL_SORT, Term
 
 
 class BitBlaster:
-    def __init__(self) -> None:
+    def __init__(self, known: dict[int, tuple[int, int]]) -> None:
+        self.known = known  # term id -> interval, from the interval pass
         self.sat = SatSolver()
         self.cache: dict[int, list[int]] = {}   # term id -> bit literals (LSB first)
         self.true_lit = self.sat.new_var()
@@ -101,9 +106,39 @@ class BitBlaster:
         hit = self.cache.get(id(t))
         if hit is not None:
             return hit
-        out = self._blast(t)
-        self.cache[id(t)] = out
-        return out
+        for x in self._uncached_cone(t):
+            self.cache[id(x)] = self._fixed(x) or self._blast(x)
+        return self.cache[id(t)]
+
+    def _fixed(self, t: Term) -> list[int] | None:
+        """Constant bits for a term the interval pass pinned to one value."""
+        iv = self.known.get(id(t))
+        if iv is None or iv[0] != iv[1]:
+            return None
+        return [self._const(bool((iv[0] >> i) & 1)) for i in range(t.width or 1)]
+
+    def _uncached_cone(self, t: Term) -> list[Term]:
+        """The uncached terms `t` depends on, each after its operands."""
+        order: list[Term] = []
+        seen: set[int] = set()
+        stack: list[tuple[Term, bool]] = [(t, False)]
+        cache, known = self.cache, self.known
+        while stack:
+            x, expanded = stack.pop()
+            if expanded:
+                order.append(x)
+                continue
+            if id(x) in seen or id(x) in cache:
+                continue
+            seen.add(id(x))
+            stack.append((x, True))
+            iv = known.get(id(x))
+            if iv is not None and iv[0] == iv[1]:
+                continue
+            if x.definition is not None:
+                stack.append((x.definition, False))
+            stack.extend((a, False) for a in x.args)
+        return order
 
     def lit(self, t: Term) -> int:
         """Single literal for a Bool term."""
@@ -280,8 +315,11 @@ class BitBlaster:
         ident = self._eq_bits(acc, ax + zero)
         b_is_zero = self._eq_bits(ys, zero)
         ok = self._and(ident, self._ult_bits(r, ay))
+        # |a| / 0 as bvudiv: all-ones quotient, remainder |a|; the sign
+        # fix-up below then gives bvsdiv(a, 0) = a < 0 ? 1 : -1 and
+        # bvsrem(a, 0) = a
         q_ones = self._eq_bits(q, [self._const(True)] * w)
-        r_eq_a = self._eq_bits(r, xs)
+        r_eq_a = self._eq_bits(r, ax)
         zero_case = self._and(q_ones, r_eq_a)
         self.sat.add_clause([self._mux(b_is_zero, zero_case, ok)])
         qsign = self._xor(sa, sb)
@@ -293,19 +331,11 @@ class BitBlaster:
 
     # ── top level ────────────────────────────────────────────────
 
-    def assert_true(self, t: Term) -> None:
-        self.sat.add_clause([self.lit(t)])
-
-    def value_of(self, t: Term) -> int:
-        """Read a term's value out of the SAT model."""
-        bits = self.cache.get(id(t))
-        if bits is None:
-            bits = self.bits(t)
+    def model_of(self, name: str) -> int:
+        """A declared constant's value in the SAT model; 0 when no
+        blasted term mentions it."""
         out = 0
-        for i, lit in enumerate(bits):
-            v = self.sat.model_value(abs(lit))
-            if lit < 0:
-                v = not v
-            if v:
+        for i, var in enumerate(self.var_bits.get(name, ())):
+            if self.sat.model_value(var):
                 out |= 1 << i
         return out

@@ -1,11 +1,14 @@
 """A small CDCL SAT core: watched literals, 1UIP learning, VSIDS-style
-activities, geometric restarts, phase saving.
+activities, geometric restarts, phase saving, and incremental solving
+under assumptions in the manner of MiniSat: clauses may be added between
+`solve` calls, and clauses learned in one call stay for the next.
 
 Literal encoding: positive ints are variables 1..n; literal = +v / -v.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
 
 
@@ -19,10 +22,15 @@ class SatSolver:
         self.reason: list[int] = [-1]    # clause index
         self.phase: list[int] = [0]
         self.activity: list[float] = [0.0]
+        # (-activity, var) heap of decision candidates; an entry whose var is
+        # assigned or whose activity has moved on is skipped, and every
+        # unassigned var has a current entry
+        self.order: list[tuple[float, int]] = []
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.var_inc = 1.0
         self.ok = True
+        self.model: list[int] = []       # `assign` as it was at the last sat answer
 
     def new_var(self) -> int:
         self.nvars += 1
@@ -31,9 +39,12 @@ class SatSolver:
         self.reason.append(-1)
         self.phase.append(-1)
         self.activity.append(0.0)
+        heapq.heappush(self.order, (-0.0, self.nvars))
         return self.nvars
 
     def add_clause(self, lits: list[int]) -> None:
+        if self.trail_lim:  # a previous answer left decisions on the trail
+            self._backtrack(0)
         if not self.ok:
             return
         seen = set()
@@ -80,44 +91,52 @@ class SatSolver:
         return True
 
     def _propagate(self) -> int:
-        """Returns conflicting clause index or -1."""
+        """Returns conflicting clause index or -1. (The hot loop: values and
+        enqueues are inlined.)"""
+        trail, assign, clauses, watches = self.trail, self.assign, self.clauses, self.watches
+        level, reason, phase = self.level, self.reason, self.phase
+        depth = len(self.trail_lim)
         qhead = self._qhead
-        while qhead < len(self.trail):
-            lit = self.trail[qhead]
+        while qhead < len(trail):
+            lit = trail[qhead]
             qhead += 1
-            watchlist = self.watches.get(lit)
+            watchlist = watches.get(lit)
             if not watchlist:
                 continue
             kept = []
             j = 0
-            while j < len(watchlist):
+            n = len(watchlist)
+            while j < n:
                 ci = watchlist[j]
                 j += 1
-                clause = self.clauses[ci]
+                clause = clauses[ci]
                 # ensure the false literal is at position 1
                 if clause[0] == -lit:
                     clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                if self._value(first) == 1:
+                value = assign[first] if first > 0 else -assign[-first]
+                if value == 1:
                     kept.append(ci)
                     continue
-                moved = False
                 for k in range(2, len(clause)):
-                    if self._value(clause[k]) != -1:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self.watches.setdefault(-clause[1], []).append(ci)
-                        moved = True
+                    other = clause[k]
+                    if (assign[other] if other > 0 else -assign[-other]) != -1:
+                        clause[1], clause[k] = other, clause[1]
+                        watches.setdefault(-other, []).append(ci)
                         break
-                if moved:
-                    continue
-                kept.append(ci)
-                if self._value(first) == -1:
-                    kept.extend(watchlist[j:])
-                    self.watches[lit] = kept
-                    self._qhead = len(self.trail)
-                    return ci
-                self._enqueue(first, ci)
-            self.watches[lit] = kept
+                else:
+                    kept.append(ci)
+                    if value == -1:
+                        kept.extend(watchlist[j:])
+                        watches[lit] = kept
+                        self._qhead = len(trail)
+                        return ci
+                    v, sign = (first, 1) if first > 0 else (-first, -1)
+                    assign[v] = phase[v] = sign
+                    level[v] = depth
+                    reason[v] = ci
+                    trail.append(first)
+            watches[lit] = kept
         self._qhead = qhead
         return -1
 
@@ -129,6 +148,14 @@ class SatSolver:
             for i in range(1, self.nvars + 1):
                 self.activity[i] *= 1e-100
             self.var_inc *= 1e-100
+            self._rebuild_order()
+        else:
+            heapq.heappush(self.order, (-self.activity[v], v))
+
+    def _rebuild_order(self) -> None:
+        self.order = [(-self.activity[v], v) for v in range(1, self.nvars + 1)
+                      if self.assign[v] == 0]
+        heapq.heapify(self.order)
 
     def _analyze(self, conflict: int) -> tuple[list[int], int]:
         """First-UIP conflict analysis."""
@@ -175,23 +202,34 @@ class SatSolver:
         while len(self.trail_lim) > level:
             start = self.trail_lim.pop()
             for lit in self.trail[start:]:
-                self.assign[abs(lit)] = 0
+                v = abs(lit)
+                self.assign[v] = 0
+                heapq.heappush(self.order, (-self.activity[v], v))
             del self.trail[start:]
         self._qhead = min(self._qhead, len(self.trail))
 
     def _decide(self) -> int:
-        best, best_act = 0, -1.0
-        for v in range(1, self.nvars + 1):
-            if self.assign[v] == 0 and self.activity[v] > best_act:
-                best, best_act = v, self.activity[v]
-        if best == 0:
-            return 0
-        return best if self.phase[best] >= 0 else -best
+        """The unassigned var of highest activity (lowest index on ties),
+        in its saved phase; 0 when every var is assigned."""
+        order, assign, activity = self.order, self.assign, self.activity
+        if len(order) > 4 * self.nvars + 64:
+            self._rebuild_order()
+            order = self.order
+        while order:
+            neg, v = heapq.heappop(order)
+            if assign[v] == 0 and -neg == activity[v]:
+                return v if self.phase[v] >= 0 else -v
+        return 0
 
     def solve(self, max_conflicts: int | None = None,
-              deadline: float | None = None) -> str:
+              deadline: float | None = None,
+              assumptions: tuple[int, ...] | list[int] = ()) -> str:
         """Returns 'sat', 'unsat', 'unknown' (conflict budget hit), or
-        'timeout' (`time.monotonic()` passed `deadline`)."""
+        'timeout' (`time.monotonic()` passed `deadline`). `assumptions` are
+        literals taken as the first decisions, in order; 'unsat' then means
+        unsat under them, and a later call without them still sees only
+        the clauses, which every learned clause is implied by."""
+        self._backtrack(0)
         if not self.ok:
             return "unsat"
         self._qhead = 0
@@ -208,6 +246,7 @@ class SatSolver:
                 if max_conflicts is not None and conflicts > max_conflicts:
                     return "unknown"
                 if len(self.trail_lim) == 0:
+                    self.ok = False
                     return "unsat"
                 learnt, back = self._analyze(ci)
                 self._backtrack(back)
@@ -226,11 +265,25 @@ class SatSolver:
                     restart_limit = int(restart_limit * 1.5)
                     self._backtrack(0)
                 continue
-            lit = self._decide()
+            lit = 0
+            while len(self.trail_lim) < len(assumptions):
+                p = assumptions[len(self.trail_lim)]
+                value = self._value(p)
+                if value == -1:
+                    return "unsat"
+                if value == 0:
+                    lit = p
+                    break
+                self.trail_lim.append(len(self.trail))  # already true: an empty level
             if lit == 0:
-                return "sat"
+                lit = self._decide()
+                if lit == 0:
+                    self.model = self.assign[:]
+                    return "sat"
             self.trail_lim.append(len(self.trail))
             self._enqueue(lit, -1)
 
     def model_value(self, var: int) -> bool:
-        return self.assign[var] == 1
+        """The variable's value at the last sat answer (False for a
+        variable created since)."""
+        return var < len(self.model) and self.model[var] == 1

@@ -1,13 +1,16 @@
 """archc-smt: a standalone SMT-LIB2 (QF_BV) solver.
 
 Pipeline: definitional substitution -> branch-refined interval analysis
-(decides most BMC unrollings word-level) -> Tseitin bit-blasting onto a
-CDCL SAT core. Supports (get-value ...) and (get-model) after a sat
-answer. Reads a file argument or stdin.
+(decides most BMC unrollings word-level) -> Tseitin bit-blasting of the
+undecided constraints' cones onto a CDCL SAT core. Supports (get-value
+...) and (get-model) after a sat answer. Reads a file argument or stdin.
 
 `Session` is also the in-process API: after `run`, `out` holds the
 answers, `status` the last check-sat answer, and `value_of` reads the
-model.
+model. For incremental use, terms are built through `builder` (with
+`define` for constants that have a definition) and `check_assuming(goal)`
+asks one question at a time, keeping the interval cache, the bit-blasted
+circuit and the learned clauses between questions.
 """
 
 from __future__ import annotations
@@ -31,9 +34,13 @@ class Session:
         self.builder = TermBuilder()
         self.deadline = deadline
         self.status: str | None = None
+        self.engine = IntervalEngine()
         self.blaster: BitBlaster | None = None
         self.trivial_model = False
-        self.def_order: list[Term] = []
+        self.def_order: list[Term] = []       # defined constants, bottom-up
+        self._ranged = 0                      # builder.defined entries with an interval
+        self._goals: list[Term] = []
+        self._model: dict[int, int] | None = None
         self.out: list[str] = []
         self.incomplete = False  # a declaration or assertion was dropped
 
@@ -94,32 +101,48 @@ class Session:
         return self.status
 
     def _decide(self) -> str:
-        residual, def_order = self.builder.finish()
-        self.def_order = def_order
-        engine = IntervalEngine()
-        for v in def_order:  # bottom-up so deep definition chains never recurse
-            engine.cache[id(v)] = engine.eval(v.definition)
-        all_true = True
-        for c in residual:
-            lo, hi = engine.eval(c)
-            if hi == 0:
-                return "unsat"
-            if lo != 1:
-                all_true = False
-        if all_true:
+        residual, self.def_order = self.builder.finish()
+        self.engine, self.blaster = IntervalEngine(), None
+        for v in self.def_order:  # bottom-up so deep definition chains never recurse
+            self.engine.eval(v)
+        return self._check(residual, assume=False)
+
+    def check_assuming(self, goal: Term) -> str:
+        """Can the Bool term `goal` hold, given every constant defined so far
+        through `builder.define`? The goal is not kept. Each call is one
+        more question to the same interval cache, bit-blast cache and SAT
+        solver, which keeps its learned clauses; `status` and the model
+        (`value_of`, `model_value`) answer for the last call."""
+        self.def_order = defined = self.builder.defined
+        for v in defined[self._ranged:]:  # in definition order: no deep recursion
+            self.engine.eval(v)
+        self._ranged = len(defined)
+        self._goals.append(goal)  # the caches key terms by id: keep it alive
+        self.status = self._check([goal], assume=True)
+        return self.status
+
+    def _check(self, constraints: list[Term], assume: bool) -> str:
+        """The interval pass first; then the constraints' cones are
+        bit-blasted and solved, as clauses or (`assume`) as assumptions."""
+        self.trivial_model, self._model = False, None
+        bounds = [self.engine.eval(c) for c in constraints]
+        if any(hi == 0 for _, hi in bounds):
+            return "unsat"
+        if all(lo == 1 for lo, _ in bounds):
             self.trivial_model = True
             return "sat"
         if self._expired():
             return "timeout"
-        blaster = BitBlaster()
-        for v in def_order:
-            blaster.cache[id(v)] = blaster.bits(v.definition)
-        for c in residual:
-            blaster.assert_true(c)
+        if self.blaster is None:
+            self.blaster = BitBlaster(self.engine.cache)
+        lits = [self.blaster.lit(c) for c in constraints]
         if self._expired():
             return "timeout"
-        self.blaster = blaster
-        return blaster.sat.solve(deadline=self.deadline)
+        if assume:
+            return self.blaster.sat.solve(deadline=self.deadline, assumptions=lits)
+        for lit in lits:
+            self.blaster.sat.add_clause([lit])
+        return self.blaster.sat.solve(deadline=self.deadline)
 
     def value_of(self, name: str) -> tuple[int, int] | None:
         """(value, width) of a declared constant in the model of the last
@@ -127,110 +150,22 @@ class Session:
         t = self.builder.vars.get(name)
         if t is None:
             return None
-        width = t.width if t.width != BOOL_SORT else 1
-        if self.trivial_model:
-            if not hasattr(self, "_concrete_cache"):
-                self._concrete_cache = {}
-                for v in self.def_order:  # bottom-up, avoids deep recursion
-                    self._concrete_cache[id(v)] = self._eval_concrete(
-                        v.definition, self._concrete_cache)
-            return self._eval_concrete(t, self._concrete_cache), width
-        assert self.blaster is not None
-        return self.blaster.value_of(t), width
+        return self.model_value(t), (t.width if t.width != BOOL_SORT else 1)
 
-    def _eval_concrete(self, t: Term, cache: dict[int, int]) -> int:
-        """Evaluate under the trivial model (free vars = 0)."""
-        hit = cache.get(id(t))
-        if hit is not None:
-            return hit
-        v = self._eval_concrete_inner(t, cache)
-        cache[id(t)] = v
-        return v
+    def model_value(self, t: Term) -> int:
+        """A term's value in the model of the last sat answer. Constants no
+        solved constraint mentions are 0; defined ones follow their
+        definitions."""
+        if self._model is None:
+            self._model = {}
+            for v in self.def_order:  # bottom-up, avoids deep recursion
+                concrete_value(v, self._model, self._free_value)
+        return concrete_value(t, self._model, self._free_value)
 
-    def _eval_concrete_inner(self, t: Term, cache) -> int:
-        mask = (1 << t.width) - 1 if t.width else 1
-        op = t.op
-        if op == "const":
-            return t.value
-        if op == "var":
-            if t.definition is not None:
-                return self._eval_concrete(t.definition, cache)
+    def _free_value(self, var: Term) -> int:
+        if self.trivial_model or self.blaster is None:
             return 0
-        a = [self._eval_concrete(x, cache) for x in t.args]
-        if op == "ite":
-            return a[1] if a[0] else a[2]
-        if op == "=":
-            return 1 if a[0] == a[1] else 0
-        if op == "not":
-            return 1 - a[0]
-        if op == "and":
-            return 1 if all(a) else 0
-        if op == "or":
-            return 1 if any(a) else 0
-        if op == "xor":
-            return a[0] ^ a[1]
-        if op == "=>":
-            return 1 if (not a[0] or a[1]) else 0
-        if op == "bvadd":
-            return (a[0] + a[1]) & mask
-        if op == "bvsub":
-            return (a[0] - a[1]) & mask
-        if op == "bvmul":
-            return (a[0] * a[1]) & mask
-        if op == "bvand":
-            return a[0] & a[1]
-        if op == "bvor":
-            return a[0] | a[1]
-        if op == "bvxor":
-            return a[0] ^ a[1]
-        if op == "bvnot":
-            return (~a[0]) & mask
-        if op == "bvneg":
-            return (-a[0]) & mask
-        if op == "bvshl":
-            return (a[0] << a[1]) & mask if a[1] <= t.width else 0
-        if op == "bvlshr":
-            return a[0] >> a[1] if a[1] <= t.width else 0
-        if op == "bvashr":
-            w = t.width
-            x = a[0]
-            s = x >> (w - 1)
-            full = (x - (s << w))
-            return (full >> min(a[1], w)) & mask
-        if op == "bvult":
-            return 1 if a[0] < a[1] else 0
-        if op == "bvule":
-            return 1 if a[0] <= a[1] else 0
-        if op == "bvugt":
-            return 1 if a[0] > a[1] else 0
-        if op == "bvuge":
-            return 1 if a[0] >= a[1] else 0
-        if op in ("bvslt", "bvsle", "bvsgt", "bvsge"):
-            w = t.args[0].width
-            def signed(x):
-                return x - (1 << w) if x >= (1 << (w - 1)) else x
-            x, y = signed(a[0]), signed(a[1])
-            return 1 if {"bvslt": x < y, "bvsle": x <= y,
-                         "bvsgt": x > y, "bvsge": x >= y}[op] else 0
-        if op == "extract":
-            hi, lo = t.value >> 16, t.value & 0xFFFF
-            return (a[0] >> lo) & ((1 << (hi - lo + 1)) - 1)
-        if op in ("zero_extend",):
-            return a[0]
-        if op == "sign_extend":
-            src_w = t.args[0].width
-            x = a[0]
-            if x >= (1 << (src_w - 1)):
-                x |= (mask ^ ((1 << src_w) - 1))
-            return x
-        if op == "concat":
-            low_w = t.args[1].width
-            return (a[0] << low_w) | a[1]
-        if op in ("bvudiv",):
-            return mask if a[1] == 0 else a[0] // a[1]
-        if op in ("bvurem",):
-            return a[0] if a[1] == 0 else a[0] % a[1]
-        raise AssertionError(op)
+        return self.blaster.model_of(var.name)
 
     def get_value(self, names) -> str:
         if self.status != "sat":
@@ -262,6 +197,104 @@ class Session:
                     else ("true" if value else "false"))
             parts.append(f"  (define-fun {name} () {sort} {body})")
         return "(\n" + "\n".join(parts) + "\n)"
+
+
+def concrete_value(t: Term, cache: dict[int, int], free) -> int:
+    """Evaluate `t` with every undefined constant `v` at `free(v)`; `cache`
+    maps term ids to values already known."""
+    hit = cache.get(id(t))
+    if hit is not None:
+        return hit
+    op = t.op
+    if op == "const":
+        return t.value
+    if op == "var":
+        v = free(t) if t.definition is None else concrete_value(t.definition, cache, free)
+        cache[id(t)] = v
+        return v
+    a = [concrete_value(x, cache, free) for x in t.args]
+    v = _apply(op, t, a)
+    cache[id(t)] = v
+    return v
+
+
+def _signed(x: int, w: int) -> int:
+    return x - (1 << w) if x >> (w - 1) else x
+
+
+def _apply(op: str, t: Term, a: list[int]) -> int:
+    mask = (1 << t.width) - 1 if t.width else 1
+    if op == "ite":
+        return a[1] if a[0] else a[2]
+    if op == "=":
+        return 1 if a[0] == a[1] else 0
+    if op == "not":
+        return 1 - a[0]
+    if op == "and":
+        return 1 if all(a) else 0
+    if op == "or":
+        return 1 if any(a) else 0
+    if op == "xor":
+        return a[0] ^ a[1]
+    if op == "=>":
+        return 1 if (not a[0] or a[1]) else 0
+    if op == "bvadd":
+        return (a[0] + a[1]) & mask
+    if op == "bvsub":
+        return (a[0] - a[1]) & mask
+    if op == "bvmul":
+        return (a[0] * a[1]) & mask
+    if op == "bvand":
+        return a[0] & a[1]
+    if op == "bvor":
+        return a[0] | a[1]
+    if op == "bvxor":
+        return a[0] ^ a[1]
+    if op == "bvnot":
+        return (~a[0]) & mask
+    if op == "bvneg":
+        return (-a[0]) & mask
+    if op == "bvshl":
+        return (a[0] << a[1]) & mask if a[1] <= t.width else 0
+    if op == "bvlshr":
+        return a[0] >> a[1] if a[1] <= t.width else 0
+    if op == "bvashr":
+        return (_signed(a[0], t.width) >> min(a[1], t.width)) & mask
+    if op == "bvult":
+        return 1 if a[0] < a[1] else 0
+    if op == "bvule":
+        return 1 if a[0] <= a[1] else 0
+    if op == "bvugt":
+        return 1 if a[0] > a[1] else 0
+    if op == "bvuge":
+        return 1 if a[0] >= a[1] else 0
+    if op in ("bvslt", "bvsle", "bvsgt", "bvsge"):
+        w = t.args[0].width
+        x, y = _signed(a[0], w), _signed(a[1], w)
+        return 1 if {"bvslt": x < y, "bvsle": x <= y,
+                     "bvsgt": x > y, "bvsge": x >= y}[op] else 0
+    if op == "extract":
+        hi, lo = t.value >> 16, t.value & 0xFFFF
+        return (a[0] >> lo) & ((1 << (hi - lo + 1)) - 1)
+    if op == "zero_extend":
+        return a[0]
+    if op == "sign_extend":
+        return _signed(a[0], t.args[0].width) & mask
+    if op == "concat":
+        return (a[0] << t.args[1].width) | a[1]
+    if op == "bvudiv":
+        return mask if a[1] == 0 else a[0] // a[1]
+    if op == "bvurem":
+        return a[0] if a[1] == 0 else a[0] % a[1]
+    if op in ("bvsdiv", "bvsrem"):
+        # SMT-LIB: the unsigned operation on magnitudes, signs fixed up after
+        x, y = _signed(a[0], t.width), _signed(a[1], t.width)
+        if op == "bvsdiv":
+            q = mask if y == 0 else abs(x) // abs(y)
+            return (-q if (x < 0) != (y < 0 and y != 0) else q) & mask
+        r = abs(x) if y == 0 else abs(x) % abs(y)
+        return (-r if x < 0 else r) & mask
+    raise AssertionError(op)
 
 
 def _sort_width(sort) -> int | None:

@@ -41,6 +41,8 @@ _BOOL_OPS = {"and", "or", "not", "=>", "xor"}
 _ARITY = {"ite": 3, "=": 2, "distinct": 2, "not": 1, "=>": 2, "xor": 2,
           "bvnot": 1, "bvneg": 1}
 _ARITY.update({op: 2 for op in _BV_BINOPS | _BV_CMP})
+_OPS = _ARITY.keys() | _BOOL_OPS
+_INDEXED = {"extract": 2, "zero_extend": 1, "sign_extend": 1}  # op -> index count
 
 
 def check_arity(what: str, got: int, want: int) -> None:
@@ -58,6 +60,7 @@ class TermBuilder:
     def __init__(self) -> None:
         self.vars: dict[str, Term] = {}
         self.assertions: list[Term] = []
+        self.defined: list[Term] = []   # `define`d constants, in order
 
     def declare(self, name: str, width: int) -> Term:
         if name in self.vars:
@@ -68,6 +71,15 @@ class TermBuilder:
 
     def const(self, value: int, width: int) -> Term:
         return Term("const", width, value=value & ((1 << width) - 1) if width else (1 if value else 0))
+
+    def define(self, name: str, width: int, definition: Term) -> Term:
+        """Declare `name` as a constant whose value is `definition`. The
+        term may mention only constants declared earlier, so the
+        declaration order is an evaluation order."""
+        t = self.declare(name, width)
+        t.definition = definition
+        self.defined.append(t)
+        return t
 
     def build(self, sx) -> Term:
         lit = parse_bv_literal(sx)
@@ -87,48 +99,44 @@ class TermBuilder:
         head = sx[0]
         if isinstance(head, list):
             # ((_ extract hi lo) t) / ((_ zero_extend n) t) / ((_ sign_extend n) t)
-            if len(head) >= 2 and head[0] == "_":
+            if len(head) >= 2 and head[0] == "_" and isinstance(head[1], str) \
+                    and head[1] in _INDEXED:
                 kind = head[1]
-                if kind in ("extract", "zero_extend", "sign_extend"):
-                    indices = 2 if kind == "extract" else 1
-                    check_arity(f"(_ {kind})", len(head) - 2, indices)
-                    check_arity(kind, len(sx) - 1, 1)
-                    arg = self.build(sx[1])
-                if kind == "extract":
-                    hi, lo = numeral(head[2]), numeral(head[3])
-                    return Term("extract", hi - lo + 1, (arg,), value=(hi << 16) | lo)
-                if kind in ("zero_extend", "sign_extend"):
-                    return Term(kind, arg.width + numeral(head[2]), (arg,))
+                check_arity(f"(_ {kind})", len(head) - 2, _INDEXED[kind])
+                check_arity(kind, len(sx) - 1, 1)
+                return self.app(kind, [self.build(sx[1])], *map(numeral, head[2:]))
             raise SmtParseError(f"unsupported head {head!r}")
         want = _ARITY.get(head)
         if want is not None and len(sx) - 1 != want or len(sx) == 1 and head in ("and", "or"):
             check_arity(head, len(sx) - 1, want or 1)
         args = [self.build(a) for a in sx[1:]]
-        if head == "ite":
-            c, a, b = args
-            return Term("ite", a.width, (c, a, b))
-        if head == "=":
+        if head not in _OPS:
+            raise SmtParseError(f"unsupported operator {head!r}")
+        return self.app(head, args)
+
+    def app(self, op: str, args: list[Term], *indices: int) -> Term:
+        """The term `(op args...)`, or `((_ op indices...) arg)` for
+        extract and the extensions, with its sort worked out."""
+        if op == "extract":
+            hi, lo = indices
+            return Term("extract", hi - lo + 1, tuple(args), value=(hi << 16) | lo)
+        if op in ("zero_extend", "sign_extend"):
+            return Term(op, args[0].width + indices[0], tuple(args))
+        if op == "ite":
+            return Term("ite", args[1].width, tuple(args))
+        if op == "=":
             a, b = args
             simp = _eq_of_bool_ite(a, b) or _eq_of_bool_ite(b, a)
             if simp is not None:
                 return simp
             return Term("=", BOOL_SORT, (a, b))
-        if head == "distinct":
-            a, b = args
-            return Term("not", BOOL_SORT, (Term("=", BOOL_SORT, (a, b)),))
-        if head in _BOOL_OPS:
-            return Term(head, BOOL_SORT, tuple(args))
-        if head in _BV_CMP:
-            return Term(head, BOOL_SORT, tuple(args))
-        if head == "bvnot":
-            return Term("bvnot", args[0].width, tuple(args))
-        if head == "bvneg":
-            return Term("bvneg", args[0].width, tuple(args))
-        if head == "concat":
+        if op == "distinct":
+            return Term("not", BOOL_SORT, (Term("=", BOOL_SORT, tuple(args)),))
+        if op in _BOOL_OPS or op in _BV_CMP:
+            return Term(op, BOOL_SORT, tuple(args))
+        if op == "concat":
             return Term("concat", args[0].width + args[1].width, tuple(args))
-        if head in _BV_BINOPS:
-            return Term(head, args[0].width, tuple(args))
-        raise SmtParseError(f"unsupported operator {head!r}")
+        return Term(op, args[0].width, tuple(args))  # bvnot, bvneg, _BV_BINOPS
 
     # ── definitional substitution ───────────────────────────────
 
@@ -226,3 +234,19 @@ def _eq_of_bool_ite(x: Term, k: Term) -> Term | None:
     if b.value == k.value:
         return Term("not", BOOL_SORT, (c,))
     return Term("const", BOOL_SORT, value=0)
+
+
+def term_text(t: Term) -> str:
+    """SMT-LIB text of a term; constants print by name."""
+    if t.op == "var":
+        return t.name
+    if t.op == "const":
+        if t.width == BOOL_SORT:
+            return "true" if t.value else "false"
+        return "#b" + format(t.value, f"0{t.width}b")
+    args = " ".join(term_text(a) for a in t.args)
+    if t.op == "extract":
+        return f"((_ extract {t.value >> 16} {t.value & 0xFFFF}) {args})"
+    if t.op in _INDEXED:
+        return f"((_ {t.op} {t.width - t.args[0].width}) {args})"
+    return f"({t.op} {args})"

@@ -1,15 +1,18 @@
 """Formal backend: encoding scope, solver driver, verdicts, monotonicity,
 and sim/formal agreement."""
 
+import io
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stdout
 
 import pytest
 
 from conftest import ROOT, build_files, build_text, corpus_path
 
+from archc import cli
 from archc.formal import (
     FormalUnsupported, SolverError, available_solvers, encode_bmc,
     formal_scope_check, run_solver, trace_to_stimulus, verify,
@@ -27,6 +30,41 @@ module Factor
   comb p = a.zext<32>() *% b.zext<32>();
   assert no_factor: (p != 4000000007) || (a == 1) || (b == 1);
 end module Factor
+"""
+
+
+SDIV_ARCH = """\
+module SDiv
+  port clk: in Clock<SysDomain>;
+  port rst: in Reset<Sync>;
+  port a: in SInt<4>;
+  port q: out SInt<4>;
+  reg cnt: UInt<4> reset rst => 0;
+  seq on clk rising
+    cnt <= cnt +% 1;
+  end seq
+  comb q = a / 3;
+  cover c0: cnt == 0;
+end module SDiv
+"""
+
+
+LOW_RESET_ARCH = """\
+module LowRst
+  port clk: in Clock<SysDomain>;
+  port rst_n: in Reset<Sync, Low>;
+  port en: in Bool;
+  port count: out UInt<4>;
+  reg cnt: UInt<4> reset rst_n => 0;
+  seq on clk rising
+    if en then
+      cnt <= cnt +% 1;
+    end if
+  end seq
+  comb count = cnt;
+  assert small: cnt != 5;
+  cover three: cnt == 3;
+end module LowRst
 """
 
 
@@ -175,6 +213,25 @@ class TestSolverDriver:
             answers[prop] = proc.stdout.split()
         assert answers == {"never_full": ["sat"], "_auto_count_range": ["unsat"]}
 
+    def test_external_solver_search_reads_the_last_model(self, tmp_path, monkeypatch):
+        """An external solver (here archc-smt behind a `z3` name) gets one
+        script per query: the whole bound, then the search over bounds. The
+        model of the last sat answer is the trace; no bound is solved twice."""
+        log = tmp_path / "queries.log"
+        fake = tmp_path / "z3"
+        fake.write_text(f"#!/bin/sh\necho \"$2\" >> {log}\n"
+                        f"exec {sys.executable} -m archc.smt.solve \"$2\"\n")
+        fake.chmod(0o755)
+        monkeypatch.setenv("ARCHC_SOLVER_PATH", str(tmp_path))
+        monkeypatch.setenv("PYTHONPATH", os.path.join(ROOT, "src"))
+        _, core = core_of("counter_wrap15.arch", "Nibble")
+        v = verify(core, 20, "z3")
+        assert [(r.name, r.status, r.cycle) for r in v.results] == [
+            ("_auto_count_range", "PROVED", None), ("never_full", "REFUTED", 15)]
+        assert v.results[1].trace[-1]["count_r"] == 15  # replayed, so it matches the sim
+        # bound 20 for each property, then 10, 15, 13 and 14 for never_full
+        assert len(log.read_text().splitlines()) == 6
+
     def test_archc_solver_path_env(self, tmp_path, monkeypatch):
         fake = tmp_path / "z3"
         fake.write_text("#!/bin/sh\necho unsat\n")
@@ -182,6 +239,93 @@ class TestSolverDriver:
         monkeypatch.setenv("ARCHC_SOLVER_PATH", str(tmp_path))
         res = run_solver("(check-sat)\n", "z3", 30)
         assert res.status == "unsat"
+
+
+class TestIncrementalBuiltin:
+    def test_builtin_makes_no_script(self, monkeypatch):
+        """The builtin path unrolls once, in-process: no per-bound script
+        and no script solve."""
+        verify_mod = sys.modules["archc.formal.verify"]  # the package's `verify` shadows it
+
+        def no_script(*args, **kwargs):
+            raise AssertionError("the builtin path built or solved a script")
+        monkeypatch.setattr(verify_mod, "encode_bmc", no_script)
+        monkeypatch.setattr(verify_mod, "run_solver", no_script)
+        _, core = core_of("counter_wrap15.arch", "Nibble")
+        v = verify(core, 20, "builtin")
+        assert [(r.name, r.status, r.cycle) for r in v.results] == [
+            ("_auto_count_range", "PROVED", None), ("never_full", "REFUTED", 15)]
+
+    def test_one_question_per_open_property_and_frame(self, monkeypatch):
+        from archc.smt.solve import Session
+        asked = []
+        original = Session.check_assuming
+
+        def counted(self, goal):
+            asked.append(id(self))
+            return original(self, goal)
+        monkeypatch.setattr(Session, "check_assuming", counted)
+        _, core = core_of("counter_cover8.arch", "CoverEight")
+        v = verify(core, 20, "builtin")
+        by = {r.name: (r.status, r.cycle) for r in v.results}
+        assert by == {"_auto_count_range": ("PROVED", None), "reach_eight": ("HIT", 8)}
+        assert len(set(asked)) == 1  # one session for every property
+        assert len(asked) == 21 + 9  # frames 0..20, and 0..8 until the hit
+
+    def test_signed_division_decided_by_intervals(self, tmp_path):
+        # the interval pass answers sat alone, and the trace is then
+        # evaluated through the signed division
+        path = tmp_path / "sdiv.arch"
+        path.write_text(SDIV_ARCH)
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            rc = cli.main(["formal", str(path), "--solver", "builtin"])
+        assert rc == 0, buf.getvalue()
+        assert "cover c0: HIT at cycle 0" in buf.getvalue()
+
+    def test_active_low_reset_replays(self):
+        # the replay holds an active-low reset inactive, as the unrolling does
+        design, _ = build_text(LOW_RESET_ARCH)
+        v = verify(design.cores["LowRst"], 20, "builtin")
+        assert [(r.name, r.status, r.cycle) for r in v.results] == [
+            ("small", "REFUTED", 5), ("three", "HIT", 3)]
+
+    def test_negative_bound_is_refused(self):
+        _, core = core_of("counter_wrap15.arch", "Nibble")
+        with pytest.raises(FormalUnsupported):
+            verify(core, -1, "builtin")
+
+    def test_replay_mismatch_is_inconclusive(self, monkeypatch):
+        """A trace the simulator does not reproduce is never reported."""
+        from archc.smt.solve import Session
+        original = Session.model_value
+
+        def corrupted(self, t):
+            value = original(self, t)
+            return 1 - value if t.name == "en__3" else value
+        monkeypatch.setattr(Session, "model_value", corrupted)
+        _, core = core_of("counter_wrap15.arch", "Nibble")
+        v = verify(core, 20, "builtin")
+        r = {r.name: r for r in v.results}["never_full"]
+        assert r.status == "INCONCLUSIVE"
+        assert r.detail == "replay mismatch: a register differs from the trace"
+        assert v.exit_code == 2
+        assert r.line(20) == ("assert never_full: INCONCLUSIVE "
+                              "(replay mismatch: a register differs from the trace)")
+
+    def test_replay_mismatch_at_another_cycle(self, monkeypatch):
+        # a trace without register values can only disagree on the cycle
+        verify_mod = sys.modules["archc.formal.verify"]
+        original = verify_mod._model_trace
+
+        def inputs_only(unroll, session, upto):
+            rows = original(unroll, session, upto)
+            return [{"en": 1 if k < 14 else 0} for k, _ in enumerate(rows)]
+        monkeypatch.setattr(verify_mod, "_model_trace", inputs_only)
+        _, core = core_of("counter_wrap15.arch", "Nibble")
+        r = {r.name: r for r in verify(core, 20, "builtin").results}["never_full"]
+        assert (r.status, r.detail) == (
+            "INCONCLUSIVE", "replay mismatch: the simulator fails at cycle None, not 15")
 
 
 class TestVerdicts:

@@ -77,6 +77,125 @@ class TestCdcl:
             assert got == ("sat" if want else "unsat"), (trial, clauses)
 
 
+class TestCdclAssumptions:
+    @staticmethod
+    def brute_force(n, clauses, assumptions=()):
+        for assign in range(1 << n):
+            def true(lit):
+                return (lit > 0) == bool((assign >> (abs(lit) - 1)) & 1)
+            if all(true(a) for a in assumptions) and \
+                    all(any(true(lit) for lit in cl) for cl in clauses):
+                return True
+        return False
+
+    def test_solves_under_assumptions_agree_with_brute_force(self):
+        """One solver, many solves under changing assumptions, clauses
+        added between them: every answer and model checked exhaustively."""
+        rng = random.Random(11)
+        for trial in range(40):
+            n = rng.randint(3, 12)
+            s = SatSolver()
+            for _ in range(n):
+                s.new_var()
+            clauses = []
+            for step in range(12):
+                for _ in range(rng.randint(0, 6)):
+                    vs = rng.sample(range(1, n + 1), rng.randint(1, 3))
+                    clauses.append([v if rng.random() < 0.5 else -v for v in vs])
+                    s.add_clause(list(clauses[-1]))
+                assumptions = [v if rng.random() < 0.5 else -v
+                               for v in rng.sample(range(1, n + 1), rng.randint(0, min(4, n)))]
+                got = s.solve(assumptions=assumptions)
+                want = self.brute_force(n, clauses, assumptions)
+                assert got == ("sat" if want else "unsat"), (trial, step, clauses, assumptions)
+                if got == "sat":
+                    def true(lit):
+                        return s.model_value(abs(lit)) == (lit > 0)
+                    assert all(true(a) for a in assumptions)
+                    assert all(any(true(lit) for lit in cl) for cl in clauses)
+
+    def test_unsat_under_assumptions_leaves_the_clauses_sat(self):
+        rng = random.Random(12)
+        checked = 0
+        for trial in range(120):
+            n = rng.randint(4, 10)
+            clauses = [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)]
+                       for _ in range(rng.randint(n, 4 * n))]
+            if not self.brute_force(n, clauses):
+                continue
+            s = SatSolver()
+            for _ in range(n):
+                s.new_var()
+            for cl in clauses:
+                s.add_clause(list(cl))
+            for _ in range(6):
+                assumptions = [v if rng.random() < 0.5 else -v
+                               for v in rng.sample(range(1, n + 1), rng.randint(1, n))]
+                if self.brute_force(n, clauses, assumptions):
+                    continue
+                assert s.solve(assumptions=assumptions) == "unsat"
+                checked += 1
+                assert s.solve() == "sat", (trial, clauses, assumptions)
+        assert checked >= 50
+
+    def test_contradictory_assumptions(self):
+        s = SatSolver()
+        a = s.new_var()
+        assert s.solve(assumptions=[a, -a]) == "unsat"
+        assert s.solve(assumptions=[-a]) == "sat" and not s.model_value(a)
+
+
+def _div_reference(op, x, y, w):
+    """SMT-LIB 2.6 bvudiv/bvurem/bvsdiv/bvsrem on w-bit operands."""
+    mask = (1 << w) - 1
+    if op == "bvudiv":
+        return mask if y == 0 else x // y
+    if op == "bvurem":
+        return x if y == 0 else x % y
+    sx = x - (1 << w) if x >> (w - 1) else x
+    sy = y - (1 << w) if y >> (w - 1) else y
+    if op == "bvsdiv":
+        if sy == 0:
+            return 1 if sx < 0 else mask
+        q = abs(sx) // abs(sy)
+        return (-q if (sx < 0) != (sy < 0) else q) & mask
+    if sy == 0:
+        return x
+    r = abs(sx) % abs(sy)
+    return (-r if sx < 0 else r) & mask
+
+
+class TestDivision:
+    def test_bvsrem_by_zero_is_the_dividend(self):
+        out = Session().run("""
+(declare-const a (_ BitVec 4))
+(declare-const b (_ BitVec 4))
+(assert (= b #x0))
+(assert (bvslt a #x0))
+(assert (distinct (bvsrem a b) a))
+(check-sat)
+""")
+        assert out.strip() == "unsat"
+
+    @pytest.mark.parametrize("op", ["bvudiv", "bvurem", "bvsdiv", "bvsrem"])
+    def test_every_4bit_operand_pair(self, op):
+        """Each pair is one question to one session: with a and b hidden
+        from the interval pass as (= (bvxor a k) (bvxor #xA k)), can the
+        result differ from the reference? Every answer must be unsat."""
+        s = Session()
+        tb = s.builder
+        a, b, k = (tb.declare(name, 4) for name in "abk")
+        result = tb.app(op, [a, b])
+        hidden = [tb.app("bvxor", [tb.const(c, 4), k]) for c in range(16)]
+        a_is = [tb.app("=", [tb.app("bvxor", [a, k]), h]) for h in hidden]
+        b_is = [tb.app("=", [tb.app("bvxor", [b, k]), h]) for h in hidden]
+        differs = [tb.app("distinct", [result, tb.const(c, 4)]) for c in range(16)]
+        wrong = [(x, y) for x in range(16) for y in range(16)
+                 if s.check_assuming(tb.app("and", [
+                     a_is[x], b_is[y], differs[_div_reference(op, x, y, 4)]])) != "unsat"]
+        assert wrong == []
+
+
 class TestIntervals:
     def test_random_terms_sound_vs_exhaustive(self):
         """Interval evaluation must contain every concrete value (soundness
