@@ -10,6 +10,11 @@ per property, for `--emit-smt` and for external solvers: each assert
 becomes one disjunction of per-cycle violations, each cover one
 disjunction of per-cycle hits, checked by a single (check-sat).
 
+SMT-LIB defines division by zero; the simulator aborts on it, and on a
+bit index past the width. `Unrolling.checks` states that no such runtime
+check fires, so that a trace can be asked to be one the simulator runs
+(`encode_witness` prints that question for external solvers).
+
 Scope: flat single-clock modules with scalar signals (no sub-instances,
 no Vec, no enum-typed nets, no todo!).
 """
@@ -114,6 +119,7 @@ class Unrolling:
                        for p in core.ports if isinstance(p.ty, Reset)]
         self.nets = [(name, core.nets[name]) for name in core.comb_order]
         self.frames: list[dict[str, Term]] = []
+        self._checks: list[list[Term]] = []  # per frame, built on demand
         from ..smt.terms import BOOL_SORT
         self.bools = (builder.const(0, BOOL_SORT), builder.const(1, BOOL_SORT))
 
@@ -144,6 +150,67 @@ class Unrolling:
         """Bool term: the assert fails, or the cover holds, at cycle k."""
         value = self.term(prop.expr, k)
         return self.tb.app("=", [value, self.tb.const(prop.kind != "assert", 1)])
+
+    def checks(self, k: int) -> list[Term]:
+        """Bool terms that hold iff no runtime check of the simulator fires
+        on the way to sampling cycle k: neither in the next states it
+        computes at the edge of cycle k-1, nor in frame k's comb nets or
+        properties. A divisor must be nonzero and a bit index below the
+        width, on the branches the simulator evaluates (`?:`/if, `&&`,
+        `||` and `implies` are lazy there). Empty if the design has no
+        such check."""
+        while len(self._checks) <= k:
+            j = len(self._checks)
+            exprs = [(reg.next, j - 1) for reg in self.core.regs.values() if j > 0]
+            exprs += [(net.expr, j) for _, net in self.nets]
+            exprs += [(prop.expr, j) for prop in self.core.properties]
+            self._checks.append([c for e, i in exprs
+                                 if (c := self._check(e, i)) is not None])
+        return self._checks[k]
+
+    def _check(self, e: Expr, k: int) -> Term | None:
+        """Bool term: evaluating `e` at cycle k fires no runtime check; None
+        when `e` contains none."""
+        tb = self.tb
+        if isinstance(e, Binary):
+            first, second = self._check(e.lhs, k), self._check(e.rhs, k)
+            if e.op in ("&&", "||", "implies") and second is not None:
+                taken = self.bool_term(e.lhs, k)  # when the rhs is evaluated
+                if e.op == "||":
+                    taken = tb.app("not", [taken])
+                second = tb.app("=>", [taken, second])
+            parts = [first, second]
+            if e.op in ("/", "%") and not isinstance(e.rhs, IntLit):
+                zero = tb.const(0, _width(e.rhs.ty))
+                parts.append(tb.app("not", [tb.app("=", [self.term(e.rhs, k), zero])]))
+            return self._all(parts)
+        if isinstance(e, (Ternary, IfExpr)):
+            then, els = self._check(e.then, k), self._check(e.els, k)
+            branch = None
+            if then is not None or els is not None:
+                true = self.bools[1]
+                branch = tb.app("ite", [self.bool_term(e.cond, k),
+                                        then or true, els or true])
+            return self._all([self._check(e.cond, k), branch])
+        if isinstance(e, Index):
+            parts = [self._check(e.index, k), self._check(e.base, k)]
+            width, iw = _width(e.base.ty), _width(e.index.ty)
+            if (1 << iw) > width and not (isinstance(e.index, IntLit)
+                                          and e.index.value < width):
+                parts.append(tb.app("bvult", [self.term(e.index, k),
+                                              tb.const(width, iw)]))
+            return self._all(parts)
+        if isinstance(e, Unary):
+            return self._check(e.operand, k)
+        if isinstance(e, (Slice, Convert)):
+            return self._check(e.base, k)
+        return None
+
+    def _all(self, parts: list[Term | None]) -> Term | None:
+        parts = [p for p in parts if p is not None]
+        if len(parts) < 2:
+            return parts[0] if parts else None
+        return self.tb.app("and", parts)
 
     # expression -> term at cycle k
     def term(self, e: Expr, k: int) -> Term:
@@ -249,7 +316,7 @@ def encode_bmc(core: CoreModule, prop: CoreProperty, bound: int) -> SmtScript:
     constant is declared, and asserted equal to its definition if it has
     one, and the goal is one disjunction of per-cycle violations (assert)
     or hits (cover)."""
-    from ..smt.terms import TermBuilder, term_text
+    from ..smt.terms import TermBuilder
     tb = TermBuilder()
     unroll = Unrolling(core, tb)
     for k in range(bound + 1):
@@ -258,6 +325,29 @@ def encode_bmc(core: CoreModule, prop: CoreProperty, bound: int) -> SmtScript:
              for k in range(bound + 1)]
     want = tb.const(prop.kind != "assert", 1)
     goal = tb.app("or", [tb.app("=", [p, want]) for p in props])
+    return _script(unroll, prop, list(enumerate(props)), goal)
+
+
+def encode_witness(core: CoreModule, prop: CoreProperty, cycle: int) -> SmtScript | None:
+    """One script asking for a trace on which `prop` fails (assert) or hits
+    (cover) at `cycle` and the simulator's runtime checks pass up to that
+    sample (`Unrolling.checks`); None if the design has no runtime check."""
+    from ..smt.terms import TermBuilder
+    tb = TermBuilder()
+    unroll = Unrolling(core, tb)
+    for k in range(cycle + 1):
+        unroll.extend()
+    checks = [c for k in range(cycle + 1) for c in unroll.checks(k)]
+    if not checks:
+        return None
+    p = tb.define(f"__prop__{cycle}", 1, unroll.term(prop.expr, cycle))
+    hit = tb.app("=", [p, tb.const(prop.kind != "assert", 1)])
+    return _script(unroll, prop, [(cycle, p)], tb.app("and", [hit] + checks))
+
+
+def _script(unroll: Unrolling, prop: CoreProperty, props: list[tuple[int, Term]],
+            goal: Term) -> SmtScript:
+    from ..smt.terms import term_text
     lines = ["(set-logic QF_BV)"]
     decode: dict[str, tuple[str, int]] = {}
 
@@ -272,9 +362,9 @@ def encode_bmc(core: CoreModule, prop: CoreProperty, bound: int) -> SmtScript:
         for net, t in frame.items():
             define(net, k, t)
     lines.append(f"; {prop.kind} {prop.name}")
-    for k, t in enumerate(props):
+    for k, t in props:
         define("__prop__", k, t)
     lines.append(f"(assert {term_text(goal)})")
     lines.append("(check-sat)")
-    return SmtScript("\n".join(lines) + "\n", decode, list(tb.vars),
-                     [name for name, _ in unroll.inputs], list(core.regs))
+    return SmtScript("\n".join(lines) + "\n", decode, list(unroll.tb.vars),
+                     [name for name, _ in unroll.inputs], list(unroll.core.regs))

@@ -17,6 +17,7 @@ import shutil
 import subprocess
 import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from ..smt.sexpr import parse_all, parse_bv_literal
@@ -28,6 +29,16 @@ class SolverError(Exception):
     def __init__(self, code: str, message: str) -> None:
         super().__init__(message)
         self.code = code  # E_SOLVER_MISSING | E_SOLVER_PARSE
+
+
+@contextmanager
+def builtin_verdict():
+    """Turns an exception out of the builtin solver into E_SOLVER_PARSE."""
+    try:
+        yield
+    except Exception as e:  # e.g. a term nested too deeply
+        raise SolverError("E_SOLVER_PARSE", f"solver `builtin` produced no verdict "
+                          f"({type(e).__name__}: {e})") from None
 
 
 def _lookup(name: str) -> str | None:
@@ -129,13 +140,10 @@ def _run_builtin(script_text: str, timeout: float | None,
     from ..smt.solve import Session  # imported here: other paths never load it
     deadline = None if timeout is None else time.monotonic() + timeout
     session = Session(deadline)
-    try:
+    with builtin_verdict():
         session.run(script_text)
         values = {name: session.value_of(name.strip("|"))
                   for name in want_values or ()} if session.status == "sat" else {}
-    except Exception as e:  # e.g. a malformed term the session did not catch
-        raise SolverError("E_SOLVER_PARSE", f"solver `builtin` produced no verdict "
-                          f"({type(e).__name__}: {e})") from None
     errors = [answer for answer in session.out if answer.startswith("(error")]
     if errors or session.status is None:
         head = errors[0] if errors else "no output"

@@ -22,7 +22,10 @@ the trace comes from the last sat answer.
 
 Every REFUTED or HIT trace is replayed in the simulator before it is
 reported; one that does not fail or hit at the reported cycle becomes
-INCONCLUSIVE (replay mismatch: ...).
+INCONCLUSIVE (replay mismatch: ...). The simulator aborts on a zero
+divisor or an out-of-range bit index, where SMT-LIB gives a value, so in
+a design with such checks the reported cycle is asked once more together
+with `Unrolling.checks`, for a trace the simulator runs to the end.
 
 Exit code: 0 iff every assert PROVED and every cover HIT; 1 if any
 REFUTED or NOT_REACHED; 2 on unknown/timeout/replay mismatch.
@@ -37,8 +40,8 @@ from typing import Optional
 from ..ir import CoreModule, CoreProperty
 from ..types import Reset
 from .encode import (FormalUnsupported, SmtScript, Unrolling, encode_bmc,
-                     formal_scope_check, inactive_level)
-from .solver import SolverError, pick_solver, run_solver
+                     encode_witness, formal_scope_check, inactive_level)
+from .solver import builtin_verdict, pick_solver, run_solver
 
 
 @dataclass
@@ -136,24 +139,36 @@ def _check_builtin(core: CoreModule, props: list[CoreProperty], bound: int,
         if not open_props:
             break
         unroll.extend()
+        with builtin_verdict():
+            session.range_definitions()  # the frame's share, charged to no property
         for i in open_props:
             prop = props[i]
             goal = unroll.goal(prop, k)
             t0 = time.monotonic()
             if timeout is not None:
                 session.deadline = t0 + timeout - spent[i]
-            try:
+            with builtin_verdict():
                 status = session.check_assuming(goal)
-                trace = _model_trace(unroll, session, k) if status == "sat" else None
-            except Exception as e:  # e.g. a term nested too deeply
-                raise SolverError("E_SOLVER_PARSE", f"solver `builtin` produced no verdict "
-                                  f"({type(e).__name__}: {e})") from None
+                trace = _witness(unroll, session, goal, k) if status == "sat" else None
             spent[i] += time.monotonic() - t0
             if status == "sat":
                 results[i] = _found(prop, k, trace)
             elif status != "unsat":
                 results[i] = PropResult(prop.name, prop.kind, "INCONCLUSIVE", detail=status)
     return [r if r is not None else _not_found(p) for r, p in zip(results, props)]
+
+
+def _witness(unroll: Unrolling, session, goal, k: int) -> list[dict[str, int]]:
+    """The trace of the sat answer to `goal` at cycle k. If the design has
+    runtime checks, the goal is asked again together with them, so that
+    the replay does not abort on a value the goal never needed (a constant
+    outside the goal's cone is 0 in the model); when no such trace exists,
+    the first one stands."""
+    trace = _model_trace(unroll, session, k)
+    checks = [c for j in range(k + 1) for c in unroll.checks(j)]
+    if checks and session.check_assuming(unroll.tb.app("and", [goal] + checks)) == "sat":
+        trace = _model_trace(unroll, session, k)
+    return trace
 
 
 def _model_trace(unroll: Unrolling, session, upto: int) -> list[dict[str, int]]:
@@ -180,6 +195,12 @@ def _check_external(core: CoreModule, prop: CoreProperty, bound: int, solver: st
             lo = mid + 1
     if res.status not in ("sat", "unsat"):
         return PropResult(prop.name, prop.kind, "INCONCLUSIVE", detail=res.status)
+    # as on the builtin path: ask again for a trace the simulator runs
+    witness = encode_witness(core, prop, hi)
+    if witness is not None:
+        res = run_solver(witness.text, solver, timeout, want_values=witness.all_vars)
+        if res.status == "sat":
+            script, model = witness, res.model
     return _found(prop, hi, _decode_trace(script, model, hi))
 
 
@@ -205,22 +226,36 @@ def _replay_all(core: CoreModule, results: list[PropResult]) -> None:
     # imported here, so that a run with nothing to replay never loads the simulator
     from ..sim import SimFlags, build_sim, parse_stimulus, run_stimulus
     image = build_sim({core.key: core}, core.key, SimFlags())
+    props = {p.name: p for p in core.properties}
     for r in found:
         report = run_stimulus(image, parse_stimulus(trace_to_stimulus(core, r)))
+        aborted = report.aborted
         if r.status == "REFUTED":
             fails = [e.cycle for e in report.events
                      if e.kind == "ASSERT_FAIL" and e.name == r.name]
             got = fails[0] if fails else None
+            if got is None and aborted is not None and _guards(props[r.name], aborted.message):
+                got = aborted.cycle
         else:
             got = report.cover_table.get(r.name)
         if report.expect_failures:
             why = "a register differs from the trace"
-        elif got != r.cycle:
+        elif got == r.cycle:
+            continue
+        elif aborted is not None:
+            why = f"the simulator aborts at cycle {aborted.cycle} ({aborted.message})"
+        else:
             verb = "fails" if r.status == "REFUTED" else "hits"
             why = f"the simulator {verb} at cycle {got}, not {r.cycle}"
-        else:
-            continue
         r.status, r.detail = "INCONCLUSIVE", f"replay mismatch: {why}"
+
+
+def _guards(prop: CoreProperty, abort_message: str) -> bool:
+    """Is `prop` the generated property of the division the simulator
+    aborted on? On a comb division the abort comes while settling, before
+    the property is sampled, so it stands for the property's failure."""
+    return (prop.origin == "auto" and abort_message.startswith("DIV_BY_ZERO:")
+            and abort_message.endswith(f" at {prop.span.point()}"))
 
 
 def trace_to_stimulus(core: CoreModule, result: PropResult,

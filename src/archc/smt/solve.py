@@ -107,16 +107,21 @@ class Session:
             self.engine.eval(v)
         return self._check(residual, assume=False)
 
+    def range_definitions(self) -> None:
+        """Run the interval pass over the constants defined through
+        `builder.define` since the last call (`check_assuming` does it too)."""
+        self.def_order = defined = self.builder.defined
+        for v in defined[self._ranged:]:  # in definition order: no deep recursion
+            self.engine.eval(v)
+        self._ranged = len(defined)
+
     def check_assuming(self, goal: Term) -> str:
         """Can the Bool term `goal` hold, given every constant defined so far
         through `builder.define`? The goal is not kept. Each call is one
         more question to the same interval cache, bit-blast cache and SAT
         solver, which keeps its learned clauses; `status` and the model
         (`value_of`, `model_value`) answer for the last call."""
-        self.def_order = defined = self.builder.defined
-        for v in defined[self._ranged:]:  # in definition order: no deep recursion
-            self.engine.eval(v)
-        self._ranged = len(defined)
+        self.range_definitions()
         self._goals.append(goal)  # the caches key terms by id: keep it alive
         self.status = self._check([goal], assume=True)
         return self.status

@@ -68,6 +68,51 @@ end module LowRst
 """
 
 
+# `b` is a free divisor that no property but the generated `_auto_div0_q`
+# needs; the simulator aborts on a zero divisor, SMT-LIB does not
+DIV_ARCH = """\
+module Div
+  port clk: in Clock<SysDomain>;
+  port rst: in Reset<Sync>;
+  port a: in UInt<4>;
+  port b: in UInt<4>;
+  port q: out UInt<4>;
+  reg cnt: UInt<4> reset rst => 0;
+  seq on clk rising
+    cnt <= cnt +% 1;
+  end seq
+  comb q = a / b;
+  cover c: cnt == 3;
+  assert small: cnt != 5;
+end module Div
+"""
+
+DIV_RESULTS = [("c", "HIT", 3), ("small", "REFUTED", 5), ("_auto_div0_q", "REFUTED", 0)]
+
+
+# `wide` can only hit with a bit index the simulator aborts on; `guarded`
+# needs an index the simulator never uses, and a nonzero free divisor
+BIT_INDEX_ARCH = """\
+module Bits
+  port clk: in Clock<SysDomain>;
+  port rst: in Reset<Sync>;
+  port x: in UInt<4>;
+  port i: in UInt<3>;
+  port b: in UInt<4>;
+  port bit: out Bool;
+  port q: out UInt<4>;
+  reg cnt: UInt<4> reset rst => 0;
+  seq on clk rising
+    cnt <= cnt +% 1;
+  end seq
+  comb bit = (i != 7) ? x[i] : false;
+  comb q = x / b;
+  cover wide: i == 5 && cnt == 2;
+  cover guarded: i == 7 && cnt == 2;
+end module Bits
+"""
+
+
 def core_of(fname, top):
     design, _ = build_files([corpus_path(fname)])
     return design, design.cores[top]
@@ -213,6 +258,19 @@ class TestSolverDriver:
             answers[prop] = proc.stdout.split()
         assert answers == {"never_full": ["sat"], "_auto_count_range": ["unsat"]}
 
+    def test_external_solver_trace_passes_the_runtime_checks(self, tmp_path, monkeypatch):
+        """After the search, a design with runtime checks gets one more
+        query, for a trace on which the simulator does not abort."""
+        fake = tmp_path / "z3"
+        fake.write_text(f"#!/bin/sh\nexec {sys.executable} -m archc.smt.solve \"$2\"\n")
+        fake.chmod(0o755)
+        monkeypatch.setenv("ARCHC_SOLVER_PATH", str(tmp_path))
+        monkeypatch.setenv("PYTHONPATH", os.path.join(ROOT, "src"))
+        design, _ = build_text(DIV_ARCH)
+        v = verify(design.cores["Div"], 20, "z3")
+        assert [(r.name, r.status, r.cycle) for r in v.results] == DIV_RESULTS
+        assert all(row["b"] != 0 for row in v.results[0].trace)
+
     def test_external_solver_search_reads_the_last_model(self, tmp_path, monkeypatch):
         """An external solver (here archc-smt behind a `z3` name) gets one
         script per query: the whole bound, then the search over bounds. The
@@ -289,6 +347,40 @@ class TestIncrementalBuiltin:
         v = verify(design.cores["LowRst"], 20, "builtin")
         assert [(r.name, r.status, r.cycle) for r in v.results] == [
             ("small", "REFUTED", 5), ("three", "HIT", 3)]
+
+    def test_free_divisor_replays(self):
+        """A property that does not need the divisor still gets a trace on
+        which the simulator does not divide by zero, and the generated
+        division property's failure is the simulator's abort."""
+        design, _ = build_text(DIV_ARCH)
+        v = verify(design.cores["Div"], 20, "builtin")
+        assert [(r.name, r.status, r.cycle) for r in v.results] == DIV_RESULTS
+        assert all(row["b"] != 0 for row in v.results[0].trace + v.results[1].trace)
+        assert v.results[2].trace == [{"a": 0, "b": 0, "cnt": 0}]
+
+    def test_replay_abort_is_named(self):
+        design, _ = build_text(BIT_INDEX_ARCH)
+        v = verify(design.cores["Bits"], 20, "builtin")
+        r = {r.name: r for r in v.results}
+        assert (r["guarded"].status, r["guarded"].cycle) == ("HIT", 2)
+        assert r["wide"].status == "INCONCLUSIVE"
+        # no trace to cycle 2 passes the checks, so the first one stands
+        assert r["wide"].detail.startswith(
+            "replay mismatch: the simulator aborts at cycle 0 (DIV_BY_ZERO: "
+            "division by zero at ")
+        assert r["wide"].trace[2]["i"] == 5
+
+    def test_exception_is_a_solver_error(self, monkeypatch):
+        from archc.smt.solve import Session
+
+        def broken(self, goal):
+            raise RecursionError("maximum recursion depth exceeded")
+        monkeypatch.setattr(Session, "check_assuming", broken)
+        _, core = core_of("counter_wrap15.arch", "Nibble")
+        with pytest.raises(SolverError) as e:
+            verify(core, 20, "builtin")
+        assert e.value.code == "E_SOLVER_PARSE"
+        assert "RecursionError" in str(e.value)
 
     def test_negative_bound_is_refused(self):
         _, core = core_of("counter_wrap15.arch", "Nibble")

@@ -70,6 +70,13 @@ def test_corpus_cycles_are_minimal(fname, top, bound):
     check_minimal(design.cores[top], bound)
 
 
+def test_free_divisor_cycles_are_minimal():
+    # the second question, with the runtime checks, keeps the first cycle
+    from test_formal import DIV_ARCH
+    design, _ = build_text(DIV_ARCH)
+    assert check_minimal(design.cores["Div"], 20) == ["HIT", "REFUTED", "REFUTED"]
+
+
 @pytest.mark.parametrize("name,kind,prop", COUNTERS, ids=[c[0] for c in COUNTERS])
 def test_generated_counter_cycles_are_minimal(name, kind, prop):
     design, _ = build_text(counter_text(name, kind, 27, prop))
