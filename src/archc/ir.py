@@ -129,7 +129,6 @@ class CoreModule:
     nets: dict[str, NetDef] = field(default_factory=dict)     # derived
     comb_order: list[str] = field(default_factory=list)       # derived (topo)
     comb_levels: dict[str, int] = field(default_factory=dict)  # derived
-    settle_depth: int = 1
     has_todo: list[Span] = field(default_factory=list)
     port_alias: dict[str, str] = field(default_factory=dict)
     enums: dict[str, EnumType] = field(default_factory=dict)

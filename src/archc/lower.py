@@ -34,7 +34,7 @@ from .ir import (
 from .source import Span
 from .typecheck import (
     Binding, Ctx, ERROR_TY, ErrorTy, Summary, analyze_comb, analyze_domains,
-    check_guards, check_settle_depth, const_int, derive_defs,
+    check_guards, const_int, derive_defs,
 )
 from .types import (
     BOOL, Clock, Reset, SInt, Type, UInt, Vec, assignable, is_one_bit_data,
@@ -1613,7 +1613,6 @@ def compile_design(program: Program, *, fsm_encoding: str = "binary") -> Design:
         if not tr.diags:
             synthesize_safety_props(tr)
             resolve_property_clocks(tr)
-            check_settle_depth(core)
         if tr.diags:
             diags.extend(tr.diags)
             summaries.pop(key, None)

@@ -1,5 +1,13 @@
-"""Cycle engine: bounded-settle evaluation, two-phase commit, runtime
-checks, property sampling, and CDC latency randomization.
+"""Cycle engine: dirty-tracked settle, two-phase commit, runtime checks,
+property sampling, and CDC latency randomization.
+
+The comb state is settled (one pass of the image's schedule) only when
+it is about to be observed, by an edge step, `peek`, a clockless property
+or a VCD sample, and only if a data net changed since the last settle: a
+`set_input`, an async reset, or an edge step that committed registers.
+Clock nets are not data, and the clock schedule writes every one of them,
+child instance clocks included, so changing a clock leaves the state
+settled.
 
 Clocking model: global time advances in ticks. A domain with period P
 rises at every tick t > 0 with t % P == P // 2 (P == 1 rises every tick),
@@ -89,13 +97,17 @@ class Simulator:
         self._driven = image.builder.driven
         self._inputs = {name: (net.index, slot, _coercion(net.ty))
                         for slot, (name, net) in enumerate(image.inputs.items())}
+        # what `peek` reads: a net shadows a register of the same name
+        self._names = {name: reg.index for name, reg in image.regs.items()}
+        self._names.update((name, net.index) for name, net in image.nets.items())
         self._async_regs = [r for r in image.regs.values()
                             if r.reset_async and r.reset_net is not None]
         # clock schedule: time % lcm(periods) -> (step function or None,
         # ((clock net index, value), ...)), filled as phases are reached
         self._lcm = 2
         self._table: dict[int, tuple] = {}
-        self._set_clocks(self._clock_values(0))
+        for idx, value in self._clock_values(0):
+            self.values[idx] = value
 
     # ── plumbing ─────────────────────────────────────────────────
 
@@ -122,28 +134,33 @@ class Simulator:
         self.image.settle(values)
         if self.image.flags.debug_settle:
             before = list(values)
-            self.image.settle_once(values)
-            assert values == before, "settle invariant violated: extra pass changed nets"
+            self.image.settle(values)
+            assert values == before, "settle invariant violated: second pass changed nets"
         self._dirty = False
 
-    def set_input(self, name: str, value: int) -> None:
+    def _input_slot(self, name: str, value: int) -> tuple:
+        """(value index, coerced value, driven slot) of `set_input(name, value)`."""
         entry = self._inputs.get(name)
         if entry is None:
             raise KeyError(f"`{name}` is not a primary input")
         index, slot, coerce = entry
-        self.values[index] = coerce(value)
+        return index, coerce(value), slot
+
+    def set_input(self, name: str, value: int) -> None:
+        index, value, slot = self._input_slot(name, value)
+        self.values[index] = value
         self._driven[slot] = True
         self._dirty = True
         if self._async_regs:
             self._async_resets()
 
     def peek(self, name: str):
-        self.settle()
-        if name in self.image.nets:
-            return self.values[self.image.nets[name].index]
-        if name in self.image.regs:
-            return self.values[self.image.regs[name].index]
-        raise KeyError(f"unknown net `{name}`")
+        if self._dirty:
+            self.settle()
+        index = self._names.get(name)
+        if index is None:
+            raise unknown_net(name)
+        return self.values[index]
 
     def _async_resets(self) -> None:
         """Async reset assertion takes effect without waiting for an edge."""
@@ -164,13 +181,6 @@ class Simulator:
             value = 1 if (p == 1 or phase % p >= (p - p // 2)) else 0
             out.extend((idx, value) for idx in nets)
         return tuple(out)
-
-    def _set_clocks(self, clocks: tuple) -> None:
-        values = self.values
-        for idx, value in clocks:
-            if values[idx] != value:
-                values[idx] = value
-                self._dirty = True
 
     def _phase(self, phase: int) -> tuple:
         """The schedule entry of a phase; the step function of its edge set
@@ -200,21 +210,23 @@ class Simulator:
         An edge step samples properties, checks guards and commits the
         registers of the edges that fired (rising edges also count cycles)."""
         values, table, lcm = self.values, self._table, self._lcm
+        clockless, trace = self._clockless, self.trace
         for _ in range(n):
             self.time = t = self.time + 1
             step, clocks = table.get(t % lcm) or self._phase(t % lcm)
             if step is not None:
-                self.settle()
-                stop = step(values, self)
-                self._dirty = True
-                if stop:
+                if self._dirty:
+                    self.settle()
+                if step(values, self):
                     raise _StopSim()
-            self._set_clocks(clocks)
-            if self._clockless:
+            for idx, value in clocks:
+                values[idx] = value
+            if clockless:
                 self._check_clockless()
-            if self.trace is not None:
-                self.settle()
-                self.trace.sample(self.time, values)
+            if trace is not None:
+                if self._dirty:
+                    self.settle()
+                trace.sample(t, values)
 
     def _check_clockless(self) -> None:
         """Pure-comb constructs have no sampling edge; their properties are
@@ -278,6 +290,10 @@ class _StopSim(Exception):
     pass
 
 
+def unknown_net(name: str) -> KeyError:
+    return KeyError(f"unknown net `{name}`")
+
+
 def _coercion(ty):
     """The wrap or mask `set_input` applies to a value for an input of `ty`."""
     if isinstance(ty, SInt):
@@ -295,8 +311,9 @@ def generate_step(image: SimImage, rising: tuple, falling: tuple):
     pre-edge values (with `disable iff`), guard checks (--check-uninit),
     every next value of the registers clocked by these edges (reset,
     `assigned`), then the commit (--cdc-random capture, written
-    bookkeeping) and the cycle counts of the rising domains. Register
-    order follows `image.regs_by_domain` as it stands at first use."""
+    bookkeeping, and the dirty mark when any register is committed) and
+    the cycle counts of the rising domains. Register order follows
+    `image.regs_by_domain` as it stands at first use."""
     b = image.builder
     flags = image.flags
     track_written = flags.check_uninit  # only the uninit checks read it
@@ -375,6 +392,8 @@ def generate_step(image: SimImage, rising: tuple, falling: tuple):
             lines.append(f"    v[{r.index}] = n{j}")
         if track_written:
             lines.append(f"    if w{j}:\n        _written[{r.written_index}] = True")
+    if regs:
+        lines.append("    s._dirty = True")
     lines += [f"    cyc[{d!r}] += 1" for d in rising]
     lines.append("    return stop\n")
     name = b.fresh("_step")

@@ -2,14 +2,14 @@
 
 Hierarchy is flattened with dotted instance paths ("f.mem"). The design
 compiles to straight-line Python source over a flat value list `v`, run
-through compile()/exec once: the comb schedule (the global topological
-order of all net definitions) is one `settle` function that writes the
-schedule out settle_depth times (settle depth per module is 1 or 2: 2 when
-comb/let results feed instance inputs), and every property is a function
-of its own. The engine generates one step function per set of clock edges
-from the same expression compiler. Ternary/&&/|| stay lazy (conditional
-expressions and `and`/`or`), so runtime checks fire only on taken paths,
-exactly like the generated-code backend they model.
+through compile()/exec once: the comb schedule is one `settle` function
+that assigns every flat net once, in the global topological order of all
+net definitions (comb loops are refused before this, so one pass settles),
+and every property is a function of its own. The engine generates one step
+function per set of clock edges from the same expression compiler, and a
+VCD trace generates one sampler function. Ternary/&&/|| stay lazy
+(conditional expressions and `and`/`or`), so runtime checks fire only on
+taken paths, exactly like the generated-code backend they model.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class SimFlags:
     cdc_random: bool = False
     stop_on_assert: bool = False
     seed: int = 0
-    debug_settle: bool = False  # extra pass asserting the settle invariant
+    debug_settle: bool = False  # second pass asserting it changes nothing
 
 
 @dataclass
@@ -102,15 +102,12 @@ class SimImage:
     clock_nets: dict[str, list[int]]              # domain -> clock net indices
     inputs: dict[str, FlatNet]                    # primary inputs (settable)
     value_count: int
-    settle_depth: int
-    module_settle: dict[str, int]                 # instance path -> 1 or 2
     flags: SimFlags
     initial: list[object]
     visible: list[str]                            # stable net order for VCD/report
     todo_sites: list[Span]
     primary_domain: Optional[str] = None          # first-declared clock of the top
     builder: object = None                        # ImageBuilder (bitmaps, warn sink)
-    settle_once: Optional[Callable] = None        # one pass, under debug_settle
     steps: dict = field(default_factory=dict)     # engine: edge set -> step fn
 
 
@@ -377,7 +374,6 @@ class ImageBuilder:
         self.def_spans: dict[str, Span] = {}
         self.inputs: dict[str, FlatNet] = {}
         self.clock_nets: dict[str, list[int]] = {}
-        self.module_settle: dict[str, int] = {}
         self.todo_sites: list[Span] = []
         self._uninit_state: dict[str, object] = {}
         self.ns: dict[str, object] = {}       # globals of the generated code
@@ -470,10 +466,9 @@ class ImageBuilder:
         graph = build_comb_graph({n: e for n, e in self.defs.items()},
                                  [], set(self.regs), self.def_spans)
         order = [(self.indices[n], self.defs[n]) for n in graph.order if n in self.defs]
-        settle_depth = max(self.module_settle.values(), default=1)
-        source = [self._settle_source("_settle", order, settle_depth)]
-        if self.flags.debug_settle:
-            source.append(self._settle_source("_settle_once", order, 1))
+        source = ["def _settle(v):\n"
+                  + "".join(f"    v[{i}] = {ExprCompiler(self).value(e)}\n" for i, e in order)
+                  + "    return None\n"]
         prop_fns = []
         for prop in self.props:
             name = self.fresh("_p")
@@ -496,17 +491,14 @@ class ImageBuilder:
         top_clocks = self.cores[self.top].clock_ports()
         return SimImage(
             top=self.top, nets=self.nets, regs=self.regs, props=self.props,
-            settle=ns["_settle"], settle_once=ns.get("_settle_once"),
-            regs_by_domain=regs_by_domain, domains=domains,
+            settle=ns["_settle"], regs_by_domain=regs_by_domain, domains=domains,
             clock_nets=self.clock_nets, inputs=self.inputs,
-            value_count=len(self.initial), settle_depth=settle_depth,
-            module_settle=self.module_settle, flags=self.flags,
+            value_count=len(self.initial), flags=self.flags,
             initial=self.initial, visible=visible, todo_sites=self.todo_sites,
             primary_domain=top_clocks[0][1] if top_clocks else None)
 
     def _declare(self, prefix: str, key: str) -> None:
         core = self.cores[key]
-        self.module_settle[prefix or "<top>"] = core.settle_depth
         self.todo_sites.extend(core.has_todo)
         clock_domains = dict(core.clock_ports())
         for name, net in core.nets.items():
@@ -571,14 +563,6 @@ class ImageBuilder:
                 self.defs[flat] = _prefix_expr(expr, prefix)
                 self.def_spans[flat] = inst.span
             self._collect(child_prefix, inst.module_key)
-
-    def _settle_source(self, name: str, order: list[tuple[int, Expr]], passes: int) -> str:
-        """`order` written out `passes` times as one function."""
-        lines = [f"def {name}(v):"]
-        for _ in range(passes):
-            lines += [f"    v[{i}] = {ExprCompiler(self).value(e)}" for i, e in order]
-        lines.append("    return None\n")
-        return "\n".join(lines)
 
 
 def _prefix_expr(e: Expr, prefix: str) -> Expr:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .engine import SimEvent, SimReport, Simulator, _StopSim
+from .engine import SimEvent, SimReport, Simulator, _StopSim, unknown_net
 from .image import SimAbortError, SimImage
 
 
@@ -33,7 +33,9 @@ class Directive(NamedTuple):
 
 @dataclass
 class StimulusProgram:
-    directives: list[Directive]
+    # (kind, args, line_no) tuples: `parse_stimulus` stores plain ones,
+    # a program built by hand may hold Directives
+    directives: list[tuple]
 
 
 def _parse_value(text: str, line_no: int) -> int:
@@ -85,21 +87,27 @@ def _parse_line(line: str, line_no: int) -> tuple:
 
 
 def parse_stimulus(text: str) -> StimulusProgram:
-    directives: list[Directive] = []
+    directives: list[tuple] = []
     seen: dict[str, tuple] = {}  # line text -> parsed; programs repeat lines
     for line_no, line in enumerate(text.splitlines(), start=1):
         parsed = seen.get(line)
         if parsed is None:
             parsed = seen[line] = _parse_line(line, line_no)
         if parsed:
-            directives.append(Directive(parsed[0], parsed[1], line_no))
+            directives.append((parsed[0], parsed[1], line_no))
     return StimulusProgram(directives)
 
 
 def run_stimulus(image: SimImage, program: StimulusProgram,
                  trace_path: str | None = None) -> SimReport:
+    """Run `program` on a new simulator. A `set` does what `set_input`
+    does and an `expect` reads what `peek` reads, written out here: each
+    distinct `set` line is resolved once, when it first runs."""
     sim = Simulator(image)
     report = sim.report
+    values, driven, names = sim.values, sim._driven, sim._names
+    async_resets = bool(sim._async_regs)
+    sets: dict[tuple, tuple] = {}  # set args -> (value index, value, driven slot)
     run_domain = image.primary_domain or (image.domains[0] if image.domains else None)
     try:
         if trace_path is not None:
@@ -108,16 +116,26 @@ def run_stimulus(image: SimImage, program: StimulusProgram,
             sim.trace = VcdTrace(image, sim.values)
         for kind, args, line_no in program.directives:
             if kind == "set":
-                try:
-                    sim.set_input(*args)
-                except KeyError as exc:
-                    raise StimulusError(line_no, str(exc))
+                entry = sets.get(args)
+                if entry is None:
+                    try:
+                        entry = sets[args] = sim._input_slot(*args)
+                    except KeyError as exc:
+                        raise StimulusError(line_no, str(exc))
+                index, value, slot = entry
+                values[index] = value
+                driven[slot] = True
+                sim._dirty = True
+                if async_resets:
+                    sim._async_resets()
             elif kind == "expect":
+                if sim._dirty:
+                    sim.settle()
                 name, want = args
-                try:
-                    got = sim.peek(name)
-                except KeyError as exc:
-                    raise StimulusError(line_no, str(exc))
+                index = names.get(name)
+                if index is None:
+                    raise StimulusError(line_no, str(unknown_net(name)))
+                got = values[index]
                 report.expect_count += 1
                 if got != want:
                     report.expect_failures += 1

@@ -1,5 +1,7 @@
 """VCD waveform output. The header carries no timestamp (pinned for
-byte-identical reruns); hierarchy follows the dotted flat names."""
+byte-identical reruns); hierarchy follows the dotted flat names. Each
+trace samples through one generated function that compares every
+variable with its last value and formats the changes with f-strings."""
 
 from __future__ import annotations
 
@@ -33,31 +35,33 @@ class VcdTrace:
                 self.vars.append((name, entry.index, -1, type_width(ty),
                                   isinstance(ty, SInt)))
         self.refs = [_id_of(vi) for vi in range(len(self.vars))]
-        # per variable: (value index, element index or -1, mask, the
-        # format of its change line)
-        self.probes = []
-        for (_name, idx, elem, width, _signed), ref in zip(self.vars, self.refs):
-            ref = ref.replace("{", "{{").replace("}", "}}")
-            line = "{}" + ref if width == 1 else "b{:0%db} %s" % (width, ref)
-            self.probes.append((idx, elem, mask_of(width), line))
         self.changes: list[str] = []
         self.prev: list[int | None] = [None] * len(self.vars)
+        self._sample = self._generate_sampler()
         self.sample(0, values)
 
+    def _generate_sampler(self):
+        """`sample(time, v)` written out per variable: when the value
+        differs from `prev[k]`, store it and add its change line."""
+        lines = ["def sample(time, v):", "    out = []"]
+        for k, (_name, idx, elem, width, _signed) in enumerate(self.vars):
+            ref = self.refs[k].replace("{", "{{").replace("}", "}}")
+            if width == 1:
+                text = f"{{x & 1}}{ref}"
+            else:
+                text = f"b{{x & {mask_of(width)}:0{width}b}} {ref}"
+            lines += [f"    x = v[{idx}]" + (f"[{elem}]" if elem >= 0 else ""),
+                      f"    if x != prev[{k}]:",
+                      f"        prev[{k}] = x",
+                      f"        out.append(f{text!r})"]
+        lines += ["    if out:", "        changes.append(f'#{time}')",
+                  "        changes.extend(out)\n"]
+        ns = {"prev": self.prev, "changes": self.changes}
+        exec(compile("\n".join(lines), f"<archc vcd {self.image.top}>", "exec"), ns)
+        return ns["sample"]
+
     def sample(self, time: int, values: list) -> None:
-        out: list[str] = []
-        prev = self.prev
-        for vi, (idx, elem, mask, line) in enumerate(self.probes):
-            v = values[idx]
-            if elem >= 0:
-                v = v[elem]
-            if prev[vi] == v:
-                continue
-            prev[vi] = v
-            out.append(line.format(v & mask))
-        if out:
-            self.changes.append(f"#{time}")
-            self.changes.extend(out)
+        self._sample(time, values)
 
     def write(self, path: str) -> None:
         lines = [

@@ -946,15 +946,3 @@ def check_guards(core: CoreModule, diags: list[Diagnostic]) -> None:
             diags.append(err("E_GUARD_DOMAIN",
                              f"guard signal `{reg.guard}` is in domain `{guard.domain}` "
                              f"but `{reg.name}` is in domain `{reg.domain}`", reg.span))
-
-
-def check_settle_depth(core: CoreModule) -> None:
-    """Paper rule: depth 2 when comb/let results feed instance inputs,
-    depth 1 when instance inputs come straight from ports or regs."""
-    depth = 1
-    for inst in core.instances:
-        for expr in inst.in_map.values():
-            for n in expr_reads(expr):
-                if n in core.nets and core.nets[n].expr is not None:
-                    depth = 2
-    core.settle_depth = depth

@@ -1,5 +1,6 @@
 """Simulator semantics: expression oracle, two-phase commit, settle
-invariant, runtime checks, CDC randomization, VCD output."""
+invariant and settle work, runtime checks, CDC randomization, VCD output,
+metamorphic runs, stimulus errors."""
 
 import random
 
@@ -7,9 +8,12 @@ import pytest
 
 from conftest import CLEAN_CORPUS, build_text, corpus_path
 
-from archc.sim import SimFlags, build_sim, parse_stimulus, run_stimulus
+from archc.sim import (
+    SimFlags, StimulusError, StimulusProgram, build_sim, parse_stimulus, run_stimulus,
+)
 from archc.sim.engine import Simulator
 from archc.sim.image import SimAbortError, wrap_signed
+from archc.sim.stimulus import Directive
 
 
 def sim_for(design, top, **kw):
@@ -247,12 +251,25 @@ class TestSettle:
         report = run_stimulus(image, program)
         assert report.passed, report.lines()
 
-    def test_settle_depth_rule(self):
+    def test_settle_writes_each_net_once(self):
+        """hier_top feeds a let into a child input; its generated settle
+        still assigns every defined net exactly once, and a second pass
+        over the settled state changes nothing (the debug-settle check)."""
         from conftest import build_files
         design, _ = build_files([corpus_path("hier_top.arch")])
-        assert design.cores["HierTop"].settle_depth == 2  # let feeds child input
-        design2, _ = build_files([corpus_path("counter_wrap200.arch")])
-        assert design2.cores["EvtCounter"].settle_depth == 1
+        image = build_sim(design.cores, "HierTop", SimFlags(debug_settle=True))
+        writes = []
+
+        class Recording(list):
+            def __setitem__(self, index, value):
+                writes.append(index)
+                super().__setitem__(index, value)
+
+        image.settle(Recording(image.initial))
+        defined = {image.builder.index_of(name) for name in image.builder.defs}
+        assert sorted(writes) == sorted(defined)
+        program = parse_stimulus(open(corpus_path("hier_top.stim")).read())
+        assert run_stimulus(image, program).passed
 
 
 class TestRuntimeChecks:
@@ -486,8 +503,7 @@ end module Claim
 
 
 class TestFallingEdge:
-    def test_half_cycle_transfer(self):
-        design, _ = build_text("""\
+    DUAL_EDGE = """\
 module DualEdge
   port clk: in Clock<D>;
   port rst: in Reset<Sync>;
@@ -505,7 +521,10 @@ module DualEdge
   comb q_rise = a;
   comb q_fall = b;
 end module DualEdge
-""")
+"""
+
+    def test_half_cycle_transfer(self):
+        design, _ = build_text(self.DUAL_EDGE)
         sim = Simulator(build_sim(design.cores, "DualEdge", SimFlags()))
         sim.set_period("D", 4)  # posedge at t%4==2, negedge at t%4==0
         sim.set_input("din", 55)
@@ -516,6 +535,156 @@ end module DualEdge
         sim.set_input("din", 77)
         sim.tick(2)
         assert (sim.peek("q_rise"), sim.peek("q_fall")) == (77, 55)
+
+    def test_falling_commit_is_settled_before_the_next_read(self):
+        """Nothing is set between the edges: only the falling step's
+        commit can make the next `peek` settle again."""
+        design, _ = build_text(self.DUAL_EDGE)
+        image = build_sim(design.cores, "DualEdge", SimFlags())
+        calls = _count_settles(image)
+        sim = Simulator(image)
+        sim.set_period("D", 4)
+        sim.set_input("din", 55)
+        sim.tick(2)
+        assert (sim.peek("q_rise"), sim.peek("q_fall")) == (55, 0)
+        before = len(calls)
+        sim.tick(2)  # negedge: b captures a
+        assert sim.peek("q_fall") == 55
+        assert len(calls) == before + 1
+
+
+def _count_settles(image) -> list:
+    """Make `image.settle` record each call in the returned list."""
+    calls = []
+    settle = image.settle
+
+    def counted(values):
+        calls.append(None)
+        settle(values)
+
+    image.settle = counted
+    return calls
+
+
+class _EagerSimulator(Simulator):
+    """Settles at every observation, as if every write changed data."""
+    _dirty = property(lambda self: True, lambda self, value: None)
+
+
+class TestSettleWork:
+    @pytest.mark.parametrize("fname,top,cycle", [
+        ("counter_wrap200.arch", "EvtCounter", "set en {bit}\nrun 1\nexpect count {k}\n"),
+        ("hier_top.arch", "HierTop", "set a {k}\nset b {bit}\nrun 1\nexpect q {k}\n"),
+    ], ids=["counter_wrap200", "hier_top"])
+    def test_at_most_two_settles_per_cycle(self, fname, top, cycle, clean_corpus_designs):
+        """A period-2 `run 1` settles on its falling edge, where the
+        `set`s are seen, and the `expect` after the rising edge's commit;
+        the rising edge itself changes no data net. (Only the number of
+        settles is checked, not the expected values.)"""
+        image = build_sim(clean_corpus_designs[fname][0].cores, top, SimFlags())
+        calls = _count_settles(image)
+        cycles = 40
+        text = "clock SysDomain period 2\n" + "".join(
+            cycle.format(k=k, bit=k % 2) for k in range(cycles))
+        report = run_stimulus(image, parse_stimulus(text))
+        assert report.cycles["SysDomain"] == cycles and report.expect_count == cycles
+        assert 0 < len(calls) <= 2 * cycles
+
+    @pytest.mark.parametrize("fname,top,stim,_b", CLEAN_CORPUS)
+    def test_same_output_as_settling_at_every_observation(
+            self, fname, top, stim, _b, clean_corpus_designs, tmp_path, monkeypatch):
+        """Skipping the settles of an unchanged state changes no report
+        line and no VCD byte, with the warn-once read checks and the CDC
+        capture draws on."""
+        import archc.sim.stimulus as stimulus
+        design = clean_corpus_designs[fname][0]
+        program = parse_stimulus(open(corpus_path(stim)).read())
+        flags = SimFlags(check_uninit=True, inputs_start_uninit=True, cdc_random=True, seed=7)
+        outputs = []
+        for simulator in (Simulator, _EagerSimulator):
+            monkeypatch.setattr(stimulus, "Simulator", simulator)
+            plain = run_stimulus(build_sim(design.cores, top, flags), program)
+            wave = tmp_path / f"{simulator.__name__}.vcd"
+            traced = run_stimulus(build_sim(design.cores, top, flags), program, str(wave))
+            outputs.append((plain.lines(), plain.cover_table, traced.lines(),
+                            wave.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+
+class TestMetamorphic:
+    @pytest.mark.parametrize("fname,top,stim,_b", CLEAN_CORPUS)
+    def test_split_runs_and_a_trace_leave_the_report_unchanged(
+            self, fname, top, stim, _b, clean_corpus_designs, tmp_path):
+        """`run n` as n x `run 1` (same line numbers), and the same
+        program with a VCD trace, report exactly what the plain run does."""
+        design = clean_corpus_designs[fname][0]
+        program = parse_stimulus(open(corpus_path(stim)).read())
+        split = []
+        for kind, args, line_no in program.directives:
+            if kind == "run":
+                split += [("run", (1,), line_no)] * args[0]
+            else:
+                split.append((kind, args, line_no))
+
+        def report(prog, wave=None):
+            r = run_stimulus(build_sim(design.cores, top, SimFlags()), prog, wave)
+            return r.lines(), r.cover_table, r.cycles
+
+        plain = report(program)
+        assert report(StimulusProgram(split)) == plain
+        assert report(program, str(tmp_path / "w.vcd")) == plain
+
+
+class TestStimulusDirectives:
+    @pytest.mark.parametrize("line,message", [
+        ("set nosuch 1", "'`nosuch` is not a primary input'"),
+        ("set count 1", "'`count` is not a primary input'"),
+        ("expect nosuch 1", "'unknown net `nosuch`'"),
+    ])
+    def test_unknown_name_names_its_first_line(self, line, message, clean_corpus_designs):
+        design = clean_corpus_designs["counter_wrap200.arch"][0]
+        image = build_sim(design.cores, "EvtCounter", SimFlags())
+        text = f"clock SysDomain period 2\nset en 1\nrun 2\n{line}\nrun 1\n{line}\n"
+        with pytest.raises(StimulusError) as e:
+            run_stimulus(image, parse_stimulus(text))
+        assert str(e.value) == f"stimulus line 4: {message}"
+        assert e.value.line_no == 4
+
+    def test_peek_of_an_unknown_name(self, clean_corpus_designs):
+        design = clean_corpus_designs["hier_top.arch"][0]
+        sim = Simulator(build_sim(design.cores, "HierTop", SimFlags()))
+        with pytest.raises(KeyError) as e:
+            sim.peek("nosuch")
+        assert e.value.args == ("unknown net `nosuch`",)
+        assert sim.peek("q_r") == 0  # a register
+
+    def test_set_asserts_an_async_reset_at_once(self):
+        design, _ = build_text("""\
+module LowReset
+  port clk: in Clock<D>;
+  port rst_n: in Reset<Async, Low>;
+  port d: in UInt<8>;
+  port q: out UInt<8>;
+  reg r: UInt<8> reset rst_n => 42;
+  seq on clk rising
+    r <= d;
+  end seq
+  comb q = r;
+end module LowReset
+""")
+        image = build_sim(design.cores, "LowReset", SimFlags())
+        text = "set d 7\nset rst_n 1\nrun 1\nexpect q 7\nset rst_n 0\nexpect q 42\n"
+        report = run_stimulus(image, parse_stimulus(text))
+        assert report.passed and report.expect_count == 2, report.lines()
+
+    def test_hand_built_program_runs(self, clean_corpus_designs):
+        """`archc sim` without `--stim` builds its program by hand."""
+        design = clean_corpus_designs["counter_wrap200.arch"][0]
+        reports = [run_stimulus(build_sim(design.cores, "EvtCounter", SimFlags()), program)
+                   for program in (StimulusProgram([Directive("run", (3,), 0)]),
+                                   parse_stimulus("run 3\n"))]
+        assert reports[0].cycles == {"SysDomain": 3}
+        assert reports[0].lines() == reports[1].lines()
 
 
 class TestSignedSemantics:
