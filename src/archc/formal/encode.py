@@ -70,7 +70,6 @@ def formal_scope_check(core: CoreModule) -> None:
 @dataclass
 class SmtScript:
     text: str
-    decode: dict[str, tuple[str, int]]           # smt var -> (net, cycle)
     all_vars: list[str]
     input_names: list[str]                       # free per-cycle inputs
     state_names: list[str]                       # regs (for trace display)
@@ -325,7 +324,7 @@ def encode_bmc(core: CoreModule, prop: CoreProperty, bound: int) -> SmtScript:
              for k in range(bound + 1)]
     want = tb.const(prop.kind != "assert", 1)
     goal = tb.app("or", [tb.app("=", [p, want]) for p in props])
-    return _script(unroll, prop, list(enumerate(props)), goal)
+    return _script(unroll, prop, props, goal)
 
 
 def encode_witness(core: CoreModule, prop: CoreProperty, cycle: int) -> SmtScript | None:
@@ -342,29 +341,27 @@ def encode_witness(core: CoreModule, prop: CoreProperty, cycle: int) -> SmtScrip
         return None
     p = tb.define(f"__prop__{cycle}", 1, unroll.term(prop.expr, cycle))
     hit = tb.app("=", [p, tb.const(prop.kind != "assert", 1)])
-    return _script(unroll, prop, [(cycle, p)], tb.app("and", [hit] + checks))
+    return _script(unroll, prop, [p], tb.app("and", [hit] + checks))
 
 
-def _script(unroll: Unrolling, prop: CoreProperty, props: list[tuple[int, Term]],
+def _script(unroll: Unrolling, prop: CoreProperty, props: list[Term],
             goal: Term) -> SmtScript:
     from ..smt.terms import term_text
     lines = ["(set-logic QF_BV)"]
-    decode: dict[str, tuple[str, int]] = {}
 
-    def define(net: str, k: int, t: Term) -> None:
-        decode[t.name] = (net, k)
+    def define(t: Term) -> None:
         lines.append(f"(declare-const {t.name} (_ BitVec {t.width}))")
         if t.definition is not None:
             lines.append(f"(assert (= {t.name} {term_text(t.definition)}))")
 
     for k, frame in enumerate(unroll.frames):
         lines.append(f"; cycle {k}")
-        for net, t in frame.items():
-            define(net, k, t)
+        for t in frame.values():
+            define(t)
     lines.append(f"; {prop.kind} {prop.name}")
-    for k, t in props:
-        define("__prop__", k, t)
+    for t in props:
+        define(t)
     lines.append(f"(assert {term_text(goal)})")
     lines.append("(check-sat)")
-    return SmtScript("\n".join(lines) + "\n", decode, list(unroll.tb.vars),
+    return SmtScript("\n".join(lines) + "\n", list(unroll.tb.vars),
                      [name for name, _ in unroll.inputs], list(unroll.core.regs))

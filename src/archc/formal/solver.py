@@ -1,13 +1,13 @@
-"""SMT solver dispatch: one script in, a status and a model out.
+"""SMT solver choice, and dispatch to the external solvers.
 
 Supported back ends: z3, boolector, bitwuzla, and the bundled `builtin`
-solver. The external solvers run as one process per query, found through
-the ARCHC_SOLVER_PATH environment variable (a colon-separated list of
-directories searched before PATH) and then PATH. A script given to the
-builtin solver here runs in the calling process as an
-`archc.smt.solve.Session`, with `timeout` as its deadline; `verify` does
-not send its builtin queries through this module, but keeps one live
-session per call (see `formal/verify.py`).
+solver. `run_solver` runs an external solver as one process per query
+(one script in, a status and a model out), found through the
+ARCHC_SOLVER_PATH environment variable (a colon-separated list of
+directories searched before PATH) and then PATH. The builtin solver never
+goes through `run_solver`: `verify` keeps one live in-process
+`archc.smt.solve.Session` per call (see `formal/verify.py`), and
+`builtin_verdict` turns its failures into solver errors.
 """
 
 from __future__ import annotations
@@ -16,11 +16,10 @@ import os
 import shutil
 import subprocess
 import tempfile
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from ..smt.sexpr import parse_all, parse_bv_literal
+from ..smt.sexpr import SmtParseError, parse_all, parse_bv_literal
 
 SOLVERS = ("z3", "bitwuzla", "boolector", "builtin")
 
@@ -86,11 +85,10 @@ class SolverResult:
 
 def run_solver(script_text: str, solver: str, timeout: float | None,
                want_values: list[str] | None = None) -> SolverResult:
-    """Solve one script; on sat, `model` holds the `want_values` constants.
-    An external solver gets the script in a temp file, with a (get-value ...)
-    request appended, and its printed answer is parsed."""
-    if solver == "builtin":
-        return _run_builtin(script_text, timeout, want_values)
+    """Solve one script with the external solver `solver`; on sat, `model`
+    holds the `want_values` constants. The solver gets the script in a temp
+    file, with a (get-value ...) request appended, and its printed answer
+    is parsed."""
     text = script_text
     if want_values:
         names = " ".join(want_values)
@@ -135,36 +133,10 @@ def run_solver(script_text: str, solver: str, timeout: float | None,
             pass
 
 
-def _run_builtin(script_text: str, timeout: float | None,
-                 want_values: list[str] | None) -> SolverResult:
-    from ..smt.solve import Session  # imported here: other paths never load it
-    deadline = None if timeout is None else time.monotonic() + timeout
-    session = Session(deadline)
-    with builtin_verdict():
-        session.run(script_text)
-        values = {name: session.value_of(name.strip("|"))
-                  for name in want_values or ()} if session.status == "sat" else {}
-    errors = [answer for answer in session.out if answer.startswith("(error")]
-    if errors or session.status is None:
-        head = errors[0] if errors else "no output"
-        raise SolverError("E_SOLVER_PARSE", f"solver `builtin` produced no verdict ({head})")
-    model: dict[str, int] = {}
-    for name, got in values.items():
-        if got is None:
-            raise SolverError("E_SOLVER_PARSE",
-                              f"solver `builtin` returned sat but no value for `{name}`")
-        model[name] = got[0]
-    return SolverResult(session.status, model)
-
-
 def _parse_values(out: str, solver: str) -> dict[str, int]:
     """Parse (get-value ...) responses; tolerate define-fun model forms."""
     idx = out.find("sat")
     rest = out[idx + 3:]
-    try:
-        forms = parse_all(rest)
-    except Exception as e:
-        raise SolverError("E_SOLVER_PARSE", f"malformed model from `{solver}`: {e}")
     model: dict[str, int] = {}
 
     def walk(sx) -> None:
@@ -189,8 +161,11 @@ def _parse_values(out: str, solver: str) -> dict[str, int]:
         for sub in sx:
             walk(sub)
 
-    for form in forms:
-        walk(form)
+    try:
+        for form in parse_all(rest):
+            walk(form)
+    except SmtParseError as e:
+        raise SolverError("E_SOLVER_PARSE", f"malformed model from `{solver}`: {e}")
     if not model:
         raise SolverError("E_SOLVER_PARSE",
                           f"solver `{solver}` returned sat but no parsable model")

@@ -11,17 +11,11 @@ from .ast_nodes import (
     Stmt, TBit, TBool, TClock, TNamed, TReset, TSInt, TUInt, TVec, Ternary,
     TodoExpr, TypeExpr, Unary,
 )
+from .parser import _BIN_OPS
 
-_PRECEDENCE = {
-    "?:": 0, "implies": 1, "||": 2, "&&": 3,
-    "|": 4, "^": 4, "&": 4,
-    "==": 5, "!=": 5,
-    "<": 6, "<=": 6, ">": 6, ">=": 6,
-    "<<": 7, ">>": 7,
-    "+": 8, "-": 8, "+%": 8, "-%": 8,
-    "*": 9, "/": 9, "%": 9, "*%": 9,
-}
-_UNARY_PREC = 10
+# the parser's binary levels shifted up by 2: `implies` at 1, `?:` at 0
+_PRECEDENCE = {op: level + 2 for level, op in _BIN_OPS.values()}
+_UNARY_PREC = max(_PRECEDENCE.values()) + 1
 
 
 def print_type(ty: TypeExpr) -> str:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 
 class SmtParseError(Exception):
     pass
@@ -61,15 +63,26 @@ def parse_all(text: str) -> list:
     return stack[0]
 
 
+_LITERAL = re.compile(r"#b[01]+|#x[0-9a-fA-F]+")
+_NUMERAL = re.compile(r"[0-9]+")
+
+
 def parse_bv_literal(tok) -> tuple[int, int] | None:
-    """#b/#x literals and (_ bvN w) forms -> (value, width)."""
+    """#b/#x literals and (_ bvN w) forms -> (value, width); None for any
+    other term, SmtParseError for a malformed literal."""
     if isinstance(tok, str):
-        if tok.startswith("#b"):
+        if not tok.startswith(("#b", "#x")):
+            return None
+        if not _LITERAL.fullmatch(tok):
+            raise SmtParseError(f"bad bit-vector literal {tok}")
+        if tok[1] == "b":
             return int(tok[2:], 2), len(tok) - 2
-        if tok.startswith("#x"):
-            return int(tok[2:], 16), (len(tok) - 2) * 4
-        return None
+        return int(tok[2:], 16), (len(tok) - 2) * 4
     if isinstance(tok, list) and len(tok) == 3 and tok[0] == "_" \
             and isinstance(tok[1], str) and tok[1].startswith("bv"):
-        return int(tok[1][2:]), int(tok[2])
+        value, width = tok[1][2:], tok[2]
+        if not (_NUMERAL.fullmatch(value) and isinstance(width, str)
+                and _NUMERAL.fullmatch(width) and int(width) > 0):
+            raise SmtParseError(f"bad bit-vector literal (_ {tok[1]} {width})")
+        return int(value), int(width)
     return None

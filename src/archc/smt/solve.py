@@ -4,6 +4,10 @@ Pipeline: definitional substitution -> branch-refined interval analysis
 (decides most BMC unrollings word-level) -> Tseitin bit-blasting of the
 undecided constraints' cones onto a CDCL SAT core. Supports (get-value
 ...) and (get-model) after a sat answer. Reads a file argument or stdin.
+Terms are sort-checked as they are read (`terms.OPS`); a command that
+cannot be taken in, an ill-sorted term or a non-Bool assertion among
+them, is answered with (error ...), and every later check-sat with
+unknown. Model values are evaluated by the same table.
 
 `Session` is also the in-process API: after `run`, `out` holds the
 answers, `status` the last check-sat answer, and `value_of` reads the
@@ -21,7 +25,7 @@ import time
 from .bitblast import BitBlaster
 from .intervals import IntervalEngine
 from .sexpr import SmtParseError, parse_all
-from .terms import BOOL_SORT, Term, TermBuilder, check_arity, numeral
+from .terms import BOOL_SORT, OPS, Term, TermBuilder, check_arity, numeral, sort_text
 
 # command -> the number of arguments it takes
 _COMMAND_ARITY = {"declare-const": 2, "declare-fun": 3, "assert": 1, "get-value": 1}
@@ -83,7 +87,10 @@ class Session:
             name = name[1:-1] if name.startswith("|") else name
             self.builder.declare(name, width)
         elif head == "assert":
-            self.builder.assertions.append(self.builder.build(cmd[1]))
+            t = self.builder.build(cmd[1])
+            if t.width != BOOL_SORT:
+                raise SmtParseError(f"assert takes a Bool term, not {sort_text(t.width)}")
+            self.builder.assertions.append(t)
         elif head == "check-sat":
             self.out.append(self.check_sat())
         elif head == "get-value":
@@ -197,10 +204,9 @@ class Session:
             if got is None:
                 continue
             value, width = got
-            sort = "Bool" if t.width == BOOL_SORT else f"(_ BitVec {width})"
             body = (_bv_text(value, width) if t.width != BOOL_SORT
                     else ("true" if value else "false"))
-            parts.append(f"  (define-fun {name} () {sort} {body})")
+            parts.append(f"  (define-fun {name} () {sort_text(t.width)} {body})")
         return "(\n" + "\n".join(parts) + "\n)"
 
 
@@ -217,89 +223,9 @@ def concrete_value(t: Term, cache: dict[int, int], free) -> int:
         v = free(t) if t.definition is None else concrete_value(t.definition, cache, free)
         cache[id(t)] = v
         return v
-    a = [concrete_value(x, cache, free) for x in t.args]
-    v = _apply(op, t, a)
+    v = OPS[op].value(t, [concrete_value(x, cache, free) for x in t.args])
     cache[id(t)] = v
     return v
-
-
-def _signed(x: int, w: int) -> int:
-    return x - (1 << w) if x >> (w - 1) else x
-
-
-def _apply(op: str, t: Term, a: list[int]) -> int:
-    mask = (1 << t.width) - 1 if t.width else 1
-    if op == "ite":
-        return a[1] if a[0] else a[2]
-    if op == "=":
-        return 1 if a[0] == a[1] else 0
-    if op == "not":
-        return 1 - a[0]
-    if op == "and":
-        return 1 if all(a) else 0
-    if op == "or":
-        return 1 if any(a) else 0
-    if op == "xor":
-        return a[0] ^ a[1]
-    if op == "=>":
-        return 1 if (not a[0] or a[1]) else 0
-    if op == "bvadd":
-        return (a[0] + a[1]) & mask
-    if op == "bvsub":
-        return (a[0] - a[1]) & mask
-    if op == "bvmul":
-        return (a[0] * a[1]) & mask
-    if op == "bvand":
-        return a[0] & a[1]
-    if op == "bvor":
-        return a[0] | a[1]
-    if op == "bvxor":
-        return a[0] ^ a[1]
-    if op == "bvnot":
-        return (~a[0]) & mask
-    if op == "bvneg":
-        return (-a[0]) & mask
-    if op == "bvshl":
-        return (a[0] << a[1]) & mask if a[1] <= t.width else 0
-    if op == "bvlshr":
-        return a[0] >> a[1] if a[1] <= t.width else 0
-    if op == "bvashr":
-        return (_signed(a[0], t.width) >> min(a[1], t.width)) & mask
-    if op == "bvult":
-        return 1 if a[0] < a[1] else 0
-    if op == "bvule":
-        return 1 if a[0] <= a[1] else 0
-    if op == "bvugt":
-        return 1 if a[0] > a[1] else 0
-    if op == "bvuge":
-        return 1 if a[0] >= a[1] else 0
-    if op in ("bvslt", "bvsle", "bvsgt", "bvsge"):
-        w = t.args[0].width
-        x, y = _signed(a[0], w), _signed(a[1], w)
-        return 1 if {"bvslt": x < y, "bvsle": x <= y,
-                     "bvsgt": x > y, "bvsge": x >= y}[op] else 0
-    if op == "extract":
-        hi, lo = t.value >> 16, t.value & 0xFFFF
-        return (a[0] >> lo) & ((1 << (hi - lo + 1)) - 1)
-    if op == "zero_extend":
-        return a[0]
-    if op == "sign_extend":
-        return _signed(a[0], t.args[0].width) & mask
-    if op == "concat":
-        return (a[0] << t.args[1].width) | a[1]
-    if op == "bvudiv":
-        return mask if a[1] == 0 else a[0] // a[1]
-    if op == "bvurem":
-        return a[0] if a[1] == 0 else a[0] % a[1]
-    if op in ("bvsdiv", "bvsrem"):
-        # SMT-LIB: the unsigned operation on magnitudes, signs fixed up after
-        x, y = _signed(a[0], t.width), _signed(a[1], t.width)
-        if op == "bvsdiv":
-            q = mask if y == 0 else abs(x) // abs(y)
-            return (-q if (x < 0) != (y < 0 and y != 0) else q) & mask
-        r = abs(x) if y == 0 else abs(x) % abs(y)
-        return (-r if x < 0 else r) & mask
-    raise AssertionError(op)
 
 
 def _sort_width(sort) -> int | None:
@@ -307,7 +233,10 @@ def _sort_width(sort) -> int | None:
         return BOOL_SORT
     if isinstance(sort, list) and len(sort) == 3 and sort[0] == "_" \
             and sort[1] == "BitVec":
-        return numeral(sort[2])
+        width = numeral(sort[2])
+        if width == 0:
+            raise SmtParseError("unsupported sort (_ BitVec 0)")
+        return width
     return None
 
 

@@ -152,7 +152,7 @@ def random_expr(rng, inputs, depth, want_ty):
         b = random_expr(rng, inputs, depth - 1, want_ty)
         return f"({a} {rng.choice(['+%', '-%', '*%'])} {b})"
     a = random_expr(rng, inputs, depth - 1, want_ty)
-    op = rng.choice(["+", "-", "*", "&", "|", "^", "<<", ">>"])
+    op = rng.choice(["+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>"])
     if op in ("<<", ">>"):
         from archc.types import SInt as S, UInt as U
         if isinstance(want_ty, S):
@@ -161,6 +161,10 @@ def random_expr(rng, inputs, depth, want_ty):
         b = random_expr(rng, inputs, depth - 1, U(want_ty.width))
     else:
         b = random_expr(rng, inputs, depth - 1, want_ty)
+    if op in ("/", "%"):
+        # nonzero by construction: the generated `_auto_div0_*` property
+        # ignores a guard such as `b != 0 ? ... : ...` and would fail
+        b = f"({b} | 1)"
     return f"({a} {op} {b})"
 
 

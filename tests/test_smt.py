@@ -1,15 +1,17 @@
 """The bundled SMT solver: SAT core, intervals vs brute force, parser,
 and end-to-end sat/unsat answers with models."""
 
+import itertools
 import random
 
 import pytest
 
+from archc.smt.bitblast import BitBlaster
 from archc.smt.cdcl import SatSolver
-from archc.smt.intervals import IntervalEngine
+from archc.smt.intervals import IntervalEngine, full
 from archc.smt.sexpr import parse_all, parse_bv_literal
-from archc.smt.solve import Session
-from archc.smt.terms import TermBuilder
+from archc.smt.solve import Session, concrete_value
+from archc.smt.terms import BOOL_SORT, OPS, TermBuilder
 
 
 class TestSexpr:
@@ -179,74 +181,203 @@ class TestDivision:
 
     @pytest.mark.parametrize("op", ["bvudiv", "bvurem", "bvsdiv", "bvsrem"])
     def test_every_4bit_operand_pair(self, op):
-        """Each pair is one question to one session: with a and b hidden
-        from the interval pass as (= (bvxor a k) (bvxor #xA k)), can the
-        result differ from the reference? Every answer must be unsat."""
-        s = Session()
-        tb = s.builder
-        a, b, k = (tb.declare(name, 4) for name in "abk")
-        result = tb.app(op, [a, b])
-        hidden = [tb.app("bvxor", [tb.const(c, 4), k]) for c in range(16)]
-        a_is = [tb.app("=", [tb.app("bvxor", [a, k]), h]) for h in hidden]
-        b_is = [tb.app("=", [tb.app("bvxor", [b, k]), h]) for h in hidden]
-        differs = [tb.app("distinct", [result, tb.const(c, 4)]) for c in range(16)]
+        """The table's division entries against the independent reference;
+        `TestOperatorTable` checks the circuits against the table."""
+        tb = TermBuilder()
+        t = tb.app(op, [tb.declare("a", 4), tb.declare("b", 4)])
         wrong = [(x, y) for x in range(16) for y in range(16)
-                 if s.check_assuming(tb.app("and", [
-                     a_is[x], b_is[y], differs[_div_reference(op, x, y, 4)]])) != "unsat"]
+                 if OPS[op].value(t, [x, y]) != _div_reference(op, x, y, 4)]
         assert wrong == []
+
+
+def _shapes(op, w, rng):
+    """The (operand widths, indices) at which `op` is tested for width w:
+    every legal index at widths 1-4, three seeded ones at width 8. The Bool
+    operators, and `=`, `distinct` and `ite` over Bool, come at w = 1 only."""
+    shapes = _all_shapes(op, w)
+    return shapes if w < 8 else rng.sample(shapes, min(3, len(shapes)))
+
+
+def _all_shapes(op, w):
+    entry = OPS[op]
+    if entry.sort == "bool":
+        counts = [entry.arity] if entry.arity else [1, 2, 3]
+        return [((BOOL_SORT,) * n, ()) for n in counts] if w == 1 else []
+    if entry.sort in ("bv", "cmp"):
+        return [((w,) * entry.arity, ())]
+    if entry.sort in ("eq", "ite"):
+        cond = (BOOL_SORT,) if entry.sort == "ite" else ()
+        return [(cond + (v, v), ()) for v in ([w, BOOL_SORT] if w == 1 else [w])]
+    if entry.sort == "concat":
+        return [((w, 1), ()), ((1, w), ())] if w > 1 else [((1, 1), ())]
+    if entry.sort == "extract":
+        return [((w,), (hi, lo)) for hi in range(w) for lo in range(hi + 1)]
+    if entry.sort == "extend":
+        return [((w,), (n,)) for n in range(w + 1)]
+    raise AssertionError(f"no test shapes for sort rule {entry.sort!r}")
+
+
+def _operands(ranges, rng=None, samples=0):
+    """Every operand tuple over `ranges`, or `samples` drawn with `rng`."""
+    if rng is None:
+        return itertools.product(*ranges)
+    return [tuple(rng.choice(r) for r in ranges) for _ in range(samples)]
+
+
+def _values(width):
+    return range(1 << (width or 1))
+
+
+# Every operator at widths 1-4 on every operand tuple, at width 8 on seeded samples.
+_WIDTHS = (1, 2, 3, 4, 8)
+_SAMPLES = 8
+
+# Their circuits tie fresh quotient and remainder bits down by clauses, which
+# could rule an operand tuple out; every other circuit is gates, which every
+# operand tuple satisfies.
+_SIDE_CLAUSES = {"bvudiv", "bvurem", "bvsdiv", "bvsrem"}
+
+
+class TestOperatorTable:
+    """The bit-blaster's circuits and the interval pass's rules against the
+    values in `OPS`."""
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_bit_blaster_matches_the_table(self, op):
+        """With the operands pinned, can the circuit's result differ from the
+        table's value? One session per width, one question per operand
+        tuple; every answer must be unsat. A circuit with side clauses must
+        also admit the seeded samples, or those answers would hold vacuously."""
+        rng = random.Random(op)
+        wrong = []
+        for w in _WIDTHS:
+            s = Session()
+            tb = s.builder
+            eqs = {}
+
+            def equals(x, v):
+                if (id(x), v) not in eqs:  # built once, shared by the questions
+                    eqs[id(x), v] = tb.app("=", [x, tb.const(v, x.width)])
+                return eqs[id(x), v]
+
+            for n, (widths, indices) in enumerate(_shapes(op, w, rng)):
+                xs = [tb.declare(f"x{n}_{i}", v) for i, v in enumerate(widths)]
+                t = tb.app(op, xs, *indices)
+                ranges = [_values(v) for v in widths]
+                for vals in _operands(ranges, rng if w == 8 else None, _SAMPLES):
+                    pins = [equals(x, v) for x, v in zip(xs, vals)]
+                    differs = tb.app("not", [equals(t, OPS[op].value(t, list(vals)))])
+                    if s.check_assuming(tb.app("and", pins + [differs])) != "unsat":
+                        wrong.append((widths, indices, vals))
+                if op in _SIDE_CLAUSES:
+                    wrong += [(widths, vals) for vals in _operands(ranges, rng, _SAMPLES)
+                              if s.check_assuming(tb.app("and", [
+                                  equals(x, v) for x, v in zip(xs, vals)])) != "sat"]
+        assert wrong == []
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_intervals_contain_the_table_value(self, op):
+        """The interval of `op` contains the table's value on point
+        operands, on free operands, and on seeded sub-intervals of the
+        operands given through `refine`."""
+        rng = random.Random(op)
+        wrong = []
+        for w in _WIDTHS:
+            tb = TermBuilder()
+            for widths, indices in _shapes(op, w, rng):
+                xs = [tb.declare(f"x{len(tb.vars)}", v) for v in widths]
+                t = tb.app(op, xs, *indices)
+                full_ranges = [_values(v) for v in widths]
+                boxes = [full_ranges] + [
+                    [range(lo, hi + 1) for lo, hi in
+                     (sorted((rng.choice(r), rng.choice(r))) for r in full_ranges)]
+                    for _ in range(8)]
+                for box in boxes:
+                    refine = {id(x): (r[0], r[-1]) for x, r in zip(xs, box)}
+                    lo, hi = IntervalEngine().eval(t, refine)
+                    for vals in _operands(box, rng if w == 8 else None, _SAMPLES):
+                        v = OPS[op].value(t, list(vals))
+                        if not lo <= v <= hi:
+                            wrong.append(("refine", widths, indices, box, vals))
+                free_lo, free_hi = IntervalEngine().eval(t)
+                for vals in _operands(full_ranges, rng if w == 8 else None, _SAMPLES):
+                    v = OPS[op].value(t, list(vals))
+                    point = tb.app(op, [tb.const(c, x.width) for c, x in zip(vals, xs)], *indices)
+                    lo, hi = IntervalEngine().eval(point)
+                    if not (lo <= v <= hi and free_lo <= v <= free_hi):
+                        wrong.append(("point/free", widths, indices, vals))
+        assert wrong == []
+
+    def test_every_operator_is_covered(self):
+        """Each OPS entry has shapes above, so both tests cover it, and has
+        a circuit of its own and a well-formed interval."""
+        for op in OPS:
+            shapes = [shape for w in _WIDTHS for shape in _all_shapes(op, w)]
+            assert shapes, op
+            for widths, indices in shapes:
+                tb = TermBuilder()
+                t = tb.app(op, [tb.declare(f"x{i}", v) for i, v in enumerate(widths)], *indices)
+                BitBlaster({}).bits(t)  # AssertionError for an operator without a circuit
+                lo, hi = IntervalEngine().eval(t)
+                assert 0 <= lo <= hi <= full(t.width)[1], op
+
+
+def _random_term(rng, tb, leaves, width, depth):
+    """A random well-sorted term of `width` (BOOL_SORT for Bool) over every
+    operator, with the 3-bit constants `leaves` at the bottom."""
+    if depth == 0:
+        x = rng.choice(leaves)
+        if width == BOOL_SORT:
+            return tb.app("=", [x, tb.const(rng.randrange(8), 3)])
+        if width == 3:
+            return x if rng.random() < 0.7 else tb.const(rng.randrange(8), 3)
+        if width < 3:
+            return tb.app("extract", [x], width - 1, 0)
+        return tb.app(rng.choice(["zero_extend", "sign_extend"]), [x], width - 3)
+    while True:
+        op = rng.choice(sorted(OPS))
+        entry = OPS[op]
+        indices = ()
+        if entry.sort == "bool" and width == BOOL_SORT:
+            widths = [BOOL_SORT] * (entry.arity or rng.randint(1, 3))
+        elif entry.sort in ("eq", "cmp") and width == BOOL_SORT:
+            v = rng.randint(entry.sort == "cmp", 5)  # `=` and `distinct` also over Bool
+            widths = [v, v]
+        elif entry.sort == "ite":
+            widths = [BOOL_SORT, width, width]
+        elif entry.sort == "bv" and width:
+            widths = [width] * entry.arity
+        elif entry.sort == "concat" and width >= 2:
+            k = rng.randint(1, width - 1)
+            widths = [k, width - k]
+        elif entry.sort == "extract" and width:
+            source = rng.randint(width, 6)
+            lo = rng.randint(0, source - width)
+            widths, indices = [source], (lo + width - 1, lo)
+        elif entry.sort == "extend" and width:
+            source = rng.randint(1, width)
+            widths, indices = [source], (width - source,)
+        else:
+            continue
+        args = [_random_term(rng, tb, leaves, v, depth - 1) for v in widths]
+        return tb.app(op, args, *indices)
 
 
 class TestIntervals:
     def test_random_terms_sound_vs_exhaustive(self):
-        """Interval evaluation must contain every concrete value (soundness
-        checked exhaustively over tiny widths)."""
+        """Interval evaluation must contain every concrete value of random
+        terms over every operator, checked exhaustively over two 3-bit
+        constants."""
         rng = random.Random(77)
         for trial in range(150):
-            b = TermBuilder()
-            x = b.declare("x", 3)
-            y = b.declare("y", 3)
-
-            def gen(depth):
-                if depth == 0:
-                    if rng.random() < 0.5:
-                        return rng.choice([x, y])
-                    return b.const(rng.randrange(8), 3)
-                op = rng.choice(["bvadd", "bvsub", "bvand", "bvor", "bvxor",
-                                 "bvnot", "ite"])
-                if op == "bvnot":
-                    from archc.smt.terms import Term
-                    return Term("bvnot", 3, (gen(depth - 1),))
-                from archc.smt.terms import Term
-                if op == "ite":
-                    cond = Term("bvule", 0, (gen(depth - 1), gen(depth - 1)))
-                    return Term("ite", 3, (cond, gen(depth - 1), gen(depth - 1)))
-                return Term(op, 3, (gen(depth - 1), gen(depth - 1)))
-
-            t = gen(3)
-            eng = IntervalEngine()
-            lo, hi = eng.eval(t)
-
-            def concrete(node, vx, vy):
-                if node.op == "var":
-                    return vx if node.name == "x" else vy
-                if node.op == "const":
-                    return node.value
-                a = [concrete(c, vx, vy) for c in node.args]
-                return {
-                    "bvadd": lambda: (a[0] + a[1]) & 7,
-                    "bvsub": lambda: (a[0] - a[1]) & 7,
-                    "bvand": lambda: a[0] & a[1],
-                    "bvor": lambda: a[0] | a[1],
-                    "bvxor": lambda: a[0] ^ a[1],
-                    "bvnot": lambda: (~a[0]) & 7,
-                    "bvule": lambda: 1 if a[0] <= a[1] else 0,
-                    "ite": lambda: a[1] if a[0] else a[2],
-                }[node.op]()
-
+            tb = TermBuilder()
+            x, y = tb.declare("x", 3), tb.declare("y", 3)
+            t = _random_term(rng, tb, [x, y], rng.choice([BOOL_SORT, 1, 3, 5]), 3)
+            lo, hi = IntervalEngine().eval(t)
             for vx in range(8):
                 for vy in range(8):
-                    v = concrete(t, vx, vy)
-                    assert lo <= v <= hi, (trial, vx, vy, v, (lo, hi))
+                    v = concrete_value(t, {id(x): vx, id(y): vy}, None)
+                    assert lo <= v <= hi, (trial, vx, vy, v, (lo, hi), t)
 
 
 class TestSession:
@@ -362,8 +493,32 @@ class TestSession:
          "wrong number of arguments to zero_extend: 0"),
         ("(declare-const a (_ BitVec x))", "expected a numeral, found 'x'"),
         ("(assert)", "wrong number of arguments to assert: 0"),
-    ], ids=["ite", "bvadd", "declare-fun", "and", "extract", "zero_extend", "sort", "assert"])
+        ("(declare-const a (_ BitVec 4))\n(assert (= (bvult a a) a))",
+         "ill-sorted arguments to =: Bool (_ BitVec 4)"),
+        ("(declare-const a (_ BitVec 4))\n(declare-const b (_ BitVec 8))\n"
+         "(assert (= (bvadd a b) #x0))",
+         "ill-sorted arguments to bvadd: (_ BitVec 4) (_ BitVec 8)"),
+        ("(declare-const a (_ BitVec 4))\n(assert (= a #b1))",
+         "ill-sorted arguments to =: (_ BitVec 4) (_ BitVec 1)"),
+        ("(declare-const a Bool)\n(assert (bvnot a))", "ill-sorted arguments to bvnot: Bool"),
+        ("(declare-const a (_ BitVec 0))", "unsupported sort (_ BitVec 0)"),
+        ("(declare-const a (_ BitVec 4))\n(assert (= ((_ extract 1 3) a) #b1))",
+         "ill-sorted arguments to (_ extract 1 3): (_ BitVec 4)"),
+        ("(declare-const a (_ BitVec 4))\n(assert (bvadd a a))",
+         "assert takes a Bool term, not (_ BitVec 4)"),
+        ("(declare-const a (_ BitVec 4))\n(assert (= a #b))", "bad bit-vector literal #b"),
+        ("(declare-const a (_ BitVec 4))\n(assert (= a #b1210))",
+         "bad bit-vector literal #b1210"),
+        ("(declare-const a (_ BitVec 4))\n(assert (= a (_ bvx 4)))",
+         "bad bit-vector literal (_ bvx 4)"),
+        ("(declare-const a (_ BitVec 4))\n(assert (= a (_ bv1 0)))",
+         "bad bit-vector literal (_ bv1 0)"),
+    ], ids=["ite", "bvadd", "declare-fun", "and", "extract", "zero_extend", "sort", "assert",
+            "cmp-as-bv", "mixed-widths", "narrow-literal", "bvnot-of-bool", "bitvec-0",
+            "extract-range", "assert-bv", "empty-literal", "binary-digits", "bv-value",
+            "bv-width-0"])
     def test_wrong_arity_is_an_error_answer(self, script, error):
+        """Malformed or ill-sorted input: one error answer, then unknown."""
         session = Session()
         out = session.run(script + "\n(check-sat)\n(check-sat)\n")
         assert out.splitlines() == [f'(error "{error}")', "unknown", "unknown"]
