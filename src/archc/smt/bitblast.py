@@ -2,7 +2,13 @@
 
 `bits` blasts a term's uncached cone children first, so deep definition
 chains never recurse. A term whose interval (`known`, from the interval
-pass) is a single value is blasted as that constant, without its cone."""
+pass) is a single value is blasted as that constant, without its cone.
+
+Gates are structurally hashed, as in AIG-based equivalence checkers
+(Kuehlmann et al., IEEE TCAD 2002): each distinct AND, XOR or ITE over
+normalized operand literals gets one variable, and constants and repeated
+operands fold away. An ITE (`_mux`) is one 6-clause gate, and a full
+adder is `a ^ b ^ cin` with carry `(a ^ b) ? cin : a`."""
 
 from __future__ import annotations
 
@@ -18,66 +24,89 @@ class BitBlaster:
         self.true_lit = self.sat.new_var()
         self.sat.add_clause([self.true_lit])
         self.var_bits: dict[str, list[int]] = {}
+        self.gates: dict[tuple, int] = {}      # normalized operands -> gate var
 
     # ── gate helpers ─────────────────────────────────────────────
 
     def _const(self, bit: bool) -> int:
         return self.true_lit if bit else -self.true_lit
 
+    def _clauses(self, *clauses: list[int]) -> None:
+        for clause in clauses:
+            self.sat.add_clause(clause)
+
     def _and(self, a: int, b: int) -> int:
-        if a == -b:
-            return -self.true_lit
-        if a == b:
+        t = self.true_lit
+        if a == -b or a == -t or b == -t:
+            return -t
+        if a == b or b == t:
             return a
-        if a == self.true_lit:
+        if a == t:
             return b
-        if b == self.true_lit:
-            return a
-        if a == -self.true_lit or b == -self.true_lit:
-            return -self.true_lit
-        g = self.sat.new_var()
-        self.sat.add_clause([-g, a])
-        self.sat.add_clause([-g, b])
-        self.sat.add_clause([g, -a, -b])
+        key = ("and", a, b) if a < b else ("and", b, a)
+        g = self.gates.get(key)
+        if g is None:
+            g = self.gates[key] = self.sat.new_var()
+            self._clauses([-g, a], [-g, b], [g, -a, -b])
         return g
 
     def _or(self, a: int, b: int) -> int:
         return -self._and(-a, -b)
 
     def _xor(self, a: int, b: int) -> int:
-        if a == self.true_lit:
-            return -b
-        if b == self.true_lit:
-            return -a
-        if a == -self.true_lit:
-            return b
-        if b == -self.true_lit:
-            return a
+        t = self.true_lit
+        if a == t or a == -t:
+            return -b if a == t else b
+        if b == t or b == -t:
+            return -a if b == t else a
         if a == b:
-            return -self.true_lit
+            return -t
         if a == -b:
-            return self.true_lit
-        g = self.sat.new_var()
-        self.sat.add_clause([-g, a, b])
-        self.sat.add_clause([-g, -a, -b])
-        self.sat.add_clause([g, -a, b])
-        self.sat.add_clause([g, a, -b])
-        return g
+            return t
+        # a ^ b = ~a ^ ~b = ~(~a ^ b): key on the variables, sign on the output
+        sign = 1 if (a > 0) == (b > 0) else -1
+        a, b = abs(a), abs(b)
+        key = ("xor", a, b) if a < b else ("xor", b, a)
+        g = self.gates.get(key)
+        if g is None:
+            g = self.gates[key] = self.sat.new_var()
+            self._clauses([-g, a, b], [-g, -a, -b], [g, -a, b], [g, a, -b])
+        return sign * g
 
     def _mux(self, c: int, a: int, b: int) -> int:
         """c ? a : b"""
-        if a == b:
+        t = self.true_lit
+        if a == b or c == t:
             return a
-        if c == self.true_lit:
-            return a
-        if c == -self.true_lit:
+        if c == -t:
             return b
-        return self._or(self._and(c, a), self._and(-c, b))
+        if c < 0:
+            c, a, b = -c, b, a
+        if a == c or a == t:
+            return self._or(c, b)
+        if a == -c or a == -t:
+            return self._and(-c, b)
+        if b == c or b == -t:
+            return self._and(c, a)
+        if b == -c or b == t:
+            return self._or(-c, a)
+        if a == -b:
+            return -self._xor(c, a)
+        sign = 1
+        if a < 0:  # c ? ~a : ~b = ~(c ? a : b)
+            sign, a, b = -1, -a, -b
+        key = ("ite", c, a, b)
+        g = self.gates.get(key)
+        if g is None:
+            g = self.gates[key] = self.sat.new_var()
+            self._clauses([-c, -a, g], [-c, a, -g], [c, -b, g], [c, b, -g],
+                          [-a, -b, g], [a, b, -g])  # the last two only speed propagation
+        return sign * g
 
     def _full_add(self, a: int, b: int, cin: int) -> tuple[int, int]:
-        s = self._xor(self._xor(a, b), cin)
-        cout = self._or(self._and(a, b), self._and(cin, self._xor(a, b)))
-        return s, cout
+        axb = self._xor(a, b)
+        # the carry is a when a == b, else cin
+        return self._xor(axb, cin), self._mux(axb, cin, a)
 
     def _adder(self, xs: list[int], ys: list[int], cin: int) -> list[int]:
         out = []
@@ -86,6 +115,22 @@ class BitBlaster:
             s, carry = self._full_add(a, b, carry)
             out.append(s)
         return out
+
+    def _neg(self, xs: list[int]) -> list[int]:
+        return self._adder([self._const(False)] * len(xs), [-x for x in xs], self.true_lit)
+
+    def _abs(self, xs: list[int]) -> list[int]:
+        """|xs|, read unsigned: the most negative value keeps its bits."""
+        return [self._mux(xs[-1], n, x) for n, x in zip(self._neg(xs), xs)]
+
+    def _mul(self, xs: list[int], ys: list[int]) -> list[int]:
+        """The low len(xs) bits of xs * ys, by shift and add."""
+        w = len(xs)
+        acc = [self._const(False)] * w
+        for i in range(w):
+            addend = [self._const(False)] * i + [self._and(ys[i], xs[j]) for j in range(w - i)]
+            acc = self._adder(acc, addend, self._const(False))
+        return acc
 
     def _eq_bits(self, xs: list[int], ys: list[int]) -> int:
         acc = self.true_lit
@@ -194,9 +239,7 @@ class BitBlaster:
         if op == "bvnot":
             return [-b for b in self.bits(t.args[0])]
         if op == "bvneg":
-            xs = self.bits(t.args[0])
-            zero = [self._const(False)] * len(xs)
-            return self._adder(zero, [-b for b in xs], self.true_lit)
+            return self._neg(self.bits(t.args[0]))
         if op == "bvadd":
             return self._adder(self.bits(t.args[0]), self.bits(t.args[1]),
                                self._const(False))
@@ -204,14 +247,7 @@ class BitBlaster:
             return self._adder(self.bits(t.args[0]),
                                [-b for b in self.bits(t.args[1])], self.true_lit)
         if op == "bvmul":
-            xs, ys = self.bits(t.args[0]), self.bits(t.args[1])
-            w = len(xs)
-            acc = [self._const(False)] * w
-            for i in range(w):
-                addend = [self._const(False)] * i + \
-                         [self._and(ys[i], xs[j]) for j in range(w - i)]
-                acc = self._adder(acc, addend, self._const(False))
-            return acc
+            return self._mul(self.bits(t.args[0]), self.bits(t.args[1]))
         if op in ("bvand", "bvor", "bvxor"):
             xs, ys = self.bits(t.args[0]), self.bits(t.args[1])
             f = {"bvand": self._and, "bvor": self._or, "bvxor": self._xor}[op]
@@ -263,71 +299,33 @@ class BitBlaster:
         return [self._mux(big, fill, c) for c in cur]
 
     def _divrem(self, t: Term) -> list[int]:
-        a, b = t.args
-        xs, ys = self.bits(a), self.bits(b)
-        w = len(xs)
-        q = self._fresh_vec(w)
-        r = self._fresh_vec(w)
-        zero = [self._const(False)] * w
-        b_is_zero = self._eq_bits(ys, zero)
-        # wide identity: zext(q)*zext(b) + zext(r) == zext(a)
-        q2 = q + zero
-        y2 = ys + zero
-        acc = [self._const(False)] * (2 * w)
-        for i in range(2 * w):
-            addend = [self._const(False)] * i + \
-                     [self._and(q2[i], y2[j]) for j in range(2 * w - i)]
-            acc = self._adder(acc, addend, self._const(False))
-        acc = self._adder(acc, r + zero, self._const(False))
-        ident = self._eq_bits(acc, xs + zero)
-        rem_lt = self._ult_bits(r, ys)
-        ok = self._and(ident, rem_lt)
-        # SMT-LIB semantics for x/0: quotient all-ones, remainder x
-        q_ones = self._eq_bits(q, [self._const(True)] * w)
-        r_eq_a = self._eq_bits(r, xs)
-        zero_case = self._and(q_ones, r_eq_a)
-        self.sat.add_clause([self._mux(b_is_zero, zero_case, ok)])
+        q, r = self._udivrem(self.bits(t.args[0]), self.bits(t.args[1]))
         return q if t.op == "bvudiv" else r
 
     def _signed_divrem(self, t: Term) -> list[int]:
-        # |a| / |b| with result signs fixed up (truncating division)
-        a, b = t.args
-        xs, ys = self.bits(a), self.bits(b)
-        w = len(xs)
+        # |a| / |b| with result signs fixed up (truncating division); |a| / 0
+        # as bvudiv, so bvsdiv(a, 0) = a < 0 ? 1 : -1 and bvsrem(a, 0) = a
+        xs, ys = self.bits(t.args[0]), self.bits(t.args[1])
         sa, sb = xs[-1], ys[-1]
+        q, r = self._udivrem(self._abs(xs), self._abs(ys))
+        if t.op == "bvsdiv":
+            sign = self._xor(sa, sb)
+            return [self._mux(sign, n, x) for n, x in zip(self._neg(q), q)]
+        return [self._mux(sa, n, x) for n, x in zip(self._neg(r), r)]
 
-        def absolute(bits, sign):
-            neg = self._adder([self._const(False)] * w, [-x for x in bits], self.true_lit)
-            return [self._mux(sign, n, x) for n, x in zip(neg, bits)]
-
-        ax, ay = absolute(xs, sa), absolute(ys, sb)
-        # unsigned div on the absolute values via fresh vectors
-        q = self._fresh_vec(w)
-        r = self._fresh_vec(w)
+    def _udivrem(self, xs: list[int], ys: list[int]) -> tuple[list[int], list[int]]:
+        """Fresh quotient and remainder vectors of xs / ys, tied down by
+        zext(q)*zext(ys) + zext(r) == zext(xs) and r < ys, or for ys == 0
+        by the SMT-LIB value: an all-ones quotient and remainder xs."""
+        w = len(xs)
+        q, r = self._fresh_vec(w), self._fresh_vec(w)
         zero = [self._const(False)] * w
-        q2, y2 = q + zero, ay + zero
-        acc = [self._const(False)] * (2 * w)
-        for i in range(2 * w):
-            addend = [self._const(False)] * i + \
-                     [self._and(q2[i], y2[j]) for j in range(2 * w - i)]
-            acc = self._adder(acc, addend, self._const(False))
-        acc = self._adder(acc, r + zero, self._const(False))
-        ident = self._eq_bits(acc, ax + zero)
-        b_is_zero = self._eq_bits(ys, zero)
-        ok = self._and(ident, self._ult_bits(r, ay))
-        # |a| / 0 as bvudiv: all-ones quotient, remainder |a|; the sign
-        # fix-up below then gives bvsdiv(a, 0) = a < 0 ? 1 : -1 and
-        # bvsrem(a, 0) = a
-        q_ones = self._eq_bits(q, [self._const(True)] * w)
-        r_eq_a = self._eq_bits(r, ax)
-        zero_case = self._and(q_ones, r_eq_a)
-        self.sat.add_clause([self._mux(b_is_zero, zero_case, ok)])
-        qsign = self._xor(sa, sb)
-        qn = self._adder(zero, [-x for x in q], self.true_lit)
-        rn = self._adder(zero, [-x for x in r], self.true_lit)
-        signed_q = [self._mux(qsign, n, x) for n, x in zip(qn, q)]
-        signed_r = [self._mux(sa, n, x) for n, x in zip(rn, r)]
-        return signed_q if t.op == "bvsdiv" else signed_r
+        acc = self._adder(self._mul(ys + zero, q + zero), r + zero, self._const(False))
+        ok = self._and(self._eq_bits(acc, xs + zero), self._ult_bits(r, ys))
+        zero_case = self._and(self._eq_bits(q, [self._const(True)] * w),
+                              self._eq_bits(r, xs))
+        self.sat.add_clause([self._mux(self._eq_bits(ys, zero), zero_case, ok)])
+        return q, r
 
     # ── top level ────────────────────────────────────────────────
 

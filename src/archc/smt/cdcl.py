@@ -1,9 +1,16 @@
-"""A small CDCL SAT core: watched literals, 1UIP learning, VSIDS-style
-activities, geometric restarts, phase saving, and incremental solving
-under assumptions in the manner of MiniSat: clauses may be added between
-`solve` calls, and clauses learned in one call stay for the next.
+"""A small CDCL SAT core in the manner of MiniSat (Eén & Sörensson, *An
+Extensible SAT-solver*, SAT 2003): two watched literals per clause of
+three or more literals, per-literal implication lists for binary clauses,
+1UIP learning, VSIDS-style activities, geometric restarts, phase saving,
+and incremental solving under assumptions. Clauses may be added between
+`solve` calls, clauses learned in one call stay for the next, and the
+propagation queue head survives too, so the level-0 trail is propagated
+once, not once per call.
 
 Literal encoding: positive ints are variables 1..n; literal = +v / -v.
+`conflicts`, `decisions` and `propagations` (trail literals taken off the
+propagation queue, as MiniSat counts them) are running totals over every
+call.
 """
 
 from __future__ import annotations
@@ -15,22 +22,32 @@ import time
 class SatSolver:
     def __init__(self) -> None:
         self.nvars = 0
-        self.clauses: list[list[int]] = []
+        self.clauses: list[list[int]] = []   # binary ones too: a reason is an index here
+        # a literal that became true -> the clauses of 3+ literals watching
+        # its negation, and the (implied literal, clause index) of the binary
+        # clauses containing its negation
         self.watches: dict[int, list[int]] = {}
+        self.binary: dict[int, list[tuple[int, int]]] = {}
         self.assign: list[int] = [0]     # var -> 0 unassigned / +1 / -1
         self.level: list[int] = [0]
         self.reason: list[int] = [-1]    # clause index
         self.phase: list[int] = [0]
         self.activity: list[float] = [0.0]
-        # (-activity, var) heap of decision candidates; an entry whose var is
-        # assigned or whose activity has moved on is skipped, and every
-        # unassigned var has a current entry
+        # (-activity, var) heap of decision candidates. A var with `queued`
+        # set has one live entry, keyed by its current activity; entries
+        # with an older activity are skipped. Every unassigned var is queued.
         self.order: list[tuple[float, int]] = []
+        self.queued: list[bool] = [False]
+        self.seen: list[bool] = [False]  # marks for `_analyze`, all False between calls
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
+        self._qhead = 0                  # trail[:_qhead] is propagated
         self.var_inc = 1.0
         self.ok = True
         self.model: list[int] = []       # `assign` as it was at the last sat answer
+        self.conflicts = 0
+        self.decisions = 0
+        self.propagations = 0
 
     def new_var(self) -> int:
         self.nvars += 1
@@ -39,6 +56,8 @@ class SatSolver:
         self.reason.append(-1)
         self.phase.append(-1)
         self.activity.append(0.0)
+        self.queued.append(True)
+        self.seen.append(False)
         heapq.heappush(self.order, (-0.0, self.nvars))
         return self.nvars
 
@@ -69,10 +88,21 @@ class SatSolver:
             if not self._enqueue(out[0], -1):
                 self.ok = False
             return
+        self._attach(out)
+
+    def _attach(self, clause: list[int]) -> int:
+        """Store a clause of two or more literals and watch its first two;
+        returns its index (the reason its implications record)."""
         idx = len(self.clauses)
-        self.clauses.append(out)
-        for lit in out[:2]:
-            self.watches.setdefault(-lit, []).append(idx)
+        self.clauses.append(clause)
+        if len(clause) == 2:
+            a, b = clause
+            self.binary.setdefault(-a, []).append((b, idx))
+            self.binary.setdefault(-b, []).append((a, idx))
+        else:
+            for lit in clause[:2]:
+                self.watches.setdefault(-lit, []).append(idx)
+        return idx
 
     def _value(self, lit: int) -> int:
         v = self.assign[abs(lit)]
@@ -93,13 +123,30 @@ class SatSolver:
     def _propagate(self) -> int:
         """Returns conflicting clause index or -1. (The hot loop: values and
         enqueues are inlined.)"""
-        trail, assign, clauses, watches = self.trail, self.assign, self.clauses, self.watches
+        trail, assign, clauses = self.trail, self.assign, self.clauses
+        watches, binary = self.watches, self.binary
         level, reason, phase = self.level, self.reason, self.phase
         depth = len(self.trail_lim)
         qhead = self._qhead
+        conflict = -1
         while qhead < len(trail):
             lit = trail[qhead]
             qhead += 1
+            implied = binary.get(lit)
+            if implied:
+                for other, ci in implied:
+                    v, sign = (other, 1) if other > 0 else (-other, -1)
+                    value = assign[v]
+                    if value == 0:
+                        assign[v] = phase[v] = sign
+                        level[v] = depth
+                        reason[v] = ci
+                        trail.append(other)
+                    elif value != sign:
+                        conflict = ci
+                        break
+                if conflict >= 0:
+                    break
             watchlist = watches.get(lit)
             if not watchlist:
                 continue
@@ -118,49 +165,61 @@ class SatSolver:
                 if value == 1:
                     kept.append(ci)
                     continue
-                for k in range(2, len(clause)):
-                    other = clause[k]
+                if len(clause) == 3:
+                    other = clause[2]
                     if (assign[other] if other > 0 else -assign[-other]) != -1:
-                        clause[1], clause[k] = other, clause[1]
+                        clause[1], clause[2] = other, clause[1]
                         watches.setdefault(-other, []).append(ci)
-                        break
+                        continue
                 else:
-                    kept.append(ci)
-                    if value == -1:
-                        kept.extend(watchlist[j:])
-                        watches[lit] = kept
-                        self._qhead = len(trail)
-                        return ci
-                    v, sign = (first, 1) if first > 0 else (-first, -1)
-                    assign[v] = phase[v] = sign
-                    level[v] = depth
-                    reason[v] = ci
-                    trail.append(first)
+                    for k in range(2, len(clause)):
+                        other = clause[k]
+                        if (assign[other] if other > 0 else -assign[-other]) != -1:
+                            clause[1], clause[k] = other, clause[1]
+                            watches.setdefault(-other, []).append(ci)
+                            break
+                    else:
+                        k = 0  # no new watch: the clause is unit or conflicting
+                    if k:
+                        continue
+                kept.append(ci)
+                if value == -1:
+                    kept.extend(watchlist[j:])
+                    conflict = ci
+                    break
+                v, sign = (first, 1) if first > 0 else (-first, -1)
+                assign[v] = phase[v] = sign
+                level[v] = depth
+                reason[v] = ci
+                trail.append(first)
             watches[lit] = kept
-        self._qhead = qhead
-        return -1
-
-    _qhead = 0
+            if conflict >= 0:
+                break
+        self.propagations += qhead - self._qhead
+        self._qhead = qhead  # after a conflict, the backjump moves it back
+        return conflict
 
     def _bump(self, v: int) -> None:
-        self.activity[v] += self.var_inc
-        if self.activity[v] > 1e100:
+        act = self.activity[v] = self.activity[v] + self.var_inc
+        if act > 1e100:
             for i in range(1, self.nvars + 1):
                 self.activity[i] *= 1e-100
             self.var_inc *= 1e-100
             self._rebuild_order()
-        else:
-            heapq.heappush(self.order, (-self.activity[v], v))
+        elif self.queued[v]:
+            heapq.heappush(self.order, (-act, v))
 
     def _rebuild_order(self) -> None:
+        assign = self.assign
+        self.queued = [v > 0 and assign[v] == 0 for v in range(self.nvars + 1)]
         self.order = [(-self.activity[v], v) for v in range(1, self.nvars + 1)
-                      if self.assign[v] == 0]
+                      if assign[v] == 0]
         heapq.heapify(self.order)
 
     def _analyze(self, conflict: int) -> tuple[list[int], int]:
         """First-UIP conflict analysis."""
         learnt = [0]
-        seen = [False] * (self.nvars + 1)
+        seen = self.seen
         counter = 0
         p_lit = 0  # 0 = start with the whole conflict clause
         idx = len(self.trail) - 1
@@ -189,6 +248,8 @@ class SatSolver:
                 break
             ci = self.reason[abs(p_lit)]
         learnt[0] = -p_lit
+        for lit in learnt[1:]:
+            seen[abs(lit)] = False
         if len(learnt) == 1:
             return learnt, 0
         back = max(self.level[abs(l)] for l in learnt[1:])
@@ -199,41 +260,45 @@ class SatSolver:
         return learnt, back
 
     def _backtrack(self, level: int) -> None:
-        while len(self.trail_lim) > level:
-            start = self.trail_lim.pop()
-            for lit in self.trail[start:]:
-                v = abs(lit)
-                self.assign[v] = 0
-                heapq.heappush(self.order, (-self.activity[v], v))
-            del self.trail[start:]
-        self._qhead = min(self._qhead, len(self.trail))
+        if len(self.trail_lim) <= level:
+            return
+        start = self.trail_lim[level]
+        del self.trail_lim[level:]
+        assign, queued, order, activity = self.assign, self.queued, self.order, self.activity
+        for lit in self.trail[start:]:
+            v = lit if lit > 0 else -lit
+            assign[v] = 0
+            if not queued[v]:
+                queued[v] = True
+                heapq.heappush(order, (-activity[v], v))
+        del self.trail[start:]
+        self._qhead = min(self._qhead, start)
 
     def _decide(self) -> int:
         """The unassigned var of highest activity (lowest index on ties),
         in its saved phase; 0 when every var is assigned."""
-        order, assign, activity = self.order, self.assign, self.activity
-        if len(order) > 4 * self.nvars + 64:
+        if len(self.order) > 4 * self.nvars + 64:
             self._rebuild_order()
-            order = self.order
+        order, assign, activity, queued = self.order, self.assign, self.activity, self.queued
         while order:
             neg, v = heapq.heappop(order)
-            if assign[v] == 0 and -neg == activity[v]:
+            if -neg != activity[v]:
+                continue  # outdated entry: the live one is still queued
+            queued[v] = False
+            if assign[v] == 0:
                 return v if self.phase[v] >= 0 else -v
         return 0
 
-    def solve(self, max_conflicts: int | None = None,
-              deadline: float | None = None,
+    def solve(self, deadline: float | None = None,
               assumptions: tuple[int, ...] | list[int] = ()) -> str:
-        """Returns 'sat', 'unsat', 'unknown' (conflict budget hit), or
-        'timeout' (`time.monotonic()` passed `deadline`). `assumptions` are
-        literals taken as the first decisions, in order; 'unsat' then means
-        unsat under them, and a later call without them still sees only
-        the clauses, which every learned clause is implied by."""
+        """Returns 'sat', 'unsat' or 'timeout' (`time.monotonic()` passed
+        `deadline`). `assumptions` are literals taken as the first
+        decisions, in order; 'unsat' then means unsat under them, and a
+        later call without them still sees only the clauses, which every
+        learned clause is implied by."""
         self._backtrack(0)
         if not self.ok:
             return "unsat"
-        self._qhead = 0
-        conflicts = 0
         restart_limit = 128
         since_restart = 0
         while True:
@@ -241,10 +306,8 @@ class SatSolver:
                 return "timeout"
             ci = self._propagate()
             if ci >= 0:
-                conflicts += 1
+                self.conflicts += 1
                 since_restart += 1
-                if max_conflicts is not None and conflicts > max_conflicts:
-                    return "unknown"
                 if len(self.trail_lim) == 0:
                     self.ok = False
                     return "unsat"
@@ -254,11 +317,7 @@ class SatSolver:
                     if not self._enqueue(learnt[0], -1):
                         return "unsat"
                 else:
-                    idx = len(self.clauses)
-                    self.clauses.append(learnt)
-                    for lit in learnt[:2]:
-                        self.watches.setdefault(-lit, []).append(idx)
-                    self._enqueue(learnt[0], idx)
+                    self._enqueue(learnt[0], self._attach(learnt))
                 self.var_inc *= 1.05
                 if since_restart >= restart_limit:
                     since_restart = 0
@@ -280,6 +339,7 @@ class SatSolver:
                 if lit == 0:
                     self.model = self.assign[:]
                     return "sat"
+            self.decisions += 1
             self.trail_lim.append(len(self.trail))
             self._enqueue(lit, -1)
 

@@ -333,9 +333,12 @@ class TestIncrementalBuiltin:
         r = {r.name: r for r in v.results}
         assert (r["guarded"].status, r["guarded"].cycle) == ("HIT", 2)
         assert r["wide"].status == "INCONCLUSIVE"
-        # no trace to cycle 2 passes the checks, so the first one stands
+        # no trace to cycle 2 passes the checks, so the first one stands;
+        # it aborts at the solver's first cycle with b == 0, since `x / b`
+        # is the division the detail names
+        abort = next(k for k, step in enumerate(r["wide"].trace) if step["b"] == 0)
         assert r["wide"].detail.startswith(
-            "replay mismatch: the simulator aborts at cycle 0 (DIV_BY_ZERO: "
+            f"replay mismatch: the simulator aborts at cycle {abort} (DIV_BY_ZERO: "
             "division by zero at ")
         assert r["wide"].trace[2]["i"] == 5
 

@@ -146,6 +146,71 @@ class TestCdclAssumptions:
         assert s.solve(assumptions=[a, -a]) == "unsat"
         assert s.solve(assumptions=[-a]) == "sat" and not s.model_value(a)
 
+    def test_activity_rescale_keeps_every_var_a_candidate(self):
+        """With `var_inc` near 1e100 the second bump of a variable rescales
+        every activity and rebuilds the decision heap mid-analysis. Answers
+        and models must still agree with brute force, and after each call
+        every unassigned variable must keep one live heap entry."""
+        rng = random.Random(13)
+        rescales = 0
+        for trial in range(40):
+            n = rng.randint(6, 10)
+            s = SatSolver()
+            for _ in range(n):
+                s.new_var()
+            clauses = []
+            for step in range(10):
+                for _ in range(rng.randint(2, n)):
+                    vs = rng.sample(range(1, n + 1), 3)
+                    clauses.append([v if rng.random() < 0.5 else -v for v in vs])
+                    s.add_clause(list(clauses[-1]))
+                assumptions = [v if rng.random() < 0.5 else -v
+                               for v in rng.sample(range(1, n + 1), rng.randint(0, min(3, n)))]
+                s.var_inc = 0.6e100
+                got = s.solve(assumptions=assumptions)
+                rescales += s.var_inc < 1e90
+                want = self.brute_force(n, clauses, assumptions)
+                assert got == ("sat" if want else "unsat"), (trial, step, clauses, assumptions)
+                if got == "sat":
+                    def true(lit):
+                        return s.model_value(abs(lit)) == (lit > 0)
+                    assert all(true(a) for a in assumptions)
+                    assert all(any(true(lit) for lit in cl) for cl in clauses)
+                s._backtrack(0)
+                live = {v for neg, v in s.order if -neg == s.activity[v]}
+                unassigned = {v for v in range(1, n + 1) if s.assign[v] == 0}
+                assert unassigned <= live, (trial, step)
+                assert all(s.queued[v] for v in unassigned)
+                if not s.ok:
+                    break
+        assert rescales >= 50
+
+
+class TestIncrementalQuestions:
+    def test_level0_trail_is_propagated_once(self):
+        """Pinned width-4 `bvadd` questions to one session, each over fresh
+        constants: each unsat answer leaves a learned unit on the level-0
+        trail, and later questions must not propagate that trail again, so
+        a question late in the session costs no more propagation than the
+        same question early on."""
+        s = Session()
+        tb = s.builder
+        per_question = []
+        for i in range(320):
+            x, y = tb.declare(f"x{i}", 4), tb.declare(f"y{i}", 4)
+            a, b = i % 16, (7 * i) % 16  # each block of 16 asks the same sums
+            goal = tb.app("and", [
+                tb.app("=", [x, tb.const(a, 4)]), tb.app("=", [y, tb.const(b, 4)]),
+                tb.app("distinct", [tb.app("bvadd", [x, y]), tb.const(a + b, 4)])])
+            before = s.blaster.sat.propagations if s.blaster else 0
+            assert s.check_assuming(goal) == "unsat"
+            per_question.append(s.blaster.sat.propagations - before)
+        sat = s.blaster.sat
+        level0 = sat.trail_lim[0] if sat.trail_lim else len(sat.trail)
+        assert level0 >= 320  # the trail the early questions did not have
+        assert sat.conflicts >= 320
+        assert sum(per_question[-64:]) <= sum(per_question[64:128])
+
 
 def _div_reference(op, x, y, w):
     """SMT-LIB 2.6 bvudiv/bvurem/bvsdiv/bvsrem on w-bit operands."""
@@ -320,6 +385,45 @@ class TestOperatorTable:
                 BitBlaster({}).bits(t)  # AssertionError for an operator without a circuit
                 lo, hi = IntervalEngine().eval(t)
                 assert 0 <= lo <= hi <= full(t.width)[1], op
+
+
+class TestGateHashing:
+    """Each distinct gate gets one variable, whatever the operand order or
+    the operand signs that fold into its output."""
+
+    @staticmethod
+    def blaster():
+        tb = TermBuilder()
+        return tb, BitBlaster({}), tb.declare("a", 4), tb.declare("b", 4)
+
+    def test_commuted_operands_share_gates(self):
+        tb, bb, a, b = self.blaster()
+        # the blaster's cache keys terms by id: keep every term alive
+        pairs = [(tb.app(op, [a, b]), tb.app(op, [b, a])) for op in ("bvand", "bvor", "bvxor")]
+        for ab, ba in pairs:
+            first = bb.bits(ab)
+            nvars = bb.sat.nvars
+            assert bb.bits(ba) == first
+            assert bb.sat.nvars == nvars
+
+    def test_xor_folds_operand_signs(self):
+        tb, bb, a, b = self.blaster()
+        na, nb = tb.app("bvnot", [a]), tb.app("bvnot", [b])
+        terms = [tb.app("bvxor", args) for args in ([a, b], [na, nb], [na, b])]
+        plain = bb.bits(terms[0])
+        nvars = bb.sat.nvars
+        assert bb.bits(terms[1]) == plain
+        assert bb.bits(terms[2]) == [-x for x in plain]
+        assert bb.sat.nvars == nvars
+
+    def test_second_adder_adds_no_variables(self):
+        tb, bb, _, _ = self.blaster()
+        x, y = tb.declare("x", 8), tb.declare("y", 8)
+        once, twice = tb.app("bvadd", [x, y]), tb.app("bvadd", [x, y])
+        first = bb.bits(once)
+        nvars, nclauses = bb.sat.nvars, len(bb.sat.clauses)
+        assert bb.bits(twice) == first
+        assert (bb.sat.nvars, len(bb.sat.clauses)) == (nvars, nclauses)
 
 
 def _random_term(rng, tb, leaves, width, depth):
