@@ -8,6 +8,8 @@ offending token raises immediately with its exact span.
 
 from __future__ import annotations
 
+from itertools import chain, islice, repeat
+
 from .ast_nodes import (
     AssertDecl, Binary, BoolLit, CombBlock, Connection, Construct, Convert,
     CoverDecl, DefaultBlock, DefaultStateDecl, EnumDecl, EnumRef, Expr,
@@ -66,30 +68,27 @@ MAX_EXPR_DEPTH = 100
 class Parser:
     def __init__(self, src: SourceFile, tokens: list[Token]) -> None:
         self.src = src
-        self.tokens = tokens
-        self.pos = 0
+        self.cur = tokens[0]  # the current token; it stays on the last one
+        self._next = chain(islice(tokens, 1, None), repeat(tokens[-1])).__next__
         self._pending_docs: list[str] = []
         self._open = 0  # expression levels being parsed (see _parse_ternary)
         self._nested = 0  # if/match statements being parsed
 
     # ── token access (current token only: LL(1)) ────────────────
 
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
-
     def advance(self) -> Token:
         tok = self.cur
-        if self.pos < len(self.tokens) - 1:
-            self.pos += 1
+        self.cur = self._next()
         return tok
 
     def at(self, kind: TK) -> bool:
         return self.cur.kind is kind
 
     def expect(self, kind: TK, what: str | None = None) -> Token:
-        if self.cur.kind is kind:
-            return self.advance()
+        tok = self.cur
+        if tok.kind is kind:
+            self.cur = self._next()
+            return tok
         self.fail(what or f"`{kind.value}`")
 
     def fail(self, expected: str) -> None:
@@ -167,30 +166,10 @@ class Parser:
 
     def parse_item(self, construct_kind: str) -> Item | None:
         docs = self._take_docs()
-        tok = self.cur
-        handler = {
-            TK.KW_PARAM: self._parse_param,
-            TK.KW_PORT: self._parse_port,
-            TK.KW_REG: self._parse_reg,
-            TK.KW_LET: self._parse_let,
-            TK.KW_COMB: self._parse_comb,
-            TK.KW_SEQ: self._parse_seq,
-            TK.KW_INST: self._parse_inst,
-            TK.KW_ASSERT: self._parse_assert,
-            TK.KW_COVER: self._parse_cover,
-            TK.KW_GENERATE_FOR: self._parse_generate_for,
-            TK.KW_GENERATE_IF: self._parse_generate_if,
-            TK.KW_ENUM: self._parse_enum,
-            TK.KW_KIND: self._parse_kind,
-            TK.KW_STATE: self._parse_state,
-            TK.KW_DEFAULT: self._parse_default,
-            TK.KW_STAGE: self._parse_stage,
-            TK.KW_STALL: self._parse_stall,
-            TK.KW_FLUSH: self._parse_flush,
-        }.get(tok.kind)
+        handler = _ITEM_PARSERS.get(self.cur.kind)
         if handler is None:
             self.fail("an item declaration")
-        item = handler(construct_kind)
+        item = handler(self, construct_kind)
         item.docs = docs
         return item
 
@@ -802,6 +781,29 @@ class Parser:
             return self._checked(IfExpr(tok.span.merge(els.span), cond, then, els),
                                  1 + max(d1, d2, d3))
         self.fail("an expression")
+
+
+# the item keyword -> its Parser method, called with the construct kind
+_ITEM_PARSERS = {
+    TK.KW_PARAM: Parser._parse_param,
+    TK.KW_PORT: Parser._parse_port,
+    TK.KW_REG: Parser._parse_reg,
+    TK.KW_LET: Parser._parse_let,
+    TK.KW_COMB: Parser._parse_comb,
+    TK.KW_SEQ: Parser._parse_seq,
+    TK.KW_INST: Parser._parse_inst,
+    TK.KW_ASSERT: Parser._parse_assert,
+    TK.KW_COVER: Parser._parse_cover,
+    TK.KW_GENERATE_FOR: Parser._parse_generate_for,
+    TK.KW_GENERATE_IF: Parser._parse_generate_if,
+    TK.KW_ENUM: Parser._parse_enum,
+    TK.KW_KIND: Parser._parse_kind,
+    TK.KW_STATE: Parser._parse_state,
+    TK.KW_DEFAULT: Parser._parse_default,
+    TK.KW_STAGE: Parser._parse_stage,
+    TK.KW_STALL: Parser._parse_stall,
+    TK.KW_FLUSH: Parser._parse_flush,
+}
 
 
 def verify_endings(unit: SourceUnit) -> None:

@@ -17,10 +17,10 @@ from .terms import BOOL_SORT, Term
 
 
 class BitBlaster:
-    def __init__(self, known: dict[int, tuple[int, int]]) -> None:
-        self.known = known  # term id -> interval, from the interval pass
+    def __init__(self, known: dict[Term, tuple[int, int]]) -> None:
+        self.known = known  # term -> interval, from the interval pass
         self.sat = SatSolver()
-        self.cache: dict[int, list[int]] = {}   # term id -> bit literals (LSB first)
+        self.cache: dict[Term, list[int]] = {}  # term -> bit literals (LSB first)
         self.true_lit = self.sat.new_var()
         self.sat.add_clause([self.true_lit])
         self.var_bits: dict[str, list[int]] = {}
@@ -148,16 +148,16 @@ class BitBlaster:
     # ── term blasting ────────────────────────────────────────────
 
     def bits(self, t: Term) -> list[int]:
-        hit = self.cache.get(id(t))
+        hit = self.cache.get(t)
         if hit is not None:
             return hit
         for x in self._uncached_cone(t):
-            self.cache[id(x)] = self._fixed(x) or self._blast(x)
-        return self.cache[id(t)]
+            self.cache[x] = self._fixed(x) or self._blast(x)
+        return self.cache[t]
 
     def _fixed(self, t: Term) -> list[int] | None:
         """Constant bits for a term the interval pass pinned to one value."""
-        iv = self.known.get(id(t))
+        iv = self.known.get(t)
         if iv is None or iv[0] != iv[1]:
             return None
         return [self._const(bool((iv[0] >> i) & 1)) for i in range(t.width or 1)]
@@ -165,7 +165,7 @@ class BitBlaster:
     def _uncached_cone(self, t: Term) -> list[Term]:
         """The uncached terms `t` depends on, each after its operands."""
         order: list[Term] = []
-        seen: set[int] = set()
+        seen: set[Term] = set()
         stack: list[tuple[Term, bool]] = [(t, False)]
         cache, known = self.cache, self.known
         while stack:
@@ -173,11 +173,11 @@ class BitBlaster:
             if expanded:
                 order.append(x)
                 continue
-            if id(x) in seen or id(x) in cache:
+            if x in seen or x in cache:
                 continue
-            seen.add(id(x))
+            seen.add(x)
             stack.append((x, True))
-            iv = known.get(id(x))
+            iv = known.get(x)
             if iv is not None and iv[0] == iv[1]:
                 continue
             if x.definition is not None:

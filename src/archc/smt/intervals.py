@@ -23,11 +23,11 @@ def full(width: int) -> Interval:
 
 class IntervalEngine:
     def __init__(self) -> None:
-        self.cache: dict[int, Interval] = {}
+        self.cache: dict[Term, Interval] = {}
 
-    def eval(self, t: Term, refine: dict[int, Interval] | None = None) -> Interval:
+    def eval(self, t: Term, refine: dict[Term, Interval] | None = None) -> Interval:
         if refine:
-            r = refine.get(id(t))
+            r = refine.get(t)
             if r is not None:
                 return r
             if t.op == "var":
@@ -36,11 +36,11 @@ class IntervalEngine:
                 # evaluation local to the current tree)
                 return self.eval(t, None)
             return self._compute(t, refine)
-        hit = self.cache.get(id(t))
+        hit = self.cache.get(t)
         if hit is not None:
             return hit
         out = self._compute(t, None)
-        self.cache[id(t)] = out
+        self.cache[t] = out
         return out
 
     def _compute(self, t: Term, refine) -> Interval:
@@ -192,7 +192,7 @@ class IntervalEngine:
         return full(t.width)
 
 
-def _merge(base: dict[int, Interval] | None, extra: dict[int, Interval]) -> dict:
+def _merge(base: dict[Term, Interval] | None, extra: dict[Term, Interval]) -> dict:
     if not base:
         return extra
     out = dict(base)
@@ -201,10 +201,10 @@ def _merge(base: dict[int, Interval] | None, extra: dict[int, Interval]) -> dict
 
 
 def _refine_from(cond: Term, truth: bool, eng: IntervalEngine,
-                 refine) -> dict[int, Interval] | None:
+                 refine) -> dict[Term, Interval] | None:
     """Interval narrowing implied by `cond == truth`; None = branch
     provably unreachable."""
-    out: dict[int, Interval] = {}
+    out: dict[Term, Interval] = {}
     if cond.op == "not":
         return _refine_from(cond.args[0], not truth, eng, refine)
     if (cond.op == "and" and truth) or (cond.op == "or" and not truth):
@@ -231,14 +231,14 @@ def _refine_from(cond: Term, truth: bool, eng: IntervalEngine,
         if truth:
             if k < lo or k > hi:
                 return None
-            out[id(a)] = (k, k)
+            out[a] = (k, k)
         else:
             if lo == hi == k:
                 return None
             if lo == k:
-                out[id(a)] = (lo + 1, hi)
+                out[a] = (lo + 1, hi)
             elif hi == k:
-                out[id(a)] = (lo, hi - 1)
+                out[a] = (lo, hi - 1)
         return out
     # normalize to an inclusive bound [nlo, nhi] implied by the comparison
     if op == "bvule":
@@ -252,5 +252,5 @@ def _refine_from(cond: Term, truth: bool, eng: IntervalEngine,
     bound = (max(lo, nlo), min(hi, nhi))
     if bound[0] > bound[1]:
         return None
-    out[id(a)] = bound
+    out[a] = bound
     return out

@@ -43,8 +43,7 @@ class Session:
         self.trivial_model = False
         self.def_order: list[Term] = []       # defined constants, bottom-up
         self._ranged = 0                      # builder.defined entries with an interval
-        self._goals: list[Term] = []
-        self._model: dict[int, int] | None = None
+        self._model: dict[Term, int] | None = None
         self.out: list[str] = []
         self.incomplete = False  # a declaration or assertion was dropped
 
@@ -129,7 +128,6 @@ class Session:
         solver, which keeps its learned clauses; `status` and the model
         (`value_of`, `model_value`) answer for the last call."""
         self.range_definitions()
-        self._goals.append(goal)  # the caches key terms by id: keep it alive
         self.status = self._check([goal], assume=True)
         return self.status
 
@@ -210,10 +208,10 @@ class Session:
         return "(\n" + "\n".join(parts) + "\n)"
 
 
-def concrete_value(t: Term, cache: dict[int, int], free) -> int:
+def concrete_value(t: Term, cache: dict[Term, int], free) -> int:
     """Evaluate `t` with every undefined constant `v` at `free(v)`; `cache`
-    maps term ids to values already known."""
-    hit = cache.get(id(t))
+    maps terms to values already known."""
+    hit = cache.get(t)
     if hit is not None:
         return hit
     op = t.op
@@ -221,10 +219,10 @@ def concrete_value(t: Term, cache: dict[int, int], free) -> int:
         return t.value
     if op == "var":
         v = free(t) if t.definition is None else concrete_value(t.definition, cache, free)
-        cache[id(t)] = v
+        cache[t] = v
         return v
     v = OPS[op].value(t, [concrete_value(x, cache, free) for x in t.args])
-    cache[id(t)] = v
+    cache[t] = v
     return v
 
 

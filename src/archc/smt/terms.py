@@ -22,6 +22,10 @@ BOOL_SORT = 0  # width marker for Bool terms
 
 @dataclass(eq=False)
 class Term:
+    """One term node. `eq=False` keeps identity hashing and equality: the
+    interval, bit-blast and model caches key on the term itself, which
+    also keeps every cached term alive."""
+
     op: str                  # var | const | an OPS key
     width: int               # BOOL_SORT for Bool
     args: tuple["Term", ...] = ()

@@ -1,12 +1,18 @@
-"""Source files and source spans."""
+"""Source files and source spans.
+
+`Span` is an immutable named tuple: it compares and hashes by value, and
+its fields cannot be assigned. The lexer makes one per token and the
+parser one per `merge`, so both build it with `tuple.__new__(Span,
+fields)`, in C, and skip the Python-level `__new__` of the named tuple's
+constructor (see lexer.py).
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """A half-open byte range [start, end) in one file, with 1-based line/col."""
 
     file: str
@@ -16,9 +22,10 @@ class Span:
     end: int
 
     def merge(self, other: "Span") -> "Span":
-        if other.start < self.start:
-            return other.merge(self)
-        return Span(self.file, self.line, self.col, self.start, max(self.end, other.end))
+        """The smallest span covering both, starting where the earlier one does."""
+        first, last = (other, self) if other.start < self.start else (self, other)
+        return tuple.__new__(Span, (first.file, first.line, first.col, first.start,
+                                    max(first.end, last.end)))
 
     def point(self) -> str:
         return f"{self.file}:{self.line}:{self.col}"

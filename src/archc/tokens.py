@@ -5,17 +5,27 @@
 keywords: it is what keeps the grammar decidable on a single token of
 lookahead at the one spot where an item keyword and a block closer could
 otherwise collide (`comb x = e;` shorthand vs. a one-statement comb block).
+
+`Token` is an immutable named tuple, built in the lexer's loop with
+`tuple.__new__` like `Span` (see source.py). Token kinds hash by identity:
+each `TK` member is a singleton that compares by identity, and the
+inherited `Enum.__hash__` is a Python-level call that every keyword,
+closer and operator lookup would pay. No output may depend on the
+iteration order of a set of kinds, since an address-based hash differs
+between runs.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .source import Span
 
 
 class TK(enum.Enum):
+    __hash__ = object.__hash__
+
     # literals / names
     IDENT = "identifier"
     INT = "integer literal"
@@ -179,8 +189,7 @@ CONSTRUCT_KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TK
     text: str
     span: Span

@@ -172,6 +172,27 @@ class TestCriterion5Determinism:
         assert len(digests[0]) >= 20  # the 20-design corpus, compiled twice
         _ok(5, f"{len(digests[0])} .sv files byte-identical across hash seeds")
 
+    def test_check_diagnostics_identical_across_hash_seeds(self):
+        # one child per seed checks every bad input, as text and as JSON
+        bad = sorted(os.path.relpath(p, ROOT)
+                     for p in glob.glob(os.path.join(CORPUS, "bad", "*.arch")))
+        script = ("import sys\nfrom archc import cli\n"
+                  "for path in sys.argv[1:]:\n"
+                  "    for extra in ([], ['--json']):\n"
+                  "        print('==', path, *extra, flush=True)\n"
+                  "        print('exit', cli.main(['check', path, *extra]))\n")
+        outs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.path.join(ROOT, "src"))
+            outs.append(subprocess.run(
+                [sys.executable, "-c", script, *bad],
+                check=True, capture_output=True, env=env, cwd=ROOT).stdout)
+        assert outs[0] == outs[1]
+        assert outs[0].count(b"\nexit 1\n") == 2 * len(bad) >= 50
+        _ok(5, f"`archc check` on {len(bad)} bad inputs: byte-identical "
+               f"diagnostics across hash seeds")
+
     def test_sim_reports_and_vcd_reproducible(self, tmp_path):
         outs = []
         for run in range(2):

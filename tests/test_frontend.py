@@ -14,7 +14,7 @@ from archc.diagnostics import CompileError
 from archc.lexer import lex
 from archc.parser import Parser, parse, parse_source, verify_endings
 from archc.printer import pretty_print
-from archc.source import SourceFile
+from archc.source import SourceFile, Span
 from archc.tokens import TK, Token
 
 
@@ -90,6 +90,38 @@ class TestLexer:
         _, toks = lex("comb y = 0", "t.arch")
         assert (toks[-2].kind, toks[-2].value) == (TK.INT, 0)
         assert kinds("0") == [TK.INT]
+
+
+class TestTokenContract:
+    """Tokens and spans are immutable values: hashable, equal by value."""
+
+    def test_fields_cannot_be_assigned(self):
+        _, toks = lex("a", "t.arch")
+        tok = toks[0]
+        for obj, name in ((tok, "kind"), (tok, "text"), (tok, "value"),
+                          (tok.span, "line"), (tok.span, "end")):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, getattr(obj, name))
+
+    def test_hashable_and_equal_by_value(self):
+        (_, a), (_, b) = lex("x + 0x1f", "t.arch"), lex("x + 0x1f", "t.arch")
+        assert a == b and a[0] is not b[0]
+        assert set(a) == set(b) and len(set(a)) == len(a)
+        assert {t.span for t in a} == {t.span for t in b}
+        assert a[0].span == Span("t.arch", 1, 1, 0, 1)
+        assert [t.value for t in a] == [None, None, 31, None]
+
+    def test_merge_in_either_order(self):
+        _, toks = lex("let a = b;\n  c", "t.arch")
+        spans = [t.span for t in toks]
+        assert all(s.merge(t) == t.merge(s) for s in spans for t in spans)
+        assert spans[-2].merge(spans[1]) == Span("t.arch", 1, 5, 4, 14)
+
+    def test_repr(self):
+        _, toks = lex("x 0x1f", "t.arch")
+        assert [repr(t) for t in toks] == ["Token(IDENT, 'x')", "Token(INT, '0x1f')",
+                                           "Token(EOF, '')"]
+        assert repr(toks[0].span) == "Span(file='t.arch', line=1, col=1, start=0, end=1)"
 
 
 class TestParser:

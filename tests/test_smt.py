@@ -358,7 +358,7 @@ class TestOperatorTable:
                      (sorted((rng.choice(r), rng.choice(r))) for r in full_ranges)]
                     for _ in range(8)]
                 for box in boxes:
-                    refine = {id(x): (r[0], r[-1]) for x, r in zip(xs, box)}
+                    refine = {x: (r[0], r[-1]) for x, r in zip(xs, box)}
                     lo, hi = IntervalEngine().eval(t, refine)
                     for vals in _operands(box, rng if w == 8 else None, _SAMPLES):
                         v = OPS[op].value(t, list(vals))
@@ -398,7 +398,6 @@ class TestGateHashing:
 
     def test_commuted_operands_share_gates(self):
         tb, bb, a, b = self.blaster()
-        # the blaster's cache keys terms by id: keep every term alive
         pairs = [(tb.app(op, [a, b]), tb.app(op, [b, a])) for op in ("bvand", "bvor", "bvxor")]
         for ab, ba in pairs:
             first = bb.bits(ab)
@@ -424,6 +423,33 @@ class TestGateHashing:
         nvars, nclauses = bb.sat.nvars, len(bb.sat.clauses)
         assert bb.bits(twice) == first
         assert (bb.sat.nvars, len(bb.sat.clauses)) == (nvars, nclauses)
+
+
+class TestFreedTerms:
+    """A term built after another one was freed, perhaps at the freed
+    term's address, never gets the freed term's cached answer."""
+
+    def test_bit_blaster(self):
+        tb, bb = TermBuilder(), BitBlaster({})
+        a, b = tb.declare("a", 4), tb.declare("b", 4)
+        first = bb.bits(tb.app("bvxor", [a, b]))  # the term is freed here
+        second = bb.bits(tb.app("bvxor", [tb.app("bvnot", [a]), b]))
+        assert second == [-x for x in first]
+
+    def test_interval_engine(self):
+        tb, eng = TermBuilder(), IntervalEngine()
+        a = tb.declare("a", 4)
+        first = eng.eval(tb.app("bvand", [a, tb.const(1, 4)]))  # the term is freed here
+        second = eng.eval(tb.app("bvor", [a, tb.const(8, 4)]))
+        assert (first, second) == ((0, 1), (8, 15))
+
+    def test_model_value(self):
+        s = Session()
+        s.run("(declare-const a (_ BitVec 4)) (assert (= a #x5)) (check-sat)")
+        tb, a = s.builder, s.builder.vars["a"]
+        first = s.model_value(tb.app("bvadd", [a, tb.const(1, 4)]))  # the term is freed here
+        second = s.model_value(tb.app("bvsub", [a, tb.const(1, 4)]))
+        assert (first, second) == (6, 4)
 
 
 def _random_term(rng, tb, leaves, width, depth):
@@ -480,7 +506,7 @@ class TestIntervals:
             lo, hi = IntervalEngine().eval(t)
             for vx in range(8):
                 for vy in range(8):
-                    v = concrete_value(t, {id(x): vx, id(y): vy}, None)
+                    v = concrete_value(t, {x: vx, y: vy}, None)
                     assert lo <= v <= hi, (trial, vx, vy, v, (lo, hi), t)
 
 
