@@ -3,14 +3,18 @@
 Signed 64-bit arithmetic: any intermediate outside [-2^63, 2^63) is
 E_CONST_OVERFLOW. Division and modulo truncate toward zero (matching the
 simulator and the SMT encoding); a constant zero divisor is E_CONST_DIV0.
+
+`const_value_of` gives a register's reset value, as the simulator and the
+BMC unrolling both start from it.
 """
 
 from __future__ import annotations
 
 from .ast_nodes import (
-    Binary, BoolLit, Expr, IfExpr, IntLit, NameRef, Ternary, Unary,
+    Binary, BoolLit, EnumRef, Expr, IfExpr, IntLit, NameRef, Ternary, Unary,
 )
 from .diagnostics import CompileError, err
+from .types import SInt, Type, Vec
 
 I64_MIN = -(1 << 63)
 I64_MAX = (1 << 63) - 1
@@ -120,3 +124,31 @@ def clog2(n: int) -> int:
     """ceil(log2(n)) with clog2(1) == 0."""
     assert n >= 1
     return (n - 1).bit_length()
+
+
+def wrap_signed(v: int, width: int) -> int:
+    v &= (1 << width) - 1
+    if v >= (1 << (width - 1)):
+        v -= 1 << width
+    return v
+
+
+def zero_of(ty: Type) -> object:
+    if isinstance(ty, Vec):
+        return (zero_of(ty.elem),) * ty.size
+    return 0
+
+
+def const_value_of(e: Expr, ty: Type) -> object:
+    """Reset values are constants; Vec resets zero-fill."""
+    if isinstance(ty, Vec):
+        return zero_of(ty)
+    if isinstance(e, IntLit):
+        return wrap_signed(e.value, ty.width) if isinstance(ty, SInt) else e.value
+    if isinstance(e, BoolLit):
+        return 1 if e.value else 0
+    if isinstance(e, EnumRef):
+        return e.ty.variants.index(e.variant)
+    if isinstance(e, Unary) and e.op == "-" and isinstance(e.operand, IntLit):
+        return wrap_signed(-e.operand.value, ty.width)
+    raise AssertionError(f"non-constant reset value {e!r}")

@@ -1,9 +1,14 @@
 """BMC encoding: the design unrolled into QF_BV terms, one frame per cycle.
 
-`Unrolling` builds the terms directly through a `TermBuilder`: per-cycle
-bit-vector constants `<net>__<cycle>`, inputs free, every other constant
-defined when it is built (reset inactive, registers by their reset value
-at cycle 0 and their next state after, comb nets by their expression).
+`Unrolling` translates the design once, when it is made: every
+expression it reads (register next states, comb nets, properties, and
+the runtime checks below) becomes a builder, a closure over the
+`TermBuilder` that takes one frame's names to a term. `extend()` then
+adds a frame by calling the builders: per-cycle bit-vector constants
+`<net>__<cycle>`, inputs free, every other constant defined when it is
+built (reset inactive, registers by their reset value at cycle 0 and
+their next state after, comb nets by their expression). No frame walks
+the AST again.
 `verify` extends it one frame at a time inside one builtin solver session.
 `encode_bmc` prints the same terms as one self-contained SMT-LIB2 script
 per property, for `--emit-smt` and for external solvers: each assert
@@ -16,23 +21,29 @@ check fires, so that a trace can be asked to be one the simulator runs
 (`encode_witness` prints that question for external solvers).
 
 Scope: flat single-clock modules with scalar signals (no sub-instances,
-no Vec, no enum-typed nets, no todo!).
+no Vec, no enum-typed nets, no todo!), as `formal_scope_check` decides;
+`Unrolling`, `encode_bmc` and `encode_witness` take a module that passed
+it (`verify` checks once per call).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable
 
 from ..ast_nodes import (
     Binary, BoolLit, Convert, EnumRef, Expr, IfExpr, Index, IntLit, NameRef,
     Slice, Ternary, TodoExpr, Unary,
 )
+from ..consteval import const_value_of
 from ..ir import CoreModule, CoreProperty, VecStore
 from ..types import EnumType, Reset, SInt, Type, UInt, Vec
 
 if TYPE_CHECKING:  # the solver's modules load on first use, as in solver.py
     from ..smt.terms import Term, TermBuilder
+
+Build = Callable[[dict[str, "Term"]], "Term"]  # one frame's names -> a term
 
 
 class FormalUnsupported(Exception):
@@ -94,6 +105,23 @@ _SIGNED = {"/": ("bvudiv", "bvsdiv"), "%": ("bvurem", "bvsrem"),
            ">>": ("bvlshr", "bvashr")}
 
 
+def _fixed(t: Term) -> Build:
+    """Builder of a term that is the same in every frame."""
+    return lambda f: t
+
+
+def _op1(app: Callable, op: str, x: Build, *indices: int) -> Build:
+    """Builder of `(op x)`, or `((_ op indices...) x)`."""
+    if indices:
+        return lambda f: app(op, [x(f)], *indices)
+    return lambda f: app(op, [x(f)])
+
+
+def _op2(app: Callable, op: str, a: Build, b: Build) -> Build:
+    """Builder of `(op a b)`."""
+    return lambda f: app(op, [a(f), b(f)])
+
+
 class Unrolling:
     """The design unrolled one cycle (frame) at a time into `Term`s.
 
@@ -104,51 +132,65 @@ class Unrolling:
     k-1, each comb net as its expression. Everything a frame mentions is
     defined before it, in `core.comb_order`, so the builder's declaration
     order is an evaluation order.
+
+    The expressions are translated once, when the unrolling is made, into
+    builders (`Build`): closures that take a frame's names to a term, with
+    operators, widths and extensions already chosen and one shared `Term`
+    per literal. A frame only calls them. `core` must pass
+    `formal_scope_check`.
     """
 
     def __init__(self, core: CoreModule, builder: TermBuilder) -> None:
-        formal_scope_check(core)
         self.core = core
         self.tb = builder
+        self._consts: dict[tuple[int, int], Term] = {}
+        from ..smt.terms import BOOL_SORT
+        self.bools = (self._const(0, BOOL_SORT), self._const(1, BOOL_SORT))
         clock_names = {name for name, _ in core.clock_ports()}
         self.inputs = [(p.name, _width(p.ty)) for p in core.ports
                        if p.direction == "in" and p.name not in clock_names
                        and not isinstance(p.ty, Reset)]
-        self.resets = [(p.name, inactive_level(p.ty))
+        self.resets = [(p.name, self._const(inactive_level(p.ty), 1))
                        for p in core.ports if isinstance(p.ty, Reset)]
-        self.nets = [(name, core.nets[name]) for name in core.comb_order]
+        self._known = {name for name, _ in self.inputs + self.resets}
+        self._known.update(core.regs, core.comb_order)
+        # (name, width, value at cycle 0, next state over the frame before)
+        self.regs: list[tuple[str, int, Term, Build]] = []
+        for name, reg in core.regs.items():
+            width = _width(reg.ty)
+            init = 0 if reg.reset_value is None else const_value_of(reg.reset_value, reg.ty)
+            self.regs.append((name, width, self._const(init, width), self._word(reg.next)))
+        self.nets = [(name, _width(core.nets[name].ty), self._word(core.nets[name].expr))
+                     for name in core.comb_order]
+        self.props = {id(p): self._word(p.expr) for p in core.properties}
         self.frames: list[dict[str, Term]] = []
         self._checks: list[list[Term]] = []  # per frame, built on demand
-        from ..smt.terms import BOOL_SORT
-        self.bools = (builder.const(0, BOOL_SORT), builder.const(1, BOOL_SORT))
+        self._check_builds: tuple[list[Build], list[Build]] | None = None
 
     def extend(self) -> dict[str, Term]:
         k = len(self.frames)
         tb = self.tb
+        prev = self.frames[-1] if k else None
         frame: dict[str, Term] = {}
         self.frames.append(frame)
         for name, width in self.inputs:
             frame[name] = tb.declare(f"{name}__{k}", width)
         for name, inactive in self.resets:
-            frame[name] = tb.define(f"{name}__{k}", 1, tb.const(inactive, 1))
-        for name, reg in self.core.regs.items():
-            width = _width(reg.ty)
-            if k > 0:
-                value = self.term(reg.next, k - 1)
-            elif reg.reset_value is not None:
-                from ..sim.image import const_value_of
-                value = tb.const(const_value_of(reg.reset_value, reg.ty), width)
-            else:
-                value = tb.const(0, width)
-            frame[name] = tb.define(f"{name}__{k}", width, value)
-        for name, net in self.nets:
-            frame[name] = tb.define(f"{name}__{k}", _width(net.ty), self.term(net.expr, k))
+            frame[name] = tb.define(f"{name}__{k}", 1, inactive)
+        for name, width, init, step in self.regs:
+            frame[name] = tb.define(f"{name}__{k}", width, step(prev) if k else init)
+        for name, width, build in self.nets:
+            frame[name] = tb.define(f"{name}__{k}", width, build(frame))
         return frame
+
+    def prop_term(self, prop: CoreProperty, k: int) -> Term:
+        """The property's 1-bit value at cycle k."""
+        return self.props[id(prop)](self.frames[k])
 
     def goal(self, prop: CoreProperty, k: int) -> Term:
         """Bool term: the assert fails, or the cover holds, at cycle k."""
-        value = self.term(prop.expr, k)
-        return self.tb.app("=", [value, self.tb.const(prop.kind != "assert", 1)])
+        want = self._const(prop.kind != "assert", 1)
+        return self.tb.app("=", [self.prop_term(prop, k), want])
 
     def checks(self, k: int) -> list[Term]:
         """Bool terms that hold iff no runtime check of the simulator fires
@@ -158,155 +200,169 @@ class Unrolling:
         width, on the branches the simulator evaluates (`?:`/if, `&&`,
         `||` and `implies` are lazy there). Empty if the design has no
         such check."""
+        if self._check_builds is None:
+            core = self.core
+            steps = [self._check(reg.next) for reg in core.regs.values()]
+            here = [self._check(core.nets[name].expr) for name in core.comb_order]
+            here += [self._check(prop.expr) for prop in core.properties]
+            self._check_builds = ([c for c in steps if c is not None],
+                                  [c for c in here if c is not None])
+        steps, here = self._check_builds
         while len(self._checks) <= k:
             j = len(self._checks)
-            exprs = [(reg.next, j - 1) for reg in self.core.regs.values() if j > 0]
-            exprs += [(net.expr, j) for _, net in self.nets]
-            exprs += [(prop.expr, j) for prop in self.core.properties]
-            self._checks.append([c for e, i in exprs
-                                 if (c := self._check(e, i)) is not None])
+            prev, frame = self.frames[j - 1] if j else None, self.frames[j]
+            self._checks.append([c(prev) for c in steps if j]
+                                + [c(frame) for c in here])
         return self._checks[k]
 
-    def _check(self, e: Expr, k: int) -> Term | None:
-        """Bool term: evaluating `e` at cycle k fires no runtime check; None
-        when `e` contains none."""
-        tb = self.tb
+    # expression -> builder, translated once per unrolling
+
+    def _const(self, value: int, width: int) -> Term:
+        got = self._consts.get((value, width))
+        if got is None:
+            got = self._consts[value, width] = self.tb.const(value, width)
+        return got
+
+    def _check(self, e: Expr) -> Build | None:
+        """Builder of the Bool term: evaluating `e` fires no runtime
+        check; None when `e` contains none."""
+        app = self.tb.app
         if isinstance(e, Binary):
-            first, second = self._check(e.lhs, k), self._check(e.rhs, k)
+            first, second = self._check(e.lhs), self._check(e.rhs)
             if e.op in ("&&", "||", "implies") and second is not None:
-                taken = self.bool_term(e.lhs, k)  # when the rhs is evaluated
+                taken = self._bool(e.lhs)  # when the rhs is evaluated
                 if e.op == "||":
-                    taken = tb.app("not", [taken])
-                second = tb.app("=>", [taken, second])
+                    taken = _op1(app, "not", taken)
+                second = _op2(app, "=>", taken, second)
             parts = [first, second]
             if e.op in ("/", "%") and not isinstance(e.rhs, IntLit):
-                zero = tb.const(0, _width(e.rhs.ty))
-                parts.append(tb.app("not", [tb.app("=", [self.term(e.rhs, k), zero])]))
+                divisor, zero = self._word(e.rhs), self._const(0, _width(e.rhs.ty))
+                parts.append(lambda f: app("not", [app("=", [divisor(f), zero])]))
             return self._all(parts)
         if isinstance(e, (Ternary, IfExpr)):
-            then, els = self._check(e.then, k), self._check(e.els, k)
+            then, els = self._check(e.then), self._check(e.els)
             branch = None
             if then is not None or els is not None:
-                true = self.bools[1]
-                branch = tb.app("ite", [self.bool_term(e.cond, k),
-                                        then or true, els or true])
-            return self._all([self._check(e.cond, k), branch])
+                cond, true = self._bool(e.cond), _fixed(self.bools[1])
+                then, els = then or true, els or true
+                branch = lambda f: app("ite", [cond(f), then(f), els(f)])
+            return self._all([self._check(e.cond), branch])
         if isinstance(e, Index):
-            parts = [self._check(e.index, k), self._check(e.base, k)]
+            parts = [self._check(e.index), self._check(e.base)]
             width, iw = _width(e.base.ty), _width(e.index.ty)
             if (1 << iw) > width and not (isinstance(e.index, IntLit)
                                           and e.index.value < width):
-                parts.append(tb.app("bvult", [self.term(e.index, k),
-                                              tb.const(width, iw)]))
+                index, limit = self._word(e.index), self._const(width, iw)
+                parts.append(lambda f: app("bvult", [index(f), limit]))
             return self._all(parts)
         if isinstance(e, Unary):
-            return self._check(e.operand, k)
+            return self._check(e.operand)
         if isinstance(e, (Slice, Convert)):
-            return self._check(e.base, k)
+            return self._check(e.base)
         return None
 
-    def _all(self, parts: list[Term | None]) -> Term | None:
+    def _all(self, parts: list[Build | None]) -> Build | None:
         parts = [p for p in parts if p is not None]
         if len(parts) < 2:
             return parts[0] if parts else None
-        return self.tb.app("and", parts)
+        app = self.tb.app
+        return lambda f: app("and", [p(f) for p in parts])
 
-    # expression -> term at cycle k
-    def term(self, e: Expr, k: int) -> Term:
-        tb = self.tb
+    def _word(self, e: Expr) -> Build:
+        """Builder of the bit-vector term for `e`."""
+        app = self.tb.app
         if isinstance(e, IntLit):
-            return tb.const(e.value, _width(e.ty))
+            return _fixed(self._const(e.value, _width(e.ty)))
         if isinstance(e, BoolLit):
-            return tb.const(int(e.value), 1)
+            return _fixed(self._const(int(e.value), 1))
         if isinstance(e, EnumRef):
-            return tb.const(e.ty.variants.index(e.variant), _width(e.ty))
+            return _fixed(self._const(e.ty.variants.index(e.variant), _width(e.ty)))
         if isinstance(e, NameRef):
-            got = self.frames[k].get(e.name)
-            if got is None:
+            if e.name not in self._known:
                 raise FormalUnsupported(f"`{e.name}` has no value in formal scope")
-            return got
+            return itemgetter(e.name)
         if isinstance(e, TodoExpr):
             raise FormalUnsupported("todo! in formal scope")
         if isinstance(e, Unary):
-            return tb.app("bvneg" if e.op == "-" else "bvnot", [self.term(e.operand, k)])
+            return _op1(app, "bvneg" if e.op == "-" else "bvnot", self._word(e.operand))
         if isinstance(e, Binary):
-            return self._binary(e, k)
+            return self._binary(e)
         if isinstance(e, (Ternary, IfExpr)):
-            return tb.app("ite", [self.bool_term(e.cond, k),
-                                  self.term(e.then, k), self.term(e.els, k)])
+            cond, then, els = self._bool(e.cond), self._word(e.then), self._word(e.els)
+            return lambda f: app("ite", [cond(f), then(f), els(f)])
         if isinstance(e, Index):
             base_ty = e.base.ty
             if isinstance(base_ty, Vec):
                 raise FormalUnsupported("Vec indexing in formal scope")
             w = _width(base_ty)
-            idx = self.term(e.index, k)
+            base, index = self._word(e.base), self._word(e.index)
             iw = _width(e.index.ty)
             if iw < w:
-                idx = tb.app("zero_extend", [idx], w - iw)
+                index = _op1(app, "zero_extend", index, w - iw)
             elif iw > w:
-                idx = tb.app("extract", [idx], w - 1, 0)
-            return tb.app("extract", [tb.app("bvlshr", [self.term(e.base, k), idx])], 0, 0)
+                index = _op1(app, "extract", index, w - 1, 0)
+            return lambda f: app("extract", [app("bvlshr", [base(f), index(f)])], 0, 0)
         if isinstance(e, Slice):
-            return tb.app("extract", [self.term(e.base, k)], e.hi.value, e.lo.value)
+            return _op1(app, "extract", self._word(e.base), e.hi.value, e.lo.value)
         if isinstance(e, Convert):
-            inner = self.term(e.base, k)
+            inner = self._word(e.base)
             grow = _width(e.ty) - _width(e.base.ty)
             if grow == 0:
                 return inner
             if e.kind in ("zext", "sext"):
-                return tb.app("zero_extend" if e.kind == "zext" else "sign_extend",
-                              [inner], grow)
-            return tb.app("extract", [inner], _width(e.ty) - 1, 0)
+                return _op1(app, "zero_extend" if e.kind == "zext" else "sign_extend",
+                            inner, grow)
+            return _op1(app, "extract", inner, _width(e.ty) - 1, 0)
         if isinstance(e, VecStore):
             raise FormalUnsupported("Vec storage in formal scope")
         raise AssertionError(f"encode: {e!r}")
 
-    def bool_term(self, e: Expr, k: int) -> Term:
-        """Bool term for a 1-bit condition (keeps comparisons word-level so
-        the solver's branch refinement can see them)."""
-        tb = self.tb
+    def _bool(self, e: Expr) -> Build:
+        """Builder of the Bool term for a 1-bit condition (keeps comparisons
+        word-level so the solver's branch refinement can see them)."""
+        app = self.tb.app
         if isinstance(e, Binary):
             op = e.op
             if op in ("==", "!="):
-                eq = tb.app("=", [self.term(e.lhs, k), self.term(e.rhs, k)])
-                return eq if op == "==" else tb.app("not", [eq])
+                eq = _op2(app, "=", self._word(e.lhs), self._word(e.rhs))
+                return eq if op == "==" else _op1(app, "not", eq)
             if op in _CMP:
                 name = _CMP[op][isinstance(e.lhs.ty, SInt)]
-                return tb.app(name, [self.term(e.lhs, k), self.term(e.rhs, k)])
+                return _op2(app, name, self._word(e.lhs), self._word(e.rhs))
             if op in ("&&", "||", "implies"):
                 name = {"&&": "and", "||": "or", "implies": "=>"}[op]
-                return tb.app(name, [self.bool_term(e.lhs, k), self.bool_term(e.rhs, k)])
+                return _op2(app, name, self._bool(e.lhs), self._bool(e.rhs))
         if isinstance(e, Unary) and e.op == "!":
-            return tb.app("not", [self.bool_term(e.operand, k)])
+            return _op1(app, "not", self._bool(e.operand))
         if isinstance(e, BoolLit):
-            return self.bools[e.value]
-        return tb.app("=", [self.term(e, k), tb.const(1, 1)])
+            return _fixed(self.bools[e.value])
+        word, one = self._word(e), self._const(1, 1)
+        return lambda f: app("=", [word(f), one])
 
-    def _binary(self, e: Binary, k: int) -> Term:
-        tb = self.tb
+    def _binary(self, e: Binary) -> Build:
+        app = self.tb.app
         op = e.op
         if op in ("==", "!=") or op in _CMP:
-            cond = self.bool_term(e, k)
-            return tb.app("ite", [cond, tb.const(1, 1), tb.const(0, 1)])
-        a = self.term(e.lhs, k)
-        b = self.term(e.rhs, k)
+            cond, one, zero = self._bool(e), self._const(1, 1), self._const(0, 1)
+            return lambda f: app("ite", [cond(f), one, zero])
+        a, b = self._word(e.lhs), self._word(e.rhs)
         if op == "&&":
-            return tb.app("bvand", [a, b])
+            return _op2(app, "bvand", a, b)
         if op == "||":
-            return tb.app("bvor", [a, b])
+            return _op2(app, "bvor", a, b)
         if op == "implies":
-            return tb.app("bvor", [tb.app("bvnot", [a]), b])
+            return _op2(app, "bvor", _op1(app, "bvnot", a), b)
         if op in ("+%", "-%", "*%"):
             w = _width(e.ty)
             ext = "sign_extend" if isinstance(e.ty, SInt) else "zero_extend"
             lw, rw = _width(e.lhs.ty), _width(e.rhs.ty)
             if lw < w:
-                a = tb.app(ext, [a], w - lw)
+                a = _op1(app, ext, a, w - lw)
             if rw < w:
-                b = tb.app(ext, [b], w - rw)
+                b = _op1(app, ext, b, w - rw)
         if op in _SIGNED:
-            return tb.app(_SIGNED[op][isinstance(e.lhs.ty, SInt)], [a, b])
-        return tb.app(_ARITH[op], [a, b])
+            return _op2(app, _SIGNED[op][isinstance(e.lhs.ty, SInt)], a, b)
+        return _op2(app, _ARITH[op], a, b)
 
 
 def encode_bmc(core: CoreModule, prop: CoreProperty, bound: int) -> SmtScript:
@@ -320,9 +376,9 @@ def encode_bmc(core: CoreModule, prop: CoreProperty, bound: int) -> SmtScript:
     unroll = Unrolling(core, tb)
     for k in range(bound + 1):
         unroll.extend()
-    props = [tb.define(f"__prop__{k}", 1, unroll.term(prop.expr, k))
+    props = [tb.define(f"__prop__{k}", 1, unroll.prop_term(prop, k))
              for k in range(bound + 1)]
-    want = tb.const(prop.kind != "assert", 1)
+    want = unroll._const(prop.kind != "assert", 1)
     goal = tb.app("or", [tb.app("=", [p, want]) for p in props])
     return _script(unroll, prop, props, goal)
 
@@ -339,8 +395,8 @@ def encode_witness(core: CoreModule, prop: CoreProperty, cycle: int) -> SmtScrip
     checks = [c for k in range(cycle + 1) for c in unroll.checks(k)]
     if not checks:
         return None
-    p = tb.define(f"__prop__{cycle}", 1, unroll.term(prop.expr, cycle))
-    hit = tb.app("=", [p, tb.const(prop.kind != "assert", 1)])
+    p = tb.define(f"__prop__{cycle}", 1, unroll.prop_term(prop, cycle))
+    hit = tb.app("=", [p, unroll._const(prop.kind != "assert", 1)])
     return _script(unroll, prop, [p], tb.app("and", [hit] + checks))
 
 

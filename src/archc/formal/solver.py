@@ -6,8 +6,8 @@ solver. `run_solver` runs an external solver as one process per query
 ARCHC_SOLVER_PATH environment variable (a colon-separated list of
 directories searched before PATH) and then PATH. The builtin solver never
 goes through `run_solver`: `verify` keeps one live in-process
-`archc.smt.solve.Session` per call (see `formal/verify.py`), and
-`builtin_verdict` turns its failures into solver errors.
+`archc.smt.solve.Session` per call (see `formal/verify.py`), which turns
+its failures into solver errors.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import os
 import shutil
 import subprocess
 import tempfile
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from ..smt.sexpr import SmtParseError, parse_all, parse_bv_literal
@@ -28,16 +27,6 @@ class SolverError(Exception):
     def __init__(self, code: str, message: str) -> None:
         super().__init__(message)
         self.code = code  # E_SOLVER_MISSING | E_SOLVER_PARSE
-
-
-@contextmanager
-def builtin_verdict():
-    """Turns an exception out of the builtin solver into E_SOLVER_PARSE."""
-    try:
-        yield
-    except Exception as e:  # e.g. a term nested too deeply
-        raise SolverError("E_SOLVER_PARSE", f"solver `builtin` produced no verdict "
-                          f"({type(e).__name__}: {e})") from None
 
 
 def _lookup(name: str) -> str | None:

@@ -41,7 +41,7 @@ from ..ir import CoreModule, CoreProperty
 from ..types import Reset
 from .encode import (FormalUnsupported, SmtScript, Unrolling, encode_bmc,
                      encode_witness, formal_scope_check, inactive_level)
-from .solver import builtin_verdict, pick_solver, run_solver
+from .solver import SolverError, pick_solver, run_solver
 
 
 @dataclass
@@ -129,6 +129,8 @@ def verify(core: CoreModule, bound: int, solver_choice: str = "auto", *,
 
 def _check_builtin(core: CoreModule, props: list[CoreProperty], bound: int,
                    timeout: float | None) -> list[PropResult]:
+    if not props:
+        return []  # nothing to ask, so nothing to translate
     from ..smt.solve import Session  # imported here: other paths never load it
     session = Session()
     unroll = Unrolling(core, session.builder)
@@ -139,22 +141,24 @@ def _check_builtin(core: CoreModule, props: list[CoreProperty], bound: int,
         if not open_props:
             break
         unroll.extend()
-        with builtin_verdict():
+        goals = [unroll.goal(props[i], k) for i in open_props]  # not a solver failure
+        try:
             session.range_definitions()  # the frame's share, charged to no property
-        for i in open_props:
-            prop = props[i]
-            goal = unroll.goal(prop, k)
-            t0 = time.monotonic()
-            if timeout is not None:
-                session.deadline = t0 + timeout - spent[i]
-            with builtin_verdict():
+            for i, goal in zip(open_props, goals):
+                prop = props[i]
+                t0 = time.monotonic()
+                if timeout is not None:
+                    session.deadline = t0 + timeout - spent[i]
                 status = session.check_assuming(goal)
                 trace = _witness(unroll, session, goal, k) if status == "sat" else None
-            spent[i] += time.monotonic() - t0
-            if status == "sat":
-                results[i] = _found(prop, k, trace)
-            elif status != "unsat":
-                results[i] = PropResult(prop.name, prop.kind, "INCONCLUSIVE", detail=status)
+                spent[i] += time.monotonic() - t0
+                if status == "sat":
+                    results[i] = _found(prop, k, trace)
+                elif status != "unsat":
+                    results[i] = PropResult(prop.name, prop.kind, "INCONCLUSIVE", detail=status)
+        except Exception as e:  # e.g. a term nested too deeply
+            raise SolverError("E_SOLVER_PARSE", f"solver `builtin` produced no verdict "
+                              f"({type(e).__name__}: {e})") from None
     return [r if r is not None else _not_found(p) for r, p in zip(results, props)]
 
 

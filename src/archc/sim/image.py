@@ -21,7 +21,7 @@ from ..ast_nodes import (
     Binary, BoolLit, Convert, EnumRef, Expr, IfExpr, Index, IntLit, NameRef,
     Slice, Ternary, TodoExpr, Unary,
 )
-from ..consteval import div_trunc, rem_trunc
+from ..consteval import const_value_of, div_trunc, rem_trunc, wrap_signed, zero_of
 from ..ir import CoreModule, VecStore, build_comb_graph
 from ..source import Span
 from ..types import Clock, EnumType, SInt, Type, UInt, Vec
@@ -115,40 +115,12 @@ def mask_of(width: int) -> int:
     return (1 << width) - 1
 
 
-def wrap_signed(v: int, width: int) -> int:
-    v &= (1 << width) - 1
-    if v >= (1 << (width - 1)):
-        v -= 1 << width
-    return v
-
-
 def type_width(ty: Type) -> int:
     if isinstance(ty, (UInt, SInt)):
         return ty.width
     if isinstance(ty, EnumType):
         return ty.width
     return 1
-
-
-def zero_of(ty: Type) -> object:
-    if isinstance(ty, Vec):
-        return (zero_of(ty.elem),) * ty.size
-    return 0
-
-
-def const_value_of(e: Expr, ty: Type) -> object:
-    """Reset values are constants; Vec resets zero-fill."""
-    if isinstance(ty, Vec):
-        return zero_of(ty)
-    if isinstance(e, IntLit):
-        return wrap_signed(e.value, ty.width) if isinstance(ty, SInt) else e.value
-    if isinstance(e, BoolLit):
-        return 1 if e.value else 0
-    if isinstance(e, EnumRef):
-        return e.ty.variants.index(e.variant)
-    if isinstance(e, Unary) and e.op == "-" and isinstance(e.operand, IntLit):
-        return wrap_signed(-e.operand.value, ty.width)
-    raise AssertionError(f"non-constant reset value {e!r}")
 
 
 # ── expression compilation ───────────────────────────────────────

@@ -26,6 +26,8 @@ class IntervalEngine:
         self.cache: dict[Term, Interval] = {}
 
     def eval(self, t: Term, refine: dict[Term, Interval] | None = None) -> Interval:
+        if t.op == "const":  # never cached: a refinement can only pin it to itself
+            return (t.value, t.value)
         if refine:
             r = refine.get(t)
             if r is not None:
@@ -45,8 +47,6 @@ class IntervalEngine:
 
     def _compute(self, t: Term, refine) -> Interval:
         op = t.op
-        if op == "const":
-            return (t.value, t.value)
         if op == "var":
             if t.definition is not None:
                 return self.eval(t.definition, refine)

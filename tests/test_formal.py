@@ -113,6 +113,16 @@ end module Bits
 """
 
 
+def _subterms(terms):
+    seen, stack = set(), list(terms)  # terms hash by identity
+    while stack:
+        t = stack.pop()
+        if t not in seen:
+            seen.add(t)
+            stack.extend(t.args)
+    return seen
+
+
 def core_of(fname, top):
     design, _ = build_files([corpus_path(fname)])
     return design, design.cores[top]
@@ -352,12 +362,70 @@ class TestIncrementalBuiltin:
         with pytest.raises(SolverError) as e:
             verify(core, 20, "builtin")
         assert e.value.code == "E_SOLVER_PARSE"
-        assert "RecursionError" in str(e.value)
+        assert str(e.value) == ("solver `builtin` produced no verdict "
+                                "(RecursionError: maximum recursion depth exceeded)")
 
     def test_negative_bound_is_refused(self):
         _, core = core_of("counter_wrap15.arch", "Nibble")
         with pytest.raises(FormalUnsupported):
             verify(core, -1, "builtin")
+
+    def test_scope_error_comes_before_negative_bound(self):
+        _, core = core_of("hier_top.arch", "HierTop")
+        with pytest.raises(FormalUnsupported) as e:
+            verify(core, -1, "builtin")
+        assert "sub-modules" in str(e.value)
+
+    def test_one_scope_check_per_verify(self, tmp_path, monkeypatch):
+        """The scope check runs once per call, not again per unrolling or
+        per emitted script."""
+        verify_mod = sys.modules["archc.formal.verify"]
+        calls = []
+        original = verify_mod.formal_scope_check
+
+        def counted(core):
+            calls.append(core.name)
+            original(core)
+        monkeypatch.setattr(verify_mod, "formal_scope_check", counted)
+        monkeypatch.setattr(sys.modules["archc.formal.encode"], "formal_scope_check", counted)
+        _, core = core_of("counter_wrap15.arch", "Nibble")
+        v = verify(core, 20, "builtin", emit_smt=str(tmp_path / "out.smt2"))
+        assert [r.status for r in v.results] == ["PROVED", "REFUTED"]
+        assert len(list(tmp_path.iterdir())) == 2
+        assert calls == ["Nibble"]
+
+    def test_proved_run_loads_no_simulator(self):
+        """The simulator is loaded only to replay a trace."""
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); from archc import cli; "
+                "rc = cli.main(sys.argv[2:]); "
+                "print(rc, sorted(m for m in sys.modules if m.startswith('archc.sim')))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, os.path.join(ROOT, "src"), "formal",
+             corpus_path("counter_sat10.arch"), "--bound", "20", "--solver", "builtin"],
+            capture_output=True, text=True, timeout=120)
+        assert proc.stdout.splitlines()[-1] == "0 []", proc.stdout + proc.stderr
+
+    def test_frames_replay_the_translation(self, monkeypatch):
+        """The expressions are translated when the unrolling is made; a
+        frame only calls the builders, and each literal is one term."""
+        from archc.formal.encode import Unrolling
+        from archc.smt.terms import TermBuilder
+        design, _ = build_text(DIV_ARCH)
+        core = design.cores["Div"]
+        unroll = Unrolling(core, TermBuilder())
+        unroll.extend()
+        assert unroll.checks(0)  # the checks are translated on first use
+
+        def walked(self, e):
+            raise AssertionError(f"a frame walked {e!r}")
+        for name in ("_word", "_bool", "_check"):
+            monkeypatch.setattr(Unrolling, name, walked)
+        frames = [unroll.frames[0]] + [unroll.extend() for _ in range(2)]
+        assert len(unroll.checks(2)) == len(unroll.checks(0))
+        goals = [unroll.goal(p, 2) for p in core.properties]
+        built = goals + unroll.checks(2) + [f["cnt"].definition for f in frames[1:]]
+        consts = {t for t in _subterms(built) if t.op == "const"}
+        assert consts and len({(t.value, t.width) for t in consts}) == len(consts)
 
     def test_replay_mismatch_is_inconclusive(self, monkeypatch):
         """A trace the simulator does not reproduce is never reported."""

@@ -509,6 +509,19 @@ class TestIntervals:
                     v = concrete_value(t, {x: vx, y: vy}, None)
                     assert lo <= v <= hi, (trial, vx, vy, v, (lo, hi), t)
 
+    def test_constants_stay_out_of_the_cache(self):
+        tb = TermBuilder()
+        x = tb.declare("x", 4)
+        five = tb.const(5, 4)
+        eng = IntervalEngine()
+        assert eng.eval(five) == (5, 5)
+        assert eng.eval(tb.const(1, BOOL_SORT)) == (1, 1)
+        assert eng.eval(tb.app("bvadd", [x, five])) == (0, 15)
+        assert five not in eng.cache and len(eng.cache) == 2  # x and the sum
+        # under a refinement too: a constant is only ever its own value
+        t = tb.app("ite", [tb.app("=", [x, five]), tb.app("bvadd", [x, five]), five])
+        assert eng.eval(t) == (5, 10)
+
 
 class TestSession:
     def test_definitional_chain_and_model(self):
