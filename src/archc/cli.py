@@ -104,7 +104,7 @@ def _pick_top(design: Design, name: str | None) -> str | int:
 
 def cmd_sim(args) -> int:
     from .sim import SimFlags, build_sim, parse_stimulus, run_stimulus
-    from .sim.stimulus import StimulusError, StimulusProgram, Directive
+    from .sim.stimulus import StimulusError
     loaded = _load(args.files, args.json)
     if isinstance(loaded, int):
         return loaded
@@ -129,11 +129,14 @@ def cmd_sim(args) -> int:
             print(f"error[E_STIM]: {e}")
             return 1
     else:
-        program = StimulusProgram([Directive("run", (args.cycles,), 0)])
+        program = parse_stimulus(f"run {args.cycles}\n")
     try:
         report = run_stimulus(image, program, trace_path=args.wave)
     except StimulusError as e:
-        print(f"error[E_STIM]: {e}")
+        if args.stim is None:  # the one `run` line is not the user's
+            print(f"error[E_STIM]: {e.message}; give a stimulus program with --stim")
+        else:
+            print(f"error[E_STIM]: {e}")
         return 1
     for line in report.lines():
         print(line)

@@ -37,8 +37,9 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
+from ..consteval import wrap_signed
 from ..ir import CoreModule, CoreProperty
-from ..types import Reset
+from ..types import Reset, SInt
 from .encode import (FormalUnsupported, SmtScript, Unrolling, encode_bmc,
                      encode_witness, formal_scope_check, inactive_level)
 from .solver import SolverError, pick_solver, run_solver
@@ -178,8 +179,21 @@ def _witness(unroll: Unrolling, session, goal, k: int) -> list[dict[str, int]]:
 def _model_trace(unroll: Unrolling, session, upto: int) -> list[dict[str, int]]:
     """Inputs and registers of cycles 0..upto in the last sat answer."""
     names = [name for name, _ in unroll.inputs] + list(unroll.core.regs)
-    return [{name: session.model_value(frame[name]) for name in names}
-            for frame in unroll.frames[:upto + 1]]
+    return _as_signed(unroll.core, [{name: session.model_value(frame[name]) for name in names}
+                                    for frame in unroll.frames[:upto + 1]])
+
+
+def _as_signed(core: CoreModule, trace: list[dict[str, int]]) -> list[dict[str, int]]:
+    """`trace` with the bit pattern of each signed input and register read
+    as its signed value, the value the simulator holds and compares."""
+    widths = {p.name: p.ty.width for p in core.ports if isinstance(p.ty, SInt)}
+    widths.update((name, reg.ty.width) for name, reg in core.regs.items()
+                  if isinstance(reg.ty, SInt))
+    for row in trace:
+        for name, width in widths.items():
+            if name in row:
+                row[name] = wrap_signed(row[name], width)
+    return trace
 
 
 def _check_external(core: CoreModule, prop: CoreProperty, bound: int, solver: str,
@@ -205,7 +219,7 @@ def _check_external(core: CoreModule, prop: CoreProperty, bound: int, solver: st
         res = run_solver(witness.text, solver, timeout, want_values=witness.all_vars)
         if res.status == "sat":
             script, model = witness, res.model
-    return _found(prop, hi, _decode_trace(script, model, hi))
+    return _found(prop, hi, _as_signed(core, _decode_trace(script, model, hi)))
 
 
 def _decode_trace(script: SmtScript, model: dict[str, int],

@@ -5,12 +5,14 @@ The comb state is settled (one pass of the image's schedule) only when
 it is about to be observed, by an edge step, `peek`, a clockless property
 or a VCD sample, and only if a data net changed since the last settle: a
 `set_input`, an async reset, or an edge step that committed registers.
-Clock nets are not data, and the clock schedule writes every one of them,
-child instance clocks included, so changing a clock leaves the state
-settled.
+Each generated edge step opens with that settle itself, so a tick without
+a trace or clockless properties is one table lookup, one step call and
+the clock writes. Clock nets are not data, and the clock schedule writes
+every one of them, child instance clocks included, so changing a clock
+leaves the state settled.
 
 Clocking model: global time advances in ticks. A domain with period P
-rises at every tick t > 0 with t % P == P // 2 (P == 1 rises every tick),
+rises at every tick t > 0 with t % P == P - P // 2 (P == 1 rises every tick),
 so clocks start low and stimulus applied at time 0 is seen by the first
 edge. Properties sample pre-edge values: the check for cycle k runs at
 the (k+1)-th posedge on state_k plus current inputs, which makes sim
@@ -138,17 +140,12 @@ class Simulator:
             assert values == before, "settle invariant violated: second pass changed nets"
         self._dirty = False
 
-    def _input_slot(self, name: str, value: int) -> tuple:
-        """(value index, coerced value, driven slot) of `set_input(name, value)`."""
+    def set_input(self, name: str, value: int) -> None:
         entry = self._inputs.get(name)
         if entry is None:
-            raise KeyError(f"`{name}` is not a primary input")
+            raise not_an_input(name)
         index, slot, coerce = entry
-        return index, coerce(value), slot
-
-    def set_input(self, name: str, value: int) -> None:
-        index, value, slot = self._input_slot(name, value)
-        self.values[index] = value
+        self.values[index] = coerce(value)
         self._driven[slot] = True
         self._dirty = True
         if self._async_regs:
@@ -207,26 +204,39 @@ class Simulator:
 
     def tick(self, n: int = 1) -> None:
         """Advance n global ticks, processing any clock edges encountered.
-        An edge step samples properties, checks guards and commits the
-        registers of the edges that fired (rising edges also count cycles)."""
+        An edge step settles, samples properties, checks guards and
+        commits the registers of the edges that fired (rising edges also
+        count cycles)."""
         values, table, lcm = self.values, self._table, self._lcm
+        t = self.time
+        if self.trace is None and not self._clockless:
+            end = t + n
+            try:
+                while t < end:
+                    t += 1
+                    step, clocks = table.get(t % lcm) or self._phase(t % lcm)
+                    if step is not None and step(values, self):
+                        raise _StopSim()
+                    for idx, value in clocks:
+                        values[idx] = value
+            finally:
+                self.time = t
+            return
         clockless, trace = self._clockless, self.trace
-        for _ in range(n):
-            self.time = t = self.time + 1
+        sample = trace._sample if trace is not None else None
+        for t in range(t + 1, t + n + 1):
+            self.time = t
             step, clocks = table.get(t % lcm) or self._phase(t % lcm)
-            if step is not None:
-                if self._dirty:
-                    self.settle()
-                if step(values, self):
-                    raise _StopSim()
+            if step is not None and step(values, self):
+                raise _StopSim()
             for idx, value in clocks:
                 values[idx] = value
             if clockless:
                 self._check_clockless()
-            if trace is not None:
+            if sample is not None:
                 if self._dirty:
                     self.settle()
-                trace.sample(t, values)
+                sample(t, values)
 
     def _check_clockless(self) -> None:
         """Pure-comb constructs have no sampling edge; their properties are
@@ -294,6 +304,10 @@ def unknown_net(name: str) -> KeyError:
     return KeyError(f"unknown net `{name}`")
 
 
+def not_an_input(name: str) -> KeyError:
+    return KeyError(f"`{name}` is not a primary input")
+
+
 def _coercion(ty):
     """The wrap or mask `set_input` applies to a value for an input of `ty`."""
     if isinstance(ty, SInt):
@@ -307,7 +321,9 @@ def _coercion(ty):
 
 def generate_step(image: SimImage, rising: tuple, falling: tuple):
     """Straight-line step function `step(v, sim) -> stop` for one set of
-    clock edges, in the order the events happen: property sampling on
+    clock edges, in the order the events happen: the settle when a data
+    net changed since the last one (through `sim.settle` under
+    --debug-settle, for its second pass), property sampling on
     pre-edge values (with `disable iff`), guard checks (--check-uninit),
     every next value of the registers clocked by these edges (reset,
     `assigned`), then the commit (--cdc-random capture, written
@@ -325,7 +341,19 @@ def generate_step(image: SimImage, rising: tuple, falling: tuple):
     regs = [r for d in rising for r in image.regs_by_domain.get(d, ()) if r.edge == "rising"]
     regs += [r for d in falling for r in image.regs_by_domain.get(d, ()) if r.edge == "falling"]
 
-    lines = ["    cyc = s.cycles", "    rep = s.report", "    stop = False"]
+    if flags.debug_settle:
+        lines = ["    if s._dirty:", "        s.settle()"]
+    else:
+        lines = ["    if s._dirty:", f"        {b.bind(image.settle, '_settle')}(v)",
+                 "        s._dirty = False"]
+    # props and guards sample only on rising edges
+    if rising:
+        lines.append("    cyc = s.cycles")
+    if props or guards:
+        lines.append("    rep = s.report")
+    stops = flags.stop_on_assert and any(p.kind == "assert" for p in props)
+    if stops:
+        lines.append("    stop = False")
     for p in props:
         cycle = f"cyc[{p.domain!r}]" if p.domain is not None else "max(cyc.values(), default=0)"
         cond = ExprCompiler(b).cond(p.expr)
@@ -395,6 +423,6 @@ def generate_step(image: SimImage, rising: tuple, falling: tuple):
     if regs:
         lines.append("    s._dirty = True")
     lines += [f"    cyc[{d!r}] += 1" for d in rising]
-    lines.append("    return stop\n")
+    lines.append("    return stop\n" if stops else "    return False\n")
     name = b.fresh("_step")
     return b.run(f"def {name}(v, s):\n" + "\n".join(lines))[name]

@@ -8,37 +8,42 @@
     expect <net> <value>
 
 Values are decimal (optionally negative) or 0x-hex, plus true/false.
+
+A program is its list of lines plus a table from each distinct line to
+its parsed form: `parse_stimulus` parses every distinct line once, so a
+syntax error anywhere stops the program before anything runs, reported
+at the first line with that text. `run_stimulus` resolves each distinct
+line against the simulator when it first runs (a `set` to its value
+index, coerced value and driven slot, an `expect` to its net index) and
+keeps the resulting action by line text, so a line that repeats costs
+one dict lookup and a dispatch on the action's kind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .engine import SimEvent, SimReport, Simulator, _StopSim, unknown_net
+from .engine import SimEvent, SimReport, Simulator, _StopSim, not_an_input, unknown_net
 from .image import SimAbortError, SimImage
+
+# action kinds, the first element of a parsed or resolved line
+SKIP, SET, EXPECT, RUN, TICK, CLOCK = range(6)
 
 
 class StimulusError(Exception):
     def __init__(self, line_no: int, message: str) -> None:
         super().__init__(f"stimulus line {line_no}: {message}")
         self.line_no = line_no
-
-
-class Directive(NamedTuple):
-    kind: str
-    args: tuple
-    line_no: int
+        self.message = message
 
 
 @dataclass
 class StimulusProgram:
-    # (kind, args, line_no) tuples: `parse_stimulus` stores plain ones,
-    # a program built by hand may hold Directives
-    directives: list[tuple]
+    lines: list[str]          # the program text, one entry per line
+    forms: dict[str, tuple]   # distinct line -> parsed form, (SKIP,) if blank
 
 
-def _parse_value(text: str, line_no: int) -> int:
+def _parse_value(text: str) -> int:
     if text == "true":
         return 1
     if text == "false":
@@ -46,95 +51,114 @@ def _parse_value(text: str, line_no: int) -> int:
     try:
         return int(text, 0)
     except ValueError:
-        raise StimulusError(line_no, f"bad value {text!r}")
+        raise ValueError(f"bad value {text!r}") from None
 
 
-def _parse_count(text: str, line_no: int) -> int:
+def _parse_count(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise StimulusError(line_no, f"bad count {text!r}")
+        raise ValueError(f"bad count {text!r}") from None
 
 
-# directive -> (word count, usage message)
+# directive -> (kind, word count, usage message)
 _FORMS = {
-    "set": (3, "usage: set <net> <value>"),
-    "expect": (3, "usage: expect <net> <value>"),
-    "run": (2, "usage: run <cycles>"),
-    "tick": (2, "usage: tick <n>"),
-    "clock": (4, "usage: clock <domain> period <ticks>"),
+    "set": (SET, 3, "usage: set <net> <value>"),
+    "expect": (EXPECT, 3, "usage: expect <net> <value>"),
+    "run": (RUN, 2, "usage: run <cycles>"),
+    "tick": (TICK, 2, "usage: tick <n>"),
+    "clock": (CLOCK, 4, "usage: clock <domain> period <ticks>"),
 }
 
 
-def _parse_line(line: str, line_no: int) -> tuple:
-    """(kind, args) of one line, or () for a blank or comment line."""
+def _parse_line(line: str) -> tuple:
+    """The parsed form of one line; a malformed line raises ValueError
+    with the message to report."""
     if "#" in line:
         line = line[:line.index("#")]
     parts = line.split()
     if not parts:
-        return ()
+        return (SKIP,)
     head = parts[0]
     form = _FORMS.get(head)
     if form is None:
-        raise StimulusError(line_no, f"unknown directive {head!r}")
-    if len(parts) != form[0] or (head == "clock" and parts[2] != "period"):
-        raise StimulusError(line_no, form[1])
-    if form[0] == 3:
-        return head, (parts[1], _parse_value(parts[2], line_no))
-    if form[0] == 2:
-        return head, (_parse_count(parts[1], line_no),)
-    return head, (parts[1], _parse_count(parts[3], line_no))
+        raise ValueError(f"unknown directive {head!r}")
+    kind, words, usage = form
+    if len(parts) != words or (kind == CLOCK and parts[2] != "period"):
+        raise ValueError(usage)
+    if words == 3:
+        return kind, parts[1], _parse_value(parts[2])
+    if words == 2:
+        return kind, _parse_count(parts[1])
+    return kind, parts[1], _parse_count(parts[3])
 
 
 def parse_stimulus(text: str) -> StimulusProgram:
-    directives: list[tuple] = []
-    seen: dict[str, tuple] = {}  # line text -> parsed; programs repeat lines
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        parsed = seen.get(line)
-        if parsed is None:
-            parsed = seen[line] = _parse_line(line, line_no)
-        if parsed:
-            directives.append((parsed[0], parsed[1], line_no))
-    return StimulusProgram(directives)
+    lines = text.splitlines()
+    forms: dict[str, tuple] = {}
+    for line in dict.fromkeys(lines):
+        try:
+            forms[line] = _parse_line(line)
+        except ValueError as exc:
+            raise StimulusError(lines.index(line) + 1, str(exc)) from None
+    return StimulusProgram(lines, forms)
+
+
+def _resolve(sim: Simulator, form: tuple, line_no: int, run_domain: str | None) -> tuple:
+    """The action of a parsed line on `sim`: (SET, value index, coerced
+    value, driven slot) or (EXPECT, net index, wanted value, name); other
+    forms run as parsed."""
+    kind = form[0]
+    if kind == SET:
+        _, name, value = form
+        entry = sim._inputs.get(name)
+        if entry is None:
+            raise StimulusError(line_no, str(not_an_input(name)))
+        index, slot, coerce = entry
+        return SET, index, coerce(value), slot
+    if kind == EXPECT:
+        _, name, want = form
+        index = sim._names.get(name)
+        if index is None:
+            raise StimulusError(line_no, str(unknown_net(name)))
+        return EXPECT, index, want, name
+    if kind == RUN and run_domain is None:
+        raise StimulusError(line_no, "design has no clock domain to run")
+    return form
 
 
 def run_stimulus(image: SimImage, program: StimulusProgram,
                  trace_path: str | None = None) -> SimReport:
     """Run `program` on a new simulator. A `set` does what `set_input`
-    does and an `expect` reads what `peek` reads, written out here: each
-    distinct `set` line is resolved once, when it first runs."""
+    does and an `expect` reads what `peek` reads, written out here."""
     sim = Simulator(image)
     report = sim.report
-    values, driven, names = sim.values, sim._driven, sim._names
+    values, driven = sim.values, sim._driven
     async_resets = bool(sim._async_regs)
-    sets: dict[tuple, tuple] = {}  # set args -> (value index, value, driven slot)
+    forms = program.forms
+    actions: dict[str, tuple] = {}  # line text -> resolved action
     run_domain = image.primary_domain or (image.domains[0] if image.domains else None)
     try:
         if trace_path is not None:
             from .vcd import VcdTrace
             sim.settle()  # the first sample can abort too
             sim.trace = VcdTrace(image, sim.values)
-        for kind, args, line_no in program.directives:
-            if kind == "set":
-                entry = sets.get(args)
-                if entry is None:
-                    try:
-                        entry = sets[args] = sim._input_slot(*args)
-                    except KeyError as exc:
-                        raise StimulusError(line_no, str(exc))
-                index, value, slot = entry
+        for line_no, line in enumerate(program.lines, start=1):
+            action = actions.get(line)
+            if action is None:
+                action = actions[line] = _resolve(sim, forms[line], line_no, run_domain)
+            kind = action[0]
+            if kind == SET:
+                _, index, value, slot = action
                 values[index] = value
                 driven[slot] = True
                 sim._dirty = True
                 if async_resets:
                     sim._async_resets()
-            elif kind == "expect":
+            elif kind == EXPECT:
                 if sim._dirty:
                     sim.settle()
-                name, want = args
-                index = names.get(name)
-                if index is None:
-                    raise StimulusError(line_no, str(unknown_net(name)))
+                _, index, want, name = action
                 got = values[index]
                 report.expect_count += 1
                 if got != want:
@@ -142,15 +166,13 @@ def run_stimulus(image: SimImage, program: StimulusProgram,
                     report.events.append(SimEvent(
                         "EXPECT_MISMATCH", sim._max_cycle(), "",
                         f"line {line_no}: `{name}` expected {want}, got {got}"))
-            elif kind == "run":
-                if run_domain is None:
-                    raise StimulusError(line_no, "design has no clock domain to run")
-                sim.run_cycles(run_domain, args[0])
-            elif kind == "tick":
-                sim.tick(args[0])
-            elif kind == "clock":
+            elif kind == RUN:
+                sim.run_cycles(run_domain, action[1])
+            elif kind == TICK:
+                sim.tick(action[1])
+            elif kind == CLOCK:
                 try:
-                    sim.set_period(*args)
+                    sim.set_period(action[1], action[2])
                 except (KeyError, ValueError) as exc:
                     raise StimulusError(line_no, str(exc))
     except _StopSim:

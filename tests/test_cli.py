@@ -139,6 +139,12 @@ end module Oob
         rc, out = run_cli("sim", corpus_path("hier_top.arch"))
         assert rc == 1 and "E_NO_TOP" in out and "HierTop" in out
 
+    def test_clockless_without_stim_names_the_missing_stim(self):
+        rc, out = run_cli("sim", corpus_path("comb_alu.arch"))
+        assert rc == 1
+        assert out == ("error[E_STIM]: design has no clock domain to run; "
+                       "give a stimulus program with --stim\n")
+
     def test_stim_parse_error(self, tmp_path):
         stim = tmp_path / "junk.stim"
         stim.write_text("warp 9\n")

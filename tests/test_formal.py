@@ -327,6 +327,26 @@ class TestIncrementalBuiltin:
         assert [(r.name, r.status, r.cycle) for r in v.results] == [
             ("small", "REFUTED", 5), ("three", "HIT", 3)]
 
+    def test_signed_register_replays(self):
+        """A trace holds a signed register's value, not its bit pattern,
+        so the replay's `expect` lines match the simulator."""
+        design, _ = build_text("""\
+module SReg
+  port clk: in Clock<D>;
+  port rst: in Reset<Sync>;
+  port y: out SInt<4>;
+  reg r: SInt<4> reset rst => -1;
+  seq on clk rising
+    r <= r -% 1;
+  end seq
+  comb y = r;
+  cover low: r == (-3);
+end module SReg
+""")
+        [r] = verify(design.cores["SReg"], 5, "builtin").results
+        assert r.line(5) == "cover low: HIT at cycle 2"
+        assert [row["r"] for row in r.trace] == [-1, -2, -3]
+
     def test_free_divisor_replays(self):
         """A property that does not need the divisor still gets a trace on
         which the simulator does not divide by zero, and the generated

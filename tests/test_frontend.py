@@ -317,15 +317,14 @@ class TestDepthLimit:
         even when called 300 frames deep."""
         from archc.formal import verify
         from archc.parser import MAX_EXPR_DEPTH
-        from archc.sim import SimFlags, build_sim, run_stimulus
-        from archc.sim.stimulus import Directive, StimulusProgram
+        from archc.sim import SimFlags, build_sim, parse_stimulus, run_stimulus
         from archc.sv_emit import emit_module
 
         def everything():
             design, _ = build_text(_deep_module(_DEEP_FORMS[form](MAX_EXPR_DEPTH)))
             emit_module(design.cores["D"])
             image = build_sim(design.cores, "D", SimFlags())
-            run_stimulus(image, StimulusProgram([Directive("run", (3,), 0)]))
+            run_stimulus(image, parse_stimulus("run 3\n"))
             return verify(design.cores["D"], 2, "builtin")
 
         def nest(k):

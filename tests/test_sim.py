@@ -13,7 +13,7 @@ from archc.sim import (
 )
 from archc.sim.engine import Simulator
 from archc.sim.image import SimAbortError, wrap_signed
-from archc.sim.stimulus import Directive
+from archc.sim.stimulus import RUN
 
 
 def sim_for(design, top, **kw):
@@ -615,28 +615,72 @@ class TestSettleWork:
         assert outputs[0] == outputs[1]
 
 
+def _split_lines(text: str, kind: str) -> str:
+    """`text` with every `<kind> n` line written as n `<kind> 1` lines."""
+    out = []
+    for line in text.splitlines():
+        words = line.split("#")[0].split()
+        out += [f"{kind} 1"] * int(words[1]) if words[:1] == [kind] else [line]
+    return "\n".join(out) + "\n"
+
+
+def _runs_as_ticks(text: str, domain: str | None) -> str:
+    """`text` with every `run n` written as the `tick` that ends on the
+    n-th next rising edge of `domain`, which rises at each tick t with
+    t % P == ceil(P / 2) % P; P follows the `clock` lines."""
+    period, time, out = 2, 0, []
+    for line in text.splitlines():
+        words = line.split("#")[0].split()
+        if words[:2] == ["clock", domain]:
+            period = int(words[3])
+        elif words[:1] == ["run"]:
+            end = time
+            for _ in range(int(words[1])):
+                end += 1
+                while end % period != (period - period // 2) % period:
+                    end += 1
+            line = f"tick {end - time}"
+            words = line.split()
+        if words[:1] == ["tick"]:
+            time += int(words[1])
+        out.append(line)
+    return "\n".join(out) + "\n"
+
+
 class TestMetamorphic:
+    """Reports (every line, the cover table and the cycle counts) that
+    must not change when a program is written another way or traced."""
+
+    @staticmethod
+    def _report(design, top, text, wave=None):
+        r = run_stimulus(build_sim(design.cores, top, SimFlags()), parse_stimulus(text), wave)
+        return r.lines(), r.cover_table, r.cycles
+
     @pytest.mark.parametrize("fname,top,stim,_b", CLEAN_CORPUS)
     def test_split_runs_and_a_trace_leave_the_report_unchanged(
             self, fname, top, stim, _b, clean_corpus_designs, tmp_path):
-        """`run n` as n x `run 1` (same line numbers), and the same
-        program with a VCD trace, report exactly what the plain run does."""
+        """`run n` as n x `run 1`, and the same program with a VCD trace,
+        report exactly what the plain run does."""
         design = clean_corpus_designs[fname][0]
-        program = parse_stimulus(open(corpus_path(stim)).read())
-        split = []
-        for kind, args, line_no in program.directives:
-            if kind == "run":
-                split += [("run", (1,), line_no)] * args[0]
-            else:
-                split.append((kind, args, line_no))
+        text = open(corpus_path(stim)).read()
+        plain = self._report(design, top, text)
+        assert self._report(design, top, _split_lines(text, "run")) == plain
+        assert self._report(design, top, text, str(tmp_path / "w.vcd")) == plain
 
-        def report(prog, wave=None):
-            r = run_stimulus(build_sim(design.cores, top, SimFlags()), prog, wave)
-            return r.lines(), r.cover_table, r.cycles
-
-        plain = report(program)
-        assert report(StimulusProgram(split)) == plain
-        assert report(program, str(tmp_path / "w.vcd")) == plain
+    @pytest.mark.parametrize("fname,top,stim,_b", CLEAN_CORPUS)
+    def test_tick_n_as_single_ticks_leaves_the_report_unchanged(
+            self, fname, top, stim, _b, clean_corpus_designs, tmp_path):
+        """With every `run` written as its `tick`, `tick n` as n x `tick 1`
+        reports what the plain run does, traced or not."""
+        design = clean_corpus_designs[fname][0]
+        image = build_sim(design.cores, top, SimFlags())
+        text = open(corpus_path(stim)).read()
+        ticks = _runs_as_ticks(text, image.primary_domain)
+        plain = self._report(design, top, text)
+        single = _split_lines(ticks, "tick")
+        assert self._report(design, top, ticks) == plain
+        assert self._report(design, top, single) == plain
+        assert self._report(design, top, single, str(tmp_path / "w.vcd")) == plain
 
 
 class TestStimulusDirectives:
@@ -682,13 +726,50 @@ end module LowReset
         assert report.passed and report.expect_count == 2, report.lines()
 
     def test_hand_built_program_runs(self, clean_corpus_designs):
-        """`archc sim` without `--stim` builds its program by hand."""
+        """A program made from its lines and their parsed forms runs as
+        the parsed text does."""
         design = clean_corpus_designs["counter_wrap200.arch"][0]
         reports = [run_stimulus(build_sim(design.cores, "EvtCounter", SimFlags()), program)
-                   for program in (StimulusProgram([Directive("run", (3,), 0)]),
+                   for program in (StimulusProgram(["run 3"], {"run 3": (RUN, 3)}),
                                    parse_stimulus("run 3\n"))]
         assert reports[0].cycles == {"SysDomain": 3}
         assert reports[0].lines() == reports[1].lines()
+
+    def test_a_bad_line_is_reported_at_its_first_line(self):
+        """Each distinct line is parsed once; an error names the first
+        line with the bad text, whichever the line repeats."""
+        text = "set en 1\nrun 1\nset en x\nrun 2\nset en x\nwarp 9\nwarp 9\n"
+        with pytest.raises(StimulusError) as e:
+            parse_stimulus(text)
+        assert str(e.value) == "stimulus line 3: bad value 'x'"
+        with pytest.raises(StimulusError) as e:
+            parse_stimulus(text.replace("set en x", "set en 0"))
+        assert (e.value.line_no, e.value.message) == (6, "unknown directive 'warp'")
+
+    def test_a_syntax_error_stops_the_program_before_it_runs(self, clean_corpus_designs):
+        """A malformed line after a failing `expect` is still found before
+        the first tick: no step is made and nothing is settled."""
+        design = clean_corpus_designs["counter_wrap200.arch"][0]
+        image = build_sim(design.cores, "EvtCounter", SimFlags())
+        calls = _count_settles(image)
+        with pytest.raises(StimulusError) as e:
+            run_stimulus(image, parse_stimulus(
+                "set en 1\nrun 2\nexpect count 99\nrun 1\ntick abc\n"))
+        assert str(e.value) == "stimulus line 5: bad count 'abc'"
+        assert calls == [] and image.steps == {}
+
+    def test_mismatches_keep_their_source_line_numbers(self, clean_corpus_designs):
+        """Blank and comment lines count, and a repeated `expect` line
+        reports each place it fails."""
+        design = clean_corpus_designs["counter_wrap200.arch"][0]
+        image = build_sim(design.cores, "EvtCounter", SimFlags())
+        text = ("# counts enabled cycles\n\nset en 1\n  # two cycles\nrun 2\n"
+                "expect count 5\n\nexpect count 2\nrun 1   # one more\n"
+                "expect count 5\n")
+        report = run_stimulus(image, parse_stimulus(text))
+        assert [e.message for e in report.events] == [
+            "line 6: `count` expected 5, got 2", "line 10: `count` expected 5, got 3"]
+        assert (report.expect_count, report.expect_failures) == (3, 2)
 
 
 class TestSignedSemantics:
