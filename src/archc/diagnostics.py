@@ -15,9 +15,6 @@ across runs for a fixed input set.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-
 from .source import SourceFile, Span
 
 # Stable diagnostic codes. Every code here is documented in the README
@@ -49,23 +46,19 @@ TOOL_CODES = [
 ALL_CODES = frozenset(LEX_CODES + PARSE_CODES + ELAB_CODES + TYPE_CODES + LOWER_CODES + TOOL_CODES)
 
 
-@dataclass
 class Note:
-    message: str
-    span: Span | None = None
+    def __init__(self, message: str, span: Span | None = None) -> None:
+        self.message, self.span = message, span
 
 
-@dataclass
 class Diagnostic:
-    code: str
-    message: str
-    span: Span
-    severity: str = "error"  # error | warning | note
-    notes: list[Note] = field(default_factory=list)
-    help: str | None = None
-
-    def __post_init__(self) -> None:
-        assert self.code in ALL_CODES, f"unknown diagnostic code {self.code}"
+    def __init__(self, code: str, message: str, span: Span,
+                 severity: str = "error",  # error | warning | note
+                 notes: list[Note] = None, help: str | None = None) -> None:
+        assert code in ALL_CODES, f"unknown diagnostic code {code}"
+        self.code, self.message, self.span, self.severity = code, message, span, severity
+        self.notes = [] if notes is None else notes
+        self.help = help
 
     def sort_key(self) -> tuple:
         return (self.span.file, self.span.start, self.span.end, self.code, self.message)
@@ -143,5 +136,6 @@ def render(diag: Diagnostic, files: dict[str, SourceFile]) -> str:
 def render_all(diags: list[Diagnostic], files: dict[str, SourceFile], *, as_json: bool = False) -> str:
     ordered = sorted(diags, key=Diagnostic.sort_key)
     if as_json:
+        import json  # cold path, kept out of start-up
         return "\n".join(json.dumps(d.to_json(), sort_keys=True) for d in ordered)
     return "\n".join(render(d, files) for d in ordered)

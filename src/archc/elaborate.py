@@ -10,9 +10,7 @@ overrides producing specialized (mangled) construct variants.
 
 from __future__ import annotations
 
-import difflib
 import re
-from dataclasses import dataclass, field
 
 from .ast_nodes import (
     AssertDecl, Binary, BoolLit, CombBlock, Connection, Construct, Convert,
@@ -156,40 +154,45 @@ def _mangle_index(name: str, index: Expr | None, s: Subst, span: Span,
 # ── elaborated construct ─────────────────────────────────────────
 
 
-@dataclass
 class ParamInfo:
-    name: str
-    kind: str                 # const | type
-    value: object             # int or Type
-    default_text: str
-    references_params: bool   # default expression mentions another param
-    span: Span
+    def __init__(self, name: str,
+                 kind: str,       # const | type
+                 value: object,   # int or Type
+                 default_text: str,
+                 references_params: bool,  # default expression mentions another param
+                 span: Span) -> None:
+        self.name, self.kind, self.value, self.default_text = name, kind, value, default_text
+        self.references_params, self.span = references_params, span
 
 
-@dataclass
 class ElabConstruct:
-    kind: str
-    name: str
-    key: str                  # unique name incl. specialization suffix
-    construct_kind_value: str | None  # `kind x;` declaration, if any
-    items: list[Item]         # generate-free, loop vars substituted
-    params: list[ParamInfo]
-    env: dict[str, int]       # const param values
-    type_env: dict[str, Type] = field(default_factory=dict)
-    enums: dict[str, EnumType] = field(default_factory=dict)
-    port_alias: dict[str, str] = field(default_factory=dict)  # data_in_0 -> data_in[0]
-    span: Span = None  # type: ignore[assignment]
+    def __init__(self, kind: str, name: str,
+                 key: str,                          # unique name incl. specialization suffix
+                 construct_kind_value: str | None,  # `kind x;` declaration, if any
+                 items: list[Item],                 # generate-free, loop vars substituted
+                 params: list[ParamInfo],
+                 env: dict[str, int],               # const param values
+                 type_env: dict[str, Type] = None, enums: dict[str, EnumType] = None,
+                 port_alias: dict[str, str] = None,  # data_in_0 -> data_in[0]
+                 span: Span = None) -> None:
+        self.kind, self.name, self.key = kind, name, key
+        self.construct_kind_value = construct_kind_value
+        self.items, self.params, self.env = items, params, env
+        self.type_env = {} if type_env is None else type_env
+        self.enums = {} if enums is None else enums
+        self.port_alias = {} if port_alias is None else port_alias
+        self.span = span
 
     def ports(self) -> list[PortDecl]:
         return [i for i in self.items if isinstance(i, PortDecl)]
 
 
-@dataclass
 class Program:
-    files: dict[str, SourceFile]
-    raw: dict[str, Construct]
-    elaborated: dict[str, ElabConstruct]   # by key, insertion-ordered
-    top_names: list[str]                   # declaration-ordered construct names
+    def __init__(self, files: dict[str, SourceFile], raw: dict[str, Construct],
+                 elaborated: dict[str, ElabConstruct],  # by key, insertion-ordered
+                 top_names: list[str],                  # declaration-ordered construct names
+                 ) -> None:
+        self.files, self.raw, self.elaborated, self.top_names = files, raw, elaborated, top_names
 
 
 def resolve_type(t: TypeExpr, ec: ElabConstruct) -> Type:
@@ -261,7 +264,8 @@ class Elaborator:
     def elaborate(self, name: str, overrides: dict[str, object],
                   stack: tuple[str, ...], use_span: Span) -> ElabConstruct:
         if name not in self.raw:
-            candidates = difflib.get_close_matches(name, list(self.raw), n=1)
+            from difflib import get_close_matches  # cold path, kept out of start-up
+            candidates = get_close_matches(name, list(self.raw), n=1)
             hint = f"; did you mean `{candidates[0]}`?" if candidates else ""
             raise CompileError(err("E_UNKNOWN_MODULE",
                                    f"unknown construct `{name}`{hint}", use_span))
@@ -549,7 +553,8 @@ class Elaborator:
         child_ports = {p.name for p in child.ports()}
         for conn in inst.connections:
             if conn.port not in child_ports:
-                candidates = difflib.get_close_matches(conn.port, sorted(child_ports), n=1)
+                from difflib import get_close_matches  # cold path, kept out of start-up
+                candidates = get_close_matches(conn.port, sorted(child_ports), n=1)
                 hint = f"; did you mean `{candidates[0]}`?" if candidates else ""
                 raise CompileError(err(
                     "E_UNKNOWN_PORT",

@@ -28,7 +28,6 @@ it (`verify` checks once per call).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable
 
@@ -78,12 +77,13 @@ def formal_scope_check(core: CoreModule) -> None:
             f"`{core.name}` contains todo! placeholders")
 
 
-@dataclass
 class SmtScript:
-    text: str
-    all_vars: list[str]
-    input_names: list[str]                       # free per-cycle inputs
-    state_names: list[str]                       # regs (for trace display)
+    def __init__(self, text: str, all_vars: list[str],
+                 input_names: list[str],  # free per-cycle inputs
+                 state_names: list[str],  # regs (for trace display)
+                 ) -> None:
+        self.text, self.all_vars = text, all_vars
+        self.input_names, self.state_names = input_names, state_names
 
 
 def inactive_level(ty: Reset) -> int:

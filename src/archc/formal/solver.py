@@ -16,7 +16,6 @@ import os
 import shutil
 import subprocess
 import tempfile
-from dataclasses import dataclass
 
 from ..smt.sexpr import SmtParseError, parse_all, parse_bv_literal
 
@@ -66,10 +65,11 @@ def pick_solver(choice: str) -> str:
     return "builtin"
 
 
-@dataclass
 class SolverResult:
-    status: str                 # sat | unsat | unknown | timeout
-    model: dict[str, int]       # var -> value (when sat and requested)
+    def __init__(self, status: str,  # sat | unsat | unknown | timeout
+                 model: dict[str, int],  # var -> value (when sat and requested)
+                 ) -> None:
+        self.status, self.model = status, model
 
 
 def run_solver(script_text: str, solver: str, timeout: float | None,

@@ -34,7 +34,6 @@ REFUTED or NOT_REACHED; 2 on unknown/timeout/replay mismatch.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 from ..consteval import wrap_signed
@@ -45,14 +44,14 @@ from .encode import (FormalUnsupported, SmtScript, Unrolling, encode_bmc,
 from .solver import SolverError, pick_solver, run_solver
 
 
-@dataclass
 class PropResult:
-    name: str
-    kind: str
-    status: str                       # PROVED | REFUTED | HIT | NOT_REACHED | INCONCLUSIVE
-    cycle: Optional[int] = None
-    trace: Optional[list[dict[str, int]]] = None  # per-cycle net -> value
-    detail: str = ""
+    def __init__(self, name: str, kind: str,
+                 status: str,  # PROVED | REFUTED | HIT | NOT_REACHED | INCONCLUSIVE
+                 cycle: Optional[int] = None,
+                 trace: Optional[list[dict[str, int]]] = None,  # per-cycle net -> value
+                 detail: str = "") -> None:
+        self.name, self.kind, self.status, self.cycle = name, kind, status, cycle
+        self.trace, self.detail = trace, detail
 
     def line(self, bound: int) -> str:
         if self.status == "PROVED":
@@ -66,12 +65,10 @@ class PropResult:
         return f"{self.kind} {self.name}: INCONCLUSIVE ({self.detail})"
 
 
-@dataclass
 class FormalVerdict:
-    results: list[PropResult]
-    bound: int
-    solver: str
-    exit_code: int = 0
+    def __init__(self, results: list[PropResult], bound: int, solver: str,
+                 exit_code: int = 0) -> None:
+        self.results, self.bound, self.solver, self.exit_code = results, bound, solver, exit_code
 
     def summary_lines(self) -> list[str]:
         out = [r.line(self.bound) for r in self.results]

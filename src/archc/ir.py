@@ -14,7 +14,6 @@ completeness check; the SystemVerilog emitter walks the structured form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .ast_nodes import (
@@ -27,112 +26,115 @@ from .source import DUMMY_SPAN, Span
 from .types import BOOL, Bool, EnumType, Type, UInt
 
 
-@dataclass
 class VecStore(Expr):
     """IR-only: functional array update (muxified form of `mem[i] <= v`)."""
-    base: Expr = None  # type: ignore[assignment]
-    index: Expr = None  # type: ignore[assignment]
-    value: Expr = None  # type: ignore[assignment]
+
+    def __init__(self, span: Span = DUMMY_SPAN, base: Expr = None, index: Expr = None,
+                 value: Expr = None) -> None:
+        self.span, self.ty, self.base, self.index, self.value = span, None, base, index, value
 
 
-@dataclass
 class CorePort:
-    name: str
-    direction: str  # in | out
-    ty: Type
-    span: Span
+    def __init__(self, name: str, direction: str, ty: Type, span: Span) -> None:  # in | out
+        self.name, self.direction, self.ty, self.span = name, direction, ty, span
 
 
-@dataclass
 class CoreReg:
-    name: str
-    ty: Type
-    clock: str             # clock port name
-    domain: str
-    edge: str              # rising | falling
-    reset_sig: Optional[str]
-    reset_value: Optional[Expr]
-    reset_sync: Optional[str]      # Sync | Async
-    reset_polarity: Optional[str]  # High | Low
-    guard: Optional[str]
-    origin: str            # user | auto
-    span: Span
-    next: Optional[Expr] = None       # filled by analysis (hold if no seq assigns)
-    assigned: Optional[Expr] = None   # Bool expr: user statement wrote it this cycle
-    uninit_exempt: bool = False
-    cdc_chain: Optional[str] = None   # --cdc-random group for first sync stage
-    domain_neutral: bool = False      # async-fifo storage: sanctioned multi-domain
+    def __init__(self, name: str, ty: Type,
+                 clock: str,   # clock port name
+                 domain: str,
+                 edge: str,    # rising | falling
+                 reset_sig: Optional[str], reset_value: Optional[Expr],
+                 reset_sync: Optional[str],      # Sync | Async
+                 reset_polarity: Optional[str],  # High | Low
+                 guard: Optional[str],
+                 origin: str,  # user | auto
+                 span: Span,
+                 next: Optional[Expr] = None,      # filled by analysis (hold if no seq assigns)
+                 assigned: Optional[Expr] = None,  # Bool expr: user statement wrote it this cycle
+                 uninit_exempt: bool = False,
+                 cdc_chain: Optional[str] = None,  # --cdc-random group for first sync stage
+                 domain_neutral: bool = False,     # async-fifo storage: sanctioned multi-domain
+                 ) -> None:
+        self.name, self.ty, self.clock, self.domain, self.edge = name, ty, clock, domain, edge
+        self.reset_sig, self.reset_value = reset_sig, reset_value
+        self.reset_sync, self.reset_polarity = reset_sync, reset_polarity
+        self.guard, self.origin, self.span = guard, origin, span
+        self.next, self.assigned, self.uninit_exempt = next, assigned, uninit_exempt
+        self.cdc_chain, self.domain_neutral = cdc_chain, domain_neutral
 
 
-@dataclass
 class CoreCombBlock:
-    stmts: list[Stmt]
-    style: str   # "always" (always_comb) | "assign" (continuous assign)
-    origin: str  # user | auto
-    span: Span
+    def __init__(self, stmts: list[Stmt],
+                 style: str,   # "always" (always_comb) | "assign" (continuous assign)
+                 origin: str,  # user | auto
+                 span: Span) -> None:
+        self.stmts, self.style, self.origin, self.span = stmts, style, origin, span
 
 
-@dataclass
 class CoreSeqBlock:
-    clock: str
-    domain: str
-    edge: str
-    stmts: list[Stmt]
-    origin: str
-    span: Span
+    def __init__(self, clock: str, domain: str, edge: str, stmts: list[Stmt], origin: str,
+                 span: Span) -> None:
+        self.clock, self.domain, self.edge = clock, domain, edge
+        self.stmts, self.origin, self.span = stmts, origin, span
 
 
-@dataclass
 class CoreInstance:
-    name: str
-    module_key: str
-    in_map: dict[str, Expr]   # child input port -> parent expr
-    out_used: list[str]       # child output ports read by the parent
-    span: Span
+    def __init__(self, name: str, module_key: str,
+                 in_map: dict[str, Expr],  # child input port -> parent expr
+                 out_used: list[str],      # child output ports read by the parent
+                 span: Span) -> None:
+        self.name, self.module_key, self.in_map = name, module_key, in_map
+        self.out_used, self.span = out_used, span
 
 
-@dataclass
 class CoreProperty:
-    kind: str   # assert | cover
-    name: str
-    expr: Expr
-    clock: Optional[str]
-    domain: Optional[str]
-    reset_sig: Optional[str]
-    reset_polarity: Optional[str]
-    origin: str  # user | auto
-    span: Span
+    def __init__(self, kind: str,  # assert | cover
+                 name: str, expr: Expr, clock: Optional[str], domain: Optional[str],
+                 reset_sig: Optional[str], reset_polarity: Optional[str],
+                 origin: str,  # user | auto
+                 span: Span) -> None:
+        self.kind, self.name, self.expr, self.clock, self.domain = kind, name, expr, clock, domain
+        self.reset_sig, self.reset_polarity = reset_sig, reset_polarity
+        self.origin, self.span = origin, span
 
 
-@dataclass
 class NetDef:
     """Derived: one net, one defining expression."""
-    name: str
-    ty: Type
-    kind: str  # port-in | port-out | let | internal | inst-out
-    expr: Optional[Expr]  # None for port-in and inst-out (externally supplied)
-    span: Span
+
+    def __init__(self, name: str, ty: Type,
+                 kind: str,  # port-in | port-out | let | internal | inst-out
+                 expr: Optional[Expr],  # None for port-in and inst-out (externally supplied)
+                 span: Span) -> None:
+        self.name, self.ty, self.kind, self.expr, self.span = name, ty, kind, expr, span
 
 
-@dataclass
 class CoreModule:
-    key: str
-    name: str
-    kind: str
-    params: list[ParamInfo]
-    ports: list[CorePort]
-    regs: dict[str, CoreReg] = field(default_factory=dict)
-    comb_blocks: list[CoreCombBlock] = field(default_factory=list)
-    seq_blocks: list[CoreSeqBlock] = field(default_factory=list)
-    instances: list[CoreInstance] = field(default_factory=list)
-    properties: list[CoreProperty] = field(default_factory=list)
-    nets: dict[str, NetDef] = field(default_factory=dict)     # derived
-    comb_order: list[str] = field(default_factory=list)       # derived (topo)
-    comb_levels: dict[str, int] = field(default_factory=dict)  # derived
-    has_todo: list[Span] = field(default_factory=list)
-    port_alias: dict[str, str] = field(default_factory=dict)
-    enums: dict[str, EnumType] = field(default_factory=dict)
-    span: Span = DUMMY_SPAN
+    """One construct in core form. The containers after `ports` default to
+    fresh empty ones; `nets`, `comb_order` and `comb_levels` are derived
+    by analysis."""
+
+    def __init__(self, key: str, name: str, kind: str, params: list[ParamInfo],
+                 ports: list[CorePort], regs: dict[str, CoreReg] = None,
+                 comb_blocks: list[CoreCombBlock] = None, seq_blocks: list[CoreSeqBlock] = None,
+                 instances: list[CoreInstance] = None, properties: list[CoreProperty] = None,
+                 nets: dict[str, NetDef] = None, comb_order: list[str] = None,
+                 comb_levels: dict[str, int] = None, has_todo: list[Span] = None,
+                 port_alias: dict[str, str] = None, enums: dict[str, EnumType] = None,
+                 span: Span = DUMMY_SPAN) -> None:
+        self.key, self.name, self.kind, self.params, self.ports = key, name, kind, params, ports
+        self.regs = {} if regs is None else regs
+        self.comb_blocks = [] if comb_blocks is None else comb_blocks
+        self.seq_blocks = [] if seq_blocks is None else seq_blocks
+        self.instances = [] if instances is None else instances
+        self.properties = [] if properties is None else properties
+        self.nets = {} if nets is None else nets
+        self.comb_order = [] if comb_order is None else comb_order
+        self.comb_levels = {} if comb_levels is None else comb_levels
+        self.has_todo = [] if has_todo is None else has_todo
+        self.port_alias = {} if port_alias is None else port_alias
+        self.enums = {} if enums is None else enums
+        self.span = span
 
     def clock_ports(self) -> list[tuple[str, str]]:
         from .types import Clock
@@ -357,12 +359,11 @@ def _cond_text(e: Expr) -> str:
 # ── comb dependency graph ────────────────────────────────────────
 
 
-@dataclass
 class CombGraph:
-    edges: dict[str, set[str]]          # src -> dsts
-    rev: dict[str, set[str]]            # dst -> srcs
-    levels: dict[str, int]
-    order: list[str]
+    def __init__(self, edges: dict[str, set[str]],  # src -> dsts
+                 rev: dict[str, set[str]],          # dst -> srcs
+                 levels: dict[str, int], order: list[str]) -> None:
+        self.edges, self.rev, self.levels, self.order = edges, rev, levels, order
 
 
 def build_comb_graph(defs: dict[str, Expr], extra_edges: list[tuple[str, str]],

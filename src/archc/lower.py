@@ -16,8 +16,6 @@ context and _auto_div0_* for non-constant division/modulo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ast_nodes import (
     AssertDecl, Binary, BoolLit, CombBlock, Convert, CoverDecl, DefaultBlock,
     DefaultStateDecl, EnumDecl, Expr, FlushDecl, Index, InstDecl, IntLit,
@@ -1543,12 +1541,10 @@ def resolve_property_clocks(tr: Translator) -> None:
 # ── whole-design compile driver ──────────────────────────────────
 
 
-@dataclass
 class Design:
-    program: Program
-    cores: dict[str, CoreModule]
-    summaries: dict[str, Summary]
-    order: list[str]
+    def __init__(self, program: Program, cores: dict[str, CoreModule],
+                 summaries: dict[str, Summary], order: list[str]) -> None:
+        self.program, self.cores, self.summaries, self.order = program, cores, summaries, order
 
 
 def _topo_keys(program: Program) -> list[str]:

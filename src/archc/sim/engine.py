@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Optional
 
@@ -38,27 +37,26 @@ SimAbort = SimAbortError
 _TABLE_LIMIT = 4096  # schedule entries kept at once
 
 
-@dataclass
 class SimEvent:
-    kind: str       # ASSERT_FAIL | COVER_HIT | GUARD_VIOLATION | UNINIT_READ |
-                    # UNDRIVEN_INPUT | EXPECT_MISMATCH | ABORT
-    cycle: int
-    domain: str
-    message: str
-    name: str = ""
+    def __init__(self, kind: str,  # ASSERT_FAIL | COVER_HIT | GUARD_VIOLATION | UNINIT_READ |
+                                   # UNDRIVEN_INPUT | EXPECT_MISMATCH | ABORT
+                 cycle: int, domain: str, message: str, name: str = "") -> None:
+        self.kind, self.cycle, self.domain, self.message, self.name = (
+            kind, cycle, domain, message, name)
 
 
-@dataclass
 class SimReport:
-    passed: bool = True
-    events: list[SimEvent] = field(default_factory=list)
-    cover_table: dict[str, Optional[int]] = field(default_factory=dict)
-    expect_count: int = 0
-    expect_failures: int = 0
-    assert_failures: int = 0
-    aborted: Optional[SimEvent] = None
-    final_time: int = 0
-    cycles: dict[str, int] = field(default_factory=dict)
+    def __init__(self, passed: bool = True, events: list[SimEvent] = None,
+                 cover_table: dict[str, Optional[int]] = None, expect_count: int = 0,
+                 expect_failures: int = 0, assert_failures: int = 0,
+                 aborted: Optional[SimEvent] = None, final_time: int = 0,
+                 cycles: dict[str, int] = None) -> None:
+        self.passed = passed
+        self.events = [] if events is None else events
+        self.cover_table = {} if cover_table is None else cover_table
+        self.expect_count, self.expect_failures = expect_count, expect_failures
+        self.assert_failures, self.aborted, self.final_time = assert_failures, aborted, final_time
+        self.cycles = {} if cycles is None else cycles
 
     def lines(self) -> list[str]:
         out = []

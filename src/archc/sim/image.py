@@ -14,7 +14,6 @@ taken paths, exactly like the generated-code backend they model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ..ast_nodes import (
@@ -37,78 +36,70 @@ class SimAbortError(Exception):
         self.message = message
 
 
-@dataclass
 class SimFlags:
-    check_uninit: bool = False
-    inputs_start_uninit: bool = False
-    cdc_random: bool = False
-    stop_on_assert: bool = False
-    seed: int = 0
-    debug_settle: bool = False  # second pass asserting it changes nothing
+    def __init__(self, check_uninit: bool = False, inputs_start_uninit: bool = False,
+                 cdc_random: bool = False, stop_on_assert: bool = False, seed: int = 0,
+                 debug_settle: bool = False,  # second pass asserting it changes nothing
+                 ) -> None:
+        self.check_uninit, self.inputs_start_uninit = check_uninit, inputs_start_uninit
+        self.cdc_random, self.stop_on_assert, self.seed = cdc_random, stop_on_assert, seed
+        self.debug_settle = debug_settle
 
 
-@dataclass
 class FlatNet:
-    name: str
-    ty: Type
-    kind: str            # port-in | port-out | let | internal | inst-out | clock
-    index: int
-    span: Span = None  # type: ignore[assignment]
+    def __init__(self, name: str, ty: Type,
+                 kind: str,  # port-in | port-out | let | internal | inst-out | clock
+                 index: int, span: Span = None) -> None:
+        self.name, self.ty, self.kind, self.index, self.span = name, ty, kind, index, span
 
 
-@dataclass
 class FlatReg:
-    name: str
-    ty: Type
-    domain: str
-    index: int
-    edge: str = "rising"
-    next_expr: Expr = None  # type: ignore[assignment]
-    assigned_expr: Optional[Expr] = None
-    reset_net: Optional[int] = None   # value-store index of the reset net
-    reset_active_high: bool = True
-    reset_async: bool = False
-    reset_value: Optional[object] = None
-    guard_index: Optional[int] = None  # value index of the guard register
-    uninit_exempt: bool = False
-    reset_none: bool = False
-    cdc_chain: Optional[str] = None
-    width: int = 1
-    written_index: int = -1
-    span: Span = None  # type: ignore[assignment]
+    def __init__(self, name: str, ty: Type, domain: str, index: int, edge: str = "rising",
+                 next_expr: Expr = None, assigned_expr: Optional[Expr] = None,
+                 reset_net: Optional[int] = None,  # value-store index of the reset net
+                 reset_active_high: bool = True, reset_async: bool = False,
+                 reset_value: Optional[object] = None,
+                 guard_index: Optional[int] = None,  # value index of the guard register
+                 uninit_exempt: bool = False, reset_none: bool = False,
+                 cdc_chain: Optional[str] = None, width: int = 1, written_index: int = -1,
+                 span: Span = None) -> None:
+        self.name, self.ty, self.domain, self.index, self.edge = name, ty, domain, index, edge
+        self.next_expr, self.assigned_expr, self.reset_net = next_expr, assigned_expr, reset_net
+        self.reset_active_high, self.reset_async = reset_active_high, reset_async
+        self.reset_value, self.guard_index = reset_value, guard_index
+        self.uninit_exempt, self.reset_none, self.cdc_chain = uninit_exempt, reset_none, cdc_chain
+        self.width, self.written_index, self.span = width, written_index, span
 
 
-@dataclass
 class FlatProp:
-    kind: str
-    name: str
-    domain: Optional[str]
-    expr: Expr
-    reset_net: Optional[int]
-    reset_active_high: bool
-    span: Span
-    fn: Callable = None  # type: ignore[assignment]
+    def __init__(self, kind: str, name: str, domain: Optional[str], expr: Expr,
+                 reset_net: Optional[int], reset_active_high: bool, span: Span,
+                 fn: Callable = None) -> None:
+        self.kind, self.name, self.domain, self.expr = kind, name, domain, expr
+        self.reset_net, self.reset_active_high, self.span, self.fn = (
+            reset_net, reset_active_high, span, fn)
 
 
-@dataclass
 class SimImage:
-    top: str
-    nets: dict[str, FlatNet]
-    regs: dict[str, FlatReg]
-    props: list[FlatProp]
-    settle: Callable                              # settle(v): the comb schedule
-    regs_by_domain: dict[str, list[FlatReg]]
-    domains: list[str]
-    clock_nets: dict[str, list[int]]              # domain -> clock net indices
-    inputs: dict[str, FlatNet]                    # primary inputs (settable)
-    value_count: int
-    flags: SimFlags
-    initial: list[object]
-    visible: list[str]                            # stable net order for VCD/report
-    todo_sites: list[Span]
-    primary_domain: Optional[str] = None          # first-declared clock of the top
-    builder: object = None                        # ImageBuilder (bitmaps, warn sink)
-    steps: dict = field(default_factory=dict)     # engine: edge set -> step fn
+    def __init__(self, top: str, nets: dict[str, FlatNet], regs: dict[str, FlatReg],
+                 props: list[FlatProp],
+                 settle: Callable,  # settle(v): the comb schedule
+                 regs_by_domain: dict[str, list[FlatReg]], domains: list[str],
+                 clock_nets: dict[str, list[int]],  # domain -> clock net indices
+                 inputs: dict[str, FlatNet],        # primary inputs (settable)
+                 value_count: int, flags: SimFlags, initial: list[object],
+                 visible: list[str],                # stable net order for VCD/report
+                 todo_sites: list[Span],
+                 primary_domain: Optional[str] = None,  # first-declared clock of the top
+                 builder: object = None,                # ImageBuilder (bitmaps, warn sink)
+                 steps: dict = None,                    # engine: edge set -> step fn
+                 ) -> None:
+        self.top, self.nets, self.regs, self.props, self.settle = top, nets, regs, props, settle
+        self.regs_by_domain, self.domains, self.clock_nets = regs_by_domain, domains, clock_nets
+        self.inputs, self.value_count, self.flags = inputs, value_count, flags
+        self.initial, self.visible, self.todo_sites = initial, visible, todo_sites
+        self.primary_domain, self.builder = primary_domain, builder
+        self.steps = {} if steps is None else steps
 
 
 def mask_of(width: int) -> int:

@@ -21,8 +21,6 @@ one dict lookup and a dispatch on the action's kind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .engine import SimEvent, SimReport, Simulator, _StopSim, not_an_input, unknown_net
 from .image import SimAbortError, SimImage
 
@@ -37,10 +35,11 @@ class StimulusError(Exception):
         self.message = message
 
 
-@dataclass
 class StimulusProgram:
-    lines: list[str]          # the program text, one entry per line
-    forms: dict[str, tuple]   # distinct line -> parsed form, (SKIP,) if blank
+    def __init__(self, lines: list[str],   # the program text, one entry per line
+                 forms: dict[str, tuple],  # distinct line -> parsed form, (SKIP,) if blank
+                 ) -> None:
+        self.lines, self.forms = lines, forms
 
 
 def _parse_value(text: str) -> int:

@@ -12,7 +12,6 @@ the interval pass's rules are checked against its values by the tests."""
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from .sexpr import SmtParseError, parse_bv_literal
@@ -20,18 +19,26 @@ from .sexpr import SmtParseError, parse_bv_literal
 BOOL_SORT = 0  # width marker for Bool terms
 
 
-@dataclass(eq=False)
 class Term:
-    """One term node. `eq=False` keeps identity hashing and equality: the
-    interval, bit-blast and model caches key on the term itself, which
-    also keeps every cached term alive."""
+    """One term node. Terms compare and hash by identity (the class
+    defines no `__eq__`): the interval, bit-blast and model caches key on
+    the term itself, which also keeps every cached term alive."""
 
-    op: str                  # var | const | an OPS key
-    width: int               # BOOL_SORT for Bool
-    args: tuple["Term", ...] = ()
-    value: int = 0           # for const; (hi << 16) | lo for extract
-    name: str = ""           # for var
-    definition: Optional["Term"] = None  # substituted definitional equality
+    def __init__(self, op: str,  # var | const | an OPS key
+                 width: int,     # BOOL_SORT for Bool
+                 args: tuple[Term, ...] = (),
+                 value: int = 0,  # for const; (hi << 16) | lo for extract
+                 name: str = "",  # for var
+                 definition: Optional[Term] = None,  # substituted definitional equality
+                 ) -> None:
+        # One store per field: this runs for every term built, and a tuple
+        # assignment of four or more fields builds and unpacks a tuple.
+        self.op = op
+        self.width = width
+        self.args = args
+        self.value = value
+        self.name = name
+        self.definition = definition
 
     def __repr__(self) -> str:
         if self.op == "var":

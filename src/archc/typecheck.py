@@ -9,7 +9,6 @@ resolution rewrites references to canonical net names ("Fetch.instr",
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .ast_nodes import (
@@ -29,7 +28,6 @@ from .types import (
 )
 
 
-@dataclass(frozen=True)
 class ErrorTy(Type):
     """Poison type: silences cascading diagnostics."""
 
@@ -37,24 +35,28 @@ class ErrorTy(Type):
 ERROR_TY = ErrorTy()
 
 
-@dataclass
 class Summary:
-    """What a parent needs to know about an instantiated construct."""
-    ports: dict[str, tuple[str, Type]]
-    in_domains: dict[str, set[str]] = field(default_factory=dict)
-    out_domains: dict[str, set[str]] = field(default_factory=dict)
-    through: set[tuple[str, str]] = field(default_factory=set)
-    bridge_in: dict[str, str] = field(default_factory=dict)  # synchronizer data_in -> src domain
+    """What a parent needs to know about an instantiated construct. Every
+    field but `ports` defaults to a fresh empty container."""
+
+    def __init__(self, ports: dict[str, tuple[str, Type]],
+                 in_domains: dict[str, set[str]] = None, out_domains: dict[str, set[str]] = None,
+                 through: set[tuple[str, str]] = None,
+                 bridge_in: dict[str, str] = None,  # synchronizer data_in -> src domain
+                 ) -> None:
+        self.ports = ports
+        self.in_domains = {} if in_domains is None else in_domains
+        self.out_domains = {} if out_domains is None else out_domains
+        self.through = set() if through is None else through
+        self.bridge_in = {} if bridge_in is None else bridge_in
 
 
-@dataclass
 class Binding:
-    canonical: str
-    ty: Type
-    kind: str  # port-in | port-out | reg | let | internal | inst-out
-    span: Span
-    stage: Optional[str] = None
-    stage_index: int = -1
+    def __init__(self, canonical: str, ty: Type,
+                 kind: str,  # port-in | port-out | reg | let | internal | inst-out
+                 span: Span, stage: Optional[str] = None, stage_index: int = -1) -> None:
+        self.canonical, self.ty, self.kind, self.span = canonical, ty, kind, span
+        self.stage, self.stage_index = stage, stage_index
 
 
 class Ctx:

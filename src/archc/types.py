@@ -2,72 +2,84 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class Type:
-    pass
+    """Base of the concrete types: immutable values, equal and hashed by
+    class and fields. Assignment raises, so a subclass's `__init__` stores
+    its fields straight into `__dict__`, in declaration order."""
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items())
+        return f"{type(self).__name__}({args})"
 
 
-@dataclass(frozen=True)
 class Bit(Type):
     def __str__(self) -> str:
         return "Bit"
 
 
-@dataclass(frozen=True)
 class Bool(Type):
     def __str__(self) -> str:
         return "Bool"
 
 
-@dataclass(frozen=True)
 class UInt(Type):
-    width: int
+    def __init__(self, width: int) -> None:
+        self.__dict__["width"] = width
 
     def __str__(self) -> str:
         return f"UInt<{self.width}>"
 
 
-@dataclass(frozen=True)
 class SInt(Type):
-    width: int
+    def __init__(self, width: int) -> None:
+        self.__dict__["width"] = width
 
     def __str__(self) -> str:
         return f"SInt<{self.width}>"
 
 
-@dataclass(frozen=True)
 class Clock(Type):
-    domain: str
+    def __init__(self, domain: str) -> None:
+        self.__dict__["domain"] = domain
 
     def __str__(self) -> str:
         return f"Clock<{self.domain}>"
 
 
-@dataclass(frozen=True)
 class Reset(Type):
-    sync: str       # Sync | Async
-    polarity: str   # High | Low
+    def __init__(self, sync: str, polarity: str) -> None:  # Sync | Async, High | Low
+        self.__dict__.update(sync=sync, polarity=polarity)
 
     def __str__(self) -> str:
         return f"Reset<{self.sync}, {self.polarity}>"
 
 
-@dataclass(frozen=True)
 class Vec(Type):
-    elem: Type
-    size: int
+    def __init__(self, elem: Type, size: int) -> None:
+        self.__dict__.update(elem=elem, size=size)
 
     def __str__(self) -> str:
         return f"Vec<{self.elem}, {self.size}>"
 
 
-@dataclass(frozen=True)
 class EnumType(Type):
-    owner: str  # construct key the enum is scoped to
-    name: str
-    variants: tuple[str, ...]
+    def __init__(self, owner: str, name: str, variants: tuple[str, ...]) -> None:
+        # owner: the key of the construct the enum is scoped to
+        self.__dict__.update(owner=owner, name=name, variants=variants)
 
     def __str__(self) -> str:
         return self.name
