@@ -16,14 +16,19 @@ becomes one disjunction of per-cycle violations, each cover one
 disjunction of per-cycle hits, checked by a single (check-sat).
 
 SMT-LIB defines division by zero; the simulator aborts on it, and on a
-bit index past the width. `Unrolling.checks` states that no such runtime
-check fires, so that a trace can be asked to be one the simulator runs
-(`encode_witness` prints that question for external solvers).
+bit index past the width. So every goal at cycle k is asked together
+with `Unrolling.assumption`: no runtime check (`ir.runtime_checks`, on
+the path the simulator evaluates) that a generated `_auto_*` assert
+reports fires on the way to sampling the property at cycle k. A sat
+answer never aborts at such a site, and a property that only such an
+aborting step reaches is never reported failing or hit; the abort is the
+failure of its site's assert. Other checks are not assumed: a trace
+through one fails its replay.
 
 Scope: flat single-clock modules with scalar signals (no sub-instances,
 no Vec, no enum-typed nets, no todo!), as `formal_scope_check` decides;
-`Unrolling`, `encode_bmc` and `encode_witness` take a module that passed
-it (`verify` checks once per call).
+`Unrolling` and `encode_bmc` take a module that passed it (`verify`
+checks once per call).
 """
 
 from __future__ import annotations
@@ -36,7 +41,8 @@ from ..ast_nodes import (
     Slice, Ternary, TodoExpr, Unary,
 )
 from ..consteval import const_value_of
-from ..ir import CoreModule, CoreProperty, VecStore
+from ..ir import CoreModule, CoreProperty, VecStore, runtime_checks
+from ..source import Span
 from ..types import EnumType, Reset, SInt, Type, UInt, Vec
 
 if TYPE_CHECKING:  # the solver's modules load on first use, as in solver.py
@@ -164,8 +170,29 @@ class Unrolling:
                      for name in core.comb_order]
         self.props = {id(p): self._word(p.expr) for p in core.properties}
         self.frames: list[dict[str, Term]] = []
-        self._checks: list[list[Term]] = []  # per frame, built on demand
-        self._check_builds: tuple[list[Build], list[Build]] | None = None
+        # runtime checks that a generated `_auto_*` assert reports: those of
+        # each comb net in the simulator's order, then those of the next
+        # states, which fire at the edge before a frame. Any other check (a
+        # comb bit index, a division in a property) is not assumed, so that
+        # no abort goes unreported: a trace through it fails its replay.
+        reported = {p.site for p in core.properties if p.site is not None}
+        self._found: dict[Span, int] = {}  # site -> how many of `_here` come first
+        self._here: list[list[Build]] = []
+        for name in core.comb_order:
+            builds = self._checks(core.nets[name].expr, reported)
+            if builds:
+                self._here.append(builds)
+        self._steps = [c for reg in core.regs.values() for c in self._checks(reg.next, reported)]
+        # how many of `_here` each property is asked under: all of them, or,
+        # for a generated assert on a comb site, which stands for its site
+        # firing, those before the site's net
+        for p in core.properties:
+            if p.site is not None and p.site not in self._found:
+                raise FormalUnsupported(f"the runtime check that `{p.name}` reports "
+                                        "is in no next state or comb net")
+        self._cut = {id(p): self._found.get(p.site, len(self._here)) for p in core.properties}
+        self.oks: list[Term | None] = []  # per frame: no check fired up to its sample
+        self._assumed: list[list[Term | None]] = []  # per frame, by cut
 
     def extend(self) -> dict[str, Term]:
         k = len(self.frames)
@@ -181,6 +208,20 @@ class Unrolling:
             frame[name] = tb.define(f"{name}__{k}", width, step(prev) if k else init)
         for name, width, build in self.nets:
             frame[name] = tb.define(f"{name}__{k}", width, build(frame))
+        ok = None
+        if self._steps or self._here:
+            # the chain of conjunctions the goals of this frame pick their
+            # assumption from, by how many nets with checks come first
+            ok = self._and(self.oks[-1:] + [c(prev) for c in self._steps if k])
+            chain = [ok]
+            for sites in self._here:
+                ok = self._and(([] if ok is None else [ok]) + [c(frame) for c in sites])
+                chain.append(ok)
+            if ok is not None:
+                from ..smt.terms import BOOL_SORT
+                chain[-1] = ok = tb.define(f"__ok__{k}", BOOL_SORT, ok)
+            self._assumed.append(chain)
+        self.oks.append(ok)
         return frame
 
     def prop_term(self, prop: CoreProperty, k: int) -> Term:
@@ -188,32 +229,22 @@ class Unrolling:
         return self.props[id(prop)](self.frames[k])
 
     def goal(self, prop: CoreProperty, k: int) -> Term:
-        """Bool term: the assert fails, or the cover holds, at cycle k."""
+        """Bool term: the assert fails, or the cover holds, at cycle k, on
+        a trace where no reported runtime check fires (`assumption`)."""
         want = self._const(prop.kind != "assert", 1)
-        return self.tb.app("=", [self.prop_term(prop, k), want])
+        hit = self.tb.app("=", [self.prop_term(prop, k), want])
+        ok = self.assumption(prop, k)
+        return hit if ok is None else self.tb.app("and", [hit, ok])
 
-    def checks(self, k: int) -> list[Term]:
-        """Bool terms that hold iff no runtime check of the simulator fires
-        on the way to sampling cycle k: neither in the next states it
-        computes at the edge of cycle k-1, nor in frame k's comb nets or
-        properties. A divisor must be nonzero and a bit index below the
-        width, on the branches the simulator evaluates (`?:`/if, `&&`,
-        `||` and `implies` are lazy there). Empty if the design has no
-        such check."""
-        if self._check_builds is None:
-            core = self.core
-            steps = [self._check(reg.next) for reg in core.regs.values()]
-            here = [self._check(core.nets[name].expr) for name in core.comb_order]
-            here += [self._check(prop.expr) for prop in core.properties]
-            self._check_builds = ([c for c in steps if c is not None],
-                                  [c for c in here if c is not None])
-        steps, here = self._check_builds
-        while len(self._checks) <= k:
-            j = len(self._checks)
-            prev, frame = self.frames[j - 1] if j else None, self.frames[j]
-            self._checks.append([c(prev) for c in steps if j]
-                                + [c(frame) for c in here])
-        return self._checks[k]
+    def assumption(self, prop: CoreProperty, k: int) -> Term | None:
+        """Bool term: no runtime check that a generated `_auto_*` assert
+        reports fires before the simulator samples `prop` at cycle k; None
+        if none can. The checks are those of the frames before and, in
+        frame k, those of the next states computed at the edge before it
+        and of the comb nets. A generated assert on a comb site is asked
+        before its own site's net, since its failure is that site firing;
+        nets after the site are never evaluated then."""
+        return self._assumed[k][self._cut[id(prop)]] if self._assumed else None
 
     # expression -> builder, translated once per unrolling
 
@@ -223,50 +254,28 @@ class Unrolling:
             got = self._consts[value, width] = self.tb.const(value, width)
         return got
 
-    def _check(self, e: Expr) -> Build | None:
-        """Builder of the Bool term: evaluating `e` fires no runtime
-        check; None when `e` contains none."""
-        app = self.tb.app
-        if isinstance(e, Binary):
-            first, second = self._check(e.lhs), self._check(e.rhs)
-            if e.op in ("&&", "||", "implies") and second is not None:
-                taken = self._bool(e.lhs)  # when the rhs is evaluated
-                if e.op == "||":
-                    taken = _op1(app, "not", taken)
-                second = _op2(app, "=>", taken, second)
-            parts = [first, second]
-            if e.op in ("/", "%") and not isinstance(e.rhs, IntLit):
-                divisor, zero = self._word(e.rhs), self._const(0, _width(e.rhs.ty))
-                parts.append(lambda f: app("not", [app("=", [divisor(f), zero])]))
-            return self._all(parts)
-        if isinstance(e, (Ternary, IfExpr)):
-            then, els = self._check(e.then), self._check(e.els)
-            branch = None
-            if then is not None or els is not None:
-                cond, true = self._bool(e.cond), _fixed(self.bools[1])
-                then, els = then or true, els or true
-                branch = lambda f: app("ite", [cond(f), then(f), els(f)])
-            return self._all([self._check(e.cond), branch])
-        if isinstance(e, Index):
-            parts = [self._check(e.index), self._check(e.base)]
-            width, iw = _width(e.base.ty), _width(e.index.ty)
-            if (1 << iw) > width and not (isinstance(e.index, IntLit)
-                                          and e.index.value < width):
-                index, limit = self._word(e.index), self._const(width, iw)
-                parts.append(lambda f: app("bvult", [index(f), limit]))
-            return self._all(parts)
-        if isinstance(e, Unary):
-            return self._check(e.operand)
-        if isinstance(e, (Slice, Convert)):
-            return self._check(e.base)
-        return None
+    def _checks(self, e: Expr, reported: set[Span]) -> list[Build]:
+        """Builders of the Bool term "the check holds" for each runtime
+        check of `e` whose site is in `reported`: `path => check`, or the
+        check where its site is unconditional. Each site is noted in
+        `_found` with the number of `_here` before it."""
+        out = []
+        for path, check, _, span in runtime_checks(e):
+            if span in reported:
+                self._found.setdefault(span, len(self._here))
+                index = check.lhs.base if isinstance(check.lhs, Convert) else check.lhs
+                if 1 << _width(index.ty) <= check.rhs.value:
+                    continue  # the index's type keeps it in range
+                build = self._bool(check)
+                out.append(build if path is None
+                           else _op2(self.tb.app, "=>", self._bool(path), build))
+        return out
 
-    def _all(self, parts: list[Build | None]) -> Build | None:
+    def _and(self, parts: list[Term | None]) -> Term | None:
         parts = [p for p in parts if p is not None]
         if len(parts) < 2:
             return parts[0] if parts else None
-        app = self.tb.app
-        return lambda f: app("and", [p(f) for p in parts])
+        return self.tb.app("and", parts)
 
     def _word(self, e: Expr) -> Build:
         """Builder of the bit-vector term for `e`."""
@@ -370,7 +379,7 @@ def encode_bmc(core: CoreModule, prop: CoreProperty, bound: int) -> SmtScript:
     0..bound with a single (check-sat), printed from an `Unrolling`: each
     constant is declared, and asserted equal to its definition if it has
     one, and the goal is one disjunction of per-cycle violations (assert)
-    or hits (cover)."""
+    or hits (cover), each under the cycle's `Unrolling.assumption`."""
     from ..smt.terms import TermBuilder
     tb = TermBuilder()
     unroll = Unrolling(core, tb)
@@ -379,34 +388,20 @@ def encode_bmc(core: CoreModule, prop: CoreProperty, bound: int) -> SmtScript:
     props = [tb.define(f"__prop__{k}", 1, unroll.prop_term(prop, k))
              for k in range(bound + 1)]
     want = unroll._const(prop.kind != "assert", 1)
-    goal = tb.app("or", [tb.app("=", [p, want]) for p in props])
-    return _script(unroll, prop, props, goal)
-
-
-def encode_witness(core: CoreModule, prop: CoreProperty, cycle: int) -> SmtScript | None:
-    """One script asking for a trace on which `prop` fails (assert) or hits
-    (cover) at `cycle` and the simulator's runtime checks pass up to that
-    sample (`Unrolling.checks`); None if the design has no runtime check."""
-    from ..smt.terms import TermBuilder
-    tb = TermBuilder()
-    unroll = Unrolling(core, tb)
-    for k in range(cycle + 1):
-        unroll.extend()
-    checks = [c for k in range(cycle + 1) for c in unroll.checks(k)]
-    if not checks:
-        return None
-    p = tb.define(f"__prop__{cycle}", 1, unroll.prop_term(prop, cycle))
-    hit = tb.app("=", [p, unroll._const(prop.kind != "assert", 1)])
-    return _script(unroll, prop, [p], tb.app("and", [hit] + checks))
+    hits = []
+    for k, p in enumerate(props):
+        hit, ok = tb.app("=", [p, want]), unroll.assumption(prop, k)
+        hits.append(hit if ok is None else tb.app("and", [hit, ok]))
+    return _script(unroll, prop, props, tb.app("or", hits))
 
 
 def _script(unroll: Unrolling, prop: CoreProperty, props: list[Term],
             goal: Term) -> SmtScript:
-    from ..smt.terms import term_text
+    from ..smt.terms import sort_text, term_text
     lines = ["(set-logic QF_BV)"]
 
     def define(t: Term) -> None:
-        lines.append(f"(declare-const {t.name} (_ BitVec {t.width}))")
+        lines.append(f"(declare-const {t.name} {sort_text(t.width)})")
         if t.definition is not None:
             lines.append(f"(assert (= {t.name} {term_text(t.definition)}))")
 
@@ -414,6 +409,8 @@ def _script(unroll: Unrolling, prop: CoreProperty, props: list[Term],
         lines.append(f"; cycle {k}")
         for t in frame.values():
             define(t)
+        if unroll.oks[k] is not None:
+            define(unroll.oks[k])
     lines.append(f"; {prop.kind} {prop.name}")
     for t in props:
         define(t)

@@ -20,12 +20,15 @@ then a binary search over bounds for the earliest cycle (sat at bound k
 but not k-1 pins cycle k). Every query asks for the model values, and
 the trace comes from the last sat answer.
 
-Every REFUTED or HIT trace is replayed in the simulator before it is
-reported; one that does not fail or hit at the reported cycle becomes
-INCONCLUSIVE (replay mismatch: ...). The simulator aborts on a zero
-divisor or an out-of-range bit index, where SMT-LIB gives a value, so in
-a design with such checks the reported cycle is asked once more together
-with `Unrolling.checks`, for a trace the simulator runs to the end.
+Either way each goal carries `Unrolling.assumption`: no runtime check (a
+zero divisor, an out-of-range bit index, where SMT-LIB gives a value and
+the simulator aborts) that a generated `_auto_*` assert reports fires
+before the property is sampled. So a property that only such an aborting
+step reaches is PROVED or NOT_REACHED, and the abort is reported by the
+assert of its site. Every REFUTED or HIT trace is replayed in the
+simulator before it is reported; one that does not fail or hit at the
+reported cycle, or aborts at a check no assert reports, becomes
+INCONCLUSIVE (replay mismatch: ...).
 
 Exit code: 0 iff every assert PROVED and every cover HIT; 1 if any
 REFUTED or NOT_REACHED; 2 on unknown/timeout/replay mismatch.
@@ -40,7 +43,7 @@ from ..consteval import wrap_signed
 from ..ir import CoreModule, CoreProperty
 from ..types import Reset, SInt
 from .encode import (FormalUnsupported, SmtScript, Unrolling, encode_bmc,
-                     encode_witness, formal_scope_check, inactive_level)
+                     formal_scope_check, inactive_level)
 from .solver import SolverError, pick_solver, run_solver
 
 
@@ -148,29 +151,15 @@ def _check_builtin(core: CoreModule, props: list[CoreProperty], bound: int,
                 if timeout is not None:
                     session.deadline = t0 + timeout - spent[i]
                 status = session.check_assuming(goal)
-                trace = _witness(unroll, session, goal, k) if status == "sat" else None
                 spent[i] += time.monotonic() - t0
                 if status == "sat":
-                    results[i] = _found(prop, k, trace)
+                    results[i] = _found(prop, k, _model_trace(unroll, session, k))
                 elif status != "unsat":
                     results[i] = PropResult(prop.name, prop.kind, "INCONCLUSIVE", detail=status)
         except Exception as e:  # e.g. a term nested too deeply
             raise SolverError("E_SOLVER_PARSE", f"solver `builtin` produced no verdict "
                               f"({type(e).__name__}: {e})") from None
     return [r if r is not None else _not_found(p) for r, p in zip(results, props)]
-
-
-def _witness(unroll: Unrolling, session, goal, k: int) -> list[dict[str, int]]:
-    """The trace of the sat answer to `goal` at cycle k. If the design has
-    runtime checks, the goal is asked again together with them, so that
-    the replay does not abort on a value the goal never needed (a constant
-    outside the goal's cone is 0 in the model); when no such trace exists,
-    the first one stands."""
-    trace = _model_trace(unroll, session, k)
-    checks = [c for j in range(k + 1) for c in unroll.checks(j)]
-    if checks and session.check_assuming(unroll.tb.app("and", [goal] + checks)) == "sat":
-        trace = _model_trace(unroll, session, k)
-    return trace
 
 
 def _model_trace(unroll: Unrolling, session, upto: int) -> list[dict[str, int]]:
@@ -210,12 +199,6 @@ def _check_external(core: CoreModule, prop: CoreProperty, bound: int, solver: st
             lo = mid + 1
     if res.status not in ("sat", "unsat"):
         return PropResult(prop.name, prop.kind, "INCONCLUSIVE", detail=res.status)
-    # as on the builtin path: ask again for a trace the simulator runs
-    witness = encode_witness(core, prop, hi)
-    if witness is not None:
-        res = run_solver(witness.text, solver, timeout, want_values=witness.all_vars)
-        if res.status == "sat":
-            script, model = witness, res.model
     return _found(prop, hi, _as_signed(core, _decode_trace(script, model, hi)))
 
 

@@ -17,13 +17,13 @@ from __future__ import annotations
 from typing import Optional
 
 from .ast_nodes import (
-    Binary, BoolLit, EnumRef, Expr, Index, IntLit,
-    MatchCase as MatchCaseLike, NameRef, SAssign, SIf, SMatch, Stmt, Ternary,
+    Binary, BoolLit, Convert, EnumRef, Expr, IfExpr, Index, IntLit,
+    MatchCase as MatchCaseLike, NameRef, SAssign, SIf, SMatch, Stmt, Ternary, Unary,
 )
 from .diagnostics import CompileError, err
 from .elaborate import ParamInfo
 from .source import DUMMY_SPAN, Span
-from .types import BOOL, Bool, EnumType, Type, UInt
+from .types import BOOL, Bool, EnumType, SInt, Type, UInt, Vec
 
 
 class VecStore(Expr):
@@ -93,10 +93,14 @@ class CoreProperty:
                  name: str, expr: Expr, clock: Optional[str], domain: Optional[str],
                  reset_sig: Optional[str], reset_polarity: Optional[str],
                  origin: str,  # user | auto
-                 span: Span) -> None:
+                 span: Span,
+                 site: Optional[Span] = None) -> None:
         self.kind, self.name, self.expr, self.clock, self.domain = kind, name, expr, clock, domain
         self.reset_sig, self.reset_polarity = reset_sig, reset_polarity
         self.origin, self.span = origin, span
+        # the span of the runtime check (ir.runtime_checks) that a generated
+        # `_auto_div0_*`/`_auto_bound_*` assert reports; None for the others
+        self.site = site
 
 
 class NetDef:
@@ -148,21 +152,104 @@ _CHILD_ATTRS = ("lhs", "rhs", "operand", "cond", "then", "els", "base",
                 "index", "hi", "lo", "width", "value")
 
 
-def walk_expr(e: Expr):
-    """Yield every node of an expression tree (pre-order)."""
-    yield e
-    for attr in _CHILD_ATTRS:
-        sub = getattr(e, attr, None)
-        if isinstance(sub, Expr):
-            yield from walk_expr(sub)
+def const_int(e: Expr) -> int | None:
+    """Value of a typed constant expression (literals and folds only)."""
+    if isinstance(e, IntLit):
+        return e.value
+    if isinstance(e, BoolLit):
+        return 1 if e.value else 0
+    if isinstance(e, EnumRef) and isinstance(e.ty, EnumType):
+        return e.ty.variants.index(e.variant)
+    if isinstance(e, Unary) and e.op == "-":
+        v = const_int(e.operand)
+        return -v if v is not None else None
+    return None
+
+
+def runtime_checks(e: Expr, path: Expr | None = None):
+    """Yield `(path, check, kind, span)` for every runtime check of `e`:
+    kind "div0" for a division or modulo by a non-constant (check: the
+    divisor is nonzero), kind "bound" for a non-constant Vec or bit index
+    (check: the index is below the size). `path` is the Bool condition
+    under which the simulator evaluates the site, None when it always
+    does: it grows through `?:`/if (the taken branch), `&&` and `implies`
+    (the rhs when the lhs holds) and `||` (the rhs when it does not).
+    Sites come in pre-order, parents before their operands."""
+    if isinstance(e, Binary):
+        if e.op in ("/", "%") and const_int(e.rhs) is None:
+            zero = lit(0, e.rhs.ty, e.span)
+            yield path, bin_op("!=", e.rhs, zero, BOOL, e.span), "div0", e.span
+        yield from runtime_checks(e.lhs, path)
+        if e.op in ("&&", "implies"):
+            path = path_and(path, e.lhs)
+        elif e.op == "||":
+            path = path_and(path, not_(e.lhs, e.lhs.span))
+        yield from runtime_checks(e.rhs, path)
+    elif isinstance(e, (Ternary, IfExpr)):
+        yield from runtime_checks(e.cond, path)
+        yield from runtime_checks(e.then, path_and(path, e.cond))
+        yield from runtime_checks(e.els, path_and(path, not_(e.cond, e.cond.span)))
+    else:
+        if isinstance(e, Index) and const_int(e.index) is None:
+            ty = e.base.ty
+            size = ty.size if isinstance(ty, Vec) else (
+                ty.width if isinstance(ty, (UInt, SInt)) else None)
+            if size is not None:
+                yield path, _index_below(e.index, size, e.span), "bound", e.span
+        for attr in _CHILD_ATTRS:
+            sub = getattr(e, attr, None)
+            if isinstance(sub, Expr):
+                yield from runtime_checks(sub, path)
+
+
+def path_and(path: Expr | None, cond: Expr) -> Expr:
+    """The path condition `path && cond` (just `cond` at the top)."""
+    return cond if path is None else and_(path, cond, cond.span)
+
+
+def _index_below(index: Expr, size: int, span: Span) -> Expr:
+    """`index < size`, compared unsigned at a width that holds both."""
+    ty = index.ty
+    iw = ty.width if isinstance(ty, (UInt, SInt)) else 1
+    w = max(iw, size.bit_length())
+    if iw < w or isinstance(ty, SInt):
+        index = Convert(span, "zext", index, lit(w, UInt(max(1, w.bit_length())), span))
+        index.ty = UInt(w)
+    return bin_op("<", index, lit(size, UInt(w), span), BOOL, span)
+
+
+# ── typed expression builders for generated logic ────────────────
+
+
+def lit(value: int, ty: Type, span: Span, text: str | None = None) -> IntLit:
+    e = IntLit(span, value, text if text is not None else str(value))
+    e.ty = ty
+    return e
+
+
+def bin_op(op: str, a: Expr, b: Expr, ty: Type, span: Span) -> Binary:
+    e = Binary(span, op, a, b)
+    e.ty = ty
+    return e
+
+
+def and_(a: Expr, b: Expr, span: Span) -> Binary:
+    return bin_op("&&", a, b, BOOL, span)
+
+
+def not_(a: Expr, span: Span) -> Expr:
+    e = Unary(span, "!", a)
+    e.ty = BOOL
+    return e
 
 
 def expr_reads(e: Expr, out: set[str] | None = None) -> set[str]:
     """Canonical net names read by an expression."""
     if out is None:
         out = set()
-    # an explicit stack, not walk_expr: nested generators pass each node up
-    # through every enclosing level, and this runs once per net and edge
+    # an explicit stack, not a recursive generator: nested generators pass
+    # each node up through every enclosing level, and this runs once per
+    # net and edge
     stack = [e]
     while stack:
         node = stack.pop()
@@ -221,9 +308,7 @@ def _targets_of(stmts: list[Stmt]) -> list[str]:
 
 
 def _match_arm_cond(subject: Expr, pattern: Expr) -> Expr:
-    cond = Binary(pattern.span, "==", subject, pattern)
-    cond.ty = BOOL
-    return cond
+    return bin_op("==", subject, pattern, BOOL, pattern.span)
 
 
 def muxify(stmts: list[Stmt], target: str, initial, ty: Type,

@@ -11,7 +11,8 @@ fifo      -> single-clock pointer fifo or dual-clock gray-pointer fifo,
 pipeline  -> per-stage valid_r, stall back-propagation, flush masks
 
 synthesize_safety_props adds _auto_bound_* for dynamic indexing in seq
-context and _auto_div0_* for non-constant division/modulo.
+context and _auto_div0_* for non-constant division/modulo, each guarded
+by the path condition of its site (ir.runtime_checks).
 """
 
 from __future__ import annotations
@@ -27,24 +28,20 @@ from .diagnostics import CompileError, Diagnostic, Note
 from .elaborate import ElabConstruct, Program
 from .ir import (
     CoreCombBlock, CoreInstance, CoreModule, CorePort, CoreProperty, CoreReg,
-    NetDef, expr_reads, walk_expr,
+    NetDef, _match_arm_cond, _targets_of, and_, bin_op, const_int, expr_reads, lit, not_,
+    path_and, runtime_checks,
 )
 from .source import Span
 from .typecheck import (
     Binding, Ctx, ERROR_TY, ErrorTy, Summary, analyze_comb, analyze_domains,
-    check_guards, const_int, derive_defs,
+    check_guards, derive_defs,
 )
 from .types import (
-    BOOL, Clock, Reset, SInt, Type, UInt, Vec, assignable, is_one_bit_data,
+    BOOL, Clock, Reset, Type, UInt, Vec, assignable, is_one_bit_data,
 )
 
 # ── typed expression builders for generated logic ────────────────
-
-
-def lit(value: int, ty: Type, span: Span, text: str | None = None) -> IntLit:
-    e = IntLit(span, value, text if text is not None else str(value))
-    e.ty = ty
-    return e
+# (lit, bin_op, and_ and not_ are in ir, for its runtime checks too)
 
 
 def blit(value: bool, span: Span) -> BoolLit:
@@ -59,12 +56,6 @@ def ref(name: str, ty: Type, span: Span) -> NameRef:
     return e
 
 
-def bin_op(op: str, a: Expr, b: Expr, ty: Type, span: Span) -> Binary:
-    e = Binary(span, op, a, b)
-    e.ty = ty
-    return e
-
-
 def eq(a: Expr, b: Expr, span: Span) -> Binary:
     return bin_op("==", a, b, BOOL, span)
 
@@ -73,19 +64,8 @@ def ne(a: Expr, b: Expr, span: Span) -> Binary:
     return bin_op("!=", a, b, BOOL, span)
 
 
-def and_(a: Expr, b: Expr, span: Span) -> Binary:
-    return bin_op("&&", a, b, BOOL, span)
-
-
 def or_(a: Expr, b: Expr, span: Span) -> Binary:
     return bin_op("||", a, b, BOOL, span)
-
-
-def not_(a: Expr, span: Span) -> Expr:
-    from .ast_nodes import Unary
-    e = Unary(span, "!", a)
-    e.ty = BOOL
-    return e
 
 
 def ite(c: Expr, a: Expr, b: Expr, span: Span) -> Ternary:
@@ -438,7 +418,7 @@ class Translator(Ctx):
         domain = clk.ty.domain
         self.core.seq_blocks.append(
             _seq_block(item.clock, domain, item.edge, stmts, "user", item.span))
-        for target in _seq_target_names(stmts):
+        for target in _targets_of(stmts):
             reg = self.core.regs.get(target)
             if reg is not None and not reg.clock:
                 reg.clock = item.clock
@@ -548,10 +528,12 @@ class Translator(Ctx):
         self.core.properties.append(prop)
 
     def add_generated_property(self, kind: str, name: str, typed_expr: Expr,
-                               span: Span, clock: str | None) -> None:
+                               span: Span, clock: str | None,
+                               site: Span | None = None) -> None:
         if not self._claim_prop(name, span):
             return
-        prop = CoreProperty(kind, name, typed_expr, clock, None, None, None, "auto", span)
+        prop = CoreProperty(kind, name, typed_expr, clock, None, None, None, "auto", span,
+                            site)
         self.core.properties.append(prop)
 
     def _claim_prop(self, name: str, span: Span) -> bool:
@@ -571,11 +553,6 @@ def _seq_block(clock: str, domain: str, edge: str, stmts: list[Stmt],
                origin: str, span: Span):
     from .ir import CoreSeqBlock
     return CoreSeqBlock(clock, domain, edge, stmts, origin, span)
-
-
-def _seq_target_names(stmts: list[Stmt]) -> list[str]:
-    from .ir import _targets_of
-    return _targets_of(stmts)
 
 
 # ── construct drivers ────────────────────────────────────────────
@@ -1300,7 +1277,7 @@ def lower_pipeline(tr: Translator) -> None:
                              item.span)
                     continue
                 user_seq_stmts.extend(tr.translate_stmts(item.stmts, "seq"))
-                for target in _seq_target_names(user_seq_stmts):
+                for target in _targets_of(user_seq_stmts):
                     reg = tr.core.regs.get(target)
                     if reg is not None and not reg.clock:
                         reg.clock, reg.domain, reg.edge = clk, domain, item.edge
@@ -1378,119 +1355,84 @@ _CONSTRUCT_LOWER = {
 # ── auto safety properties for dynamic sites ─────────────────────
 
 
-def _zext_to(e: Expr, width: int, span: Span) -> Expr:
-    from .types import UInt as U
-    cur = e.ty
-    cur_w = cur.width if isinstance(cur, (UInt, SInt)) else 1
-    if cur_w >= width and not isinstance(cur, SInt):
-        return e
-    conv = Convert(span, "zext", e, lit(width, U(max(1, width.bit_length())), span))
-    conv.ty = U(width)
-    return conv
-
-
 def synthesize_safety_props(tr: Translator) -> None:
     """_auto_bound_* for dynamic Vec/bit indexing in seq context and
-    _auto_div0_* for every non-constant division or modulo."""
+    _auto_div0_* for every non-constant division or modulo, each stating
+    `path implies check` for its `runtime_checks` site (the plain check
+    where the site is unconditional)."""
     core = tr.core
     clocks = core.clock_ports()
     sole_clock = clocks[0][0] if len(clocks) == 1 else None
 
     counters: dict[str, int] = {}
 
-    def prop_name(prefix: str, owner: str) -> str:
+    def add(prefix: str, owner: str, path: Expr | None, check: Expr, span: Span,
+            clock: str) -> None:
         base = f"{prefix}_{owner.replace('.', '_')}"
         counters[base] = counters.get(base, 0) + 1
-        return base if counters[base] == 1 else f"{base}_{counters[base] - 1}"
-
-    def clock_for(block_clock: str | None) -> str | None:
-        return block_clock if block_clock is not None else sole_clock
+        name = base if counters[base] == 1 else f"{base}_{counters[base] - 1}"
+        expr = check if path is None else bin_op("implies", path, check, BOOL, span)
+        tr.add_generated_property("assert", name, expr, span, clock, site=span)
 
     # bounds: seq context only (the paper's rule; comb sites are covered by
-    # the always-on runtime abort)
+    # the always-on runtime abort); div0: seq, and comb under a sole clock
+    # (a multi-clock comb site is left to the runtime abort)
+    div0 = []
     for block in core.seq_blocks:
-        from .ir import _targets_of
-
-        def visit(e: Expr, owner: str) -> None:
-            for node in walk_expr(e):
-                if isinstance(node, Index):
-                    base_ty = node.base.ty
-                    size = None
-                    if isinstance(base_ty, Vec):
-                        size = base_ty.size
-                    elif isinstance(base_ty, (UInt, SInt)):
-                        size = base_ty.width
-                    if size is None or const_int(node.index) is not None:
-                        continue
-                    w = max(_int_width(node.index), size.bit_length())
-                    cond = bin_op("<", _zext_to(node.index, w, node.span),
-                                  lit(size, UInt(w), node.span), BOOL, node.span)
-                    name = prop_name("_auto_bound", owner)
-                    tr.add_generated_property("assert", name, cond, node.span,
-                                              clock_for(block.clock))
-
-        for owner, e in _seq_exprs_of_block(block):
-            visit(e, owner)
-
-    # div0: every non-constant divisor, any context
-    def visit_div(e: Expr, owner: str, clock: str | None) -> None:
-        for node in walk_expr(e):
-            if isinstance(node, Binary) and node.op in ("/", "%"):
-                if const_int(node.rhs) is not None:
-                    continue
-                zero = lit(0, node.rhs.ty, node.span)
-                cond = ne(node.rhs, zero, node.span)
-                name = prop_name("_auto_div0", owner)
-                clk = clock_for(clock)
-                if clk is None:
-                    continue  # multi-clock comb site: runtime abort still covers it
-                tr.add_generated_property("assert", name, cond, node.span, clk)
-
-    for block in core.seq_blocks:
-        for owner, e in _seq_exprs_of_block(block):
-            visit_div(e, owner, block.clock)
-    for block in core.comb_blocks:
-        for owner, e in _comb_exprs_of_block(block):
-            visit_div(e, owner, None)
+        for owner, (path, check, kind, span) in _block_checks(block):
+            if kind == "bound":
+                add("_auto_bound", owner, path, check, span, block.clock)
+            else:
+                div0.append((owner, path, check, span, block.clock))
+    if sole_clock is not None:
+        for block in core.comb_blocks:
+            div0 += [(owner, path, check, span, sole_clock)
+                     for owner, (path, check, kind, span) in _block_checks(block)
+                     if kind == "div0"]
+    for site in div0:
+        add("_auto_div0", *site)
 
 
-def _int_width(e: Expr) -> int:
-    ty = e.ty
-    if isinstance(ty, (UInt, SInt)):
-        return ty.width
-    return 1
-
-
-def _seq_exprs_of_block(block):
-    def stmt_exprs(st: Stmt, owner: str):
+def _block_checks(block):
+    """(owner, runtime_checks site) for every site of a comb or seq block,
+    its path starting from the enclosing if and match conditions."""
+    def stmt_checks(st: Stmt, owner: str, path: Expr | None):
         if isinstance(st, SAssign):
             tgt = st.lhs.base.name if isinstance(st.lhs, Index) else st.lhs.name
-            yield tgt, st.rhs
+            for site in runtime_checks(st.rhs, path):
+                yield tgt, site
             if isinstance(st.lhs, Index):
-                yield tgt, st.lhs.index
+                for site in runtime_checks(st.lhs.index, path):
+                    yield tgt, site
         elif isinstance(st, SIf):
-            yield owner, st.cond
+            for site in runtime_checks(st.cond, path):
+                yield owner, site
+            taken = path_and(path, st.cond)
             for s in st.then:
-                yield from stmt_exprs(s, owner)
-            for s in st.els or []:
-                yield from stmt_exprs(s, owner)
+                yield from stmt_checks(s, owner, taken)
+            if st.els:
+                taken = path_and(path, not_(st.cond, st.cond.span))
+                for s in st.els:
+                    yield from stmt_checks(s, owner, taken)
         elif isinstance(st, SMatch):
-            yield owner, st.subject
-            for c in st.cases:
+            for site in runtime_checks(st.subject, path):
+                yield owner, site
+            arms = [_match_arm_cond(st.subject, c.patterns[0]) for c in st.cases]
+            for c, arm in zip(st.cases, arms):
+                taken = path_and(path, arm)
                 for s in c.stmts:
-                    yield from stmt_exprs(s, owner)
-            for s in st.else_stmts or []:
-                yield from stmt_exprs(s, owner)
+                    yield from stmt_checks(s, owner, taken)
+            if st.else_stmts:
+                taken = path
+                for arm in arms:
+                    taken = path_and(taken, not_(arm, arm.span))
+                for s in st.else_stmts:
+                    yield from stmt_checks(s, owner, taken)
 
-    from .ir import _targets_of
     targets = _targets_of(block.stmts)
     owner = targets[0] if targets else "seq"
     for st in block.stmts:
-        yield from stmt_exprs(st, owner)
-
-
-def _comb_exprs_of_block(block):
-    yield from _seq_exprs_of_block(block)
+        yield from stmt_checks(st, owner, None)
 
 
 # ── property clock/reset resolution ──────────────────────────────

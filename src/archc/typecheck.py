@@ -19,7 +19,7 @@ from .ast_nodes import (
 from .diagnostics import CompileError, Diagnostic, Note, err
 from .elaborate import ElabConstruct
 from .ir import (
-    CombGraph, CoreModule, Unassigned, build_comb_graph, expr_reads, muxify,
+    CombGraph, CoreModule, Unassigned, build_comb_graph, const_int, expr_reads, muxify,
 )
 from .source import Span
 from .types import (
@@ -571,20 +571,6 @@ def _width(ty: Type) -> int:
 
 
 # ── constant extraction on typed trees ───────────────────────────
-
-
-def const_int(e: Expr) -> int | None:
-    """Value of a typed constant expression (literals and folds only)."""
-    if isinstance(e, IntLit):
-        return e.value
-    if isinstance(e, BoolLit):
-        return 1 if e.value else 0
-    if isinstance(e, EnumRef) and isinstance(e.ty, EnumType):
-        return e.ty.variants.index(e.variant)
-    if isinstance(e, Unary) and e.op == "-":
-        v = const_int(e.operand)
-        return -v if v is not None else None
-    return None
 
 
 def const_int_raw(e: Expr) -> int | None:

@@ -237,19 +237,6 @@ class TestSolverDriver:
             answers[prop] = proc.stdout.split()
         assert answers == {"never_full": ["sat"], "_auto_count_range": ["unsat"]}
 
-    def test_external_solver_trace_passes_the_runtime_checks(self, tmp_path, monkeypatch):
-        """After the search, a design with runtime checks gets one more
-        query, for a trace on which the simulator does not abort."""
-        fake = tmp_path / "z3"
-        fake.write_text(f"#!/bin/sh\nexec {sys.executable} -m archc.smt.solve \"$2\"\n")
-        fake.chmod(0o755)
-        monkeypatch.setenv("ARCHC_SOLVER_PATH", str(tmp_path))
-        monkeypatch.setenv("PYTHONPATH", os.path.join(ROOT, "src"))
-        design, _ = build_text(DIV_ARCH)
-        v = verify(design.cores["Div"], 20, "z3")
-        assert [(r.name, r.status, r.cycle) for r in v.results] == DIV_RESULTS
-        assert all(row["b"] != 0 for row in v.results[0].trace)
-
     def test_external_solver_search_reads_the_last_model(self, tmp_path, monkeypatch):
         """An external solver (here archc-smt behind a `z3` name) gets one
         script per query: the whole bound, then the search over bounds. The
@@ -358,19 +345,20 @@ end module SReg
         assert v.results[2].trace == [{"a": 0, "b": 0, "cnt": 0}]
 
     def test_replay_abort_is_named(self):
+        """A trace that aborts in the simulator becomes INCONCLUSIVE, and
+        the detail names the abort and its cycle. (`verify` asks for
+        traces that pass the runtime checks, so this trace is made by
+        hand: bit 5 of the 4-bit `x` at cycle 2.)"""
+        from archc.formal.verify import PropResult, _replay_all
         design, _ = build_text(BIT_INDEX_ARCH)
-        v = verify(design.cores["Bits"], 20, "builtin")
-        r = {r.name: r for r in v.results}
-        assert (r["guarded"].status, r["guarded"].cycle) == ("HIT", 2)
-        assert r["wide"].status == "INCONCLUSIVE"
-        # no trace to cycle 2 passes the checks, so the first one stands;
-        # it aborts at the solver's first cycle with b == 0, since `x / b`
-        # is the division the detail names
-        abort = next(k for k, step in enumerate(r["wide"].trace) if step["b"] == 0)
-        assert r["wide"].detail.startswith(
-            f"replay mismatch: the simulator aborts at cycle {abort} (DIV_BY_ZERO: "
-            "division by zero at ")
-        assert r["wide"].trace[2]["i"] == 5
+        trace = [{"x": 9, "i": 7, "b": 1, "cnt": 0}, {"x": 9, "i": 7, "b": 1, "cnt": 1},
+                 {"x": 9, "i": 5, "b": 1, "cnt": 2}]
+        r = PropResult("wide", "cover", "HIT", 2, trace)
+        _replay_all(design.cores["Bits"], [r])
+        assert (r.status, r.cycle) == ("INCONCLUSIVE", 2)
+        assert r.detail.startswith(
+            "replay mismatch: the simulator aborts at cycle 2 "
+            "(OUT_OF_BOUNDS: bit 5 out of bounds for width 4 at ")
 
     def test_exception_is_a_solver_error(self, monkeypatch):
         from archc.smt.solve import Session
@@ -426,24 +414,34 @@ end module SReg
         assert proc.stdout.splitlines()[-1] == "0 []", proc.stdout + proc.stderr
 
     def test_frames_replay_the_translation(self, monkeypatch):
-        """The expressions are translated when the unrolling is made; a
-        frame only calls the builders, and each literal is one term."""
+        """The expressions and the runtime checks are translated when the
+        unrolling is made; a frame only calls the builders, and each
+        literal is one term."""
+        from archc.formal import encode
         from archc.formal.encode import Unrolling
-        from archc.smt.terms import TermBuilder
+        from archc.smt.terms import TermBuilder, term_text
         design, _ = build_text(DIV_ARCH)
         core = design.cores["Div"]
         unroll = Unrolling(core, TermBuilder())
-        unroll.extend()
-        assert unroll.checks(0)  # the checks are translated on first use
 
-        def walked(self, e):
-            raise AssertionError(f"a frame walked {e!r}")
-        for name in ("_word", "_bool", "_check"):
+        def walked(*args):
+            raise AssertionError(f"a frame walked {args[-1]!r}")
+        for name in ("_word", "_bool", "_checks"):
             monkeypatch.setattr(Unrolling, name, walked)
-        frames = [unroll.frames[0]] + [unroll.extend() for _ in range(2)]
-        assert len(unroll.checks(2)) == len(unroll.checks(0))
+        monkeypatch.setattr(encode, "runtime_checks", walked)
+        frames = [unroll.extend() for _ in range(3)]
+        # one Bool constant per frame: no check fired up to its sample
+        assert [(ok.name, term_text(ok.definition)) for ok in unroll.oks] == [
+            ("__ok__0", "(not (= b__0 #b0000))"),
+            ("__ok__1", "(and __ok__0 (not (= b__1 #b0000)))"),
+            ("__ok__2", "(and __ok__1 (not (= b__2 #b0000)))")]
+        c, small, div0 = core.properties
+        assert unroll.assumption(c, 2) is unroll.assumption(small, 2) is unroll.oks[2]
+        # the generated assert on `a / b` is asked before its own net
+        assert unroll.assumption(div0, 2) is unroll.oks[1]
+        assert unroll.assumption(div0, 0) is None
         goals = [unroll.goal(p, 2) for p in core.properties]
-        built = goals + unroll.checks(2) + [f["cnt"].definition for f in frames[1:]]
+        built = goals + unroll.oks + [f["cnt"].definition for f in frames[1:]]
         consts = {t for t in _subterms(built) if t.op == "const"}
         assert consts and len({(t.value, t.width) for t in consts}) == len(consts)
 

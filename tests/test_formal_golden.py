@@ -8,13 +8,14 @@ questions; any change in a verdict or its cycle changes the digest. Traces
 stay out: they are the solver's choice, and `verify` replays each one in
 the simulator.
 
-SCRIPTS_SHA256 pins the SMT-LIB text of `encode_bmc` and `encode_witness`
-for every property at bounds 0, 5 and 12, over the same modules plus
-OPS_ARCH (every expression form the encoder handles, runtime checks
-included) and seeded random-expression modules. It was recorded while the
-unrolling still walked the AST once per frame, before it was compiled into
-term builders; the scripts an external solver or `--emit-smt` sees must
-not change by a byte.
+SCRIPTS_SHA256 pins the SMT-LIB text of `encode_bmc` for every property at
+bounds 0, 5 and 12, over the same modules plus OPS_ARCH (every expression
+form the encoder handles, runtime checks included) and seeded
+random-expression modules; the scripts an external solver or `--emit-smt`
+sees must not change by a byte. It was last recorded when each goal came
+to carry the cycle's assumed runtime checks, those a generated assert
+reports (`Unrolling.assumption`), which changed the scripts of the modules
+with such checks (SafeDiv, Ops and R0, R1, R2, R4) and no other.
 """
 
 import glob
@@ -27,12 +28,12 @@ from test_sim import random_expr
 
 from archc.diagnostics import CompileError
 from archc.formal import FormalUnsupported, formal_scope_check, verify
-from archc.formal.encode import encode_bmc, encode_witness
+from archc.formal.encode import encode_bmc
 from archc.types import Bool, SInt, UInt
 
 GOLDEN_SHA256 = "936046276a3d63e806232e12e80a129718bb5820c33f3ece40c83ae3c7ac772b"
 
-SCRIPTS_SHA256 = "bd1d2d2884b1b18c74bee529d0db6f9d58dcbc1e2fe05217a39cea205a182b1d"
+SCRIPTS_SHA256 = "1265e6278dcdb2ed1d4802dd66a3f1e73875d4d106d7efb2687ec7d080387ffe"
 
 BOUNDS = (0, 5, 10, 16, 20)
 SCRIPT_BOUNDS = (0, 5, 12)
@@ -154,16 +155,12 @@ def _script_cores():
 
 def test_smt_scripts_match_golden_digest():
     digest = hashlib.sha256()
-    n_bmc = n_witness = 0
+    n_bmc = 0
     for fname, name, core in _script_cores():
         for prop in core.properties:
             for bound in SCRIPT_BOUNDS:
                 head = f"{fname} {name} {prop.name} {bound}\n"
                 digest.update((head + encode_bmc(core, prop, bound).text).encode("utf-8"))
-                witness = encode_witness(core, prop, bound)
-                digest.update(b"no witness\n" if witness is None
-                              else witness.text.encode("utf-8"))
                 n_bmc += 1
-                n_witness += witness is not None
-    assert (n_bmc, n_witness) == (162, 71)
+    assert n_bmc == 162
     assert digest.hexdigest() == SCRIPTS_SHA256

@@ -162,8 +162,8 @@ def random_expr(rng, inputs, depth, want_ty):
     else:
         b = random_expr(rng, inputs, depth - 1, want_ty)
     if op in ("/", "%"):
-        # nonzero by construction: the generated `_auto_div0_*` property
-        # ignores a guard such as `b != 0 ? ... : ...` and would fail
+        # nonzero by construction, so that no input value makes the
+        # simulator abort on a zero divisor
         b = f"({b} | 1)"
     return f"({a} {op} {b})"
 

@@ -6,7 +6,11 @@ sets, hashed into one digest.
 GOLDEN_SHA256 was recorded from the closure-interpreter simulator that
 the generated-code simulator replaced; any change in an event, its
 cycle or order, an expect result, a cover cycle, a final time, a CDC
-capture draw or a waveform byte changes the digest.
+capture draw or a waveform byte changes the digest. It was re-recorded
+once since, when the generated `_auto_div0_*` asserts came to hold their
+site's path condition: the only lines that changed were the false
+ASSERT_FAIL events of the guarded divisions (`div_guard_ternary`,
+`div_guard_and`, `div_guard_if`) and their FAIL summaries, now PASS.
 """
 
 import random
@@ -16,7 +20,7 @@ from conftest import CLEAN_CORPUS, build_files, build_text, corpus_path
 from archc.sim import SimFlags, build_sim, parse_stimulus, run_stimulus
 from archc.types import Clock, SInt, Vec
 
-GOLDEN_SHA256 = "48911f553400192c84ed7c38c843af16fc18185044199e09820ef811690456a1"
+GOLDEN_SHA256 = "0e9c17969ce2c413ead9f34f5994eca790556eea70a591ae3899099771d8de64"
 
 FLAG_SETS = [
     ("plain", {}),
@@ -178,7 +182,7 @@ def _cases():
 def test_sim_output_matches_golden_digest(tmp_path):
     import hashlib
     h = hashlib.sha256()
-    aborts = {}
+    aborts, fails = {}, set()
     wave = str(tmp_path / "w.vcd")
     for name, design, top, text in _cases():
         for tag, flags in FLAG_SETS:
@@ -186,11 +190,15 @@ def test_sim_output_matches_golden_digest(tmp_path):
             h.update(f"== {name} {tag}\n".encode("utf-8") + blob)
             if b"\nABORT: " in b"\n" + blob:
                 aborts.setdefault(name, set()).add(tag)
-    # every taken check aborts under every flag set, no guarded one does
+            if b"[ASSERT_FAIL]" in blob:
+                fails.add(name)
+    # every taken check aborts under every flag set, no guarded one does,
+    # and no guarded one fails its generated assertion either
     taken = {n for n, *_ in CHECK_CASES
              if n in ("div_comb", "mod_comb", "div_seq", "sdiv_comb", "smod_comb",
                       "vec_read", "vec_store", "bit_read", "bit_seq", "todo_taken")}
     checks = {n for n, *_ in CHECK_CASES}
     assert {n for n in aborts if n in checks} == taken, sorted(aborts)
     assert all(aborts[n] == {t for t, _ in FLAG_SETS} for n in taken)
+    assert not {n for n in fails if "_guard_" in n}, sorted(fails)
     assert h.hexdigest() == GOLDEN_SHA256
