@@ -11,8 +11,9 @@ their next state after, comb nets by their expression). No frame walks
 the AST again.
 `verify` extends it one frame at a time inside one builtin solver session.
 `encode_bmc` prints the same terms as one self-contained SMT-LIB2 script
-per property, for `--emit-smt` and for external solvers: each assert
-becomes one disjunction of per-cycle violations, each cover one
+per property, for `--emit-smt` and for external solvers: each input is a
+`declare-const`, each defined constant a 0-ary `define-fun`, and each
+assert becomes one disjunction of per-cycle violations, each cover one
 disjunction of per-cycle hits, checked by a single (check-sat).
 
 SMT-LIB defines division by zero; the simulator aborts on it, and on a
@@ -43,7 +44,7 @@ from ..ast_nodes import (
 from ..consteval import const_value_of
 from ..ir import CoreModule, CoreProperty, VecStore, runtime_checks
 from ..source import Span
-from ..types import EnumType, Reset, SInt, Type, UInt, Vec
+from ..types import EnumType, Reset, SInt, Vec, width_of
 
 if TYPE_CHECKING:  # the solver's modules load on first use, as in solver.py
     from ..smt.terms import Term, TermBuilder
@@ -94,12 +95,6 @@ class SmtScript:
 
 def inactive_level(ty: Reset) -> int:
     return 0 if ty.polarity == "High" else 1
-
-
-def _width(ty: Type) -> int:
-    if isinstance(ty, (UInt, SInt)):
-        return ty.width
-    return 1
 
 
 _CMP = {"<": ("bvult", "bvslt"), "<=": ("bvule", "bvsle"),
@@ -153,7 +148,7 @@ class Unrolling:
         from ..smt.terms import BOOL_SORT
         self.bools = (self._const(0, BOOL_SORT), self._const(1, BOOL_SORT))
         clock_names = {name for name, _ in core.clock_ports()}
-        self.inputs = [(p.name, _width(p.ty)) for p in core.ports
+        self.inputs = [(p.name, width_of(p.ty)) for p in core.ports
                        if p.direction == "in" and p.name not in clock_names
                        and not isinstance(p.ty, Reset)]
         self.resets = [(p.name, self._const(inactive_level(p.ty), 1))
@@ -163,10 +158,10 @@ class Unrolling:
         # (name, width, value at cycle 0, next state over the frame before)
         self.regs: list[tuple[str, int, Term, Build]] = []
         for name, reg in core.regs.items():
-            width = _width(reg.ty)
+            width = width_of(reg.ty)
             init = 0 if reg.reset_value is None else const_value_of(reg.reset_value, reg.ty)
             self.regs.append((name, width, self._const(init, width), self._word(reg.next)))
-        self.nets = [(name, _width(core.nets[name].ty), self._word(core.nets[name].expr))
+        self.nets = [(name, width_of(core.nets[name].ty), self._word(core.nets[name].expr))
                      for name in core.comb_order]
         self.props = {id(p): self._word(p.expr) for p in core.properties}
         self.frames: list[dict[str, Term]] = []
@@ -264,7 +259,7 @@ class Unrolling:
             if span in reported:
                 self._found.setdefault(span, len(self._here))
                 index = check.lhs.base if isinstance(check.lhs, Convert) else check.lhs
-                if 1 << _width(index.ty) <= check.rhs.value:
+                if 1 << width_of(index.ty) <= check.rhs.value:
                     continue  # the index's type keeps it in range
                 build = self._bool(check)
                 out.append(build if path is None
@@ -281,11 +276,11 @@ class Unrolling:
         """Builder of the bit-vector term for `e`."""
         app = self.tb.app
         if isinstance(e, IntLit):
-            return _fixed(self._const(e.value, _width(e.ty)))
+            return _fixed(self._const(e.value, width_of(e.ty)))
         if isinstance(e, BoolLit):
             return _fixed(self._const(int(e.value), 1))
         if isinstance(e, EnumRef):
-            return _fixed(self._const(e.ty.variants.index(e.variant), _width(e.ty)))
+            return _fixed(self._const(e.ty.variants.index(e.variant), width_of(e.ty)))
         if isinstance(e, NameRef):
             if e.name not in self._known:
                 raise FormalUnsupported(f"`{e.name}` has no value in formal scope")
@@ -303,9 +298,9 @@ class Unrolling:
             base_ty = e.base.ty
             if isinstance(base_ty, Vec):
                 raise FormalUnsupported("Vec indexing in formal scope")
-            w = _width(base_ty)
+            w = width_of(base_ty)
             base, index = self._word(e.base), self._word(e.index)
-            iw = _width(e.index.ty)
+            iw = width_of(e.index.ty)
             if iw < w:
                 index = _op1(app, "zero_extend", index, w - iw)
             elif iw > w:
@@ -315,13 +310,13 @@ class Unrolling:
             return _op1(app, "extract", self._word(e.base), e.hi.value, e.lo.value)
         if isinstance(e, Convert):
             inner = self._word(e.base)
-            grow = _width(e.ty) - _width(e.base.ty)
+            grow = width_of(e.ty) - width_of(e.base.ty)
             if grow == 0:
                 return inner
             if e.kind in ("zext", "sext"):
                 return _op1(app, "zero_extend" if e.kind == "zext" else "sign_extend",
                             inner, grow)
-            return _op1(app, "extract", inner, _width(e.ty) - 1, 0)
+            return _op1(app, "extract", inner, width_of(e.ty) - 1, 0)
         if isinstance(e, VecStore):
             raise FormalUnsupported("Vec storage in formal scope")
         raise AssertionError(f"encode: {e!r}")
@@ -362,9 +357,9 @@ class Unrolling:
         if op == "implies":
             return _op2(app, "bvor", _op1(app, "bvnot", a), b)
         if op in ("+%", "-%", "*%"):
-            w = _width(e.ty)
+            w = width_of(e.ty)
             ext = "sign_extend" if isinstance(e.ty, SInt) else "zero_extend"
-            lw, rw = _width(e.lhs.ty), _width(e.rhs.ty)
+            lw, rw = width_of(e.lhs.ty), width_of(e.rhs.ty)
             if lw < w:
                 a = _op1(app, ext, a, w - lw)
             if rw < w:
@@ -377,9 +372,10 @@ class Unrolling:
 def encode_bmc(core: CoreModule, prop: CoreProperty, bound: int) -> SmtScript:
     """One self-contained SMT-LIB script checking `prop` over cycles
     0..bound with a single (check-sat), printed from an `Unrolling`: each
-    constant is declared, and asserted equal to its definition if it has
-    one, and the goal is one disjunction of per-cycle violations (assert)
-    or hits (cover), each under the cycle's `Unrolling.assumption`."""
+    free constant is a `declare-const` and each defined one a
+    `define-fun`, and the goal is one disjunction of per-cycle violations
+    (assert) or hits (cover), each under the cycle's
+    `Unrolling.assumption`."""
     from ..smt.terms import TermBuilder
     tb = TermBuilder()
     unroll = Unrolling(core, tb)
@@ -401,9 +397,11 @@ def _script(unroll: Unrolling, prop: CoreProperty, props: list[Term],
     lines = ["(set-logic QF_BV)"]
 
     def define(t: Term) -> None:
-        lines.append(f"(declare-const {t.name} {sort_text(t.width)})")
-        if t.definition is not None:
-            lines.append(f"(assert (= {t.name} {term_text(t.definition)}))")
+        if t.definition is None:
+            lines.append(f"(declare-const {t.name} {sort_text(t.width)})")
+        else:
+            lines.append(f"(define-fun {t.name} () {sort_text(t.width)} "
+                         f"{term_text(t.definition)})")
 
     for k, frame in enumerate(unroll.frames):
         lines.append(f"; cycle {k}")

@@ -15,10 +15,11 @@ read from that same answer. `timeout` bounds the solver time spent on
 each property.
 
 An external solver holds no state between processes, so it gets one
-self-contained script per query (`encode_bmc`): the whole bound first,
-then a binary search over bounds for the earliest cycle (sat at bound k
-but not k-1 pins cycle k). Every query asks for the model values, and
-the trace comes from the last sat answer.
+self-contained script per query (`encode_bmc`, in which only the inputs
+are declared free and every other constant is a `define-fun`): the whole
+bound first, then a binary search over bounds for the earliest cycle (sat
+at bound k but not k-1 pins cycle k). Every query asks for the model
+values, and the trace comes from the last sat answer.
 
 Either way each goal carries `Unrolling.assumption`: no runtime check (a
 zero divisor, an out-of-range bit index, where SMT-LIB gives a value and

@@ -27,9 +27,9 @@ from itertools import groupby
 from typing import Optional
 
 from ..source import Span
-from ..types import SInt, Vec
+from ..types import SInt, Vec, width_of
 from .image import (
-    ExprCompiler, FlatReg, SimAbortError, SimImage, mask_of, type_width, wrap_signed,
+    ExprCompiler, FlatReg, SimAbortError, SimImage, mask_of, wrap_signed,
 )
 
 SimAbort = SimAbortError
@@ -313,7 +313,7 @@ def _coercion(ty):
         return lambda value: wrap_signed(value, w)
     if isinstance(ty, Vec):
         return lambda value: value
-    m = mask_of(type_width(ty))
+    m = mask_of(width_of(ty))
     return lambda value: value & m
 
 

@@ -23,7 +23,7 @@ from ..ast_nodes import (
 from ..consteval import const_value_of, div_trunc, rem_trunc, wrap_signed, zero_of
 from ..ir import CoreModule, VecStore, build_comb_graph
 from ..source import Span
-from ..types import Clock, EnumType, SInt, Type, UInt, Vec
+from ..types import Clock, SInt, Type, Vec, width_of
 
 
 class SimAbortError(Exception):
@@ -106,14 +106,6 @@ def mask_of(width: int) -> int:
     return (1 << width) - 1
 
 
-def type_width(ty: Type) -> int:
-    if isinstance(ty, (UInt, SInt)):
-        return ty.width
-    if isinstance(ty, EnumType):
-        return ty.width
-    return 1
-
-
 # ── expression compilation ───────────────────────────────────────
 
 SPLIT_DEPTH = 36  # node depth at which a subexpression moves to a helper
@@ -190,7 +182,7 @@ class ExprCompiler:
         if isinstance(e, Unary):
             a = self.value(e.operand, d)
             ty = e.ty
-            w = type_width(ty)
+            w = width_of(ty)
             if e.op == "!":
                 return f"({a} & 1 ^ 1)"
             if e.op == "~":
@@ -218,7 +210,7 @@ class ExprCompiler:
             a = self.value(e.base, d)
             if e.kind in ("zext", "sext"):
                 return a  # value unchanged, width grows
-            w = type_width(e.ty)
+            w = width_of(e.ty)
             if isinstance(e.ty, SInt):
                 return _wrap(a, w)
             return f"({a} & {mask_of(w)})"
@@ -251,7 +243,7 @@ class ExprCompiler:
             return f"({abort}({i}) if ({i} := {idx}) >= {size} else {self.value(e.base, d)}[{i}])"
         # bits at or above the width are never read, so a signed base
         # needs no mask
-        width = type_width(base_ty)
+        width = width_of(base_ty)
         if isinstance(e.index, IntLit) and e.index.value < width:
             return f"({self.value(e.base, d)} >> {e.index.value} & 1)"
         i = self._temp()
@@ -265,7 +257,7 @@ class ExprCompiler:
         if op in ("&&", "||", "implies", "==", "!=", "<", "<=", ">", ">="):
             return f"(1 if {self.cond(e, d - 1)} else 0)"
         ty = e.ty
-        w = type_width(ty)
+        w = width_of(ty)
         signed = isinstance(ty, SInt)
         m = mask_of(w)
         if op in ("/", "%"):
@@ -491,7 +483,7 @@ class ImageBuilder:
                 uninit_exempt=reg.uninit_exempt,
                 reset_none=reg.reset_sig is None and reg.guard is None,
                 cdc_chain=(prefix + reg.cdc_chain) if reg.cdc_chain else None,
-                width=type_width(reg.ty) if not isinstance(reg.ty, Vec) else 0,
+                width=width_of(reg.ty) if not isinstance(reg.ty, Vec) else 0,
                 span=reg.span)
         for inst in core.instances:
             self._declare(prefix + inst.name + ".", inst.module_key)

@@ -5,8 +5,8 @@ variable with its last value and formats the changes with f-strings."""
 
 from __future__ import annotations
 
-from ..types import SInt, Vec
-from .image import SimImage, mask_of, type_width
+from ..types import SInt, Vec, width_of
+from .image import SimImage, mask_of
 
 
 def _id_of(n: int) -> str:
@@ -27,12 +27,12 @@ class VcdTrace:
             entry = image.nets.get(name) or image.regs.get(name)
             ty = entry.ty
             if isinstance(ty, Vec):
-                w = type_width(ty.elem)
+                w = width_of(ty.elem)
                 for i in range(ty.size):
                     self.vars.append((f"{name}[{i}]", entry.index, i, w,
                                       isinstance(ty.elem, SInt)))
             else:
-                self.vars.append((name, entry.index, -1, type_width(ty),
+                self.vars.append((name, entry.index, -1, width_of(ty),
                                   isinstance(ty, SInt)))
         self.refs = [_id_of(vi) for vi in range(len(self.vars))]
         self.changes: list[str] = []

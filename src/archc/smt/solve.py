@@ -1,16 +1,23 @@
 """archc-smt: a standalone SMT-LIB2 (QF_BV) solver.
 
-Pipeline: definitional substitution -> branch-refined interval analysis
-(decides most BMC unrollings word-level) -> Tseitin bit-blasting of the
-undecided constraints' cones onto a CDCL SAT core. Supports (get-value
-...) and (get-model) after a sat answer. Reads a file argument or stdin.
-Terms are sort-checked as they are read (`terms.OPS`); a command that
-cannot be taken in, an ill-sorted term or a non-Bool assertion among
-them, is answered with (error ...), and every later check-sat with
-unknown. Model values are evaluated by the same table.
+Pipeline: branch-refined interval analysis (decides most BMC unrollings
+word-level) -> Tseitin bit-blasting of the undecided goal's cone onto a
+CDCL SAT core. Supports (get-value ...) and (get-model) after a sat
+answer. Reads a file argument or stdin. Terms are sort-checked as they are
+read (`terms.OPS`); a command that cannot be taken in, an ill-sorted term
+or a non-Bool assertion among them, is answered with (error ...), and
+every later check-sat with unknown. A command outside the handled set is
+answered with (error "unsupported command ...") and otherwise skipped.
+Model values are evaluated by the same table.
+
+A 0-ary `define-fun` is a constant with a definition (`builder.define`);
+`declare-const` a free one. Declarations and definitions are global;
+assertions are scoped by `push`/`pop`. A check-sat asks `check_assuming`
+of the conjunction of the current assertions, so no assertion ever
+becomes a clause and what the SAT solver learns stays valid after a pop.
 
 `Session` is also the in-process API: after `run`, `out` holds the
-answers, `status` the last check-sat answer, and `value_of` reads the
+answers, `status` the last check-sat answer, and `model_value` reads the
 model. For incremental use, terms are built through `builder` (with
 `define` for constants that have a definition) and `check_assuming(goal)`
 asks one question at a time, keeping the interval cache, the bit-blasted
@@ -25,10 +32,14 @@ import time
 from .bitblast import BitBlaster
 from .intervals import IntervalEngine
 from .sexpr import SmtParseError, parse_all
-from .terms import BOOL_SORT, OPS, Term, TermBuilder, check_arity, numeral, sort_text
+from .terms import (BOOL_SORT, OPS, Term, TermBuilder, check_arity, numeral,
+                    sort_text, term_text)
 
 # command -> the number of arguments it takes
-_COMMAND_ARITY = {"declare-const": 2, "declare-fun": 3, "assert": 1, "get-value": 1}
+_COMMAND_ARITY = {"declare-const": 2, "declare-fun": 3, "define-fun": 4, "assert": 1,
+                  "get-value": 1, "check-sat": 0, "get-model": 0}
+# a command that fails to take in one of these leaves every later check-sat undecidable
+_TAKES_IN = ("declare-const", "declare-fun", "define-fun", "assert")
 
 
 class Session:
@@ -41,11 +52,12 @@ class Session:
         self.engine = IntervalEngine()
         self.blaster: BitBlaster | None = None
         self.trivial_model = False
-        self.def_order: list[Term] = []       # defined constants, bottom-up
         self._ranged = 0                      # builder.defined entries with an interval
+        # per `push n` still open: [len(builder.assertions) at it, levels left]
+        self._scopes: list[list[int]] = []
         self._model: dict[Term, int] | None = None
         self.out: list[str] = []
-        self.incomplete = False  # a declaration or assertion was dropped
+        self.incomplete = False  # a declaration, definition or assertion was dropped
 
     def run(self, text: str) -> str:
         try:
@@ -59,37 +71,63 @@ class Session:
             try:
                 self._command(cmd)
             except (SmtParseError, RecursionError) as e:
-                # a declaration or assertion that could not be taken in
-                # leaves every later check-sat undecidable
                 detail = (f"{type(e).__name__}: term nested too deeply"
                           if isinstance(e, RecursionError) else str(e))
                 self.out.append(f"(error \"{detail}\")")
-                if cmd[0] in ("declare-const", "declare-fun", "assert"):
+                if cmd[0] in _TAKES_IN:
                     self.incomplete = True
                     self.status = "unknown"
         return "\n".join(self.out)
 
     def _command(self, cmd: list) -> None:
         head = cmd[0]
-        if head in ("set-logic", "set-option", "set-info", "exit", "push", "pop"):
+        if head in ("set-logic", "set-option", "set-info", "exit"):
             return
         if head in _COMMAND_ARITY:
             check_arity(head, len(cmd) - 1, _COMMAND_ARITY[head])
-        if head in ("declare-const", "declare-fun"):
-            name = cmd[1]
-            sort = cmd[-1]
-            if head == "declare-fun" and cmd[2] != []:
-                raise SmtParseError("only 0-ary declare-fun supported")
+        tb = self.builder
+        if head in ("declare-const", "declare-fun", "define-fun"):
+            if head != "declare-const" and cmd[2] != []:
+                raise SmtParseError(f"only 0-ary {head} supported")
+            if not isinstance(cmd[1], str):
+                raise SmtParseError(f"{head} takes a symbol, not {cmd[1]!r}")
+            name = cmd[1][1:-1] if cmd[1].startswith("|") else cmd[1]
+            sort = cmd[3] if head == "define-fun" else cmd[-1]
             width = _sort_width(sort)
             if width is None:
                 raise SmtParseError(f"unsupported sort {sort}")
-            name = name[1:-1] if name.startswith("|") else name
-            self.builder.declare(name, width)
+            if head != "define-fun":
+                tb.declare(name, width)
+                return
+            body = tb.build(cmd[4])
+            if body.width != width:
+                raise SmtParseError(f"define-fun {cmd[1]} is declared {sort_text(width)} "
+                                    f"but its body is {sort_text(body.width)}")
+            tb.define(name, width, body)
         elif head == "assert":
-            t = self.builder.build(cmd[1])
+            t = tb.build(cmd[1])
             if t.width != BOOL_SORT:
                 raise SmtParseError(f"assert takes a Bool term, not {sort_text(t.width)}")
-            self.builder.assertions.append(t)
+            tb.assertions.append(t)
+        elif head in ("push", "pop"):
+            if len(cmd) > 2:
+                check_arity(head, len(cmd) - 1, 1)
+            n = numeral(cmd[1]) if len(cmd) == 2 else 1
+            scopes = self._scopes
+            if head == "push":
+                if n:
+                    scopes.append([len(tb.assertions), n])
+                return
+            depth = sum(count for _, count in scopes)
+            if n > depth:
+                raise SmtParseError(f"pop {n} with {depth} open scopes")
+            while n:  # each scope popped drops the assertions made in it
+                del tb.assertions[scopes[-1][0]:]
+                took = min(n, scopes[-1][1])
+                n -= took
+                scopes[-1][1] -= took
+                if not scopes[-1][1]:
+                    scopes.pop()
         elif head == "check-sat":
             self.out.append(self.check_sat())
         elif head == "get-value":
@@ -98,25 +136,29 @@ class Session:
             self.out.append(self.get_value(cmd[1]))
         elif head == "get-model":
             self.out.append(self.get_model())
+        else:
+            raise SmtParseError(f"unsupported command {head}")
 
     def _expired(self) -> bool:
         return self.deadline is not None and time.monotonic() > self.deadline
 
     def check_sat(self) -> str:
-        self.status = "unknown" if self.incomplete else self._decide()
-        return self.status
-
-    def _decide(self) -> str:
-        residual, self.def_order = self.builder.finish()
-        self.engine, self.blaster = IntervalEngine(), None
-        for v in self.def_order:  # bottom-up so deep definition chains never recurse
-            self.engine.eval(v)
-        return self._check(residual, assume=False)
+        """Can every current assertion hold at once? Asked as one goal
+        through `check_assuming`: no assertion becomes a clause, so a
+        `pop` leaves nothing behind in the SAT solver."""
+        if self.incomplete:
+            self.status = "unknown"
+            return self.status
+        tb = self.builder
+        facts = tb.assertions
+        goal = (tb.const(1, BOOL_SORT) if not facts
+                else facts[0] if len(facts) == 1 else tb.app("and", facts))
+        return self.check_assuming(goal)
 
     def range_definitions(self) -> None:
         """Run the interval pass over the constants defined through
         `builder.define` since the last call (`check_assuming` does it too)."""
-        self.def_order = defined = self.builder.defined
+        defined = self.builder.defined
         for v in defined[self._ranged:]:  # in definition order: no deep recursion
             self.engine.eval(v)
         self._ranged = len(defined)
@@ -126,49 +168,37 @@ class Session:
         through `builder.define`? The goal is not kept. Each call is one
         more question to the same interval cache, bit-blast cache and SAT
         solver, which keeps its learned clauses; `status` and the model
-        (`value_of`, `model_value`) answer for the last call."""
+        (`model_value`) answer for the last call."""
         self.range_definitions()
-        self.status = self._check([goal], assume=True)
+        self.status = self._check(goal)
         return self.status
 
-    def _check(self, constraints: list[Term], assume: bool) -> str:
-        """The interval pass first; then the constraints' cones are
-        bit-blasted and solved, as clauses or (`assume`) as assumptions."""
+    def _check(self, goal: Term) -> str:
+        """The interval pass first; then the goal's cone is bit-blasted and
+        solved under the goal's literal as the one assumption."""
         self.trivial_model, self._model = False, None
-        bounds = [self.engine.eval(c) for c in constraints]
-        if any(hi == 0 for _, hi in bounds):
+        lo, hi = self.engine.eval(goal)
+        if hi == 0:
             return "unsat"
-        if all(lo == 1 for lo, _ in bounds):
+        if lo == 1:
             self.trivial_model = True
             return "sat"
         if self._expired():
             return "timeout"
         if self.blaster is None:
             self.blaster = BitBlaster(self.engine.cache)
-        lits = [self.blaster.lit(c) for c in constraints]
+        lit = self.blaster.lit(goal)
         if self._expired():
             return "timeout"
-        if assume:
-            return self.blaster.sat.solve(deadline=self.deadline, assumptions=lits)
-        for lit in lits:
-            self.blaster.sat.add_clause([lit])
-        return self.blaster.sat.solve(deadline=self.deadline)
-
-    def value_of(self, name: str) -> tuple[int, int] | None:
-        """(value, width) of a declared constant in the model of the last
-        sat answer, Bool as 0/1 of width 1; None if `name` is undeclared."""
-        t = self.builder.vars.get(name)
-        if t is None:
-            return None
-        return self.model_value(t), (t.width if t.width != BOOL_SORT else 1)
+        return self.blaster.sat.solve(deadline=self.deadline, assumptions=[lit])
 
     def model_value(self, t: Term) -> int:
-        """A term's value in the model of the last sat answer. Constants no
-        solved constraint mentions are 0; defined ones follow their
+        """A term's value in the model of the last sat answer, Bool as 0/1.
+        Constants no solved goal mentions are 0; defined ones follow their
         definitions."""
         if self._model is None:
             self._model = {}
-            for v in self.def_order:  # bottom-up, avoids deep recursion
+            for v in self.builder.defined:  # bottom-up, avoids deep recursion
                 concrete_value(v, self._model, self._free_value)
         return concrete_value(t, self._model, self._free_value)
 
@@ -177,20 +207,13 @@ class Session:
             return 0
         return self.blaster.model_of(var.name)
 
-    def get_value(self, names) -> str:
+    def get_value(self, terms: list) -> str:
         if self.status != "sat":
             return "(error \"model is not available\")"
-        parts = []
-        for sx in names:
-            name = sx if isinstance(sx, str) else None
-            if name is None:
-                continue
-            plain = name[1:-1] if name.startswith("|") else name
-            got = self.value_of(plain)
-            if got is None:
-                return f"(error \"unknown constant {name}\")"
-            value, width = got
-            parts.append(f"({name} {_bv_text(value, width)})")
+        built = [self.builder.build(sx) for sx in terms]
+        parts = [f"({sx if isinstance(sx, str) else term_text(t)} "
+                 f"{_bv_text(self.model_value(t), t.width or 1)})"
+                 for sx, t in zip(terms, built)]
         return "(" + "\n ".join(parts) + ")"
 
     def get_model(self) -> str:
@@ -198,11 +221,8 @@ class Session:
             return "(error \"model is not available\")"
         parts = []
         for name, t in self.builder.vars.items():
-            got = self.value_of(name)
-            if got is None:
-                continue
-            value, width = got
-            body = (_bv_text(value, width) if t.width != BOOL_SORT
+            value = self.model_value(t)
+            body = (_bv_text(value, t.width) if t.width != BOOL_SORT
                     else ("true" if value else "false"))
             parts.append(f"  (define-fun {name} () {sort_text(t.width)} {body})")
         return "(\n" + "\n".join(parts) + "\n)"

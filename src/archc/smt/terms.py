@@ -7,7 +7,12 @@ boolean structure stays word-level until bit-blasting).
 counts, its sort rule and its value under SMT-LIB 2.6 (division and
 remainder by zero included). The parser, `TermBuilder.app`, the solver's
 model evaluation and `term_text` read it; the bit-blaster's circuits and
-the interval pass's rules are checked against its values by the tests."""
+the interval pass's rules are checked against its values by the tests.
+
+A constant is free (`TermBuilder.declare`, SMT-LIB `declare-const`) or
+defined (`TermBuilder.define`, a 0-ary `define-fun`): a defined var carries
+its value as `definition`, which may mention only constants made before
+it, so `TermBuilder.defined` is in an evaluation order."""
 
 from __future__ import annotations
 
@@ -29,7 +34,7 @@ class Term:
                  args: tuple[Term, ...] = (),
                  value: int = 0,  # for const; (hi << 16) | lo for extract
                  name: str = "",  # for var
-                 definition: Optional[Term] = None,  # substituted definitional equality
+                 definition: Optional[Term] = None,  # for a defined var: its value
                  ) -> None:
         # One store per field: this runs for every term built, and a tuple
         # assignment of four or more fields builds and unpacks a tuple.
@@ -227,89 +232,6 @@ class TermBuilder:
         elif op == "extract":
             return Term(op, width, tuple(args), value=(indices[0] << 16) | indices[1])
         return Term(op, width, tuple(args))
-
-    # ── definitional substitution ───────────────────────────────
-
-    def finish(self) -> tuple[list[Term], list[Term]]:
-        """Split assertions into definitional equalities (var = term, one
-        per var, acyclic as a set) and residual constraints. Definitions
-        are attached to the var terms; the returned var list is in
-        dependency order so consumers can evaluate bottom-up without deep
-        recursion."""
-        residual: list[Term] = []
-        candidate: dict[str, Term] = {}
-        for a in self.assertions:
-            var = term = None
-            if a.op == "=":
-                if a.args[0].op == "var" and a.args[0].name not in candidate:
-                    var, term = a.args[0], a.args[1]
-                elif a.args[1].op == "var" and a.args[1].name not in candidate:
-                    var, term = a.args[1], a.args[0]
-            if var is None:
-                residual.append(a)
-            else:
-                candidate[var.name] = term
-
-        # direct var mentions per candidate definition (no def-following)
-        deps: dict[str, set[str]] = {}
-        for name, term in candidate.items():
-            mentioned: set[str] = set()
-            stack = [term]
-            seen: set[int] = set()
-            while stack:
-                t = stack.pop()
-                if id(t) in seen:
-                    continue
-                seen.add(id(t))
-                if t.op == "var":
-                    mentioned.add(t.name)
-                stack.extend(t.args)
-            deps[name] = mentioned & candidate.keys()
-
-        # iterative DFS: order acyclic definitions, demote cycles
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = {n: WHITE for n in candidate}
-        order: list[str] = []
-        cyclic: set[str] = set()
-        for root in candidate:
-            if color[root] != WHITE:
-                continue
-            stack2: list[tuple[str, list[str] | None]] = [(root, None)]
-            while stack2:
-                node, pending = stack2.pop()
-                if pending is None:
-                    if color[node] == BLACK:
-                        continue
-                    if color[node] == GRAY:
-                        continue
-                    color[node] = GRAY
-                    pending = sorted(deps[node])
-                advanced = False
-                while pending:
-                    child = pending[0]
-                    pending = pending[1:]
-                    if color.get(child, BLACK) == GRAY:
-                        cyclic.add(child)
-                        continue
-                    if color.get(child, BLACK) == WHITE:
-                        stack2.append((node, pending))
-                        stack2.append((child, None))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = BLACK
-                    order.append(node)
-
-        ordered_vars: list[Term] = []
-        for name in order:
-            if name in cyclic:
-                v = self.vars[name]
-                residual.append(Term("=", BOOL_SORT, (v, candidate[name])))
-                continue
-            v = self.vars[name]
-            v.definition = candidate[name]
-            ordered_vars.append(v)
-        return residual, ordered_vars
 
 
 def _eq_of_bool_ite(x: Term, k: Term) -> Term | None:

@@ -24,7 +24,7 @@ from .ir import (
 from .source import Span
 from .types import (
     BIT, BOOL, Bit, Bool, Clock, EnumType, Reset, SInt, Type, UInt, Vec,
-    assignable, is_one_bit_data, is_signed,
+    assignable, is_one_bit_data, is_signed, width_of,
 )
 
 
@@ -357,7 +357,7 @@ class Ctx:
                 return self._type_err(
                     "E_WIDTH_MISMATCH",
                     f"`{op}` mixes {lty} and {rty}; convert explicitly", e.span)
-            w = max(_width(lty), _width(rty))
+            w = max(width_of(lty), width_of(rty))
             ty = SInt(w) if is_signed(lty) else UInt(w)
             return self._check_expected(Binary(e.span, op, lhs, rhs), ty, expected)
 
@@ -370,7 +370,7 @@ class Ctx:
                     _, rty0 = self.infer(e.rhs, None)
                     if isinstance(rty0, ErrorTy):
                         return self._type_err_silent(e.span)
-                    lhs, lty = self.infer(e.lhs, UInt(_width(rty0)))
+                    lhs, lty = self.infer(e.lhs, UInt(width_of(rty0)))
                 else:
                     return self._type_err("E_WIDTH_MISMATCH",
                                           f"cannot determine operand widths of `{op}`",
@@ -382,7 +382,7 @@ class Ctx:
             if not isinstance(lty, (UInt, SInt, Bool)):
                 return self._type_err("E_WIDTH_MISMATCH",
                                       f"`{op}` needs integer operands, found {lty}", e.span)
-            amt_ty = UInt(_width(lty))
+            amt_ty = UInt(width_of(lty))
             rhs, rty = self.infer(e.rhs, amt_ty if self.is_poly(e.rhs) else None)
             if isinstance(rty, ErrorTy):
                 return self._type_err_silent(e.span)
@@ -390,12 +390,12 @@ class Ctx:
                 return self._type_err("E_WIDTH_MISMATCH",
                                       f"shift amount must be unsigned, found {rty}",
                                       e.rhs.span)
-            if _width(rty) != _width(lty):
+            if width_of(rty) != width_of(lty):
                 return self._type_err(
                     "E_WIDTH_MISMATCH",
-                    f"`{op}` operands have mismatched widths {_width(lty)} and "
-                    f"{_width(rty)} (shifts are non-widening)", e.span,
-                    help=f"use `.zext<{_width(lty)}>()` on the shift amount")
+                    f"`{op}` operands have mismatched widths {width_of(lty)} and "
+                    f"{width_of(rty)} (shifts are non-widening)", e.span,
+                    help=f"use `.zext<{width_of(lty)}>()` on the shift amount")
             new = Binary(e.span, op, lhs, rhs)
             return self._check_expected(new, lty, expected)
 
@@ -453,9 +453,9 @@ class Ctx:
             hint = None
             if isinstance(lty, (UInt, SInt)) and isinstance(rty, (UInt, SInt)) \
                     and is_signed(lty) == is_signed(rty):
-                wide, narrow = max(_width(lty), _width(rty)), min(_width(lty), _width(rty))
+                wide, narrow = max(width_of(lty), width_of(rty)), min(width_of(lty), width_of(rty))
                 conv = "sext" if is_signed(lty) else "zext"
-                hint = (f"widths are {_width(lty)} and {_width(rty)}; "
+                hint = (f"widths are {width_of(lty)} and {width_of(rty)}; "
                         f"use `.{conv}<{wide}>()` on the {narrow}-bit side")
             self.error("E_WIDTH_MISMATCH",
                        f"`{e.op}` operands have mismatched types {lty} and {rty}",
@@ -531,7 +531,7 @@ class Ctx:
             if not isinstance(bty, (UInt, Bool, Bit)):
                 return self._type_err("E_BAD_CONVERT",
                                       f"zext needs an unsigned operand, found {bty}", e.span)
-            if n < _width(bty):
+            if n < width_of(bty):
                 return self._type_err("E_BAD_CONVERT",
                                       f"zext<{n}> cannot narrow {bty}", e.span)
             new = Convert(e.span, "zext", base, w_e)
@@ -558,16 +558,6 @@ class Ctx:
             ty = SInt(n) if is_signed(bty) else UInt(n)
             return self._check_expected(new, ty, expected)
         raise AssertionError(e.kind)
-
-
-def _width(ty: Type) -> int:
-    if isinstance(ty, (UInt, SInt)):
-        return ty.width
-    if isinstance(ty, (Bool, Bit)):
-        return 1
-    if isinstance(ty, EnumType):
-        return ty.width
-    raise AssertionError(f"_width({ty})")
 
 
 # ── constant extraction on typed trees ───────────────────────────

@@ -162,9 +162,10 @@ class TestEncoding:
         script = encode_bmc(core, prop, 5)
         assert script.text.startswith("(set-logic QF_BV)")
         assert script.text.count("(check-sat)") == 1
-        assert "(declare-const count_r__0 (_ BitVec 8))" in script.text
-        assert "(assert (= count_r__0 #b00000000))" in script.text
-        assert "(assert (= rst__3 #b0))" in script.text  # reset held inactive
+        assert "(declare-const en__0 (_ BitVec 1))" in script.text  # inputs are free
+        assert "(define-fun count_r__0 () (_ BitVec 8) #b00000000)" in script.text
+        assert "(define-fun rst__3 () (_ BitVec 1) #b0)" in script.text  # reset held inactive
+        assert "(assert (= " not in script.text  # every definition is a define-fun
 
     def test_emitted_script_reruns_standalone(self, tmp_path):
         _, core = core_of("counter_wrap200.arch", "EvtCounter")

@@ -525,6 +525,7 @@ class TestIntervals:
 
 class TestSession:
     def test_definitional_chain_and_model(self):
+        # definitions as equalities, the older script style: plain constraints
         out = Session().run("""
 (set-logic QF_BV)
 (declare-const a (_ BitVec 8))
@@ -593,6 +594,72 @@ class TestSession:
 """)
         assert "(define-fun a () (_ BitVec 4) #b0101)" in out
 
+    def test_define_fun_chain_and_get_value(self):
+        session = Session()
+        out = session.run("""
+(declare-const a (_ BitVec 8))
+(define-fun b () (_ BitVec 8) (bvadd a #x01))
+(define-fun c () (_ BitVec 8) (bvshl b #x01))
+(define-fun hit () Bool (= c #x20))
+(assert hit)
+(check-sat)
+(get-value (a b c hit))
+""")
+        assert out.splitlines() == [
+            "sat", "((a #b00001111)", " (b #b00010000)", " (c #b00100000)", " (hit #b1))"]
+        assert [v.name for v in session.builder.defined] == ["b", "c", "hit"]
+
+    def test_push_pop_scope_the_assertions(self):
+        out = Session().run("""
+(declare-const a (_ BitVec 4))
+(push 1)
+(assert (= a #x1))
+(check-sat)
+(pop 1)
+(assert (= a #x2))
+(check-sat)
+(push 2)
+(define-fun b () (_ BitVec 4) (bvadd a #x1))
+(assert (= b #x0))
+(check-sat)
+(pop 2)
+(assert (= b #x3))
+(check-sat)
+(get-value (a b))
+(pop 1)
+(check-sat)
+""")
+        # definitions stay global; a pop past the open scopes is an error answer only
+        assert out.splitlines() == ["sat", "sat", "unsat", "sat", "((a #b0010)", " (b #b0011))",
+                                    '(error "pop 1 with 0 open scopes")', "sat"]
+        # a pop inside one `push n` drops what was asserted since it
+        out = Session().run("(declare-const a (_ BitVec 4)) (push 3) (assert (= a #x1)) (pop 1)"
+                            " (assert (= a #x2)) (check-sat) (pop 2) (assert (= a #x1))"
+                            " (check-sat) (push 100000000000) (pop 100000000000) (check-sat)")
+        assert out.splitlines() == ["sat", "sat", "sat"]
+
+    def test_unsupported_command_is_an_error_answer(self):
+        session = Session()
+        out = session.run("""
+(declare-const a (_ BitVec 4))
+(check-sat-assuming ((= a #x3)))
+(assert (= a #x3))
+(check-sat)
+""")
+        assert out.splitlines() == ['(error "unsupported command check-sat-assuming")', "sat"]
+        assert not session.incomplete
+
+    def test_get_value_of_terms(self):
+        out = Session().run("""
+(declare-const a (_ BitVec 4))
+(assert (= a #x5))
+(check-sat)
+(get-value ((bvadd a #x1) a |a| #x7 (bvult a #x2)))
+""")
+        assert out.splitlines() == [
+            "sat", "(((bvadd a #b0001) #b0110)", " (a #b0101)", " (|a| #b0101)",
+            " (#x7 #b0111)", " ((bvult a #b0010) #b0))"]
+
     def test_redeclared_constant_is_an_error_answer(self):
         out = Session().run("""
 (declare-const a (_ BitVec 4))
@@ -656,10 +723,19 @@ class TestSession:
          "bad bit-vector literal (_ bvx 4)"),
         ("(declare-const a (_ BitVec 4))\n(assert (= a (_ bv1 0)))",
          "bad bit-vector literal (_ bv1 0)"),
+        ("(define-fun f ((x (_ BitVec 4))) (_ BitVec 4) x)",
+         "only 0-ary define-fun supported"),
+        ("(declare-const a (_ BitVec 4))\n(define-fun b () (_ BitVec 8) a)",
+         "define-fun b is declared (_ BitVec 8) but its body is (_ BitVec 4)"),
+        ("(define-fun b () (_ BitVec 4) (bvnot z))", "unknown symbol z"),
+        ("(declare-const a (_ BitVec 4))\n(define-fun a () (_ BitVec 4) #x1)",
+         "redeclared a"),
+        ("(declare-const (a) Bool)", "declare-const takes a symbol, not ['a']"),
     ], ids=["ite", "bvadd", "declare-fun", "and", "extract", "zero_extend", "sort", "assert",
             "cmp-as-bv", "mixed-widths", "narrow-literal", "bvnot-of-bool", "bitvec-0",
             "extract-range", "assert-bv", "empty-literal", "binary-digits", "bv-value",
-            "bv-width-0"])
+            "bv-width-0", "define-fun-arity", "define-fun-sort", "define-fun-unknown-symbol",
+            "define-fun-redefined", "list-as-name"])
     def test_wrong_arity_is_an_error_answer(self, script, error):
         """Malformed or ill-sorted input: one error answer, then unknown."""
         session = Session()
