@@ -3,6 +3,12 @@
 `bits` blasts a term's uncached cone children first, so deep definition
 chains never recurse. A term whose interval (`known`, from the interval
 pass) is a single value is blasted as that constant, without its cone.
+Any other interval narrower than the term's full range becomes clauses
+for lo <= x <= hi (`_bound`), at most two per bit, so the CDCL core starts
+from facts such as "count_k <= k" that it would otherwise learn through
+conflicts (Strichman, *Tuning SAT checkers for Bounded Model Checking*,
+CAV 2000). The intervals depend only on definitions, never on a goal, so
+the clauses hold for every later question.
 
 Gates are structurally hashed, as in AIG-based equivalence checkers
 (Kuehlmann et al., IEEE TCAD 2002): each distinct AND, XOR or ITE over
@@ -151,16 +157,30 @@ class BitBlaster:
         hit = self.cache.get(t)
         if hit is not None:
             return hit
+        known = self.known
         for x in self._uncached_cone(t):
-            self.cache[x] = self._fixed(x) or self._blast(x)
+            iv = known.get(x)
+            if iv is not None and iv[0] == iv[1]:  # pinned: constant bits, no cone
+                self.cache[x] = [self._const(bool((iv[0] >> i) & 1))
+                                 for i in range(x.width or 1)]
+                continue
+            self.cache[x] = xs = self._blast(x)
+            if iv is not None and x.op != "var":  # a var's bits are its definition's
+                self._bound(xs, *iv)
         return self.cache[t]
 
-    def _fixed(self, t: Term) -> list[int] | None:
-        """Constant bits for a term the interval pass pinned to one value."""
-        iv = self.known.get(t)
-        if iv is None or iv[0] != iv[1]:
-            return None
-        return [self._const(bool((iv[0] >> i) & 1)) for i in range(t.width or 1)]
+    def _bound(self, xs: list[int], lo: int, hi: int) -> None:
+        """Clauses for lo <= xs <= hi, unsigned, at most one per bit of
+        each bound: xs exceeds hi only if, at the highest bit where they
+        differ, hi has a 0 and every higher 1 of hi is matched in xs (and
+        symmetrically for lo). A full-range bound adds nothing."""
+        for i in range(len(xs)):
+            if not (hi >> i) & 1:
+                self.sat.add_clause([-xs[i]] + [-xs[j] for j in range(i + 1, len(xs))
+                                                if (hi >> j) & 1])
+            if (lo >> i) & 1:
+                self.sat.add_clause([xs[i]] + [xs[j] for j in range(i + 1, len(xs))
+                                               if not (lo >> j) & 1])
 
     def _uncached_cone(self, t: Term) -> list[Term]:
         """The uncached terms `t` depends on, each after its operands."""

@@ -67,6 +67,18 @@ _LITERAL = re.compile(r"#b[01]+|#x[0-9a-fA-F]+")
 _NUMERAL = re.compile(r"[0-9]+")
 
 
+def numeral(sx) -> int:
+    """The value of an SMT-LIB numeral. SmtParseError for any other token,
+    and for a numeral longer than `int` reads (Python's limit on decimal
+    text, 4,300 digits by default)."""
+    if not (isinstance(sx, str) and _NUMERAL.fullmatch(sx)):
+        raise SmtParseError(f"expected a numeral, found {sx!r}")
+    try:
+        return int(sx)
+    except ValueError:
+        raise SmtParseError(f"numeral of {len(sx)} digits is too long") from None
+
+
 def parse_bv_literal(tok) -> tuple[int, int] | None:
     """#b/#x literals and (_ bvN w) forms -> (value, width); None for any
     other term, SmtParseError for a malformed literal."""
@@ -82,7 +94,7 @@ def parse_bv_literal(tok) -> tuple[int, int] | None:
             and isinstance(tok[1], str) and tok[1].startswith("bv"):
         value, width = tok[1][2:], tok[2]
         if not (_NUMERAL.fullmatch(value) and isinstance(width, str)
-                and _NUMERAL.fullmatch(width) and int(width) > 0):
+                and _NUMERAL.fullmatch(width) and numeral(width) > 0):
             raise SmtParseError(f"bad bit-vector literal (_ {tok[1]} {width})")
-        return int(value), int(width)
+        return numeral(value), numeral(width)
     return None

@@ -31,9 +31,8 @@ import time
 
 from .bitblast import BitBlaster
 from .intervals import IntervalEngine
-from .sexpr import SmtParseError, parse_all
-from .terms import (BOOL_SORT, OPS, Term, TermBuilder, check_arity, numeral,
-                    sort_text, term_text)
+from .sexpr import SmtParseError, numeral, parse_all
+from .terms import BOOL_SORT, OPS, Term, TermBuilder, check_arity, sort_text, term_text
 
 # command -> the number of arguments it takes
 _COMMAND_ARITY = {"declare-const": 2, "declare-fun": 3, "define-fun": 4, "assert": 1,
@@ -212,7 +211,7 @@ class Session:
             return "(error \"model is not available\")"
         built = [self.builder.build(sx) for sx in terms]
         parts = [f"({sx if isinstance(sx, str) else term_text(t)} "
-                 f"{_bv_text(self.model_value(t), t.width or 1)})"
+                 f"{_value_text(self.model_value(t), t.width)})"
                  for sx, t in zip(terms, built)]
         return "(" + "\n ".join(parts) + ")"
 
@@ -221,10 +220,8 @@ class Session:
             return "(error \"model is not available\")"
         parts = []
         for name, t in self.builder.vars.items():
-            value = self.model_value(t)
-            body = (_bv_text(value, t.width) if t.width != BOOL_SORT
-                    else ("true" if value else "false"))
-            parts.append(f"  (define-fun {name} () {sort_text(t.width)} {body})")
+            parts.append(f"  (define-fun {name} () {sort_text(t.width)} "
+                         f"{_value_text(self.model_value(t), t.width)})")
         return "(\n" + "\n".join(parts) + "\n)"
 
 
@@ -258,7 +255,10 @@ def _sort_width(sort) -> int | None:
     return None
 
 
-def _bv_text(value: int, width: int) -> str:
+def _value_text(value: int, width: int) -> str:
+    """A model value as SMT-LIB writes it: `true`/`false` for Bool."""
+    if width == BOOL_SORT:
+        return "true" if value else "false"
     return "#b" + format(value & ((1 << width) - 1), f"0{width}b")
 
 

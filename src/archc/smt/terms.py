@@ -19,7 +19,7 @@ from __future__ import annotations
 import operator
 from typing import Callable, NamedTuple, Optional
 
-from .sexpr import SmtParseError, parse_bv_literal
+from .sexpr import SmtParseError, numeral, parse_bv_literal
 
 BOOL_SORT = 0  # width marker for Bool terms
 
@@ -131,12 +131,6 @@ def sort_text(width: int) -> str:
 def check_arity(what: str, got: int, want: int) -> None:
     if got != want:
         raise SmtParseError(f"wrong number of arguments to {what}: {got}")
-
-
-def numeral(sx) -> int:
-    if isinstance(sx, str) and sx.isascii() and sx.isdigit():
-        return int(sx)
-    raise SmtParseError(f"expected a numeral, found {sx!r}")
 
 
 class TermBuilder:

@@ -160,7 +160,9 @@ class Emitter:
                 inner = f"{self.expr(e.lhs, 11)} {e.op[0]} {self.expr(e.rhs, 12)}"
                 return f"{w}'({inner})", 99
             p = _PREC[e.op]
-            return f"{self.expr(e.lhs, p)} {e.op} {self.expr(e.rhs, p + 1)}", p
+            # Arch's `>>` on SInt is arithmetic; SV's `>>` is always logical
+            op = ">>>" if e.op == ">>" and isinstance(e.lhs.ty, SInt) else e.op
+            return f"{self.expr(e.lhs, p)} {op} {self.expr(e.rhs, p + 1)}", p
         if isinstance(e, (Ternary, IfExpr)):
             return (f"{self.expr(e.cond, 2)} ? {self.expr(e.then, 2)} : "
                     f"{self.expr(e.els, 1)}"), 1

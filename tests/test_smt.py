@@ -25,6 +25,20 @@ class TestSexpr:
         assert parse_bv_literal(["_", "bv7", "4"]) == (7, 4)
         assert parse_bv_literal("foo") is None
 
+    def test_numeral_too_long_for_int_is_an_error_answer(self):
+        """Python's `int` refuses decimal text of more than 4,300 digits;
+        such a numeral is an error answer, not a ValueError."""
+        big = "9" * 5000
+        error = '(error "numeral of 5000 digits is too long")'
+        for script in (f"(declare-const a (_ BitVec {big}))",
+                       f"(declare-const a (_ BitVec 4))\n(assert (= a (_ bv{big} 4)))",
+                       f"(declare-const a (_ BitVec 4))\n(assert (= a (_ bv1 {big})))",
+                       f"(declare-const a (_ BitVec 4))\n"
+                       f"(assert (= ((_ zero_extend {big}) a) a))"):
+            assert Session().run(script + "\n(check-sat)").splitlines() == [error, "unknown"]
+        out = Session().run(f"(declare-const a (_ BitVec 4))\n(push {big})\n(check-sat)")
+        assert out.splitlines() == [error, "sat"]
+
 
 class TestCdcl:
     def test_simple_sat(self):
@@ -523,6 +537,86 @@ class TestIntervals:
         assert eng.eval(t) == (5, 10)
 
 
+class TestIntervalBounds:
+    """The bit-blaster gives each blasted term's interval, when it is not
+    one value, to the SAT core as clauses for lo <= x <= hi."""
+
+    def test_bound_clauses_admit_exactly_the_interval(self):
+        for width in range(1, 5):
+            for lo in range(1 << width):
+                for hi in range(lo, 1 << width):
+                    bb = BitBlaster({})
+                    xs = [bb.sat.new_var() for _ in range(width)]
+                    before = len(bb.sat.clauses)
+                    bb._bound(xs, lo, hi)
+                    assert len(bb.sat.clauses) - before <= 2 * width
+                    for v in range(1 << width):
+                        pin = [x if (v >> i) & 1 else -x for i, x in enumerate(xs)]
+                        want = "sat" if lo <= v <= hi else "unsat"
+                        assert bb.sat.solve(assumptions=pin) == want, (width, lo, hi, v)
+
+    def test_random_goals_agree_with_enumeration(self):
+        """Bool goals over two free 3-bit constants and one defined from
+        them, all asked of one session: each goal the interval pass leaves
+        open gets the answer of exhaustive enumeration, and a sat model
+        satisfies it."""
+        rng = random.Random(16)
+        asked = 0
+        for _ in range(12):
+            s = Session()
+            tb = s.builder
+            x, y = tb.declare("x", 3), tb.declare("y", 3)
+            z = tb.define("z", 3, _random_term(rng, tb, [x, y], 3, 2))
+            for _ in range(15):
+                goal = _random_term(rng, tb, [x, y, z], BOOL_SORT, 3)
+                s.range_definitions()
+                lo, hi = s.engine.eval(goal)
+                if lo == hi:
+                    continue
+                asked += 1
+                want = any(concrete_value(goal, {x: vx, y: vy}, None)
+                           for vx in range(8) for vy in range(8))
+                assert s.check_assuming(goal) == ("sat" if want else "unsat"), goal
+                if want:
+                    assert s.model_value(goal) == 1, goal
+        assert asked >= 150
+
+    def test_wrapping_counter_needs_few_conflicts(self, monkeypatch):
+        """The generated wrapping counter of the `formal` benchmark (seed 3):
+        the count is 0 at cycle 0 and rises by at most one per cycle, so
+        `count != 22` first fails at cycle 22. The interval pass knows
+        count_k <= k; as bound clauses that makes the trace nearly forced.
+        Without them the SAT core needed 121 conflicts; with them, 17."""
+        from conftest import build_text
+        from archc.formal import verify
+        import archc.smt.solve as solve
+
+        sessions = []
+
+        class Recorded(solve.Session):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                sessions.append(self)
+
+        monkeypatch.setattr(solve, "Session", Recorded)
+        design, _ = build_text("""\
+counter GenWrapping0
+  param MAX: const = 29;
+  kind wrapping;
+  port clk: in Clock<SysDomain>;
+  port rst: in Reset<Sync>;
+  port en: in Bool;
+  port count: out UInt<5>;
+  assert never_at: count != 22;
+end counter GenWrapping0
+""")
+        verdict = verify(design.cores["GenWrapping0"], 24, "builtin")
+        got = {r.name: (r.status, r.cycle) for r in verdict.results}
+        assert got == {"_auto_count_range": ("PROVED", None), "never_at": ("REFUTED", 22)}
+        [session] = sessions
+        assert session.blaster.sat.conflicts <= 40
+
+
 class TestSession:
     def test_definitional_chain_and_model(self):
         # definitions as equalities, the older script style: plain constraints
@@ -559,8 +653,7 @@ class TestSession:
 (check-sat)
 (get-value (p q))
 """)
-        assert out.splitlines()[0] == "sat"
-        assert "(q #b1)" in out
+        assert out.splitlines() == ["sat", "((p true)", " (q true))"]
 
     def test_division_semantics(self):
         out = Session().run("""
@@ -606,7 +699,7 @@ class TestSession:
 (get-value (a b c hit))
 """)
         assert out.splitlines() == [
-            "sat", "((a #b00001111)", " (b #b00010000)", " (c #b00100000)", " (hit #b1))"]
+            "sat", "((a #b00001111)", " (b #b00010000)", " (c #b00100000)", " (hit true))"]
         assert [v.name for v in session.builder.defined] == ["b", "c", "hit"]
 
     def test_push_pop_scope_the_assertions(self):
@@ -658,7 +751,7 @@ class TestSession:
 """)
         assert out.splitlines() == [
             "sat", "(((bvadd a #b0001) #b0110)", " (a #b0101)", " (|a| #b0101)",
-            " (#x7 #b0111)", " ((bvult a #b0010) #b0))"]
+            " (#x7 #b0111)", " ((bvult a #b0010) false))"]
 
     def test_redeclared_constant_is_an_error_answer(self):
         out = Session().run("""

@@ -136,3 +136,21 @@ class TestProperties:
         text = emit("wrap_mac.arch", "WrapMac")
         assert "8'(" in text  # x *% k at 8 bits
         assert "16'(" in text  # acc +% (...) at 16 bits
+
+    def test_sint_shift_right_is_arithmetic(self):
+        """Arch's `>>` on SInt is arithmetic, so it is SV's `>>>`; SV's
+        `>>` is always a logical shift (IEEE 1800-2017 11.4.10)."""
+        design, _ = build_text("""\
+module Shr
+  port s: in SInt<8>;
+  port u: in UInt<8>;
+  port n: in UInt<3>;
+  port y: out SInt<8>;
+  port z: out UInt<8>;
+  comb y = s >> n.zext<8>();
+  comb z = u >> n.zext<8>();
+end module Shr
+""")
+        text = emit_module(design.cores["Shr"])
+        assert "y = s >>> 8'(n);" in text
+        assert "z = u >> 8'(n);" in text
