@@ -118,18 +118,19 @@ def cmd_sim(args) -> int:
                      stop_on_assert=args.stop_on_assert,
                      seed=args.seed)
     image = build_sim(design.cores, top, flags)
-    if args.stim is not None:
-        try:
+    try:
+        if args.stim is not None:
             with open(args.stim, "r", encoding="utf-8") as f:
                 program = parse_stimulus(f.read())
-        except OSError as e:
-            print(f"error[E_IO]: cannot read `{args.stim}`: {e.strerror}")
-            return 1
-        except StimulusError as e:
-            print(f"error[E_STIM]: {e}")
-            return 1
-    else:
-        program = parse_stimulus(f"run {args.cycles}\n")
+        else:
+            program = parse_stimulus(f"run {args.cycles}\n")
+    except OSError as e:
+        print(f"error[E_IO]: cannot read `{args.stim}`: {e.strerror}")
+        return 1
+    except StimulusError as e:
+        print(f"error[E_STIM]: {e}" if args.stim is not None
+              else f"error[E_STIM]: --cycles: {e.message}")
+        return 1
     try:
         report = run_stimulus(image, program, trace_path=args.wave)
     except StimulusError as e:

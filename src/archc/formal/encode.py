@@ -137,8 +137,9 @@ class Unrolling:
     The expressions are translated once, when the unrolling is made, into
     builders (`Build`): closures that take a frame's names to a term, with
     operators, widths and extensions already chosen and one shared `Term`
-    per literal. A frame only calls them. `core` must pass
-    `formal_scope_check`.
+    per literal. A frame only calls them. `state_frame()` calls them once
+    more for a frame in any state, whose registers are free. `core` must
+    pass `formal_scope_check`.
     """
 
     def __init__(self, core: CoreModule, builder: TermBuilder) -> None:
@@ -165,6 +166,7 @@ class Unrolling:
                      for name in core.comb_order]
         self.props = {id(p): self._word(p.expr) for p in core.properties}
         self.frames: list[dict[str, Term]] = []
+        self._state: dict[str, Term] | None = None  # `state_frame`
         # runtime checks that a generated `_auto_*` assert reports: those of
         # each comb net in the simulator's order, then those of the next
         # states, which fire at the edge before a frame. Any other check (a
@@ -191,18 +193,10 @@ class Unrolling:
 
     def extend(self) -> dict[str, Term]:
         k = len(self.frames)
-        tb = self.tb
         prev = self.frames[-1] if k else None
-        frame: dict[str, Term] = {}
+        frame = self._frame(str(k), [step(prev) if k else init
+                                     for _, _, init, step in self.regs])
         self.frames.append(frame)
-        for name, width in self.inputs:
-            frame[name] = tb.declare(f"{name}__{k}", width)
-        for name, inactive in self.resets:
-            frame[name] = tb.define(f"{name}__{k}", 1, inactive)
-        for name, width, init, step in self.regs:
-            frame[name] = tb.define(f"{name}__{k}", width, step(prev) if k else init)
-        for name, width, build in self.nets:
-            frame[name] = tb.define(f"{name}__{k}", width, build(frame))
         ok = None
         if self._steps or self._here:
             # the chain of conjunctions the goals of this frame pick their
@@ -214,9 +208,33 @@ class Unrolling:
                 chain.append(ok)
             if ok is not None:
                 from ..smt.terms import BOOL_SORT
-                chain[-1] = ok = tb.define(f"__ok__{k}", BOOL_SORT, ok)
+                chain[-1] = ok = self.tb.define(f"__ok__{k}", BOOL_SORT, ok)
             self._assumed.append(chain)
         self.oks.append(ok)
+        return frame
+
+    def state_frame(self) -> dict[str, Term]:
+        """One frame in any state, its names `<net>__any` (apart from every
+        `<net>__<k>`): inputs free, resets inactive, registers declared
+        free, comb nets defined over them. Made once, on first use."""
+        if self._state is None:
+            self._state = self._frame("any", [None] * len(self.regs))
+        return self._state
+
+    def _frame(self, tag: str, state: list[Term | None]) -> dict[str, Term]:
+        """The names `<net>__<tag>` of one frame, registers defined by
+        `state` (declared free where it holds None)."""
+        tb = self.tb
+        frame: dict[str, Term] = {}
+        for name, width in self.inputs:
+            frame[name] = tb.declare(f"{name}__{tag}", width)
+        for name, inactive in self.resets:
+            frame[name] = tb.define(f"{name}__{tag}", 1, inactive)
+        for (name, width, _, _), value in zip(self.regs, state):
+            frame[name] = (tb.declare(f"{name}__{tag}", width) if value is None
+                           else tb.define(f"{name}__{tag}", width, value))
+        for name, width, build in self.nets:
+            frame[name] = tb.define(f"{name}__{tag}", width, build(frame))
         return frame
 
     def prop_term(self, prop: CoreProperty, k: int) -> Term:
@@ -226,10 +244,14 @@ class Unrolling:
     def goal(self, prop: CoreProperty, k: int) -> Term:
         """Bool term: the assert fails, or the cover holds, at cycle k, on
         a trace where no reported runtime check fires (`assumption`)."""
-        want = self._const(prop.kind != "assert", 1)
-        hit = self.tb.app("=", [self.prop_term(prop, k), want])
+        hit = self.hit(prop, self.frames[k])
         ok = self.assumption(prop, k)
         return hit if ok is None else self.tb.app("and", [hit, ok])
+
+    def hit(self, prop: CoreProperty, frame: dict[str, Term]) -> Term:
+        """Bool term: the assert fails, or the cover holds, in `frame`."""
+        want = self._const(prop.kind != "assert", 1)
+        return self.tb.app("=", [self.props[id(prop)](frame), want])
 
     def assumption(self, prop: CoreProperty, k: int) -> Term | None:
         """Bool term: no runtime check that a generated `_auto_*` assert

@@ -5,14 +5,19 @@ counterexample trace), HIT (cover witness at its earliest cycle),
 NOT_REACHED, INCONCLUSIVE.
 
 The builtin solver runs as one `smt.solve.Session` per `verify` call,
-shared by every property. The design is unrolled one frame at a time,
-k = 0, 1, ..., bound (`encode.Unrolling`), and at each frame every open
-property gets one question: can it fail (assert) or hit (cover) at
-exactly cycle k? Each question is solved under an assumption, so the
-interval cache, the bit-blast cache and the learned clauses carry over to
-the next. The first sat frame is the reported cycle, and the trace is
-read from that same answer. `timeout` bounds the solver time spent on
-each property.
+shared by every property. First an interval invariant of the registers
+(`smt.intervals.invariant`, over `Unrolling.state_frame`) settles every
+property whose failure (assert) or hit (cover) it rules out at every
+cycle: it is reported PROVED or NOT_REACHED, as the frames would report
+it, and gets no question. Then the design is unrolled one frame at a
+time, k = 0, 1, ..., bound (`encode.Unrolling`), and at each frame every
+open property gets one question: can it fail (assert) or hit (cover) at
+exactly cycle k? The loop stops once no property is open. Each question
+is solved under an assumption, so the interval cache, the bit-blast
+cache and the learned clauses carry over to the next. The first sat
+frame is the reported cycle, and the trace is read from that same
+answer. `timeout` bounds the solver time spent on each property; the
+invariant's time is charged to none.
 
 An external solver holds no state between processes, so it gets one
 self-contained script per query (`encode_bmc`, in which only the inputs
@@ -30,6 +35,9 @@ assert of its site. Every REFUTED or HIT trace is replayed in the
 simulator before it is reported; one that does not fail or hit at the
 reported cycle, or aborts at a check no assert reports, becomes
 INCONCLUSIVE (replay mismatch: ...).
+
+PROVED (bound N) means no violation within the bound, also for a
+property that the invariant settled for every cycle.
 
 Exit code: 0 iff every assert PROVED and every cover HIT; 1 if any
 REFUTED or NOT_REACHED; 2 on unknown/timeout/replay mismatch.
@@ -137,6 +145,11 @@ def _check_builtin(core: CoreModule, props: list[CoreProperty], bound: int,
     session = Session()
     unroll = Unrolling(core, session.builder)
     results: list[PropResult | None] = [None] * len(props)
+    try:  # charged to no property, as the frames' interval pass is
+        for i in _settled(unroll, session.engine, props):
+            results[i] = _not_found(props[i])
+    except Exception as e:
+        raise _no_verdict(e) from None
     spent = [0.0] * len(props)  # solver seconds per property
     for k in range(bound + 1):
         open_props = [i for i, r in enumerate(results) if r is None]
@@ -158,9 +171,30 @@ def _check_builtin(core: CoreModule, props: list[CoreProperty], bound: int,
                 elif status != "unsat":
                     results[i] = PropResult(prop.name, prop.kind, "INCONCLUSIVE", detail=status)
         except Exception as e:  # e.g. a term nested too deeply
-            raise SolverError("E_SOLVER_PARSE", f"solver `builtin` produced no verdict "
-                              f"({type(e).__name__}: {e})") from None
+            raise _no_verdict(e) from None
     return [r if r is not None else _not_found(p) for r, p in zip(results, props)]
+
+
+def _no_verdict(e: Exception) -> SolverError:
+    return SolverError("E_SOLVER_PARSE", f"solver `builtin` produced no verdict "
+                       f"({type(e).__name__}: {e})")
+
+
+def _settled(unroll: Unrolling, engine, props: list[CoreProperty]) -> list[int]:
+    """Indices of the properties that can fire at no cycle: their hit is
+    false under an interval invariant of the registers
+    (`intervals.invariant`), over `unroll`'s frame in any state. The
+    invariant leaves `Unrolling.assumption` out, so it settles no goal
+    that a frame could answer sat."""
+    from ..smt.intervals import constants, invariant  # looked up per call
+    frame = unroll.state_frame()
+    regs = [(frame[name], init.value, step(frame)) for name, _, init, step in unroll.regs]
+    hits = [unroll.hit(p, frame) for p in props]
+    inv = invariant(engine, regs, [frame[name] for name, _, _ in unroll.nets],
+                    constants([step for _, _, step in regs] + hits))
+    if inv is None:
+        return []
+    return [i for i, hit in enumerate(hits) if engine.eval(hit, inv) == (0, 0)]
 
 
 def _model_trace(unroll: Unrolling, session, upto: int) -> list[dict[str, int]]:

@@ -8,6 +8,7 @@
     expect <net> <value>
 
 Values are decimal (optionally negative) or 0x-hex, plus true/false.
+A count is decimal and at most `MAX_COUNT`.
 
 A program is its list of lines plus a table from each distinct line to
 its parsed form: `parse_stimulus` parses every distinct line once, so a
@@ -53,11 +54,19 @@ def _parse_value(text: str) -> int:
         raise ValueError(f"bad value {text!r}") from None
 
 
+# the largest count a `tick`, `run` or `clock ... period` line takes; a
+# longer run is split into several lines
+MAX_COUNT = 10 ** 8
+
+
 def _parse_count(text: str) -> int:
     try:
-        return int(text)
+        count = int(text)
     except ValueError:
         raise ValueError(f"bad count {text!r}") from None
+    if count > MAX_COUNT:
+        raise ValueError(f"bad count {text!r}: above the cap of {MAX_COUNT}")
+    return count
 
 
 # directive -> (kind, word count, usage message)

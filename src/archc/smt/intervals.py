@@ -6,6 +6,9 @@ assignment; when some constraint's abstract value excludes `true`, the
 formula is unsat. Branch-refined ite evaluation (narrowing a subterm's
 interval under `=`, `bvult`, ... conditions) is what lets long wrapping
 counter unrollings prove without bit-blasting.
+
+`invariant` runs the same evaluation over a frame in any state, to find
+register intervals that hold at every cycle.
 """
 
 from __future__ import annotations
@@ -190,6 +193,71 @@ class IntervalEngine:
             return (0, 1)
         # bvudiv/bvurem/bvsdiv/bvsrem/signed compares: conservative
         return full(t.width)
+
+
+WIDEN_FROM = 3   # the first round of `invariant` that widens
+MAX_ROUNDS = 24  # rounds of `invariant` before it gives up
+
+
+def invariant(engine: IntervalEngine, regs: list[tuple[Term, int, Term]],
+              nets: list[Term], thresholds: set[int]) -> dict[Term, Interval] | None:
+    """Register intervals that hold at every cycle, found by Kleene
+    iteration with widening (Cousot & Cousot, POPL 1977) to thresholds
+    (Blanchet et al., PLDI 2003).
+
+    `regs` holds (declared state var, value at cycle 0, next state over
+    the state vars) and `nets` the vars defined over the state vars and
+    the free inputs, in evaluation order. The intervals start at the
+    values of cycle 0. Each round evaluates every next state under the
+    refinement that holds the current intervals and each net evaluated
+    under it, and joins the result in. From round `WIDEN_FROM` on, a bound
+    that still moves widens to the nearest of `thresholds` past it, then
+    to the type's range. A round that changes nothing means the intervals
+    hold the values of cycle 0 and are closed under one step, so they
+    hold at every cycle: that round's refinement is returned. None if
+    `MAX_ROUNDS` rounds pass without one."""
+    cur = {var: (init, init) for var, init, _ in regs}
+    for n in range(MAX_ROUNDS):
+        refine = dict(cur)
+        for net in nets:
+            refine[net] = engine.eval(net.definition, refine)
+        changed = False
+        for var, _, step in regs:
+            lo, hi = cur[var]
+            a, b = engine.eval(step, refine)
+            if a >= lo and b <= hi:
+                continue
+            changed = True
+            if n >= WIDEN_FROM:
+                top = (1 << step.width) - 1
+                if a < lo:
+                    a = max((c for c in thresholds if c <= a), default=0)
+                if b > hi:
+                    b = min((c for c in thresholds if b <= c <= top), default=top)
+            cur[var] = (min(lo, a), max(hi, b))
+        if not changed:
+            return refine
+    return None
+
+
+def constants(terms: list[Term]) -> set[int]:
+    """The values of the constants in `terms`, through the definitions of
+    the vars they mention."""
+    seen: set[Term] = set()
+    values: set[int] = set()
+    todo = list(terms)
+    while todo:
+        t = todo.pop()
+        if t in seen:
+            continue
+        seen.add(t)
+        if t.op == "const":
+            values.add(t.value)
+        elif t.definition is not None:
+            todo.append(t.definition)
+        else:
+            todo.extend(t.args)
+    return values
 
 
 def _merge(base: dict[Term, Interval] | None, extra: dict[Term, Interval]) -> dict:

@@ -152,7 +152,8 @@ end module Oob
                           "--stim", str(stim))
         assert rc == 1 and "E_STIM" in out
 
-    @pytest.mark.parametrize("line", ["tick abc", "run 1.5", "clock SysDomain period x"])
+    @pytest.mark.parametrize("line", ["tick abc", "run 1.5", "clock SysDomain period x",
+                                      "tick 1000000000000"])
     def test_stim_bad_count_is_a_diagnostic(self, tmp_path, line):
         stim = tmp_path / "count.stim"
         stim.write_text(f"set en 1\n{line}\n")
@@ -160,6 +161,21 @@ end module Oob
                           "--stim", str(stim))
         assert rc == 1
         assert out.startswith("error[E_STIM]: stimulus line 2: bad count")
+
+    def test_count_cap(self, tmp_path):
+        """A count above the cap is refused before anything runs, in a
+        stimulus line or in --cycles; the cap itself is taken."""
+        from archc.sim.stimulus import MAX_COUNT, parse_stimulus
+        assert parse_stimulus(f"run {MAX_COUNT}\n").forms[f"run {MAX_COUNT}"][1] == MAX_COUNT
+        stim = tmp_path / "count.stim"
+        stim.write_text(f"run {MAX_COUNT + 1}\n")
+        rc, out = run_cli("sim", corpus_path("counter_wrap200.arch"), "--stim", str(stim))
+        assert (rc, out) == (1, f"error[E_STIM]: stimulus line 1: bad count "
+                                f"'{MAX_COUNT + 1}': above the cap of {MAX_COUNT}\n")
+        rc, out = run_cli("sim", corpus_path("counter_wrap200.arch"),
+                          "--cycles", str(10 ** 12))
+        assert (rc, out) == (1, f"error[E_STIM]: --cycles: bad count "
+                                f"'{10 ** 12}': above the cap of {MAX_COUNT}\n")
 
     def test_guard_violation_under_check_uninit(self, tmp_path):
         stim = tmp_path / "g.stim"

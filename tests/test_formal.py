@@ -3,6 +3,7 @@ and sim/formal agreement."""
 
 import io
 import os
+import random
 import subprocess
 import sys
 import time
@@ -18,6 +19,7 @@ from archc.formal import (
     formal_scope_check, run_solver, trace_to_stimulus, verify,
 )
 from archc.sim import SimFlags, build_sim, parse_stimulus, run_stimulus
+from archc.types import Bool, UInt
 
 
 FACTOR_ARCH = """\
@@ -290,12 +292,20 @@ class TestIncrementalBuiltin:
             asked.append(id(self))
             return original(self, goal)
         monkeypatch.setattr(Session, "check_assuming", counted)
-        _, core = core_of("counter_cover8.arch", "CoverEight")
-        v = verify(core, 20, "builtin")
-        by = {r.name: (r.status, r.cycle) for r in v.results}
-        assert by == {"_auto_count_range": ("PROVED", None), "reach_eight": ("HIT", 8)}
-        assert len(set(asked)) == 1  # one session for every property
-        assert len(asked) == 21 + 9  # frames 0..20, and 0..8 until the hit
+        for fname, top, bound, questions in [
+            # `_auto_count_range` is settled by the interval invariant;
+            # reach_eight is asked at frames 0..8, until its hit
+            ("counter_cover8.arch", "CoverEight", 20, 9),
+            # `_auto_legal_state` is settled; the six covers are asked at
+            # frame 0, the four left at frame 1 and the two left at frame 2
+            ("fsm_controller.arch", "Controller", 10, 6 + 4 + 2),
+        ]:
+            asked.clear()
+            _, core = core_of(fname, top)
+            v = verify(core, bound, "builtin")
+            assert all(r.status in ("PROVED", "HIT") for r in v.results)
+            assert len(set(asked)) == 1  # one session for every property
+            assert len(asked) == questions
 
     def test_signed_division_decided_by_intervals(self, tmp_path):
         # the interval pass answers sat alone, and the trace is then
@@ -364,13 +374,21 @@ end module SReg
     def test_exception_is_a_solver_error(self, monkeypatch):
         from archc.smt.solve import Session
 
-        def broken(self, goal):
+        def broken(*args):
             raise RecursionError("maximum recursion depth exceeded")
         monkeypatch.setattr(Session, "check_assuming", broken)
         _, core = core_of("counter_wrap15.arch", "Nibble")
         with pytest.raises(SolverError) as e:
             verify(core, 20, "builtin")
         assert e.value.code == "E_SOLVER_PARSE"
+        assert str(e.value) == ("solver `builtin` produced no verdict "
+                                "(RecursionError: maximum recursion depth exceeded)")
+        # the same from the interval invariant, before any question
+        from archc.smt import intervals
+        monkeypatch.undo()
+        monkeypatch.setattr(intervals, "invariant", broken)
+        with pytest.raises(SolverError) as e:
+            verify(core, 20, "builtin")
         assert str(e.value) == ("solver `builtin` produced no verdict "
                                 "(RecursionError: maximum recursion depth exceeded)")
 
@@ -552,3 +570,173 @@ class TestSimFormalAgreement:
         image = build_sim(design.cores, "CoverEight", SimFlags())
         report = run_stimulus(image, stim)
         assert report.cover_table["reach_eight"] == r.cycle == 8
+
+
+FREE32_ARCH = """\
+module Free32
+  port clk: in Clock<SysDomain>;
+  port rst: in Reset<Sync>;
+  port y: out UInt<32>;
+  reg r: UInt<32> reset rst => 0;
+  seq on clk rising
+    r <= r +% 1;
+  end seq
+  comb y = r;
+  assert small: y < 4000000000;
+  cover seven: y == 7;
+end module Free32
+"""
+
+
+def _feedback_text(rng, i):
+    """A module whose register reads itself (counting under a condition,
+    wrapping, saturating; through a comb net or not), with asserts and
+    covers over the register and the output that shows it."""
+    from test_sim import random_expr
+    width = rng.choice([4, 6, 8])
+    top = (1 << width) - 1
+    m = rng.randrange(3, top)
+    low = rng.randrange(m)
+    init = rng.choice([0, low, rng.randrange(top + 1)])
+    cond = random_expr(rng, {"a": UInt(8), "e": Bool()}, 2, Bool())
+    nxt = rng.choice([
+        f"{cond} ? r +% {rng.choice([1, 1, 2, 3])} : r",
+        f"r == {m} ? {low} : r +% {rng.choice([1, 2, 3])}",
+        f"r >= {m} ? r : r +% 1",
+        f"({cond} && r < {m}) ? r +% 1 : r",
+        f"r == {m} ? {low} : ({cond} ? r +% 1 : r)",
+    ])
+    values = [0, low, m - 1, m, m + 1, init, rng.randrange(top + 1)]
+    props = []
+    for j in range(3):
+        kind, form = rng.choice([("assert", "{x} <= {t}"), ("assert", "{x} != {t}"),
+                                 ("assert", "{x} < {t}"), ("cover", "{x} == {t}"),
+                                 ("cover", "{x} > {t}")])
+        x, t = rng.choice(["r", "y"]), min(rng.choice(values), top)
+        props.append(f"  {kind} p{j}: {form.format(x=x, t=t)};\n")
+    reset = "none" if init == 0 and rng.random() < 0.3 else f"rst => {init}"
+    via_net = rng.random() < 0.5
+    return (f"module F{i}\n  port clk: in Clock<T>;\n  port rst: in Reset<Sync>;\n"
+            f"  port a: in UInt<8>;\n  port e: in Bool;\n  port y: out UInt<{width}>;\n"
+            f"  reg r: UInt<{width}> reset {reset};\n"
+            + (f"  let n: UInt<{width}> = {nxt};\n" if via_net else "")
+            + f"  seq on clk rising\n    r <= {'n' if via_net else nxt};\n  end seq\n"
+            + "  comb y = r;\n" + "".join(props) + f"end module F{i}\n")
+
+
+class TestIntervalInvariant:
+    """The interval invariant settles, before the frame loop, properties
+    that can fire at no cycle; everything else is asked frame by frame."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """The names of the properties each later `verify` call settles."""
+        verify_mod = sys.modules["archc.formal.verify"]
+        settled = []
+        original = verify_mod._settled
+
+        def spy(unroll, engine, props):
+            got = original(unroll, engine, props)
+            settled.extend(f"{unroll.core.name}.{props[i].name}" for i in got)
+            return got
+        monkeypatch.setattr(verify_mod, "_settled", spy)
+        return settled
+
+    def test_settled_set_on_corpus(self, monkeypatch):
+        """The ten true corpus asserts that a register interval decides;
+        `guard_contract` relates two registers, so it stays with BMC."""
+        from test_formal_golden import _formal_cores
+        settled = self._spy(monkeypatch)
+        for _, _, core in _formal_cores():
+            verify(core, 20, "builtin")
+        assert sorted(settled) == [
+            "BitSel._auto_bound_picked", "Controller._auto_legal_state",
+            "CoverEight._auto_count_range", "EvtCounter._auto_count_range",
+            "EvtCounter.range_ok", "Nibble._auto_count_range",
+            "ReqAck._auto_legal_state", "SafeDiv._auto_div0_q_r",
+            "SatTen._auto_count_range", "SatTen.stays_in_range"]
+
+    def test_property_failing_after_the_bound_stays_with_bmc(self, monkeypatch):
+        """A threshold below the register's real range is widened past, not
+        kept: `count` passes 30 on cycle 31, after `le30` had widened to 30."""
+        with open(corpus_path("counter_wrap200.arch"), encoding="utf-8") as f:
+            text = f.read().replace("end counter", "  assert lt30: count < 30;\n"
+                                    "  assert le30: count <= 30;\nend counter")
+        design, _ = build_text(text)
+        core = design.cores["EvtCounter"]
+        settled = self._spy(monkeypatch)
+        lines = {bound: [r.line(bound) for r in verify(core, bound, "builtin").results]
+                 for bound in (20, 40)}
+        assert lines[20][2:] == ["assert lt30: PROVED (bound 20)", "assert le30: PROVED (bound 20)"]
+        assert lines[40][2:] == ["assert lt30: REFUTED at cycle 30",
+                                 "assert le30: REFUTED at cycle 31"]
+        assert sorted(set(settled)) == ["EvtCounter._auto_count_range", "EvtCounter.range_ok"]
+
+    def test_free_running_counter_settles_nothing(self):
+        """A 32-bit counter that wraps widens to its full range within a
+        few rounds, so no property over it is settled."""
+        from archc.formal.encode import Unrolling
+        from archc.smt import intervals
+        from archc.smt.solve import Session
+        verify_mod = sys.modules["archc.formal.verify"]
+        design, _ = build_text(FREE32_ARCH)
+        core = design.cores["Free32"]
+        session = Session()
+        unroll = Unrolling(core, session.builder)
+        frame = unroll.state_frame()
+        [(name, _, _, step)] = unroll.regs
+        nxt = step(frame)
+        rounds = []
+
+        class Counting(intervals.IntervalEngine):
+            def eval(self, t, refine=None):
+                if t is nxt:
+                    rounds.append(t)
+                return super().eval(t, refine)
+        hits = [unroll.hit(p, frame) for p in core.properties]
+        inv = intervals.invariant(Counting(), [(frame[name], 0, nxt)], [frame["y"]],
+                                  intervals.constants([nxt] + hits))
+        assert inv[frame["r"]] == inv[frame["y"]] == (0, (1 << 32) - 1)
+        # three rounds to [0, 3]; then widened to the thresholds 7 and
+        # 4000000000 and to the full range, and one closing round
+        assert len(rounds) == 7
+        assert verify_mod._settled(unroll, session.engine, list(core.properties)) == []
+        assert [r.line(10) for r in verify(core, 10, "builtin").results] == [
+            "assert small: PROVED (bound 10)", "cover seven: HIT at cycle 7"]
+
+    def test_no_round_cap_settles_nothing(self, monkeypatch):
+        """Without a fixpoint within the cap the pass settles nothing."""
+        from archc.smt import intervals
+        monkeypatch.setattr(intervals, "MAX_ROUNDS", 2)
+        settled = self._spy(monkeypatch)
+        _, core = core_of("counter_wrap200.arch", "EvtCounter")
+        assert [r.status for r in verify(core, 5, "builtin").results] == ["PROVED"] * 2
+        assert settled == []
+
+    def test_verdicts_match_plain_bmc(self, monkeypatch):
+        """Seeded differential test: for modules whose register reads
+        itself, every verdict and cycle is the same with the invariant as
+        with the frame loop alone, and every settled property is PROVED or
+        NOT-REACHED by the frame loop alone."""
+        from archc.smt import intervals
+        original = intervals.invariant
+        rng = random.Random(1977)
+        n_settled = 0
+        for i in range(30):
+            text = _feedback_text(rng, i)
+            core = build_text(text)[0].cores[f"F{i}"]
+            for bound in (0, 7, 20):
+                settled = self._spy(monkeypatch)
+                monkeypatch.setattr(intervals, "invariant", original)
+                on = [(r.name, r.status, r.cycle)
+                      for r in verify(core, bound, "builtin").results]
+                monkeypatch.setattr(intervals, "invariant", lambda *args, **kw: None)
+                off = [(r.name, r.status, r.cycle)
+                       for r in verify(core, bound, "builtin").results]
+                assert on == off, (bound, text)
+                for name, status, _ in off:
+                    if f"F{i}.{name}" in settled:
+                        assert status in ("PROVED", "NOT_REACHED")
+                n_settled += len(settled)
+        # the modules must keep the pass busy, or the test shows little
+        assert n_settled >= 40

@@ -323,11 +323,14 @@ class TestSolversAgree:
 
 
 class TestNoChecksNoCost:
-    @pytest.mark.parametrize("fname, top, bound, questions", [
-        ("counter_wrap200.arch", "EvtCounter", 300, 602),
-        ("safe_div.arch", "SafeDiv", 10, 11),
+    @pytest.mark.parametrize("source, top, bound, checked", [
+        pytest.param("guard_ok.arch", "GoodProducer", 300, [],  # no runtime check
+                     id="guard_ok-300"),
+        # the guarded division's assert, which the interval invariant
+        # leaves open; its check is on a next state, so frame 0 has none
+        pytest.param(GUARD_SEQ_ARCH, "GuardSeq", 10, list(range(1, 11)), id="GuardSeq-10"),
     ])
-    def test_questions_per_run(self, monkeypatch, fname, top, bound, questions):
+    def test_questions_per_run(self, monkeypatch, source, top, bound, checked):
         """One question per open property and frame, with or without
         runtime checks: the checks ride in the question, not in another."""
         from conftest import build_files, corpus_path
@@ -339,6 +342,10 @@ class TestNoChecksNoCost:
             asked.append(goal)
             return original(self, goal)
         monkeypatch.setattr(Session, "check_assuming", counted)
-        core = build_files([corpus_path(fname)])[0].cores[top]
-        verify(core, bound, "builtin")
-        assert len(asked) == questions
+        design = (build_files([corpus_path(source)]) if source.endswith(".arch")
+                  else build_text(source))[0]
+        [result] = verify(design.cores[top], bound, "builtin").results
+        assert result.status == "PROVED"
+        assert len(asked) == bound + 1
+        assert [k for k, goal in enumerate(asked) if goal.op == "and"
+                and goal.args[1].name == f"__ok__{k}"] == checked
