@@ -9,9 +9,9 @@ adds a frame by calling the builders: per-cycle bit-vector constants
 built (reset inactive, registers by their reset value at cycle 0 and
 their next state after, comb nets by their expression). No frame walks
 the AST again.
-`verify` extends it one frame at a time inside one builtin solver session.
+`verify` extends it one frame at a time inside one solver session.
 `encode_bmc` prints the same terms as one self-contained SMT-LIB2 script
-per property, for `--emit-smt` and for external solvers: each input is a
+per property, for `--emit-smt`: each input is a
 `declare-const`, each defined constant a 0-ary `define-fun`, and each
 assert becomes one disjunction of per-cycle violations, each cover one
 disjunction of per-cycle hits, checked by a single (check-sat).
@@ -82,15 +82,6 @@ def formal_scope_check(core: CoreModule) -> None:
     if core.has_todo:
         raise FormalUnsupported(
             f"`{core.name}` contains todo! placeholders")
-
-
-class SmtScript:
-    def __init__(self, text: str, all_vars: list[str],
-                 input_names: list[str],  # free per-cycle inputs
-                 state_names: list[str],  # regs (for trace display)
-                 ) -> None:
-        self.text, self.all_vars = text, all_vars
-        self.input_names, self.state_names = input_names, state_names
 
 
 def inactive_level(ty: Reset) -> int:
@@ -391,50 +382,29 @@ class Unrolling:
         return _op2(app, _ARITH[op], a, b)
 
 
-def encode_bmc(core: CoreModule, prop: CoreProperty, bound: int) -> SmtScript:
+def encode_bmc(core: CoreModule, prop: CoreProperty, bound: int) -> str:
     """One self-contained SMT-LIB script checking `prop` over cycles
     0..bound with a single (check-sat), printed from an `Unrolling`: each
     free constant is a `declare-const` and each defined one a
     `define-fun`, and the goal is one disjunction of per-cycle violations
     (assert) or hits (cover), each under the cycle's
     `Unrolling.assumption`."""
-    from ..smt.terms import TermBuilder
+    from ..smt.terms import TermBuilder, declaration_text, term_text
     tb = TermBuilder()
     unroll = Unrolling(core, tb)
+    lines = ["(set-logic QF_BV)"]
     for k in range(bound + 1):
-        unroll.extend()
-    props = [tb.define(f"__prop__{k}", 1, unroll.prop_term(prop, k))
-             for k in range(bound + 1)]
+        lines.append(f"; cycle {k}")
+        lines += map(declaration_text, unroll.extend().values())
+        if unroll.oks[k] is not None:
+            lines.append(declaration_text(unroll.oks[k]))
+    lines.append(f"; {prop.kind} {prop.name}")
     want = unroll._const(prop.kind != "assert", 1)
     hits = []
-    for k, p in enumerate(props):
+    for k in range(bound + 1):
+        p = tb.define(f"__prop__{k}", 1, unroll.prop_term(prop, k))
+        lines.append(declaration_text(p))
         hit, ok = tb.app("=", [p, want]), unroll.assumption(prop, k)
         hits.append(hit if ok is None else tb.app("and", [hit, ok]))
-    return _script(unroll, prop, props, tb.app("or", hits))
-
-
-def _script(unroll: Unrolling, prop: CoreProperty, props: list[Term],
-            goal: Term) -> SmtScript:
-    from ..smt.terms import sort_text, term_text
-    lines = ["(set-logic QF_BV)"]
-
-    def define(t: Term) -> None:
-        if t.definition is None:
-            lines.append(f"(declare-const {t.name} {sort_text(t.width)})")
-        else:
-            lines.append(f"(define-fun {t.name} () {sort_text(t.width)} "
-                         f"{term_text(t.definition)})")
-
-    for k, frame in enumerate(unroll.frames):
-        lines.append(f"; cycle {k}")
-        for t in frame.values():
-            define(t)
-        if unroll.oks[k] is not None:
-            define(unroll.oks[k])
-    lines.append(f"; {prop.kind} {prop.name}")
-    for t in props:
-        define(t)
-    lines.append(f"(assert {term_text(goal)})")
-    lines.append("(check-sat)")
-    return SmtScript("\n".join(lines) + "\n", list(unroll.tb.vars),
-                     [name for name, _ in unroll.inputs], list(unroll.core.regs))
+    lines += [f"(assert {term_text(tb.app('or', hits))})", "(check-sat)"]
+    return "\n".join(lines) + "\n"

@@ -1,25 +1,24 @@
-"""SMT solver choice, and dispatch to the external solvers.
+"""SMT solver choice, and the external solvers on a pipe (`SolverPipe`).
 
 Supported back ends: z3, boolector, bitwuzla, and the bundled `builtin`
-solver. `run_solver` runs an external solver as one process per query
-(one script in, a status and a model out), found through the
-ARCHC_SOLVER_PATH environment variable (a colon-separated list of
-directories searched before PATH) and then PATH. The builtin solver never
-goes through `run_solver`: `verify` keeps one live in-process
-`archc.smt.solve.Session` per call (see `formal/verify.py`), which turns
-its failures into solver errors.
+solver. An external one is found through the ARCHC_SOLVER_PATH
+environment variable (a colon-separated list of directories searched
+before PATH) and then PATH.
 """
 
 from __future__ import annotations
 
 import os
+import select
 import shutil
 import subprocess
-import tempfile
+import time
 
-from ..smt.sexpr import SmtParseError, parse_all, parse_bv_literal
+from ..smt.sexpr import SmtParseError, parse_all, parse_bv_literal, read_form
 
 SOLVERS = ("z3", "bitwuzla", "boolector", "builtin")
+# the flags that make each solver read commands from stdin as they come
+_STDIN_FLAGS = {"z3": ["-in"], "boolector": ["--smt2", "--incremental"]}
 
 
 class SolverError(Exception):
@@ -37,121 +36,137 @@ def _lookup(name: str) -> str | None:
     return shutil.which(name)
 
 
-def solver_command(choice: str, script_path: str) -> list[str] | None:
-    exe = _lookup(choice)
-    if exe is None:
-        return None
-    if choice == "z3":
-        return [exe, "-smt2", script_path]
-    if choice == "boolector":
-        return [exe, "--smt2", script_path]
-    return [exe, script_path]  # bitwuzla
-
-
 def available_solvers() -> list[str]:
-    out = []
-    for name in SOLVERS:
-        if name == "builtin" or _lookup(name) is not None:
-            out.append(name)
-    return out
+    return [name for name in SOLVERS if name == "builtin" or _lookup(name) is not None]
 
 
 def pick_solver(choice: str) -> str:
-    if choice != "auto":
-        return choice
-    for name in ("z3", "bitwuzla", "boolector"):
-        if _lookup(name) is not None:
-            return name
-    return "builtin"
+    """`choice`, or for auto the first of SOLVERS that is available."""
+    return choice if choice != "auto" else available_solvers()[0]
 
 
-class SolverResult:
-    def __init__(self, status: str,  # sat | unsat | unknown | timeout
-                 model: dict[str, int],  # var -> value (when sat and requested)
-                 ) -> None:
-        self.status, self.model = status, model
+def run_solver(solver: str) -> SolverPipe:
+    """A pipe to the external solver `solver`, whose process starts at the
+    first question; E_SOLVER_MISSING if no such executable is found."""
+    exe = _lookup(solver)
+    if exe is None:
+        raise SolverError("E_SOLVER_MISSING", f"solver `{solver}` not found on PATH "
+                          f"(ARCHC_SOLVER_PATH also searched)")
+    return SolverPipe(solver, [exe, *_STDIN_FLAGS.get(solver, [])])
 
 
-def run_solver(script_text: str, solver: str, timeout: float | None,
-               want_values: list[str] | None = None) -> SolverResult:
-    """Solve one script with the external solver `solver`; on sat, `model`
-    holds the `want_values` constants. The solver gets the script in a temp
-    file, with a (get-value ...) request appended, and its printed answer
-    is parsed."""
-    text = script_text
-    if want_values:
-        names = " ".join(want_values)
-        text += f"(get-value ({names}))\n"
-    with tempfile.NamedTemporaryFile("w", suffix=".smt2", delete=False,
-                                     encoding="utf-8") as f:
-        f.write(text)
-        path = f.name
-    try:
-        cmd = solver_command(solver, path)
-        if cmd is None:
-            raise SolverError("E_SOLVER_MISSING",
-                              f"solver `{solver}` not found on PATH "
-                              f"(ARCHC_SOLVER_PATH also searched)")
+class SolverPipe:
+    """One external solver process, started at the first question and
+    asked in SMT-LIB 2.6 over its stdin. Per question it is sent the
+    builder's constants made since the last one (`declare-const` or
+    `define-fun`), the goal as a named Bool and `(check-sat-assuming (g))`,
+    and on sat one `(get-value ...)` of the free constants, whose values go
+    to `values`. An answer not read by the deadline kills the process and
+    answers timeout; the next question starts another and sends it all."""
+
+    def __init__(self, name: str, command: list[str]) -> None:
+        self.name, self.command = name, command
+        self.proc: subprocess.Popen | None = None
+        self.values: dict[str, int] = {}
+
+    def ask(self, builder, goal, deadline: float | None) -> str:
+        """sat, unsat, unknown or timeout: can the Bool term `goal` hold,
+        given the constants of `builder`?"""
+        from ..smt.terms import declaration_text, term_text
+        lines = [] if self.proc else self._start()
+        new = list(builder.vars.values())[self._sent:]
+        self._sent += len(new)
+        self._free += [t.name for t in new if t.definition is None]
+        self._goals += 1
+        name = f"__goal__{self._goals}"
+        lines += [*map(declaration_text, new), f"(define-fun {name} () Bool {term_text(goal)})",
+                  f"(check-sat-assuming ({name}))"]
         try:
-            proc = subprocess.run(cmd, capture_output=True, text=True,
-                                  timeout=timeout)
-        except subprocess.TimeoutExpired:
-            return SolverResult("timeout", {})
+            status = self._talk(lines, deadline).strip()
+            if status not in ("sat", "unsat", "unknown"):
+                raise SolverError("E_SOLVER_PARSE", f"solver `{self.name}` produced no verdict "
+                                  f"({status.splitlines()[0] if status else 'no output'})")
+            if status == "sat" and self._free:
+                answer = self._talk([f"(get-value ({' '.join(self._free)}))"], deadline)
+                self.values = _parse_values(answer, self.name)
+            return status
+        except TimeoutError:
+            self.close()
+            return "timeout"
+
+    def close(self) -> None:
+        """Stop the process, if one runs."""
+        proc, self.proc = self.proc, None
+        if proc is not None:
+            proc.kill()
+            with proc:  # closes the pipes and reaps the process
+                pass
+
+    def _start(self) -> list[str]:
+        """Start the process; the commands that open its stream."""
+        try:
+            self.proc = subprocess.Popen(self.command, stdin=subprocess.PIPE,
+                                         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
         except OSError as e:
-            raise SolverError("E_SOLVER_MISSING", f"cannot run `{solver}`: {e}")
-        out = proc.stdout
-        status = None
-        for line in out.splitlines():
-            line = line.strip()
-            if line in ("sat", "unsat", "unknown"):
-                status = line
+            raise SolverError("E_SOLVER_MISSING", f"cannot run `{self.name}`: {e}") from None
+        os.set_blocking(self.proc.stdin.fileno(), False)
+        self._sent, self._free, self._goals, self._buf = 0, [], 0, b""
+        return ["(set-option :produce-models true)", "(set-logic QF_BV)"]
+
+    def _talk(self, lines: list[str], deadline: float | None) -> str:
+        """Write `lines`, then read one answer (`read_form`)."""
+        data = "".join(line + "\n" for line in lines).encode()
+        fd = self.proc.stdin.fileno()
+        while data:
+            _wait([], [fd], deadline)
+            try:
+                data = data[os.write(fd, data):]
+            except BrokenPipeError:  # it has stopped; its output may say why
                 break
-        if status is None:
-            detail = (out or proc.stderr or "").strip().splitlines()
-            head = detail[0] if detail else "no output"
-            raise SolverError("E_SOLVER_PARSE",
-                              f"solver `{solver}` produced no verdict ({head})")
-        model: dict[str, int] = {}
-        if status == "sat" and want_values:
-            model = _parse_values(out, solver)
-        return SolverResult(status, model)
-    finally:
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
+        return read_form(lambda: self._read(deadline))
+
+    def _read(self, deadline: float | None) -> str:
+        """The next line of output; at its end, the rest ('' for none)."""
+        fd = self.proc.stdout.fileno()
+        while b"\n" not in self._buf:
+            _wait([fd], [], deadline)
+            chunk = os.read(fd, 1 << 16)
+            if not chunk:
+                rest, self._buf = self._buf, b""
+                return rest.decode(errors="replace")
+            self._buf += chunk
+        line, _, self._buf = self._buf.partition(b"\n")
+        return line.decode(errors="replace") + "\n"
+
+
+def _wait(reads: list[int], writes: list[int], deadline: float | None) -> None:
+    """Until a descriptor is ready; TimeoutError past `deadline`."""
+    wait = None if deadline is None else max(0.0, deadline - time.monotonic())
+    if not any(select.select(reads, writes, [], wait)):
+        raise TimeoutError
 
 
 def _parse_values(out: str, solver: str) -> dict[str, int]:
-    """Parse (get-value ...) responses; tolerate define-fun model forms."""
-    idx = out.find("sat")
-    rest = out[idx + 3:]
+    """The values of a (get-value ...) answer by name; define-fun model
+    forms are taken too."""
     model: dict[str, int] = {}
 
     def walk(sx) -> None:
         if not isinstance(sx, list):
             return
-        if len(sx) == 2 and isinstance(sx[0], str):
-            lit = parse_bv_literal(sx[1])
-            if lit is not None:
-                model[sx[0]] = lit[0]
-                return
-            if sx[1] in ("true", "false"):
-                model[sx[0]] = 1 if sx[1] == "true" else 0
-                return
-        if len(sx) >= 5 and sx[0] == "define-fun" and isinstance(sx[1], str):
-            lit = parse_bv_literal(sx[4])
-            if lit is not None:
-                model[sx[1]] = lit[0]
-                return
-            if sx[4] in ("true", "false"):
-                model[sx[1]] = 1 if sx[4] == "true" else 0
+        pair = sx if len(sx) == 2 else [sx[1], sx[4]] if sx[:1] == ["define-fun"] and len(sx) == 5 else []
+        if pair and isinstance(pair[0], str):
+            lit = parse_bv_literal(pair[1])
+            value = (lit[0] if lit else {"true": 1, "false": 0}.get(pair[1])
+                     if isinstance(pair[1], str) else None)
+            if value is not None:
+                model[pair[0]] = value
                 return
         for sub in sx:
             walk(sub)
 
     try:
-        for form in parse_all(rest):
+        for form in parse_all(out):
             walk(form)
     except SmtParseError as e:
         raise SolverError("E_SOLVER_PARSE", f"malformed model from `{solver}`: {e}")

@@ -4,8 +4,10 @@ Verdicts: PROVED (assert unviolated up to the bound), REFUTED (+decoded
 counterexample trace), HIT (cover witness at its earliest cycle),
 NOT_REACHED, INCONCLUSIVE.
 
-The builtin solver runs as one `smt.solve.Session` per `verify` call,
-shared by every property. First an interval invariant of the registers
+Every solver runs as one `smt.solve.Session` per `verify` call, shared
+by every property: the builtin one in process, an external one as an
+`ExternalSession` whose SAT step is one solver process on a pipe
+(`solver.SolverPipe`). First an interval invariant of the registers
 (`smt.intervals.invariant`, over `Unrolling.state_frame`) settles every
 property whose failure (assert) or hit (cover) it rules out at every
 cycle: it is reported PROVED or NOT_REACHED, as the frames would report
@@ -19,14 +21,7 @@ frame is the reported cycle, and the trace is read from that same
 answer. `timeout` bounds the solver time spent on each property; the
 invariant's time is charged to none.
 
-An external solver holds no state between processes, so it gets one
-self-contained script per query (`encode_bmc`, in which only the inputs
-are declared free and every other constant is a `define-fun`): the whole
-bound first, then a binary search over bounds for the earliest cycle (sat
-at bound k but not k-1 pins cycle k). Every query asks for the model
-values, and the trace comes from the last sat answer.
-
-Either way each goal carries `Unrolling.assumption`: no runtime check (a
+Each goal carries `Unrolling.assumption`: no runtime check (a
 zero divisor, an out-of-range bit index, where SMT-LIB gives a value and
 the simulator aborts) that a generated `_auto_*` assert reports fires
 before the property is sampled. So a property that only such an aborting
@@ -51,8 +46,7 @@ from typing import Optional
 from ..consteval import wrap_signed
 from ..ir import CoreModule, CoreProperty
 from ..types import Reset, SInt
-from .encode import (FormalUnsupported, SmtScript, Unrolling, encode_bmc,
-                     formal_scope_check, inactive_level)
+from .encode import FormalUnsupported, Unrolling, encode_bmc, formal_scope_check, inactive_level
 from .solver import SolverError, pick_solver, run_solver
 
 
@@ -117,6 +111,7 @@ def verify(core: CoreModule, bound: int, solver_choice: str = "auto", *,
     if bound < 0:
         raise FormalUnsupported(f"bound {bound} is negative")
     solver = pick_solver(solver_choice)
+    pipe = None if solver == "builtin" else run_solver(solver)  # not found: fails here
     props = list(core.properties)
     if emit_smt is not None:
         for prop in props:
@@ -126,58 +121,54 @@ def verify(core: CoreModule, bound: int, solver_choice: str = "auto", *,
                 path = (f"{stem}.{prop.name}.{ext}" if dot
                         else f"{emit_smt}.{prop.name}")
             with open(path, "w", encoding="utf-8") as f:
-                f.write(encode_bmc(core, prop, bound).text)
-    if solver == "builtin":
-        results = _check_builtin(core, props, bound, timeout)
-    else:
-        results = [_check_external(core, prop, bound, solver, timeout) for prop in props]
+                f.write(encode_bmc(core, prop, bound))
+    try:
+        results = _check(core, props, bound, timeout, pipe)
+    except (FormalUnsupported, SolverError):
+        raise
+    except Exception as e:  # e.g. a term nested too deeply
+        raise SolverError("E_SOLVER_PARSE", f"solver `{solver}` produced no verdict "
+                          f"({type(e).__name__}: {e})") from None
+    finally:  # no solver process outlives the call
+        if pipe is not None:
+            pipe.close()
     _replay_all(core, results)
     verdict = FormalVerdict(results, bound, solver)
     verdict.exit_code = _classify_exit(results)
     return verdict
 
 
-def _check_builtin(core: CoreModule, props: list[CoreProperty], bound: int,
-                   timeout: float | None) -> list[PropResult]:
+def _check(core: CoreModule, props: list[CoreProperty], bound: int,
+           timeout: float | None, pipe) -> list[PropResult]:
     if not props:
         return []  # nothing to ask, so nothing to translate
-    from ..smt.solve import Session  # imported here: other paths never load it
-    session = Session()
+    from ..smt.solve import ExternalSession, Session  # imported here: other paths never load it
+    session = Session() if pipe is None else ExternalSession(pipe)
     unroll = Unrolling(core, session.builder)
     results: list[PropResult | None] = [None] * len(props)
-    try:  # charged to no property, as the frames' interval pass is
-        for i in _settled(unroll, session.engine, props):
-            results[i] = _not_found(props[i])
-    except Exception as e:
-        raise _no_verdict(e) from None
+    # the invariant is charged to no property, as the frames' interval pass is
+    for i in _settled(unroll, session.engine, props):
+        results[i] = _not_found(props[i])
     spent = [0.0] * len(props)  # solver seconds per property
     for k in range(bound + 1):
         open_props = [i for i, r in enumerate(results) if r is None]
         if not open_props:
             break
         unroll.extend()
-        goals = [unroll.goal(props[i], k) for i in open_props]  # not a solver failure
-        try:
-            session.range_definitions()  # the frame's share, charged to no property
-            for i, goal in zip(open_props, goals):
-                prop = props[i]
-                t0 = time.monotonic()
-                if timeout is not None:
-                    session.deadline = t0 + timeout - spent[i]
-                status = session.check_assuming(goal)
-                spent[i] += time.monotonic() - t0
-                if status == "sat":
-                    results[i] = _found(prop, k, _model_trace(unroll, session, k))
-                elif status != "unsat":
-                    results[i] = PropResult(prop.name, prop.kind, "INCONCLUSIVE", detail=status)
-        except Exception as e:  # e.g. a term nested too deeply
-            raise _no_verdict(e) from None
+        goals = [unroll.goal(props[i], k) for i in open_props]
+        session.range_definitions()  # the frame's share, charged to no property
+        for i, goal in zip(open_props, goals):
+            prop = props[i]
+            t0 = time.monotonic()
+            if timeout is not None:
+                session.deadline = t0 + timeout - spent[i]
+            status = session.check_assuming(goal)
+            spent[i] += time.monotonic() - t0
+            if status == "sat":
+                results[i] = _found(prop, k, _model_trace(unroll, session, k))
+            elif status != "unsat":
+                results[i] = PropResult(prop.name, prop.kind, "INCONCLUSIVE", detail=status)
     return [r if r is not None else _not_found(p) for r, p in zip(results, props)]
-
-
-def _no_verdict(e: Exception) -> SolverError:
-    return SolverError("E_SOLVER_PARSE", f"solver `builtin` produced no verdict "
-                       f"({type(e).__name__}: {e})")
 
 
 def _settled(unroll: Unrolling, engine, props: list[CoreProperty]) -> list[int]:
@@ -198,56 +189,17 @@ def _settled(unroll: Unrolling, engine, props: list[CoreProperty]) -> list[int]:
 
 
 def _model_trace(unroll: Unrolling, session, upto: int) -> list[dict[str, int]]:
-    """Inputs and registers of cycles 0..upto in the last sat answer."""
-    names = [name for name, _ in unroll.inputs] + list(unroll.core.regs)
-    return _as_signed(unroll.core, [{name: session.model_value(frame[name]) for name in names}
-                                    for frame in unroll.frames[:upto + 1]])
-
-
-def _as_signed(core: CoreModule, trace: list[dict[str, int]]) -> list[dict[str, int]]:
-    """`trace` with the bit pattern of each signed input and register read
-    as its signed value, the value the simulator holds and compares."""
+    """Inputs and registers of cycles 0..upto in the last sat answer, the
+    bit pattern of a signed one read as its signed value, the value the
+    simulator holds and compares."""
+    core = unroll.core
     widths = {p.name: p.ty.width for p in core.ports if isinstance(p.ty, SInt)}
-    widths.update((name, reg.ty.width) for name, reg in core.regs.items()
-                  if isinstance(reg.ty, SInt))
-    for row in trace:
-        for name, width in widths.items():
-            if name in row:
-                row[name] = wrap_signed(row[name], width)
-    return trace
-
-
-def _check_external(core: CoreModule, prop: CoreProperty, bound: int, solver: str,
-                    timeout: float | None) -> PropResult:
-    script = encode_bmc(core, prop, bound)
-    res = run_solver(script.text, solver, timeout, want_values=script.all_vars)
-    if res.status == "unsat":
-        return _not_found(prop)
-    lo, hi, model = 0, bound, res.model  # invariant: sat at hi, with `model`
-    while res.status in ("sat", "unsat") and lo < hi:
-        mid = (lo + hi) // 2
-        mid_script = encode_bmc(core, prop, mid)
-        res = run_solver(mid_script.text, solver, timeout, want_values=mid_script.all_vars)
-        if res.status == "sat":
-            hi, model, script = mid, res.model, mid_script
-        elif res.status == "unsat":
-            lo = mid + 1
-    if res.status not in ("sat", "unsat"):
-        return PropResult(prop.name, prop.kind, "INCONCLUSIVE", detail=res.status)
-    return _found(prop, hi, _as_signed(core, _decode_trace(script, model, hi)))
-
-
-def _decode_trace(script: SmtScript, model: dict[str, int],
-                  upto: int) -> list[dict[str, int]]:
-    trace: list[dict[str, int]] = []
-    for k in range(upto + 1):
-        row: dict[str, int] = {}
-        for name in script.input_names + script.state_names:
-            var = f"{name}__{k}"
-            if var in model:
-                row[name] = model[var]
-        trace.append(row)
-    return trace
+    widths.update((name, reg.ty.width) for name, reg in core.regs.items() if isinstance(reg.ty, SInt))
+    names = [name for name, _ in unroll.inputs] + list(core.regs)
+    rows = [{name: session.model_value(frame[name]) for name in names}
+            for frame in unroll.frames[:upto + 1]]
+    return [{name: wrap_signed(v, widths[name]) if name in widths else v for name, v in row.items()}
+            for row in rows]
 
 
 def _replay_all(core: CoreModule, results: list[PropResult]) -> None:

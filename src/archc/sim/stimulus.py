@@ -64,6 +64,8 @@ def _parse_count(text: str) -> int:
         count = int(text)
     except ValueError:
         raise ValueError(f"bad count {text!r}") from None
+    if count < 0:
+        raise ValueError(f"bad count {text!r}: below zero")
     if count > MAX_COUNT:
         raise ValueError(f"bad count {text!r}: above the cap of {MAX_COUNT}")
     return count

@@ -63,6 +63,22 @@ def parse_all(text: str) -> list:
     return stack[0]
 
 
+def read_form(readline) -> str:
+    """The lines of `readline()` up to the one that ends a top-level form,
+    the end of input or a line the tokenizer refuses (for the parser to
+    report): a command or an answer on a pipe is taken once it is whole."""
+    text, depth = "", 0
+    while True:
+        line = readline()
+        text += line
+        try:
+            depth += sum((tok == "(") - (tok == ")") for tok in tokenize(line))
+        except SmtParseError:
+            return text
+        if not line or depth <= 0 and text.strip():
+            return text
+
+
 _LITERAL = re.compile(r"#b[01]+|#x[0-9a-fA-F]+")
 _NUMERAL = re.compile(r"[0-9]+")
 

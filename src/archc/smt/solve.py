@@ -3,18 +3,22 @@
 Pipeline: branch-refined interval analysis (decides most BMC unrollings
 word-level) -> Tseitin bit-blasting of the undecided goal's cone onto a
 CDCL SAT core. Supports (get-value ...) and (get-model) after a sat
-answer. Reads a file argument or stdin. Terms are sort-checked as they are
-read (`terms.OPS`); a command that cannot be taken in, an ill-sorted term
-or a non-Bool assertion among them, is answered with (error ...), and
-every later check-sat with unknown. A command outside the handled set is
-answered with (error "unsupported command ...") and otherwise skipped.
-Model values are evaluated by the same table.
+answer. Reads a file argument whole, or stdin a command at a time,
+flushing each answer, so that it can serve a program on a pipe. Terms are
+sort-checked as they are read (`terms.OPS`); a command that cannot be
+taken in, an ill-sorted term or a non-Bool assertion among them, is
+answered with (error ...), and every later check-sat with unknown. A
+command outside the handled set is answered with (error "unsupported
+command ...") and otherwise skipped. Model values are evaluated by the
+same table.
 
 A 0-ary `define-fun` is a constant with a definition (`builder.define`);
 `declare-const` a free one. Declarations and definitions are global;
 assertions are scoped by `push`/`pop`. A check-sat asks `check_assuming`
 of the conjunction of the current assertions, so no assertion ever
 becomes a clause and what the SAT solver learns stays valid after a pop.
+A check-sat-assuming asks the same of the assertions and its Bool
+literals.
 
 `Session` is also the in-process API: after `run`, `out` holds the
 answers, `status` the last check-sat answer, and `model_value` reads the
@@ -31,12 +35,12 @@ import time
 
 from .bitblast import BitBlaster
 from .intervals import IntervalEngine
-from .sexpr import SmtParseError, numeral, parse_all
+from .sexpr import SmtParseError, numeral, parse_all, read_form
 from .terms import BOOL_SORT, OPS, Term, TermBuilder, check_arity, sort_text, term_text
 
 # command -> the number of arguments it takes
 _COMMAND_ARITY = {"declare-const": 2, "declare-fun": 3, "define-fun": 4, "assert": 1,
-                  "get-value": 1, "check-sat": 0, "get-model": 0}
+                  "get-value": 1, "check-sat": 0, "check-sat-assuming": 1, "get-model": 0}
 # a command that fails to take in one of these leaves every later check-sat undecidable
 _TAKES_IN = ("declare-const", "declare-fun", "define-fun", "assert")
 
@@ -59,11 +63,13 @@ class Session:
         self.incomplete = False  # a declaration, definition or assertion was dropped
 
     def run(self, text: str) -> str:
+        """The answers to the commands of `text`, a line each."""
+        done = len(self.out)
         try:
             commands = parse_all(text)
         except SmtParseError as e:
+            commands = []
             self.out.append(f"(error \"{e}\")")
-            return "\n".join(self.out)
         for cmd in commands:
             if not isinstance(cmd, list) or not cmd:
                 continue
@@ -76,7 +82,7 @@ class Session:
                 if cmd[0] in _TAKES_IN:
                     self.incomplete = True
                     self.status = "unknown"
-        return "\n".join(self.out)
+        return "\n".join(self.out[done:])
 
     def _command(self, cmd: list) -> None:
         head = cmd[0]
@@ -129,10 +135,16 @@ class Session:
                     scopes.pop()
         elif head == "check-sat":
             self.out.append(self.check_sat())
-        elif head == "get-value":
+        elif head in ("check-sat-assuming", "get-value"):
             if not isinstance(cmd[1], list):
-                raise SmtParseError("get-value takes a list of terms")
-            self.out.append(self.get_value(cmd[1]))
+                raise SmtParseError(f"{head} takes a list of terms")
+            if head == "get-value":
+                self.out.append(self.get_value(cmd[1]))
+            else:
+                literals = [tb.build(sx) for sx in cmd[1]]
+                if any(t.width != BOOL_SORT for t in literals):
+                    raise SmtParseError("check-sat-assuming takes Bool literals")
+                self.out.append(self.check_sat(literals))
         elif head == "get-model":
             self.out.append(self.get_model())
         else:
@@ -141,15 +153,15 @@ class Session:
     def _expired(self) -> bool:
         return self.deadline is not None and time.monotonic() > self.deadline
 
-    def check_sat(self) -> str:
-        """Can every current assertion hold at once? Asked as one goal
-        through `check_assuming`: no assertion becomes a clause, so a
-        `pop` leaves nothing behind in the SAT solver."""
+    def check_sat(self, literals: tuple[Term, ...] | list[Term] = ()) -> str:
+        """Can every current assertion and each of `literals` hold at once?
+        Asked as one goal through `check_assuming`: no assertion becomes a
+        clause, so a `pop` leaves nothing behind in the SAT solver."""
         if self.incomplete:
             self.status = "unknown"
             return self.status
         tb = self.builder
-        facts = tb.assertions
+        facts = [*tb.assertions, *literals]
         goal = (tb.const(1, BOOL_SORT) if not facts
                 else facts[0] if len(facts) == 1 else tb.app("and", facts))
         return self.check_assuming(goal)
@@ -173,8 +185,8 @@ class Session:
         return self.status
 
     def _check(self, goal: Term) -> str:
-        """The interval pass first; then the goal's cone is bit-blasted and
-        solved under the goal's literal as the one assumption."""
+        """The interval pass first; a goal it leaves open goes to the SAT
+        step, `_solve`."""
         self.trivial_model, self._model = False, None
         lo, hi = self.engine.eval(goal)
         if hi == 0:
@@ -184,6 +196,11 @@ class Session:
             return "sat"
         if self._expired():
             return "timeout"
+        return self._solve(goal)
+
+    def _solve(self, goal: Term) -> str:
+        """The goal's cone bit-blasted and solved under the goal's literal
+        as the one assumption."""
         if self.blaster is None:
             self.blaster = BitBlaster(self.engine.cache)
         lit = self.blaster.lit(goal)
@@ -225,6 +242,21 @@ class Session:
         return "(\n" + "\n".join(parts) + "\n)"
 
 
+class ExternalSession(Session):
+    """A Session whose SAT step is another solver, `formal.solver.SolverPipe`:
+    it answers the goals the interval pass leaves open."""
+
+    def __init__(self, solver) -> None:
+        super().__init__()
+        self.solver = solver
+
+    def _solve(self, goal: Term) -> str:
+        return self.solver.ask(self.builder, goal, self.deadline)
+
+    def _free_value(self, var: Term) -> int:
+        return 0 if self.trivial_model else self.solver.values.get(var.name, 0)
+
+
 def concrete_value(t: Term, cache: dict[Term, int], free) -> int:
     """Evaluate `t` with every undefined constant `v` at `free(v)`; `cache`
     maps terms to values already known."""
@@ -264,13 +296,18 @@ def _value_text(value: int, width: int) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     args = argv if argv is not None else sys.argv[1:]
-    if args and args[0] not in ("-",):
+    session = Session()
+    if args and args[0] != "-":
         with open(args[0], "r", encoding="utf-8") as f:
-            text = f.read()
-    else:
-        text = sys.stdin.read()
-    print(Session().run(text))
-    return 0
+            print(session.run(f.read()))
+        return 0
+    while True:  # a command at a time, each answer flushed before the next is read
+        text = read_form(sys.stdin.readline)
+        if not text:
+            return 0
+        answer = session.run(text)
+        if answer:
+            print(answer, flush=True)
 
 
 if __name__ == "__main__":

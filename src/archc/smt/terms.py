@@ -256,3 +256,11 @@ def term_text(t: Term) -> str:
     indices = (f"{t.value >> 16} {t.value & 0xFFFF}" if t.op == "extract"
                else t.width - t.args[0].width)
     return f"((_ {t.op} {indices}) {args})"
+
+
+def declaration_text(t: Term) -> str:
+    """The command that makes constant `t`: a `declare-const`, or for a
+    defined one a 0-ary `define-fun` with its definition."""
+    if t.definition is None:
+        return f"(declare-const {t.name} {sort_text(t.width)})"
+    return f"(define-fun {t.name} () {sort_text(t.width)} {term_text(t.definition)})"

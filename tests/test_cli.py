@@ -153,14 +153,17 @@ end module Oob
         assert rc == 1 and "E_STIM" in out
 
     @pytest.mark.parametrize("line", ["tick abc", "run 1.5", "clock SysDomain period x",
-                                      "tick 1000000000000"])
+                                      "tick 1000000000000", "tick -3", "--cycles -4"])
     def test_stim_bad_count_is_a_diagnostic(self, tmp_path, line):
+        """A count that is not a whole number from 0 to the cap, in a
+        stimulus line or in --cycles (a `line` that starts with `--`)."""
         stim = tmp_path / "count.stim"
-        stim.write_text(f"set en 1\n{line}\n")
-        rc, out = run_cli("sim", corpus_path("counter_wrap200.arch"),
-                          "--stim", str(stim))
+        stim.write_text(f"set en 1\n{line}\nexpect count 0\n")
+        args = line.split() if line.startswith("--") else ["--stim", str(stim)]
+        rc, out = run_cli("sim", corpus_path("counter_wrap200.arch"), *args)
+        where = "--cycles" if line.startswith("--") else "stimulus line 2"
         assert rc == 1
-        assert out.startswith("error[E_STIM]: stimulus line 2: bad count")
+        assert out.startswith(f"error[E_STIM]: {where}: bad count")
 
     def test_count_cap(self, tmp_path):
         """A count above the cap is refused before anything runs, in a

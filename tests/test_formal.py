@@ -162,12 +162,12 @@ class TestEncoding:
         _, core = core_of("counter_wrap200.arch", "EvtCounter")
         prop = [p for p in core.properties if p.name == "range_ok"][0]
         script = encode_bmc(core, prop, 5)
-        assert script.text.startswith("(set-logic QF_BV)")
-        assert script.text.count("(check-sat)") == 1
-        assert "(declare-const en__0 (_ BitVec 1))" in script.text  # inputs are free
-        assert "(define-fun count_r__0 () (_ BitVec 8) #b00000000)" in script.text
-        assert "(define-fun rst__3 () (_ BitVec 1) #b0)" in script.text  # reset held inactive
-        assert "(assert (= " not in script.text  # every definition is a define-fun
+        assert script.startswith("(set-logic QF_BV)")
+        assert script.count("(check-sat)") == 1
+        assert "(declare-const en__0 (_ BitVec 1))" in script  # inputs are free
+        assert "(define-fun count_r__0 () (_ BitVec 8) #b00000000)" in script
+        assert "(define-fun rst__3 () (_ BitVec 1) #b0)" in script  # reset held inactive
+        assert "(assert (= " not in script  # every definition is a define-fun
 
     def test_emitted_script_reruns_standalone(self, tmp_path):
         _, core = core_of("counter_wrap200.arch", "EvtCounter")
@@ -187,7 +187,7 @@ class TestSolverDriver:
 
     def test_missing_solver_error(self):
         with pytest.raises(SolverError) as e:
-            run_solver("(check-sat)\n", "z3-but-not-really", None)
+            run_solver("z3-but-not-really")
         assert e.value.code == "E_SOLVER_MISSING"
 
     def test_builtin_starts_no_process(self, monkeypatch):
@@ -240,32 +240,89 @@ class TestSolverDriver:
             answers[prop] = proc.stdout.split()
         assert answers == {"never_full": ["sat"], "_auto_count_range": ["unsat"]}
 
-    def test_external_solver_search_reads_the_last_model(self, tmp_path, monkeypatch):
-        """An external solver (here archc-smt behind a `z3` name) gets one
-        script per query: the whole bound, then the search over bounds. The
-        model of the last sat answer is the trace; no bound is solved twice."""
-        log = tmp_path / "queries.log"
-        fake = tmp_path / "z3"
-        fake.write_text(f"#!/bin/sh\necho \"$2\" >> {log}\n"
-                        f"exec {sys.executable} -m archc.smt.solve \"$2\"\n")
-        fake.chmod(0o755)
-        monkeypatch.setenv("ARCHC_SOLVER_PATH", str(tmp_path))
-        monkeypatch.setenv("PYTHONPATH", os.path.join(ROOT, "src"))
+    def test_external_solver_answers_over_one_pipe(self, tmp_path, monkeypatch):
+        """An external solver (here archc-smt behind a `z3` name) is one
+        process per `verify` call, asked over its stdin only what the
+        interval pass leaves open; the trace comes from its sat answer."""
+        log = fake_solver(tmp_path, monkeypatch, ARCHC_SMT)
         _, core = core_of("counter_wrap15.arch", "Nibble")
         v = verify(core, 20, "z3")
         assert [(r.name, r.status, r.cycle) for r in v.results] == [
             ("_auto_count_range", "PROVED", None), ("never_full", "REFUTED", 15)]
         assert v.results[1].trace[-1]["count_r"] == 15  # replayed, so it matches the sim
-        # bound 20 for each property, then 10, 15, 13 and 14 for never_full
-        assert len(log.read_text().splitlines()) == 6
+        assert_exited(log, 1)  # the parent started 6: the bound 20 twice, then 4 probes
 
     def test_archc_solver_path_env(self, tmp_path, monkeypatch):
-        fake = tmp_path / "z3"
-        fake.write_text("#!/bin/sh\necho unsat\n")
-        fake.chmod(0o755)
-        monkeypatch.setenv("ARCHC_SOLVER_PATH", str(tmp_path))
-        res = run_solver("(check-sat)\n", "z3", 30)
-        assert res.status == "unsat"
+        from archc.smt.solve import ExternalSession
+        fake_solver(tmp_path, monkeypatch, "echo unsat\n")
+        pipe = run_solver("z3")
+        assert pipe.command == [str(tmp_path / "z3"), "-in"]
+        session = ExternalSession(pipe)
+        tb = session.builder
+        a = tb.declare("a", 4)
+        try:  # a goal the interval pass leaves open
+            assert session.check_assuming(tb.app("=", [a, tb.const(3, 4)])) == "unsat"
+        finally:
+            pipe.close()
+
+    def test_unanswered_question_times_out(self, tmp_path, monkeypatch):
+        log = fake_solver(tmp_path, monkeypatch, "exec sleep 60\n")
+        _, core = core_of("counter_wrap15.arch", "Nibble")
+        t0 = time.monotonic()
+        v = verify(core, 20, "z3", timeout=0.5)
+        assert time.monotonic() - t0 < 5
+        assert [r.line(20) for r in v.results] == [
+            "assert _auto_count_range: PROVED (bound 20)",
+            "assert never_full: INCONCLUSIVE (timeout)"]
+        assert v.exit_code == 2
+        assert_exited(log, 1)
+
+    @pytest.mark.parametrize("body", ["echo kaboom\nexec sleep 60\n", "echo sat\n"],
+                             ids=["garbage", "exits-after-one-line"])
+    def test_bad_answer_is_a_parse_error(self, tmp_path, monkeypatch, body):
+        log = fake_solver(tmp_path, monkeypatch, body)
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            rc = cli.main(["formal", corpus_path("counter_wrap15.arch"), "--solver", "z3"])
+        assert rc == 2
+        assert buf.getvalue().startswith("error[E_SOLVER_PARSE]: solver `z3` ")
+        assert "Traceback" not in buf.getvalue()
+        assert_exited(log, 1)
+
+    def test_timeout_starts_a_new_process(self, tmp_path, monkeypatch):
+        """The factoring question outlives its deadline, which kills the
+        solver; the next property's question starts another."""
+        log = fake_solver(tmp_path, monkeypatch, ARCHC_SMT)
+        text = FACTOR_ARCH.replace("end module", "  cover a_is_3: a == 3;\nend module")
+        v = verify(build_text(text)[0].cores["Factor"], 1, "z3", timeout=0.5)
+        assert [r.line(1) for r in v.results] == [
+            "assert no_factor: INCONCLUSIVE (timeout)", "cover a_is_3: HIT at cycle 0"]
+        assert_exited(log, 2)
+
+
+# a fake solver's body: archc-smt reading the stream on stdin
+ARCHC_SMT = f"exec {sys.executable} -m archc.smt.solve -\n"
+
+
+def fake_solver(tmp_path, monkeypatch, body, name="z3"):
+    """An executable `name` on ARCHC_SOLVER_PATH running the shell `body`;
+    each process it starts appends its pid to the returned log."""
+    log = tmp_path / "pids.log"
+    fake = tmp_path / name
+    fake.write_text(f"#!/bin/sh\necho $$ >> {log}\n{body}")
+    fake.chmod(0o755)
+    monkeypatch.setenv("ARCHC_SOLVER_PATH", str(tmp_path))
+    monkeypatch.setenv("PYTHONPATH", os.path.join(ROOT, "src"))
+    return log
+
+
+def assert_exited(log, processes):
+    """`processes` solvers were started, and none is left running."""
+    pids = [int(line) for line in log.read_text().split()]
+    assert len(pids) == processes
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 class TestIncrementalBuiltin:

@@ -165,7 +165,7 @@ def test_smt_scripts_match_golden_digest():
         for prop in core.properties:
             for bound in SCRIPT_BOUNDS:
                 head = f"{fname} {name} {prop.name} {bound}\n"
-                digest.update((head + encode_bmc(core, prop, bound).text).encode("utf-8"))
+                digest.update((head + encode_bmc(core, prop, bound)).encode("utf-8"))
                 n_bmc += 1
     assert n_bmc == 162
     assert digest.hexdigest() == SCRIPTS_SHA256

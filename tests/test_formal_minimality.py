@@ -42,7 +42,7 @@ COUNTERS = [
 
 
 def answer(core, prop, bound):
-    out = Session().run(encode_bmc(core, prop, bound).text)
+    out = Session().run(encode_bmc(core, prop, bound))
     return out.split("\n", 1)[0]
 
 

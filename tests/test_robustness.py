@@ -10,43 +10,43 @@ from conftest import CLEAN_CORPUS, build_files, build_text, corpus_path
 
 from archc import cli
 from archc.formal.solver import run_solver
+from archc.smt.solve import ExternalSession
 from archc.sim import SimFlags, build_sim, parse_stimulus, run_stimulus
 from archc.sim.engine import Simulator
 
 
 class TestForeignSolverFormats:
+    """Answers in other solvers' styles, read off the pipe. The fakes print
+    their answers without reading the stream."""
+
+    @staticmethod
+    def _ask(tmp_path, monkeypatch, name, body):
+        from test_formal import fake_solver
+        fake_solver(tmp_path, monkeypatch, body, name)
+        session = ExternalSession(run_solver(name))
+        tb = session.builder
+        count, en = tb.declare("count__15", 4), tb.declare("en__0", 1)
+        try:  # neither value is decided by the interval pass
+            status = session.check_assuming(tb.app("=", [count, tb.const(15, 4)]))
+            return status, session.model_value(count), session.model_value(en)
+        finally:
+            session.solver.close()
+
     def test_z3_style_hex_get_value(self, tmp_path, monkeypatch):
-        fake = tmp_path / "z3"
-        fake.write_text(
-            "#!/bin/sh\n"
-            "echo sat\n"
-            "printf '((count__15 #xf)\\n (en__0 #b1))\\n'\n")
-        fake.chmod(0o755)
-        monkeypatch.setenv("ARCHC_SOLVER_PATH", str(tmp_path))
-        res = run_solver("(check-sat)\n", "z3", 30, want_values=["count__15", "en__0"])
-        assert res.status == "sat"
-        assert res.model == {"count__15": 15, "en__0": 1}
+        body = "echo sat\nprintf '((count__15 #xf)\\n (en__0 #b1))\\n'\n"
+        assert self._ask(tmp_path, monkeypatch, "z3", body) == ("sat", 15, 1)
 
     def test_define_fun_model_form(self, tmp_path, monkeypatch):
-        fake = tmp_path / "bitwuzla"
-        fake.write_text(
-            "#!/bin/sh\n"
-            "echo sat\n"
-            "printf '(\\n  (define-fun a () (_ BitVec 4) #b0101)\\n)\\n'\n")
-        fake.chmod(0o755)
-        monkeypatch.setenv("ARCHC_SOLVER_PATH", str(tmp_path))
-        res = run_solver("(check-sat)\n", "bitwuzla", 30, want_values=["a"])
-        assert res.model == {"a": 5}
+        body = ("echo sat\nprintf '(\\n  (define-fun count__15 () (_ BitVec 4) #b0101)"
+                "\\n  (define-fun en__0 () (_ BitVec 1) #b1)\\n)\\n'\n")
+        assert self._ask(tmp_path, monkeypatch, "bitwuzla", body) == ("sat", 5, 1)
 
     def test_garbage_output_is_parse_error(self, tmp_path, monkeypatch):
         from archc.formal.solver import SolverError
-        fake = tmp_path / "boolector"
-        fake.write_text("#!/bin/sh\necho kaboom\n")
-        fake.chmod(0o755)
-        monkeypatch.setenv("ARCHC_SOLVER_PATH", str(tmp_path))
         with pytest.raises(SolverError) as e:
-            run_solver("(check-sat)\n", "boolector", 30)
+            self._ask(tmp_path, monkeypatch, "boolector", "echo kaboom\n")
         assert e.value.code == "E_SOLVER_PARSE"
+        assert str(e.value) == "solver `boolector` produced no verdict (kaboom)"
 
 
 class TestResetPolarity:

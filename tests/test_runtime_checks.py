@@ -12,7 +12,6 @@ assumed: a trace through it fails its replay.
 
 import io
 import os
-import sys
 from contextlib import redirect_stdout
 
 import pytest
@@ -291,19 +290,13 @@ end module PropDiv
 
 
 class TestSolversAgree:
+    """archc-smt behind a `z3` name, asked over one pipe, answers what the
+    builtin session answers: one BMC loop serves both, with the same
+    assumptions in every goal and no query spent on a second witness."""
+
     def test_builtin_and_external_give_one_verdict(self, tmp_path, monkeypatch):
-        """archc-smt behind a `z3` name answers the scripts of
-        `encode_bmc` as the builtin session answers its questions: the
-        same assumptions are in both goals. No query is spent on a
-        second witness."""
-        from test_formal import BIT_INDEX_ARCH, DIV_ARCH, DIV_RESULTS
-        log = tmp_path / "queries.log"
-        fake = tmp_path / "z3"
-        fake.write_text(f"#!/bin/sh\necho \"$2\" >> {log}\n"
-                        f"exec {sys.executable} -m archc.smt.solve \"$2\"\n")
-        fake.chmod(0o755)
-        monkeypatch.setenv("ARCHC_SOLVER_PATH", str(tmp_path))
-        monkeypatch.setenv("PYTHONPATH", os.path.join(ROOT, "src"))
+        from test_formal import ARCHC_SMT, BIT_INDEX_ARCH, DIV_ARCH, DIV_RESULTS, fake_solver
+        log = fake_solver(tmp_path, monkeypatch, ARCHC_SMT)
         for text, top in ((DIV_ARCH, "Div"), (BIT_INDEX_ARCH, "Bits"),
                           (GUARD_SEQ_ARCH, "GuardSeq"), (GUARD_COMB_ARCH, "GuardComb"),
                           (WIDE_ARCH, "Wide"), (TWIN_ARCH, "Twin")):
@@ -317,9 +310,30 @@ class TestSolversAgree:
                     assert all(row["b"] != 0 for row in r.trace)
             if top == "Div":
                 assert [(r.name, r.status, r.cycle) for r in external.results] == DIV_RESULTS
-                # c: bound 8, then 4, 2, 3; small: bound 8, then 4, 6, 5;
-                # _auto_div0_q: bound 8, then 4, 2, 1, 0
-                assert len(log.read_text().splitlines()) == 13
+                # one process for the three properties; the parent started
+                # 13, the whole bound and a bisection per property
+                assert len(log.read_text().split()) == 1
+
+    @pytest.mark.parametrize("bound", [5, 20])
+    def test_corpus_output_matches_builtin(self, tmp_path, monkeypatch, bound):
+        """`archc formal` prints the same summary lines and trace tables
+        through the pipe as in process, apart from the solver's name, on
+        every corpus design in formal scope; each run starts at most one
+        solver process."""
+        from test_formal import ARCHC_SMT, fake_solver
+        from test_formal_golden import _formal_cores
+        log = fake_solver(tmp_path, monkeypatch, ARCHC_SMT)
+        for fname, top, _ in _formal_cores():
+            outputs = {}
+            for solver in ("z3", "builtin"):
+                log.write_text("")
+                buf = io.StringIO()
+                with redirect_stdout(buf):
+                    rc = cli.main(["formal", os.path.join(ROOT, "corpus", fname), "--top", top,
+                                   "--bound", str(bound), "--solver", solver])
+                outputs[solver] = (rc, buf.getvalue().replace(f"(solver {solver},", "(solver -,"))
+                assert len(log.read_text().split()) <= (solver == "z3"), fname
+            assert outputs["z3"] == outputs["builtin"], fname
 
 
 class TestNoChecksNoCost:

@@ -617,6 +617,60 @@ end counter GenWrapping0
         assert session.blaster.sat.conflicts <= 40
 
 
+class TestCheckSatAssuming:
+    def test_literals_are_asked_with_the_assertions(self):
+        out = Session().run("""
+(declare-const p Bool)
+(declare-const q Bool)
+(assert (or p q))
+(check-sat-assuming (p))
+(check-sat-assuming ((not p)))
+(get-value (p q))
+(check-sat-assuming ((not p) (not q)))
+(check-sat)
+""")
+        assert out.splitlines() == ["sat", "sat", "((p false)", " (q true))", "unsat", "sat"]
+
+    def test_non_bool_literal_is_an_error_answer(self):
+        session = Session()
+        out = session.run("""
+(declare-const a (_ BitVec 4))
+(check-sat-assuming (a))
+(check-sat-assuming ((= a #x3)))
+""")
+        assert out.splitlines() == ['(error "check-sat-assuming takes Bool literals")', "sat"]
+        assert not session.incomplete
+
+    def test_stdin_is_answered_a_command_at_a_time(self):
+        """A child `archc-smt` on a pipe answers the first question before
+        the second is written: it does not read its input to the end."""
+        import os
+        import select
+        import subprocess
+        import sys
+        from conftest import ROOT
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.Popen([sys.executable, "-m", "archc.smt.solve"],
+                                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+                                env=dict(env, PYTHONPATH=os.path.join(ROOT, "src")))
+
+        def ask(text):
+            proc.stdin.write(text)
+            proc.stdin.flush()
+            assert select.select([proc.stdout], [], [], 30)[0], "no answer"
+            return proc.stdout.readline()
+
+        try:
+            assert ask("(declare-const a (_ BitVec 4))\n(define-fun g () Bool (= a #x3))\n"
+                       "(check-sat-assuming (g))\n") == "sat\n"
+            assert ask("(get-value (a))\n") == "((a #b0011))\n"
+            assert ask("(check-sat-assuming ((not g)\n (= a #x3)))\n") == "unsat\n"
+        finally:
+            proc.stdin.close()
+            assert proc.wait(timeout=60) == 0
+            proc.stdout.close()
+
+
 class TestSession:
     def test_definitional_chain_and_model(self):
         # definitions as equalities, the older script style: plain constraints
@@ -735,11 +789,11 @@ class TestSession:
         session = Session()
         out = session.run("""
 (declare-const a (_ BitVec 4))
-(check-sat-assuming ((= a #x3)))
+(get-assignment)
 (assert (= a #x3))
 (check-sat)
 """)
-        assert out.splitlines() == ['(error "unsupported command check-sat-assuming")', "sat"]
+        assert out.splitlines() == ['(error "unsupported command get-assignment")', "sat"]
         assert not session.incomplete
 
     def test_get_value_of_terms(self):
