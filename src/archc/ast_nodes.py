@@ -173,6 +173,33 @@ class Convert(Expr):
         self.span, self.ty, self.kind, self.base, self.width = span, None, kind, base, width
 
 
+# The attributes that can hold an expression's operands, in every
+# expression class (`value` is the stored word of the IR's VecStore, and a
+# literal's value is no Expr); walkers keep those that are Expr.
+EXPR_CHILDREN = ("lhs", "rhs", "operand", "cond", "then", "els", "base",
+                 "index", "hi", "lo", "width", "value")
+
+
+def expr_reads(e: Expr, out: set[str] | None = None) -> set[str]:
+    """Canonical net names read by an expression."""
+    if out is None:
+        out = set()
+    # an explicit stack, not a recursive generator: nested generators pass
+    # each node up through every enclosing level, and this runs once per
+    # net and edge
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, NameRef):
+            out.add(node.name)
+            continue
+        for attr in EXPR_CHILDREN:
+            sub = getattr(node, attr, None)
+            if isinstance(sub, Expr):
+                stack.append(sub)
+    return out
+
+
 # ── statements (comb / seq bodies) ───────────────────────────────
 # A list field left out of a constructor call gets a fresh empty list.
 

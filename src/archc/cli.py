@@ -18,7 +18,8 @@ from .parser import parse_source
 from .source import SourceFile
 
 
-def _load(paths: list[str], as_json: bool) -> tuple[Design, dict[str, SourceFile]] | int:
+def _load(paths: list[str], as_json: bool,
+          fsm_encoding: str) -> tuple[Design, dict[str, SourceFile]] | int:
     files: dict[str, SourceFile] = {}
     units = []
     try:
@@ -33,14 +34,11 @@ def _load(paths: list[str], as_json: bool) -> tuple[Design, dict[str, SourceFile
             files[src.name] = src
             units.append(unit)
         program = elaborate_program(units, files)
-        design = compile_design(program, fsm_encoding=_FSM_ENCODING[0])
+        design = compile_design(program, fsm_encoding=fsm_encoding)
     except CompileError as e:
         print(render_all(e.diagnostics, files, as_json=as_json))
         return 1
     return design, files
-
-
-_FSM_ENCODING = ["binary"]
 
 
 def _todo_notes(design: Design) -> list[str]:
@@ -55,7 +53,7 @@ def _todo_notes(design: Design) -> list[str]:
 
 
 def cmd_check(args) -> int:
-    loaded = _load(args.files, args.json)
+    loaded = _load(args.files, args.json, args.fsm_encoding)
     if isinstance(loaded, int):
         return loaded
     design, _files = loaded
@@ -66,7 +64,7 @@ def cmd_check(args) -> int:
 
 def cmd_build(args) -> int:
     from .sv_emit import emit_module, sv_file_name
-    loaded = _load(args.files, args.json)
+    loaded = _load(args.files, args.json, args.fsm_encoding)
     if isinstance(loaded, int):
         return loaded
     design, _files = loaded
@@ -105,7 +103,7 @@ def _pick_top(design: Design, name: str | None) -> str | int:
 def cmd_sim(args) -> int:
     from .sim import SimFlags, build_sim, parse_stimulus, run_stimulus
     from .sim.stimulus import StimulusError
-    loaded = _load(args.files, args.json)
+    loaded = _load(args.files, args.json, args.fsm_encoding)
     if isinstance(loaded, int):
         return loaded
     design, _files = loaded
@@ -153,7 +151,7 @@ def cmd_sim(args) -> int:
 
 def cmd_formal(args) -> int:
     from .formal import (FormalUnsupported, SolverError, verify)
-    loaded = _load(args.files, args.json)
+    loaded = _load(args.files, args.json, args.fsm_encoding)
     if isinstance(loaded, int):
         return loaded
     design, _files = loaded
@@ -230,7 +228,6 @@ def main(argv: list[str] | None = None) -> int:
     p_formal.set_defaults(fn=cmd_formal)
 
     args = parser.parse_args(argv)
-    _FSM_ENCODING[0] = args.fsm_encoding
     return args.fn(args)
 
 

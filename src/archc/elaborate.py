@@ -13,13 +13,13 @@ from __future__ import annotations
 import re
 
 from .ast_nodes import (
-    AssertDecl, Binary, BoolLit, CombBlock, Connection, Construct, Convert,
+    EXPR_CHILDREN, AssertDecl, Binary, BoolLit, CombBlock, Connection, Construct, Convert,
     CoverDecl, DefaultBlock, DefaultStateDecl, EnumDecl, EnumRef, Expr,
     FlushDecl, GenerateFor, GenerateIf, IfExpr, Index, InstDecl, IntLit, Item,
     KindDecl, LetDecl, MatchCase, MemberRef, NameRef, ParamDecl, PortDecl,
     RegDecl, SAssign, SIf, SMatch, SeqBlock, Slice, SourceUnit, StageDecl,
     StallDecl, StateDecl, Stmt, TBit, TBool, TClock, TNamed, TReset, TSInt,
-    TUInt, TVec, Ternary, TodoExpr, Transition, TypeExpr, Unary,
+    TUInt, TVec, Ternary, TodoExpr, Transition, TypeExpr, Unary, expr_reads,
 )
 from .consteval import eval_const
 from .diagnostics import CompileError, Note, err
@@ -282,7 +282,8 @@ class Elaborator:
         # params first (declaration order; later defaults may use earlier params)
         declared_params = [i for i in c.items if isinstance(i, ParamDecl)]
         for p in declared_params:
-            refs = self._mentions_param(p, {q.name for q in declared_params})
+            refs = (p.kind == "const" and isinstance(p.default, Expr)
+                    and not expr_reads(p.default).isdisjoint(q.name for q in declared_params))
             if p.name in overrides:
                 value = overrides[p.name]
                 if p.kind == "const" and not isinstance(value, int):
@@ -316,14 +317,13 @@ class Elaborator:
                 ec.enums[item.name] = EnumType(key, item.name, tuple(item.variants))
 
         # generate expansion
-        families = self._collect_families(c.items)
+        declared, families = _declared_names(c.items)
         type_substs = {p.name: p.default for p in declared_params if p.kind == "type"}
         # overridden type params substitute their concrete type, not the default
         for p in ec.params:
             if p.kind == "type":
                 type_substs[p.name] = _type_to_typeexpr(ec.type_env[p.name])
         subst = Subst({}, type_substs, families, ec.env)
-        declared = self._declared_names(c.items)
         ec.items = self._expand_items(c.items, subst, ec, declared, in_generate=False)
         self._check_duplicates(ec)
         self.done[key] = ec
@@ -334,70 +334,13 @@ class Elaborator:
                 self._bind_instance(item, ec, stack + (name,))
         return ec
 
-    def _mentions_param(self, p: ParamDecl, param_names: set[str]) -> bool:
-        found = False
-
-        def walk(e) -> None:
-            nonlocal found
-            if isinstance(e, NameRef) and e.name in param_names:
-                found = True
-            for child in ("lhs", "rhs", "operand", "cond", "then", "els",
-                          "base", "index", "hi", "lo", "width"):
-                sub = getattr(e, child, None)
-                if isinstance(sub, Expr):
-                    walk(sub)
-
-        if p.kind == "const" and isinstance(p.default, Expr):
-            walk(p.default)
-        return found
-
-    def _collect_families(self, items: list[Item]) -> set[str]:
-        families: set[str] = set()
-
-        def walk(items: list[Item]) -> None:
-            for item in items:
-                if isinstance(item, (PortDecl, RegDecl, LetDecl, InstDecl)) \
-                        and item.index is not None:
-                    families.add(item.name)
-                if isinstance(item, GenerateFor):
-                    walk(item.items)
-                elif isinstance(item, GenerateIf):
-                    walk(item.then_items)
-                    if item.else_items is not None:
-                        walk(item.else_items)
-                elif isinstance(item, StageDecl):
-                    walk(item.items)
-
-        walk(items)
-        return families
-
-    def _declared_names(self, items: list[Item]) -> set[str]:
-        names: set[str] = set()
-
-        def walk(items: list[Item]) -> None:
-            for item in items:
-                if isinstance(item, (PortDecl, RegDecl, LetDecl, InstDecl)):
-                    names.add(item.name)
-                elif isinstance(item, GenerateFor):
-                    walk(item.items)
-                elif isinstance(item, GenerateIf):
-                    walk(item.then_items)
-                    if item.else_items is not None:
-                        walk(item.else_items)
-                elif isinstance(item, StageDecl):
-                    walk(item.items)
-
-        walk(items)
-        return names
-
     def _generate_const(self, e: Expr, s: Subst, declared: set[str], what: str) -> int:
         names: list[NameRef] = []
 
         def scan(x) -> None:
             if isinstance(x, NameRef) and x.name not in s.env and x.name not in s.values:
                 names.append(x)
-            for child in ("lhs", "rhs", "operand", "cond", "then", "els",
-                          "base", "index", "hi", "lo", "width"):
+            for child in EXPR_CHILDREN:
                 sub = getattr(x, child, None)
                 if isinstance(sub, Expr):
                     scan(sub)
@@ -564,6 +507,29 @@ class Elaborator:
         for name in self.order:
             self.elaborate(name, {}, (), self.raw[name].span)
         return Program(self.files, self.raw, self.done, self.order)
+
+
+def _declared_names(items: list[Item]) -> tuple[set[str], set[str]]:
+    """The names that ports, registers, lets and instances declare, at any
+    generate or stage depth, and those of them declared with an index (the
+    generate families)."""
+    names: set[str] = set()
+    families: set[str] = set()
+
+    def walk(items: list[Item]) -> None:
+        for item in items:
+            if isinstance(item, (PortDecl, RegDecl, LetDecl, InstDecl)):
+                names.add(item.name)
+                if item.index is not None:
+                    families.add(item.name)
+            elif isinstance(item, (GenerateFor, StageDecl)):
+                walk(item.items)
+            elif isinstance(item, GenerateIf):
+                walk(item.then_items)
+                walk(item.else_items or [])
+
+    walk(items)
+    return names, families
 
 
 def _type_to_typeexpr(ty: Type) -> TypeExpr:

@@ -10,11 +10,8 @@ built (reset inactive, registers by their reset value at cycle 0 and
 their next state after, comb nets by their expression). No frame walks
 the AST again.
 `verify` extends it one frame at a time inside one solver session.
-`encode_bmc` prints the same terms as one self-contained SMT-LIB2 script
-per property, for `--emit-smt`: each input is a
-`declare-const`, each defined constant a 0-ary `define-fun`, and each
-assert becomes one disjunction of per-cycle violations, each cover one
-disjunction of per-cycle hits, checked by a single (check-sat).
+`encode_bmc` prints every question of every cycle as one SMT-LIB 2.6
+stream, for `--emit-smt`, the way the solver pipe prints it.
 
 SMT-LIB defines division by zero; the simulator aborts on it, and on a
 bit index past the width. So every goal at cycle k is asked together
@@ -228,10 +225,6 @@ class Unrolling:
             frame[name] = tb.define(f"{name}__{tag}", width, build(frame))
         return frame
 
-    def prop_term(self, prop: CoreProperty, k: int) -> Term:
-        """The property's 1-bit value at cycle k."""
-        return self.props[id(prop)](self.frames[k])
-
     def goal(self, prop: CoreProperty, k: int) -> Term:
         """Bool term: the assert fails, or the cover holds, at cycle k, on
         a trace where no reported runtime check fires (`assumption`)."""
@@ -382,29 +375,22 @@ class Unrolling:
         return _op2(app, _ARITH[op], a, b)
 
 
-def encode_bmc(core: CoreModule, prop: CoreProperty, bound: int) -> str:
-    """One self-contained SMT-LIB script checking `prop` over cycles
-    0..bound with a single (check-sat), printed from an `Unrolling`: each
-    free constant is a `declare-const` and each defined one a
-    `define-fun`, and the goal is one disjunction of per-cycle violations
-    (assert) or hits (cover), each under the cycle's
-    `Unrolling.assumption`."""
-    from ..smt.terms import TermBuilder, declaration_text, term_text
+def encode_bmc(core: CoreModule, bound: int) -> str:
+    """The BMC questions of `core` over cycles 0..bound as one stream:
+    per cycle k, for each property in turn, `Unrolling.goal(prop, k)`
+    printed by `solver.question_lines`, so a solver answers one line per
+    (cycle, property), cycle-major. No invariant settles a property and
+    the stream does not stop at a sat answer."""
+    from ..smt.terms import TermBuilder
+    from .solver import STREAM_HEAD, question_lines
     tb = TermBuilder()
     unroll = Unrolling(core, tb)
-    lines = ["(set-logic QF_BV)"]
+    lines, sent, n = list(STREAM_HEAD), 0, 0
     for k in range(bound + 1):
-        lines.append(f"; cycle {k}")
-        lines += map(declaration_text, unroll.extend().values())
-        if unroll.oks[k] is not None:
-            lines.append(declaration_text(unroll.oks[k]))
-    lines.append(f"; {prop.kind} {prop.name}")
-    want = unroll._const(prop.kind != "assert", 1)
-    hits = []
-    for k in range(bound + 1):
-        p = tb.define(f"__prop__{k}", 1, unroll.prop_term(prop, k))
-        lines.append(declaration_text(p))
-        hit, ok = tb.app("=", [p, want]), unroll.assumption(prop, k)
-        hits.append(hit if ok is None else tb.app("and", [hit, ok]))
-    lines += [f"(assert {term_text(tb.app('or', hits))})", "(check-sat)"]
+        unroll.extend()
+        for prop in core.properties:
+            goal = unroll.goal(prop, k)
+            new = list(tb.vars.values())[sent:]
+            sent, n = sent + len(new), n + 1
+            lines += question_lines(new, goal, n)
     return "\n".join(lines) + "\n"

@@ -1,9 +1,11 @@
-"""SMT solver choice, and the external solvers on a pipe (`SolverPipe`).
+"""SMT solver choice, the external solvers on a pipe (`SolverPipe`), and
+the one printer of BMC questions (`question_lines`).
 
 Supported back ends: z3, boolector, bitwuzla, and the bundled `builtin`
 solver. An external one is found through the ARCHC_SOLVER_PATH
 environment variable (a colon-separated list of directories searched
-before PATH) and then PATH.
+before PATH) and then PATH. The pipe and `--emit-smt` (`encode_bmc`)
+print a question stream the same way: `STREAM_HEAD`, then `question_lines`.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from ..smt.sexpr import SmtParseError, parse_all, parse_bv_literal, read_form
 SOLVERS = ("z3", "bitwuzla", "boolector", "builtin")
 # the flags that make each solver read commands from stdin as they come
 _STDIN_FLAGS = {"z3": ["-in"], "boolector": ["--smt2", "--incremental"]}
+# the commands that open a question stream
+STREAM_HEAD = ("(set-option :produce-models true)", "(set-logic QF_BV)")
 
 
 class SolverError(Exception):
@@ -45,6 +49,16 @@ def pick_solver(choice: str) -> str:
     return choice if choice != "auto" else available_solvers()[0]
 
 
+def question_lines(new_constants, goal, n: int) -> list[str]:
+    """The commands of question `n` of a stream: the constants made since
+    the last question (`declare-const` or `define-fun`), the Bool term
+    `goal` as `__goal__<n>`, and `(check-sat-assuming (__goal__<n>))`."""
+    from ..smt.terms import declaration_text, term_text
+    name = f"__goal__{n}"
+    return [*map(declaration_text, new_constants),
+            f"(define-fun {name} () Bool {term_text(goal)})", f"(check-sat-assuming ({name}))"]
+
+
 def run_solver(solver: str) -> SolverPipe:
     """A pipe to the external solver `solver`, whose process starts at the
     first question; E_SOLVER_MISSING if no such executable is found."""
@@ -57,12 +71,12 @@ def run_solver(solver: str) -> SolverPipe:
 
 class SolverPipe:
     """One external solver process, started at the first question and
-    asked in SMT-LIB 2.6 over its stdin. Per question it is sent the
-    builder's constants made since the last one (`declare-const` or
-    `define-fun`), the goal as a named Bool and `(check-sat-assuming (g))`,
-    and on sat one `(get-value ...)` of the free constants, whose values go
-    to `values`. An answer not read by the deadline kills the process and
-    answers timeout; the next question starts another and sends it all."""
+    asked in SMT-LIB 2.6 over its stdin. Per question it is sent
+    `question_lines` (the builder's constants made since the last one, the
+    goal as a named Bool and `(check-sat-assuming (g))`), and on sat one
+    `(get-value ...)` of the free constants, whose values go to `values`.
+    An answer not read by the deadline kills the process and answers
+    timeout; the next question starts another and sends it all."""
 
     def __init__(self, name: str, command: list[str]) -> None:
         self.name, self.command = name, command
@@ -72,15 +86,12 @@ class SolverPipe:
     def ask(self, builder, goal, deadline: float | None) -> str:
         """sat, unsat, unknown or timeout: can the Bool term `goal` hold,
         given the constants of `builder`?"""
-        from ..smt.terms import declaration_text, term_text
         lines = [] if self.proc else self._start()
         new = list(builder.vars.values())[self._sent:]
         self._sent += len(new)
         self._free += [t.name for t in new if t.definition is None]
         self._goals += 1
-        name = f"__goal__{self._goals}"
-        lines += [*map(declaration_text, new), f"(define-fun {name} () Bool {term_text(goal)})",
-                  f"(check-sat-assuming ({name}))"]
+        lines += question_lines(new, goal, self._goals)
         try:
             status = self._talk(lines, deadline).strip()
             if status not in ("sat", "unsat", "unknown"):
@@ -111,7 +122,7 @@ class SolverPipe:
             raise SolverError("E_SOLVER_MISSING", f"cannot run `{self.name}`: {e}") from None
         os.set_blocking(self.proc.stdin.fileno(), False)
         self._sent, self._free, self._goals, self._buf = 0, [], 0, b""
-        return ["(set-option :produce-models true)", "(set-logic QF_BV)"]
+        return list(STREAM_HEAD)
 
     def _talk(self, lines: list[str], deadline: float | None) -> str:
         """Write `lines`, then read one answer (`read_form`)."""

@@ -106,7 +106,8 @@ def _not_found(prop: CoreProperty) -> PropResult:
 
 def verify(core: CoreModule, bound: int, solver_choice: str = "auto", *,
            timeout: float | None = None, emit_smt: str | None = None) -> FormalVerdict:
-    """Check every property of `core` up to `bound`."""
+    """Check every property of `core` up to `bound`; `emit_smt` names a
+    file for `encode_bmc`'s stream of the same questions, none skipped."""
     formal_scope_check(core)
     if bound < 0:
         raise FormalUnsupported(f"bound {bound} is negative")
@@ -114,14 +115,8 @@ def verify(core: CoreModule, bound: int, solver_choice: str = "auto", *,
     pipe = None if solver == "builtin" else run_solver(solver)  # not found: fails here
     props = list(core.properties)
     if emit_smt is not None:
-        for prop in props:
-            path = emit_smt
-            if len(props) > 1:
-                stem, dot, ext = emit_smt.rpartition(".")
-                path = (f"{stem}.{prop.name}.{ext}" if dot
-                        else f"{emit_smt}.{prop.name}")
-            with open(path, "w", encoding="utf-8") as f:
-                f.write(encode_bmc(core, prop, bound))
+        with open(emit_smt, "w", encoding="utf-8") as f:
+            f.write(encode_bmc(core, bound))
     try:
         results = _check(core, props, bound, timeout, pipe)
     except (FormalUnsupported, SolverError):

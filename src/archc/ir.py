@@ -17,8 +17,9 @@ from __future__ import annotations
 from typing import Optional
 
 from .ast_nodes import (
-    Binary, BoolLit, Convert, EnumRef, Expr, IfExpr, Index, IntLit,
+    EXPR_CHILDREN, Binary, BoolLit, Convert, EnumRef, Expr, IfExpr, Index, IntLit,
     MatchCase as MatchCaseLike, NameRef, SAssign, SIf, SMatch, Stmt, Ternary, Unary,
+    expr_reads,
 )
 from .diagnostics import CompileError, err
 from .elaborate import ParamInfo
@@ -148,10 +149,6 @@ class CoreModule:
 # ── expression walking ───────────────────────────────────────────
 
 
-_CHILD_ATTRS = ("lhs", "rhs", "operand", "cond", "then", "els", "base",
-                "index", "hi", "lo", "width", "value")
-
-
 def const_int(e: Expr) -> int | None:
     """Value of a typed constant expression (literals and folds only)."""
     if isinstance(e, IntLit):
@@ -196,7 +193,7 @@ def runtime_checks(e: Expr, path: Expr | None = None):
                 ty.width if isinstance(ty, (UInt, SInt)) else None)
             if size is not None:
                 yield path, _index_below(e.index, size, e.span), "bound", e.span
-        for attr in _CHILD_ATTRS:
+        for attr in EXPR_CHILDREN:
             sub = getattr(e, attr, None)
             if isinstance(sub, Expr):
                 yield from runtime_checks(sub, path)
@@ -241,26 +238,6 @@ def not_(a: Expr, span: Span) -> Expr:
     e = Unary(span, "!", a)
     e.ty = BOOL
     return e
-
-
-def expr_reads(e: Expr, out: set[str] | None = None) -> set[str]:
-    """Canonical net names read by an expression."""
-    if out is None:
-        out = set()
-    # an explicit stack, not a recursive generator: nested generators pass
-    # each node up through every enclosing level, and this runs once per
-    # net and edge
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, NameRef):
-            out.add(node.name)
-            continue
-        for attr in _CHILD_ATTRS:
-            sub = getattr(node, attr, None)
-            if isinstance(sub, Expr):
-                stack.append(sub)
-    return out
 
 
 # ── muxify: structured statements -> per-target expression ──────

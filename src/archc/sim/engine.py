@@ -92,9 +92,13 @@ class Simulator:
         self._clockless = [p for p in image.props if p.domain is None] \
             if not image.domains else []
         self._clockless_state: dict[str, int] = {}
-        image.builder.sink = self._warn
-        self._written = image.builder.written
-        self._driven = image.builder.driven
+        # this run's state for the read checks and the guards: written
+        # registers, driven inputs, the sites already warned of
+        self._written = [False] * len(image.regs)
+        self._driven = [False] * len(image.inputs)
+        self._warned: set = set()
+        if image.run_slot is not None:
+            self.values[image.run_slot] = self  # where the read hooks find it
         self._inputs = {name: (net.index, slot, _coercion(net.ty))
                         for slot, (name, net) in enumerate(image.inputs.items())}
         # what `peek` reads: a net shadows a register of the same name
@@ -130,12 +134,7 @@ class Simulator:
     def settle(self) -> None:
         if not self._dirty:
             return
-        values = self.values
-        self.image.settle(values)
-        if self.image.flags.debug_settle:
-            before = list(values)
-            self.image.settle(values)
-            assert values == before, "settle invariant violated: second pass changed nets"
+        self.image.settle(self.values)
         self._dirty = False
 
     def set_input(self, name: str, value: int) -> None:
@@ -320,13 +319,12 @@ def _coercion(ty):
 def generate_step(image: SimImage, rising: tuple, falling: tuple):
     """Straight-line step function `step(v, sim) -> stop` for one set of
     clock edges, in the order the events happen: the settle when a data
-    net changed since the last one (through `sim.settle` under
-    --debug-settle, for its second pass), property sampling on
-    pre-edge values (with `disable iff`), guard checks (--check-uninit),
-    every next value of the registers clocked by these edges (reset,
-    `assigned`), then the commit (--cdc-random capture, written
-    bookkeeping, and the dirty mark when any register is committed) and
-    the cycle counts of the rising domains. Register order follows
+    net changed since the last one (`image.settle` as it is when the step
+    is made), property sampling on pre-edge values (with `disable iff`),
+    guard checks (--check-uninit), every next value of the registers
+    clocked by these edges (reset, `assigned`), then the commit
+    (--cdc-random capture, written bookkeeping, and the dirty mark when any
+    register is committed) and the cycle counts of the rising domains. Register order follows
     `image.regs_by_domain` as it stands at first use."""
     b = image.builder
     flags = image.flags
@@ -339,11 +337,10 @@ def generate_step(image: SimImage, rising: tuple, falling: tuple):
     regs = [r for d in rising for r in image.regs_by_domain.get(d, ()) if r.edge == "rising"]
     regs += [r for d in falling for r in image.regs_by_domain.get(d, ()) if r.edge == "falling"]
 
-    if flags.debug_settle:
-        lines = ["    if s._dirty:", "        s.settle()"]
-    else:
-        lines = ["    if s._dirty:", f"        {b.bind(image.settle, '_settle')}(v)",
-                 "        s._dirty = False"]
+    lines = ["    if s._dirty:", f"        {b.bind(image.settle, '_settle')}(v)",
+             "        s._dirty = False"]
+    if track_written:
+        lines.append("    wr = s._written")
     # props and guards sample only on rising edges
     if rising:
         lines.append("    cyc = s.cycles")
@@ -377,7 +374,7 @@ def generate_step(image: SimImage, rising: tuple, falling: tuple):
         lines.append("    seen = s._guard_seen")
     for r in guards:
         message = f"guard of `{r.name}` is high but the register was never written"
-        lines += [f"    if v[{r.guard_index}] == 1 and not _written[{r.written_index}] "
+        lines += [f"    if v[{r.guard_index}] == 1 and not wr[{r.written_index}] "
                   f"and {r.name!r} not in seen:",
                   f"        seen.add({r.name!r})",
                   f"        rep.events.append(_Event('GUARD_VIOLATION', cyc[{r.domain!r}], "
@@ -417,7 +414,7 @@ def generate_step(image: SimImage, rising: tuple, falling: tuple):
         else:
             lines.append(f"    v[{r.index}] = n{j}")
         if track_written:
-            lines.append(f"    if w{j}:\n        _written[{r.written_index}] = True")
+            lines.append(f"    if w{j}:\n        wr[{r.written_index}] = True")
     if regs:
         lines.append("    s._dirty = True")
     lines += [f"    cyc[{d!r}] += 1" for d in rising]

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..ast_nodes import (
-    Binary, BoolLit, Convert, EnumRef, Expr, IfExpr, Index, IntLit, NameRef,
+    EXPR_CHILDREN, Binary, BoolLit, Convert, EnumRef, Expr, IfExpr, Index, IntLit, NameRef,
     Slice, Ternary, TodoExpr, Unary,
 )
 from ..consteval import const_value_of, div_trunc, rem_trunc, wrap_signed, zero_of
@@ -38,12 +38,9 @@ class SimAbortError(Exception):
 
 class SimFlags:
     def __init__(self, check_uninit: bool = False, inputs_start_uninit: bool = False,
-                 cdc_random: bool = False, stop_on_assert: bool = False, seed: int = 0,
-                 debug_settle: bool = False,  # second pass asserting it changes nothing
-                 ) -> None:
+                 cdc_random: bool = False, stop_on_assert: bool = False, seed: int = 0) -> None:
         self.check_uninit, self.inputs_start_uninit = check_uninit, inputs_start_uninit
         self.cdc_random, self.stop_on_assert, self.seed = cdc_random, stop_on_assert, seed
-        self.debug_settle = debug_settle
 
 
 class FlatNet:
@@ -91,14 +88,15 @@ class SimImage:
                  visible: list[str],                # stable net order for VCD/report
                  todo_sites: list[Span],
                  primary_domain: Optional[str] = None,  # first-declared clock of the top
-                 builder: object = None,                # ImageBuilder (bitmaps, warn sink)
+                 builder: object = None,                # ImageBuilder (names, generated code)
                  steps: dict = None,                    # engine: edge set -> step fn
+                 run_slot: Optional[int] = None,        # value slot holding the Simulator
                  ) -> None:
         self.top, self.nets, self.regs, self.props, self.settle = top, nets, regs, props, settle
         self.regs_by_domain, self.domains, self.clock_nets = regs_by_domain, domains, clock_nets
         self.inputs, self.value_count, self.flags = inputs, value_count, flags
         self.initial, self.visible, self.todo_sites = initial, visible, todo_sites
-        self.primary_domain, self.builder = primary_domain, builder
+        self.primary_domain, self.builder, self.run_slot = primary_domain, builder, run_slot
         self.steps = {} if steps is None else steps
 
 
@@ -177,7 +175,7 @@ class ExprCompiler:
                 else self.b.read_hook(e.name, e.span)
             if hook is not None:
                 self.impure = True
-                return f"{self.b.bind(hook, '_h')}({text})"
+                return f"{self.b.bind(hook, '_h')}({text}, v[{self.b.run_slot}])"
             return text
         if isinstance(e, Unary):
             a = self.value(e.operand, d)
@@ -318,7 +316,6 @@ class ImageBuilder:
     def __init__(self, cores: dict[str, CoreModule], top: str, flags: SimFlags) -> None:
         self.cores = cores
         self.flags = flags
-        self.sink = lambda kind, message, span: None  # engine re-points this
         self.top = top
         self.indices: dict[str, int] = {}
         self.initial: list[object] = []
@@ -330,7 +327,7 @@ class ImageBuilder:
         self.inputs: dict[str, FlatNet] = {}
         self.clock_nets: dict[str, list[int]] = {}
         self.todo_sites: list[Span] = []
-        self._uninit_state: dict[str, object] = {}
+        self.run_slot: int | None = None
         self.ns: dict[str, object] = {}       # globals of the generated code
         self._pending: list[str] = []         # helper functions not yet compiled
         self._serial = 0
@@ -372,50 +369,38 @@ class ImageBuilder:
         return idx
 
     def read_hook(self, flat_name: str, span: Span):
-        """Instrumentation for --check-uninit / --inputs-start-uninit.
-        Guarded registers are handled at the guard check instead; the guard
+        """Instrumentation for --check-uninit / --inputs-start-uninit: a
+        function of the value read and the simulator (from `run_slot`)
+        that warns once per simulator and site while the register is
+        unwritten or the input undriven in that simulator. Guarded
+        registers are handled at the guard check instead; the guard
         silences consumer-read warnings by design."""
         reg = self.regs.get(flat_name)
         if reg is not None and self.flags.check_uninit and reg.reset_none \
                 and reg.guard_index is None and not reg.uninit_exempt:
-            state = self._uninit_state
-            key = (flat_name, span.file, span.start)
-            written = self.written
-            ridx = reg.written_index
-            b = self
-            def hook(x):
-                if not written[ridx] and key not in state:
-                    state[key] = True
-                    b.sink("UNINIT_READ",
-                           f"read of never-written reset-none register `{flat_name}`",
-                           span)
-                return x
-            return hook
-        net = self.inputs.get(flat_name)
-        if net is not None and self.flags.inputs_start_uninit:
-            state = self._uninit_state
-            key = ("input", flat_name)
-            driven = self.driven
-            iidx = list(self.inputs).index(flat_name)
-            b = self
-            def hook(x):
-                if not driven[iidx] and key not in state:
-                    state[key] = True
-                    b.sink("UNDRIVEN_INPUT",
-                           f"primary input `{flat_name}` read before it was ever set",
-                           span)
-                return x
-            return hook
-        return None
+            key, is_reg, i = (flat_name, span.file, span.start), True, reg.written_index
+            kind, message = "UNINIT_READ", f"read of never-written reset-none register `{flat_name}`"
+        elif flat_name in self.inputs and self.flags.inputs_start_uninit:
+            key, is_reg, i = ("input", flat_name), False, list(self.inputs).index(flat_name)
+            kind, message = "UNDRIVEN_INPUT", f"primary input `{flat_name}` read before it was ever set"
+        else:
+            return None
+
+        def hook(x, sim):
+            if not (sim._written if is_reg else sim._driven)[i] and key not in sim._warned:
+                sim._warned.add(key)
+                sim._warn(kind, message, span)
+            return x
+        return hook
 
     def build(self) -> SimImage:
         self._declare("", self.top)
-        # written/driven bitmaps must exist before the read hooks are made
+        # the read hooks need the register numbering and the simulator's slot
         for i, reg in enumerate(self.regs.values()):
             reg.written_index = i
-        self.written = [False] * len(self.regs)
-        self.driven = [False] * len(self.inputs)
-        self.ns["_written"] = self.written
+        if self.flags.check_uninit or self.flags.inputs_start_uninit:
+            self.run_slot = len(self.initial)
+            self.initial.append(None)
         self._collect("", self.top)
 
         graph = build_comb_graph({n: e for n, e in self.defs.items()},
@@ -450,7 +435,7 @@ class ImageBuilder:
             clock_nets=self.clock_nets, inputs=self.inputs,
             value_count=len(self.initial), flags=self.flags,
             initial=self.initial, visible=visible, todo_sites=self.todo_sites,
-            primary_domain=top_clocks[0][1] if top_clocks else None)
+            primary_domain=top_clocks[0][1] if top_clocks else None, run_slot=self.run_slot)
 
     def _declare(self, prefix: str, key: str) -> None:
         core = self.cores[key]
@@ -532,8 +517,7 @@ def _prefix_expr(e: Expr, prefix: str) -> Expr:
             return n
         c = copy.copy(x)
         c.ty = x.ty
-        for attr in ("lhs", "rhs", "operand", "cond", "then", "els", "base",
-                     "index", "hi", "lo", "width", "value"):
+        for attr in EXPR_CHILDREN:
             sub = getattr(x, attr, None)
             if isinstance(sub, Expr):
                 setattr(c, attr, walk(sub))
@@ -546,5 +530,5 @@ def build_sim(cores: dict[str, CoreModule], top: str, flags: SimFlags) -> SimIma
     """Flatten the design under `top` into an executable image."""
     builder = ImageBuilder(cores, top, flags)
     image = builder.build()
-    image.builder = builder  # engine claims the warn sink and bitmaps
+    image.builder = builder  # the engine generates its steps through it
     return image

@@ -35,6 +35,23 @@ def build_files(paths, **kw):
     return compile_design(program, **kw), files
 
 
+def settle_checked(image):
+    """`image`, its settle made to run a second pass and assert that the
+    pass changes nothing (comb loops are refused, so one pass settles).
+    Call it before the first step is generated: a step binds
+    `image.settle` when it is made."""
+    settle = image.settle
+
+    def twice(values):
+        settle(values)
+        before = list(values)
+        settle(values)
+        assert values == before, "settle invariant violated: second pass changed nets"
+
+    image.settle = twice
+    return image
+
+
 def diag_codes(exc: CompileError):
     return [d.code for d in exc.diagnostics]
 

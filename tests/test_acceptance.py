@@ -16,8 +16,8 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from conftest import (CLEAN_CORPUS, CORPUS, ROOT, build_files, build_text,
-                      corpus_path)
+from conftest import (CLEAN_CORPUS, CORPUS, ROOT, build_files, build_text, corpus_path,
+                      settle_checked)
 
 from archc import cli
 from archc.formal import available_solvers, trace_to_stimulus, verify
@@ -336,7 +336,7 @@ class TestCriterion8SettleInvariant:
     def test_extra_pass_changes_nothing_corpus_wide(self):
         for fname, top, stim, _ in CLEAN_CORPUS:
             design, _ = build_files([corpus_path(fname)])
-            image = build_sim(design.cores, top, SimFlags(debug_settle=True))
+            image = settle_checked(build_sim(design.cores, top, SimFlags()))
             program = parse_stimulus(open(corpus_path(stim)).read())
             report = run_stimulus(image, program)
             assert report.passed, (fname, report.lines())

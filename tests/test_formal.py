@@ -160,25 +160,25 @@ class TestScope:
 class TestEncoding:
     def test_script_is_self_contained(self):
         _, core = core_of("counter_wrap200.arch", "EvtCounter")
-        prop = [p for p in core.properties if p.name == "range_ok"][0]
-        script = encode_bmc(core, prop, 5)
-        assert script.startswith("(set-logic QF_BV)")
-        assert script.count("(check-sat)") == 1
-        assert "(declare-const en__0 (_ BitVec 1))" in script  # inputs are free
-        assert "(define-fun count_r__0 () (_ BitVec 8) #b00000000)" in script
-        assert "(define-fun rst__3 () (_ BitVec 1) #b0)" in script  # reset held inactive
-        assert "(assert (= " not in script  # every definition is a define-fun
+        stream = encode_bmc(core, 5)
+        assert stream.startswith("(set-option :produce-models true)\n(set-logic QF_BV)\n")
+        # one question per (cycle, property)
+        assert stream.count("(check-sat-assuming (__goal__") == 6 * len(core.properties) == 12
+        assert "(check-sat)" not in stream and "__prop__" not in stream
+        assert "(declare-const en__0 (_ BitVec 1))" in stream  # inputs are free
+        assert "(define-fun count_r__0 () (_ BitVec 8) #b00000000)" in stream
+        assert "(define-fun rst__3 () (_ BitVec 1) #b0)" in stream  # reset held inactive
+        assert "(assert " not in stream  # every definition is a define-fun
+        assert stream.count("(declare-const en__3 ") == 1  # each constant printed once
 
     def test_emitted_script_reruns_standalone(self, tmp_path):
         _, core = core_of("counter_wrap200.arch", "EvtCounter")
         out = tmp_path / "out.smt2"
-        verify(core, 5, "builtin", emit_smt=str(out))
-        # one file per property, name inserted before the extension
-        files = sorted(p.name for p in tmp_path.iterdir())
-        assert files == ["out._auto_count_range.smt2", "out.range_ok.smt2"]
+        v = verify(core, 5, "builtin", emit_smt=str(out))
+        assert [r.status for r in v.results] == ["PROVED", "PROVED"]
+        assert [p.name for p in tmp_path.iterdir()] == ["out.smt2"]  # one file per call
         from archc.smt.solve import Session
-        text = (tmp_path / "out.range_ok.smt2").read_text()
-        assert Session().run(text).splitlines()[0] == "unsat"
+        assert Session().run(out.read_text()).splitlines() == ["unsat"] * 12
 
 
 class TestSolverDriver:
@@ -229,28 +229,35 @@ class TestSolverDriver:
         assert "never_full: REFUTED at cycle 15" in proc.stdout
 
     def test_archc_smt_runs_emitted_scripts(self, tmp_path):
+        """archc-smt answers the stream one line per (cycle, property),
+        cycle-major; each property's first sat is at its reported cycle."""
         _, core = core_of("counter_wrap15.arch", "Nibble")
-        verify(core, 20, "builtin", emit_smt=str(tmp_path / "out.smt2"))
+        v = verify(core, 20, "builtin", emit_smt=str(tmp_path / "out.smt2"))
         env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-        answers = {}
-        for prop in ("never_full", "_auto_count_range"):
-            proc = subprocess.run(
-                [sys.executable, "-m", "archc.smt.solve", str(tmp_path / f"out.{prop}.smt2")],
-                capture_output=True, text=True, env=env, timeout=120)
-            answers[prop] = proc.stdout.split()
-        assert answers == {"never_full": ["sat"], "_auto_count_range": ["unsat"]}
+        proc = subprocess.run(
+            [sys.executable, "-m", "archc.smt.solve", str(tmp_path / "out.smt2")],
+            capture_output=True, text=True, env=env, timeout=120)
+        answers = proc.stdout.split()
+        assert len(answers) == 21 * 2
+        columns = {r.name: answers[i::2] for i, r in enumerate(v.results)}
+        assert columns["_auto_count_range"] == ["unsat"] * 21
+        assert columns["never_full"] == ["unsat"] * 15 + ["sat"] * 6
+        assert v.results[1].cycle == 15
 
     def test_external_solver_answers_over_one_pipe(self, tmp_path, monkeypatch):
         """An external solver (here archc-smt behind a `z3` name) is one
         process per `verify` call, asked over its stdin only what the
-        interval pass leaves open; the trace comes from its sat answer."""
+        interval pass leaves open; the trace comes from its sat answer.
+        `--emit-smt` writes the same stream as with the builtin solver."""
         log = fake_solver(tmp_path, monkeypatch, ARCHC_SMT)
         _, core = core_of("counter_wrap15.arch", "Nibble")
-        v = verify(core, 20, "z3")
+        v = verify(core, 20, "z3", emit_smt=str(tmp_path / "z3.smt2"))
         assert [(r.name, r.status, r.cycle) for r in v.results] == [
             ("_auto_count_range", "PROVED", None), ("never_full", "REFUTED", 15)]
         assert v.results[1].trace[-1]["count_r"] == 15  # replayed, so it matches the sim
         assert_exited(log, 1)  # the parent started 6: the bound 20 twice, then 4 probes
+        verify(core, 20, "builtin", emit_smt=str(tmp_path / "builtin.smt2"))
+        assert (tmp_path / "z3.smt2").read_text() == (tmp_path / "builtin.smt2").read_text()
 
     def test_archc_solver_path_env(self, tmp_path, monkeypatch):
         from archc.smt.solve import ExternalSession
@@ -475,7 +482,7 @@ end module SReg
         _, core = core_of("counter_wrap15.arch", "Nibble")
         v = verify(core, 20, "builtin", emit_smt=str(tmp_path / "out.smt2"))
         assert [r.status for r in v.results] == ["PROVED", "REFUTED"]
-        assert len(list(tmp_path.iterdir())) == 2
+        assert len(list(tmp_path.iterdir())) == 1
         assert calls == ["Nibble"]
 
     def test_proved_run_loads_no_simulator(self):

@@ -8,19 +8,17 @@ questions; any change in a verdict or its cycle changes the digest. Traces
 stay out: they are the solver's choice, and `verify` replays each one in
 the simulator.
 
-SCRIPTS_SHA256 pins the SMT-LIB text of `encode_bmc` for every property at
-bounds 0, 5 and 12, over the same modules plus OPS_ARCH (every expression
-form the encoder handles, runtime checks included) and seeded
-random-expression modules; the scripts an external solver or `--emit-smt`
-sees must not change by a byte. It was last recorded when each goal came
-to carry the cycle's assumed runtime checks, those a generated assert
-reports (`Unrolling.assumption`), which changed the scripts of the modules
-with such checks (SafeDiv, Ops and R0, R1, R2, R4) and no other, and then
-re-recorded when each defined constant came to be printed as one 0-ary
-`(define-fun X () S T)` instead of `(declare-const X S)` followed by
-`(assert (= X T))`: all 162 scripts were checked byte for byte against the
-previous ones with each such pair rewritten that way, and no other byte
-changed.
+SCRIPTS_SHA256 pins the `--emit-smt` stream of `encode_bmc` (every
+property's goal at every cycle, as `check-sat-assuming` questions) at
+bounds 0, 5 and 12, one per module, over the same modules plus OPS_ARCH
+(every expression form the encoder handles, runtime checks included) and
+seeded random-expression modules; the stream an external solver or
+`--emit-smt` sees must not change by a byte. It was last recorded when
+the per-property whole-bound scripts (one `(check-sat)` of a disjunction
+over `__prop__<k>` definitions) gave way to this stream: all 12,048
+`declare-const` and `define-fun` lines of the 162 previous scripts, all
+but the `__prop__<k>` ones, appear byte for byte in the 69 streams of
+the same module and bound.
 """
 
 import glob
@@ -38,7 +36,7 @@ from archc.types import Bool, SInt, UInt
 
 GOLDEN_SHA256 = "936046276a3d63e806232e12e80a129718bb5820c33f3ece40c83ae3c7ac772b"
 
-SCRIPTS_SHA256 = "f438a51a4d1193d07de309f6af96750cfc3c92b3a60a707c5c6dbbd43a46d2da"
+SCRIPTS_SHA256 = "96c4c2c51d71013329ed1bf588fa55374b75ec13aaf5cfc0cf9a55c8957dfda3"
 
 BOUNDS = (0, 5, 10, 16, 20)
 SCRIPT_BOUNDS = (0, 5, 12)
@@ -160,12 +158,11 @@ def _script_cores():
 
 def test_smt_scripts_match_golden_digest():
     digest = hashlib.sha256()
-    n_bmc = 0
+    n_streams = 0
     for fname, name, core in _script_cores():
-        for prop in core.properties:
-            for bound in SCRIPT_BOUNDS:
-                head = f"{fname} {name} {prop.name} {bound}\n"
-                digest.update((head + encode_bmc(core, prop, bound)).encode("utf-8"))
-                n_bmc += 1
-    assert n_bmc == 162
+        for bound in SCRIPT_BOUNDS:
+            head = f"{fname} {name} {bound}\n"
+            digest.update((head + encode_bmc(core, bound)).encode("utf-8"))
+            n_streams += 1
+    assert n_streams == 69
     assert digest.hexdigest() == SCRIPTS_SHA256

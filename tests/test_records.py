@@ -179,7 +179,7 @@ class TestConstructorCalls:
 
     def test_keyword_records(self):
         flags = SimFlags(cdc_random=True, seed=5)
-        assert (flags.cdc_random, flags.seed, flags.check_uninit, flags.debug_settle) == (
+        assert (flags.cdc_random, flags.seed, flags.check_uninit, flags.stop_on_assert) == (
             True, 5, False, False)
         d = Diagnostic("E_PARSE", "msg", SPAN, notes=[Note("here", SPAN)], help="h")
         assert (d.severity, d.notes[0].message, d.help) == ("error", "here", "h")

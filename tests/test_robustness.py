@@ -6,7 +6,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from conftest import CLEAN_CORPUS, build_files, build_text, corpus_path
+from conftest import CLEAN_CORPUS, build_files, build_text, corpus_path, settle_checked
 
 from archc import cli
 from archc.formal.solver import run_solver
@@ -80,9 +80,8 @@ class TestCombinedFlags:
     def test_corpus_clean_under_all_checks(self, fname, top, stim, _b):
         """Every clean design stays clean with every runtime check on."""
         design, _ = build_files([corpus_path(fname)])
-        image = build_sim(design.cores, top,
-                          SimFlags(check_uninit=True, cdc_random=True,
-                                   seed=3, debug_settle=True))
+        image = settle_checked(build_sim(design.cores, top, SimFlags(
+            check_uninit=True, cdc_random=True, seed=3)))
         report = run_stimulus(image, parse_stimulus(open(corpus_path(stim)).read()))
         assert report.passed, (fname, report.lines())
         assert not [e for e in report.events if e.kind == "GUARD_VIOLATION"]

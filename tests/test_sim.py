@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import CLEAN_CORPUS, build_text, corpus_path
+from conftest import CLEAN_CORPUS, build_text, corpus_path, settle_checked
 
 from archc.sim import (
     SimFlags, StimulusError, StimulusProgram, build_sim, parse_stimulus, run_stimulus,
@@ -250,7 +250,7 @@ class TestSettle:
         """Table-6 contract: one extra evaluation pass changes nothing."""
         from conftest import build_files
         design, _ = build_files([corpus_path(fname)])
-        image = build_sim(design.cores, top, SimFlags(debug_settle=True))
+        image = settle_checked(build_sim(design.cores, top, SimFlags()))
         program = parse_stimulus(open(corpus_path(stim)).read())
         report = run_stimulus(image, program)
         assert report.passed, report.lines()
@@ -258,10 +258,10 @@ class TestSettle:
     def test_settle_writes_each_net_once(self):
         """hier_top feeds a let into a child input; its generated settle
         still assigns every defined net exactly once, and a second pass
-        over the settled state changes nothing (the debug-settle check)."""
+        over the settled state changes nothing (`settle_checked`)."""
         from conftest import build_files
         design, _ = build_files([corpus_path("hier_top.arch")])
-        image = build_sim(design.cores, "HierTop", SimFlags(debug_settle=True))
+        image = build_sim(design.cores, "HierTop", SimFlags())
         writes = []
 
         class Recording(list):
@@ -273,7 +273,7 @@ class TestSettle:
         defined = {image.builder.index_of(name) for name in image.builder.defs}
         assert sorted(writes) == sorted(defined)
         program = parse_stimulus(open(corpus_path("hier_top.stim")).read())
-        assert run_stimulus(image, program).passed
+        assert run_stimulus(settle_checked(image), program).passed
 
 
 class TestRuntimeChecks:
@@ -400,6 +400,42 @@ end module Ports
         sim2.set_input("b", 2)
         assert sim2.peek("y") == 3
         assert not [e for e in sim2.report.events if e.kind == "UNDRIVEN_INPUT"]
+
+    def test_simulators_on_one_image_keep_their_own_run_state(self):
+        """Each simulator has its own warn-once state, written/driven
+        bitmaps and warning sink, also when they share one image."""
+        design, _ = build_text("""\
+module One
+  port clk: in Clock<D>;
+  port go: in Bool;
+  port a: in UInt<8>;
+  port y: out UInt<8>;
+  reg lazy: UInt<8> reset none;
+  seq on clk rising
+    if go then
+      lazy <= 9;
+    end if
+  end seq
+  comb y = a + lazy;
+end module One
+""")
+        image = build_sim(design.cores, "One", SimFlags(check_uninit=True,
+                                                        inputs_start_uninit=True))
+
+        def warned(sim):
+            return sorted(e.kind for e in sim.report.events)
+        s1, s2 = Simulator(image), Simulator(image)
+        s1.peek("y")
+        assert (warned(s1), warned(s2)) == (["UNDRIVEN_INPUT", "UNINIT_READ"], [])
+        s2.set_input("a", 1)
+        s2.set_input("go", 1)
+        s2.run_cycles("D", 1)  # writes `lazy` in s2 only
+        assert warned(s2) == ["UNINIT_READ"]
+        assert s2.peek("y") == 10 and warned(s2) == ["UNINIT_READ"]
+        s3 = Simulator(image)
+        s3.peek("y")
+        assert warned(s3) == ["UNDRIVEN_INPUT", "UNINIT_READ"]
+        assert warned(s1) == ["UNDRIVEN_INPUT", "UNINIT_READ"]
 
 
 class TestCdcRandom:
