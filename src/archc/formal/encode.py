@@ -390,7 +390,7 @@ def encode_bmc(core: CoreModule, bound: int) -> str:
         unroll.extend()
         for prop in core.properties:
             goal = unroll.goal(prop, k)
-            new = list(tb.vars.values())[sent:]
+            new = tb.constants[sent:]
             sent, n = sent + len(new), n + 1
             lines += question_lines(new, goal, n)
     return "\n".join(lines) + "\n"

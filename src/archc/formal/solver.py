@@ -87,7 +87,7 @@ class SolverPipe:
         """sat, unsat, unknown or timeout: can the Bool term `goal` hold,
         given the constants of `builder`?"""
         lines = [] if self.proc else self._start()
-        new = list(builder.vars.values())[self._sent:]
+        new = builder.constants[self._sent:]
         self._sent += len(new)
         self._free += [t.name for t in new if t.definition is None]
         self._goals += 1

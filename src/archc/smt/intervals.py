@@ -8,7 +8,9 @@ interval under `=`, `bvult`, ... conditions) is what lets long wrapping
 counter unrollings prove without bit-blasting.
 
 `invariant` runs the same evaluation over a frame in any state, to find
-register intervals that hold at every cycle.
+register intervals that hold at every cycle. `backtrace` runs the other
+way, from a goal the pass leaves open down to the free constants it
+forces, to find a candidate model without search.
 """
 
 from __future__ import annotations
@@ -16,6 +18,10 @@ from __future__ import annotations
 from .terms import BOOL_SORT, Term
 
 Interval = tuple[int, int]
+# a refinement of no term (`peek`): `eval` under it reads the cache and
+# gives what an unrefined eval gives, but caches nothing new apart from
+# the intervals of the vars it reaches
+_UNCACHED: dict = {None: (0, 1)}
 
 
 def full(width: int) -> Interval:
@@ -40,6 +46,10 @@ class IntervalEngine:
                 # their cached global interval (sound, and keeps refined
                 # evaluation local to the current tree)
                 return self.eval(t, None)
+            if refine is _UNCACHED:
+                hit = self.cache.get(t)
+                if hit is not None:
+                    return hit
             return self._compute(t, refine)
         hit = self.cache.get(t)
         if hit is not None:
@@ -47,6 +57,12 @@ class IntervalEngine:
         out = self._compute(t, None)
         self.cache[t] = out
         return out
+
+    def peek(self, t: Term) -> Interval:
+        """`eval(t)` without caching `t` or the terms under it: the cache is
+        also the bit-blaster's source of bound clauses, which stay the same
+        whatever is peeked."""
+        return self.eval(t, _UNCACHED)
 
     def _compute(self, t: Term, refine) -> Interval:
         op = t.op
@@ -258,6 +274,87 @@ def constants(terms: list[Term]) -> set[int]:
         else:
             todo.extend(t.args)
     return values
+
+
+def backtrace(engine: IntervalEngine, goal: Term) -> dict[Term, int]:
+    """The free constants that `goal == true` pins, by their values: the
+    backtrace of test generation (Goel, *PODEM*, IEEE Trans. Computers
+    1981), run over the cached intervals. Starting from the goal, a
+    demanded interval moves down to the terms that it forces: through the
+    Bool connectives and comparisons with a constant (`_refine_from`),
+    through an `ite` one of whose branches cannot meet the demand (the
+    condition is then fixed too), through `bvadd`/`bvsub` with a constant
+    that cannot wrap, and into a defined constant's definition. Each term
+    keeps the intersection of its demands with its cached interval. Only
+    terms that a demand reaches are visited.
+
+    Every pin is implied by the goal, so a candidate that satisfies the
+    goal agrees with every model on the constants it pins; one that does
+    not proves nothing, and the backtrace never answers unsat. Empty when
+    nothing is pinned or two demands on a term do not meet."""
+    demand: dict[Term, Interval] = {goal: (1, 1)}
+    pinned: dict[Term, int] = {}
+    todo = [goal]
+    while todo:
+        t = todo.pop()
+        lo, hi = demand[t]
+        op = t.op
+        if op == "var":
+            if t.definition is None:
+                if lo == hi:
+                    pinned[t] = lo
+                continue
+            moves = {t.definition: (lo, hi)}
+        elif op == "ite":
+            c, a, b = t.args
+            if _misses(demand.get(b) or engine.peek(b), lo, hi):
+                moves = {c: (1, 1), a: (lo, hi)}
+            elif _misses(demand.get(a) or engine.peek(a), lo, hi):
+                moves = {c: (0, 0), b: (lo, hi)}
+            else:
+                continue
+        elif op in ("bvadd", "bvsub"):
+            moves = _arith_demand(engine, demand, t, lo, hi)
+        elif t.width == BOOL_SORT and lo == hi and op != "const":
+            moves = _refine_from(t, lo == 1, engine, _UNCACHED)
+            if moves is None:
+                return {}
+        else:
+            continue
+        for x, (nlo, nhi) in moves.items():
+            old = demand.get(x) or engine.peek(x)
+            new = (max(old[0], nlo), min(old[1], nhi))
+            if new[0] > new[1]:
+                return {}
+            if new != old or x not in demand:
+                demand[x] = new
+                todo.append(x)
+    return pinned
+
+
+def _misses(known: Interval, lo: int, hi: int) -> bool:
+    return known[1] < lo or hi < known[0]
+
+
+def _arith_demand(engine: IntervalEngine, demand: dict[Term, Interval], t: Term,
+                  lo: int, hi: int) -> dict[Term, Interval]:
+    """What `lo <= t <= hi` demands of the operand of `t`, a `bvadd` or
+    `bvsub` with one constant operand, when no value of it can wrap."""
+    a, b = t.args
+    if b.op == "const":
+        x, k, const_first = a, b.value, False
+    elif a.op == "const":
+        x, k, const_first = b, a.value, True
+    else:
+        return {}
+    xlo, xhi = demand.get(x) or engine.peek(x)
+    if t.op == "bvadd":
+        if xhi + k > (1 << t.width) - 1:
+            return {}
+        return {x: (lo - k, hi - k)}
+    if const_first:  # k - x
+        return {x: (k - hi, k - lo)} if xhi <= k else {}
+    return {x: (lo + k, hi + k)} if xlo >= k else {}
 
 
 def _merge(base: dict[Term, Interval] | None, extra: dict[Term, Interval]) -> dict:

@@ -1,9 +1,12 @@
 """archc-smt: a standalone SMT-LIB2 (QF_BV) solver.
 
 Pipeline: branch-refined interval analysis (decides most BMC unrollings
-word-level) -> Tseitin bit-blasting of the undecided goal's cone onto a
-CDCL SAT core. Supports (get-value ...) and (get-model) after a sat
-answer. Reads a file argument whole, or stdin a command at a time,
+word-level) -> a backtrace of the undecided goal to its free constants
+over the interval cache (`intervals.backtrace`), whose candidate is the
+sat answer and its model when it pins every free constant of the goal's
+cone and the goal holds under it -> Tseitin bit-blasting of the goal's
+cone onto a CDCL SAT core. Supports (get-value ...) and (get-model)
+after a sat answer. Reads a file argument whole, or stdin a command at a time,
 flushing each answer, so that it can serve a program on a pipe. Terms are
 sort-checked as they are read (`terms.OPS`); a command that cannot be
 taken in, an ill-sorted term or a non-Bool assertion among them, is
@@ -34,7 +37,7 @@ import sys
 import time
 
 from .bitblast import BitBlaster
-from .intervals import IntervalEngine
+from .intervals import IntervalEngine, backtrace
 from .sexpr import SmtParseError, numeral, parse_all, read_form
 from .terms import BOOL_SORT, OPS, Term, TermBuilder, check_arity, sort_text, term_text
 
@@ -54,7 +57,9 @@ class Session:
         self.status: str | None = None
         self.engine = IntervalEngine()
         self.blaster: BitBlaster | None = None
-        self.trivial_model = False
+        # the model of the last sat answer when no SAT step made it: these
+        # free constants' values, every other one 0 (empty: the interval pass's)
+        self.pinned: dict[Term, int] | None = None
         self._ranged = 0                      # builder.defined entries with an interval
         # per `push n` still open: [len(builder.assertions) at it, levels left]
         self._scopes: list[list[int]] = []
@@ -185,22 +190,34 @@ class Session:
         return self.status
 
     def _check(self, goal: Term) -> str:
-        """The interval pass first; a goal it leaves open goes to the SAT
-        step, `_solve`."""
-        self.trivial_model, self._model = False, None
+        """The interval pass first; a goal it leaves open goes to `_solve`."""
+        self.pinned, self._model = None, None
         lo, hi = self.engine.eval(goal)
         if hi == 0:
             return "unsat"
         if lo == 1:
-            self.trivial_model = True
+            self.pinned = {}
             return "sat"
         if self._expired():
             return "timeout"
         return self._solve(goal)
 
     def _solve(self, goal: Term) -> str:
-        """The goal's cone bit-blasted and solved under the goal's literal
-        as the one assumption."""
+        """Sat with the backtrace's candidate (`intervals.backtrace`) when
+        it pins every free constant of the goal's cone and the goal holds
+        under it; else the SAT step. The candidate is evaluated only when
+        something is pinned, so a goal the backtrace cannot answer costs
+        only the terms its demands reached."""
+        pinned = backtrace(self.engine, goal)
+        values: dict[Term, int] = {}
+        if pinned and concrete_value(goal, values, pinned.get) == 1:
+            self.pinned, self._model = pinned, values
+            return "sat"
+        return self._sat_step(goal)
+
+    def _sat_step(self, goal: Term) -> str:
+        """The goal's cone bit-blasted and solved by the CDCL core under the
+        goal's literal as the one assumption."""
         if self.blaster is None:
             self.blaster = BitBlaster(self.engine.cache)
         lit = self.blaster.lit(goal)
@@ -210,18 +227,16 @@ class Session:
 
     def model_value(self, t: Term) -> int:
         """A term's value in the model of the last sat answer, Bool as 0/1.
-        Constants no solved goal mentions are 0; defined ones follow their
-        definitions."""
+        Free constants that the answer leaves open are 0; defined ones
+        follow their definitions."""
         if self._model is None:
             self._model = {}
-            for v in self.builder.defined:  # bottom-up, avoids deep recursion
-                concrete_value(v, self._model, self._free_value)
         return concrete_value(t, self._model, self._free_value)
 
     def _free_value(self, var: Term) -> int:
-        if self.trivial_model or self.blaster is None:
-            return 0
-        return self.blaster.model_of(var.name)
+        if self.pinned is not None:
+            return self.pinned.get(var, 0)
+        return 0 if self.blaster is None else self.blaster.model_of(var.name)
 
     def get_value(self, terms: list) -> str:
         if self.status != "sat":
@@ -254,25 +269,38 @@ class ExternalSession(Session):
         return self.solver.ask(self.builder, goal, self.deadline)
 
     def _free_value(self, var: Term) -> int:
-        return 0 if self.trivial_model else self.solver.values.get(var.name, 0)
+        return 0 if self.pinned is not None else self.solver.values.get(var.name, 0)
 
 
-def concrete_value(t: Term, cache: dict[Term, int], free) -> int:
+def concrete_value(t: Term, cache: dict[Term, int], free) -> int | None:
     """Evaluate `t` with every undefined constant `v` at `free(v)`; `cache`
-    maps terms to values already known."""
-    hit = cache.get(t)
-    if hit is not None:
-        return hit
-    op = t.op
-    if op == "const":
-        return t.value
-    if op == "var":
-        v = free(t) if t.definition is None else concrete_value(t.definition, cache, free)
-        cache[t] = v
-        return v
-    v = OPS[op].value(t, [concrete_value(x, cache, free) for x in t.args])
-    cache[t] = v
-    return v
+    maps terms to values already known and keeps those worked out. Bottom
+    up on a stack of its own, so a deep cone never recurses. None as soon
+    as `free` gives None."""
+    stack = [t]
+    while stack:
+        x = stack[-1]
+        if x in cache:
+            stack.pop()
+            continue
+        op = x.op
+        if op == "const":
+            cache[x] = x.value
+        elif op == "var" and x.definition is None:
+            v = free(x)
+            if v is None:
+                return None
+            cache[x] = v
+        else:
+            kids = (x.definition,) if op == "var" else x.args
+            todo = [k for k in kids if k not in cache]
+            if todo:
+                stack += todo
+                continue
+            cache[x] = (cache[x.definition] if op == "var"
+                        else OPS[op].value(x, [cache[k] for k in x.args]))
+        stack.pop()
+    return cache[t]
 
 
 def _sort_width(sort) -> int | None:

@@ -136,6 +136,7 @@ def check_arity(what: str, got: int, want: int) -> None:
 class TermBuilder:
     def __init__(self) -> None:
         self.vars: dict[str, Term] = {}
+        self.constants: list[Term] = []  # every constant, in order made
         self.assertions: list[Term] = []
         self.defined: list[Term] = []   # `define`d constants, in order
 
@@ -144,6 +145,7 @@ class TermBuilder:
             raise SmtParseError(f"redeclared {name}")
         t = Term("var", width, name=name)
         self.vars[name] = t
+        self.constants.append(t)
         return t
 
     def const(self, value: int, width: int) -> Term:

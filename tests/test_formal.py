@@ -804,3 +804,79 @@ class TestIntervalInvariant:
                 n_settled += len(settled)
         # the modules must keep the pass busy, or the test shows little
         assert n_settled >= 40
+
+
+def _counter_text(name, kind, max_value, prop):
+    return f"""counter {name}
+  param MAX: const = {max_value};
+  kind {kind};
+  port clk: in Clock<SysDomain>;
+  port rst: in Reset<Sync>;
+  port en: in Bool;
+  port count: out UInt<{max_value.bit_length()}>;
+  {prop};
+end counter {name}
+"""
+
+
+def _generated_counters(seed):
+    """The seeded counters of the `formal` benchmark: a refuted assert, a
+    hit cover, an unreached cover and a true assert on wrapping and
+    saturating counters whose MAX and targets the seed picks."""
+    rng = random.Random(f"formal:{seed}")
+    out = []
+    for i, (kind, expect) in enumerate([("wrapping", "refuted"), ("saturating", "hit"),
+                                        ("wrapping", "not_reached"), ("saturating", "proved")]):
+        max_value = rng.randint(26, 30)
+        low, high = rng.randint(17, 23), rng.randint(25, max_value)
+        prop = {"refuted": f"assert never_at: count != {low}",
+                "hit": f"cover reach: count == {low}",
+                "not_reached": f"cover reach: count == {high}",
+                "proved": f"assert bounded: count <= {max_value}"}[expect]
+        name = f"Gen{i}"
+        out.append(build_text(_counter_text(name, kind, max_value, prop))[0].cores[name])
+    return out
+
+
+class TestBacktraceInBmc:
+    """The backtrace (`smt.intervals.backtrace`) answers open BMC goals
+    whose inputs it can walk back to, and changes no verdict."""
+
+    def test_verdicts_match_the_sat_step_alone(self, monkeypatch):
+        """Every verdict and cycle on the formal corpus and on the seeded
+        counters is the same with the backtrace as with the SAT step
+        answering every open goal; the backtrace must answer many."""
+        import archc.smt.solve as solve
+        from test_formal_golden import _formal_cores
+        original = solve.backtrace
+        steps = {True: 0, False: 0}
+        sat_step = solve.Session._sat_step
+
+        def counted(self, goal):
+            steps[solve.backtrace is original] += 1
+            return sat_step(self, goal)
+        monkeypatch.setattr(solve.Session, "_sat_step", counted)
+        cases = [(core, bound) for _, _, core in _formal_cores() for bound in (5, 12, 20)]
+        cases += [(core, bound) for seed in range(1, 13)
+                  for core in _generated_counters(seed) for bound in (8, 20, 30)]
+        for core, bound in cases:
+            monkeypatch.setattr(solve, "backtrace", original)
+            on = [(r.name, r.status, r.cycle) for r in verify(core, bound, "builtin").results]
+            monkeypatch.setattr(solve, "backtrace", lambda engine, goal: {})
+            off = [(r.name, r.status, r.cycle) for r in verify(core, bound, "builtin").results]
+            assert on == off, (core.name, bound)
+        assert steps[True] + 40 <= steps[False]
+
+    def test_four_hundred_cycle_counter(self):
+        """A 10-bit wrapping counter reaches 400 at cycle 400 only with
+        `en` high at every cycle before: the backtrace walks the 400 frames
+        without recursing and without bit-blasting (the SAT step took
+        about 19 s on this question)."""
+        core = build_text(_counter_text("Wide", "wrapping", 1000,
+                                        "assert never_at: count != 400"))[0].cores["Wide"]
+        t0 = time.monotonic()
+        verdict = verify(core, 410, "builtin")
+        assert time.monotonic() - t0 < 5.0
+        assert [r.line(410) for r in verdict.results] == [
+            "assert _auto_count_range: PROVED (bound 410)", "assert never_at: REFUTED at cycle 400"]
+        assert [row["en"] for row in verdict.results[1].trace] == [1] * 400 + [0]

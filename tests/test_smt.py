@@ -581,25 +581,32 @@ class TestIntervalBounds:
                     assert s.model_value(goal) == 1, goal
         assert asked >= 150
 
-    def test_wrapping_counter_needs_few_conflicts(self, monkeypatch):
+    def test_wrapping_counter_needs_few_conflicts(self):
         """The generated wrapping counter of the `formal` benchmark (seed 3):
         the count is 0 at cycle 0 and rises by at most one per cycle, so
         `count != 22` first fails at cycle 22. The interval pass knows
         count_k <= k; as bound clauses that makes the trace nearly forced.
-        Without them the SAT core needed 121 conflicts; with them, 17."""
-        from conftest import build_text
-        from archc.formal import verify
-        import archc.smt.solve as solve
+        Without them the SAT core needed 121 conflicts; with them, 17. The
+        backtrace answers this question in `verify`
+        (`TestBacktrace.test_verify_answers_the_counter_without_bit_blasting`),
+        so the SAT step is asked here directly."""
+        from archc.formal.encode import Unrolling
+        core = _wrapping_counter_core()
+        session = Session()
+        unroll = Unrolling(core, session.builder)
+        for _ in range(23):
+            unroll.extend()
+        session.range_definitions()
+        never_at = [p for p in core.properties if p.name == "never_at"][0]
+        goal = unroll.goal(never_at, 22)
+        assert session.engine.eval(goal) == (0, 1)  # the interval pass leaves it open
+        assert session._sat_step(goal) == "sat"
+        assert session.blaster.sat.conflicts <= 40
 
-        sessions = []
 
-        class Recorded(solve.Session):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                sessions.append(self)
-
-        monkeypatch.setattr(solve, "Session", Recorded)
-        design, _ = build_text("""\
+def _wrapping_counter_core():
+    from conftest import build_text
+    design, _ = build_text("""\
 counter GenWrapping0
   param MAX: const = 29;
   kind wrapping;
@@ -610,11 +617,106 @@ counter GenWrapping0
   assert never_at: count != 22;
 end counter GenWrapping0
 """)
-        verdict = verify(design.cores["GenWrapping0"], 24, "builtin")
+    return design.cores["GenWrapping0"]
+
+
+class TestBacktrace:
+    """The builtin session's backtrace (`intervals.backtrace`): demands
+    moved from a goal down to its free constants; a candidate that pins
+    them all and satisfies the goal is the sat answer and its model."""
+
+    def test_verify_answers_the_counter_without_bit_blasting(self, monkeypatch):
+        """Reaching count == 22 at cycle 22 needs `en` at every cycle
+        before it: the backtrace finds that and no BitBlaster is built."""
+        from archc.formal import verify
+        import archc.smt.solve as solve
+        sessions = []
+
+        class Recorded(solve.Session):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                sessions.append(self)
+
+        monkeypatch.setattr(solve, "Session", Recorded)
+        verdict = verify(_wrapping_counter_core(), 24, "builtin")
         got = {r.name: (r.status, r.cycle) for r in verdict.results}
         assert got == {"_auto_count_range": ("PROVED", None), "never_at": ("REFUTED", 22)}
         [session] = sessions
-        assert session.blaster.sat.conflicts <= 40
+        assert session.blaster is None
+        trace = verdict.results[1].trace
+        assert [row["en"] for row in trace] == [1] * 22 + [0]
+        assert [row["count_r"] for row in trace] == list(range(23))
+
+    def test_failing_candidate_goes_to_the_sat_step(self):
+        """The backtrace pins x = 3 and y = 5, and `y < x` fails under
+        them: the answer is the SAT step's unsat, not a sat."""
+        from archc.smt.intervals import backtrace
+        s = Session()
+        tb = s.builder
+        x, y = tb.declare("x", 4), tb.declare("y", 4)
+        goal = tb.app("and", [tb.app("=", [x, tb.const(3, 4)]), tb.app("=", [y, tb.const(5, 4)]),
+                              tb.app("bvult", [y, x])])
+        s.range_definitions()
+        assert s.engine.eval(goal) == (0, 1)
+        assert backtrace(s.engine, goal) == {x: 3, y: 5}
+        assert s.check_assuming(goal) == "unsat"
+        assert s.blaster is not None
+
+    def test_candidate_is_the_model_of_get_value(self):
+        """Through the SMT-LIB text: the demand moves through a defined
+        constant, an ite whose else-branch cannot meet it and a bvadd that
+        cannot wrap once the assertion bounds x; get-value reads the
+        candidate."""
+        s = Session()
+        out = s.run("""
+(declare-const c Bool)
+(declare-const x (_ BitVec 4))
+(define-fun y () (_ BitVec 4) (ite c (bvadd x #x4) #x0))
+(assert (bvule x #x7))
+(check-sat-assuming ((= y #xa)))
+(get-value (c x y))
+""")
+        assert out.splitlines() == ["sat", "((c true)", " (x #b0110)", " (y #b1010))"]
+        assert s.blaster is None
+
+    def test_a_pin_the_goal_does_not_force_is_not_made(self):
+        """`x + 1 = 0` can wrap, so the backtrace pins nothing, and the SAT
+        step answers."""
+        from archc.smt.intervals import backtrace
+        s = Session()
+        tb = s.builder
+        x = tb.declare("x", 4)
+        goal = tb.app("=", [tb.app("bvadd", [x, tb.const(1, 4)]), tb.const(0, 4)])
+        s.range_definitions()
+        assert backtrace(s.engine, goal) == {}
+        assert s.check_assuming(goal) == "sat" and s.model_value(x) == 15
+        assert s.blaster is not None
+
+    def test_pinned_random_goals_agree_with_enumeration(self):
+        """Goals `x = a and y = b and p` for random Bool terms `p` over
+        two free 3-bit constants and one defined from them: the backtrace
+        pins x and y, and the answer is sat exactly when p holds at (a, b),
+        from the candidate or else from the SAT step."""
+        rng = random.Random(20)
+        by_backtrace = by_sat_step = 0
+        for _ in range(12):
+            s = Session()
+            tb = s.builder
+            x, y = tb.declare("x", 3), tb.declare("y", 3)
+            z = tb.define("z", 3, _random_term(rng, tb, [x, y], 3, 2))
+            for _ in range(15):
+                a, b = rng.randrange(8), rng.randrange(8)
+                p = _random_term(rng, tb, [x, y, z], BOOL_SORT, 3)
+                goal = tb.app("and", [tb.app("=", [x, tb.const(a, 3)]),
+                                      tb.app("=", [y, tb.const(b, 3)]), p])
+                want = concrete_value(p, {x: a, y: b}, None)
+                assert s.check_assuming(goal) == ("sat" if want else "unsat"), goal
+                if want:
+                    assert (s.model_value(x), s.model_value(y), s.model_value(goal)) == (a, b, 1)
+                    by_backtrace += bool(s.pinned)
+                else:
+                    by_sat_step += 1
+        assert by_backtrace >= 40 and by_sat_step >= 40
 
 
 class TestCheckSatAssuming:
