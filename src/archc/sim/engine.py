@@ -7,9 +7,11 @@ or a VCD sample, and only if a data net changed since the last settle: a
 `set_input`, an async reset, or an edge step that committed registers.
 Each generated edge step opens with that settle itself, so a tick without
 a trace or clockless properties is one table lookup, one step call and
-the clock writes. Clock nets are not data, and the clock schedule writes
-every one of them, child instance clocks included, so changing a clock
-leaves the state settled.
+the clock writes. A design with no clock domain gets the settle-only step
+at every tick, so a tick after a `set` settles there too, and a runtime
+check in its comb logic fires whether or not the run is observed. Clock
+nets are not data, and the clock schedule writes every one of them, child
+instance clocks included, so changing a clock leaves the state settled.
 
 Clocking model: global time advances in ticks. A domain with period P
 rises at every tick t > 0 with t % P == P - P // 2 (P == 1 rises every tick),
@@ -178,7 +180,8 @@ class Simulator:
 
     def _phase(self, phase: int) -> tuple:
         """The schedule entry of a phase; the step function of its edge set
-        is generated on first use and kept on the image."""
+        (the settle alone in a design with no clock domain) is generated on
+        first use and kept on the image."""
         rising, falling = [], []
         for d in self.image.domains:
             p = self.periods.get(d, 2)
@@ -187,7 +190,7 @@ class Simulator:
             if phase % p == 0:
                 falling.append(d)
         step = None
-        if rising or falling:
+        if rising or falling or not self.image.domains:
             key = (tuple(rising), tuple(falling))
             step = self.image.steps.get(key)
             if step is None:

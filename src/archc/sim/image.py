@@ -2,14 +2,15 @@
 
 Hierarchy is flattened with dotted instance paths ("f.mem"). The design
 compiles to straight-line Python source over a flat value list `v`, run
-through compile()/exec once: the comb schedule is one `settle` function
-that assigns every flat net once, in the global topological order of all
-net definitions (comb loops are refused before this, so one pass settles),
-and every property is a function of its own. The engine generates one step
-function per set of clock edges from the same expression compiler, and a
-VCD trace generates one sampler function. Ternary/&&/|| stay lazy
-(conditional expressions and `and`/`or`), so runtime checks fire only on
-taken paths, exactly like the generated-code backend they model.
+through compile()/exec: the comb schedule is one `settle` function that
+assigns every flat net once, in the global topological order of all net
+definitions (comb loops are refused before this, so one pass settles).
+The engine generates one step function per set of clock edges from the
+same expression compiler, a property read on its own (`FlatProp.fn`) is
+compiled on first use, and a VCD trace generates one sampler function.
+Ternary/&&/|| stay lazy (conditional expressions and `and`/`or`), so
+runtime checks fire only on taken paths, exactly like the generated-code
+backend they model.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class FlatNet:
 class FlatReg:
     def __init__(self, name: str, ty: Type, domain: str, index: int, edge: str = "rising",
                  next_expr: Expr = None, assigned_expr: Optional[Expr] = None,
-                 reset_net: Optional[int] = None,  # value-store index of the reset net
+                 reset_net: Optional[int] = None,  # value index of the net the reset copies
                  reset_active_high: bool = True, reset_async: bool = False,
                  reset_value: Optional[object] = None,
                  guard_index: Optional[int] = None,  # value index of the guard register
@@ -71,10 +72,22 @@ class FlatReg:
 class FlatProp:
     def __init__(self, kind: str, name: str, domain: Optional[str], expr: Expr,
                  reset_net: Optional[int], reset_active_high: bool, span: Span,
-                 fn: Callable = None) -> None:
+                 builder: "ImageBuilder") -> None:
         self.kind, self.name, self.domain, self.expr = kind, name, domain, expr
-        self.reset_net, self.reset_active_high, self.span, self.fn = (
-            reset_net, reset_active_high, span, fn)
+        self.reset_net, self.reset_active_high, self.span = reset_net, reset_active_high, span
+        self.builder = builder
+        self._fn = None
+
+    @property
+    def fn(self) -> Callable:
+        """`fn(v)`, the property's value on the value list, compiled on
+        first use: the edge steps inline their properties, so only the
+        properties of a clockless design are called through it."""
+        if self._fn is None:
+            name = self.builder.fresh("_p")
+            text = ExprCompiler(self.builder).value(self.expr)
+            self._fn = self.builder.run(f"def {name}(v):\n    return {text}\n")[name]
+        return self._fn
 
 
 class SimImage:
@@ -406,17 +419,9 @@ class ImageBuilder:
         graph = build_comb_graph({n: e for n, e in self.defs.items()},
                                  [], set(self.regs), self.def_spans)
         order = [(self.indices[n], self.defs[n]) for n in graph.order if n in self.defs]
-        source = ["def _settle(v):\n"
-                  + "".join(f"    v[{i}] = {ExprCompiler(self).value(e)}\n" for i, e in order)
-                  + "    return None\n"]
-        prop_fns = []
-        for prop in self.props:
-            name = self.fresh("_p")
-            prop_fns.append(name)
-            source.append(f"def {name}(v):\n    return {ExprCompiler(self).value(prop.expr)}\n")
-        ns = self.run("".join(source))
-        for prop, name in zip(self.props, prop_fns):
-            prop.fn = ns[name]
+        ns = self.run("def _settle(v):\n"
+                      + "".join(f"    v[{i}] = {ExprCompiler(self).value(e)}\n" for i, e in order)
+                      + "    return None\n")
 
         regs_by_domain: dict[str, list[FlatReg]] = {}
         for reg in self.regs.values():
@@ -486,7 +491,9 @@ class ImageBuilder:
             if reg.assigned is not None:
                 freg.assigned_expr = _prefix_expr(reg.assigned, prefix)
             if reg.reset_sig is not None:
-                freg.reset_net = self.indices[prefix + reg.reset_sig]
+                # a Reset port is connected straight to its parent's, so
+                # an async reset is read where it is set, without a settle
+                freg.reset_net = self.indices[self._alias_root(prefix + reg.reset_sig)]
             if reg.guard is not None:
                 freg.guard_index = self.indices[prefix + reg.guard]
         for prop in core.properties:
@@ -495,7 +502,7 @@ class ImageBuilder:
             self.props.append(FlatProp(
                 prop.kind, prefix + prop.name, prop.domain,
                 _prefix_expr(prop.expr, prefix), reset_net,
-                prop.reset_polarity != "Low", prop.span))
+                prop.reset_polarity != "Low", prop.span, self))
         for inst in core.instances:
             child_prefix = prefix + inst.name + "."
             for port, expr in inst.in_map.items():
@@ -503,6 +510,15 @@ class ImageBuilder:
                 self.defs[flat] = _prefix_expr(expr, prefix)
                 self.def_spans[flat] = inst.span
             self._collect(child_prefix, inst.module_key)
+
+    def _alias_root(self, flat: str) -> str:
+        """The net that `flat` copies through a chain of plain aliases
+        (instance ports connected to a parent's net); `flat` if none."""
+        e = self.defs.get(flat)
+        while isinstance(e, NameRef):
+            flat = e.name
+            e = self.defs.get(flat)
+        return flat
 
 
 def _prefix_expr(e: Expr, prefix: str) -> Expr:

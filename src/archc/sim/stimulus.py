@@ -13,11 +13,13 @@ A count is decimal and at most `MAX_COUNT`.
 A program is its list of lines plus a table from each distinct line to
 its parsed form: `parse_stimulus` parses every distinct line once, so a
 syntax error anywhere stops the program before anything runs, reported
-at the first line with that text. `run_stimulus` resolves each distinct
-line against the simulator when it first runs (a `set` to its value
-index, coerced value and driven slot, an `expect` to its net index) and
-keeps the resulting action by line text, so a line that repeats costs
-one dict lookup and a dispatch on the action's kind.
+at the first line with that text. `run_stimulus` resolves every distinct
+line against the simulator before the first one runs (a `set` to its
+value index, coerced value and driven slot, an `expect` to its net
+index), then walks the program's actions in line order, so a line costs
+one dispatch on its action's kind. A line that cannot run on the design
+(an unknown name, a `run` with no clock) resolves to an action that
+raises its error when it is reached, so the lines before it still run.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .engine import SimEvent, SimReport, Simulator, _StopSim, not_an_input, unkn
 from .image import SimAbortError, SimImage
 
 # action kinds, the first element of a parsed or resolved line
-SKIP, SET, EXPECT, RUN, TICK, CLOCK = range(6)
+SKIP, SET, EXPECT, RUN, TICK, CLOCK, FAIL = range(7)
 
 
 class StimulusError(Exception):
@@ -71,16 +73,6 @@ def _parse_count(text: str) -> int:
     return count
 
 
-# directive -> (kind, word count, usage message)
-_FORMS = {
-    "set": (SET, 3, "usage: set <net> <value>"),
-    "expect": (EXPECT, 3, "usage: expect <net> <value>"),
-    "run": (RUN, 2, "usage: run <cycles>"),
-    "tick": (TICK, 2, "usage: tick <n>"),
-    "clock": (CLOCK, 4, "usage: clock <domain> period <ticks>"),
-}
-
-
 def _parse_line(line: str) -> tuple:
     """The parsed form of one line; a malformed line raises ValueError
     with the message to report."""
@@ -90,17 +82,20 @@ def _parse_line(line: str) -> tuple:
     if not parts:
         return (SKIP,)
     head = parts[0]
-    form = _FORMS.get(head)
-    if form is None:
-        raise ValueError(f"unknown directive {head!r}")
-    kind, words, usage = form
-    if len(parts) != words or (kind == CLOCK and parts[2] != "period"):
-        raise ValueError(usage)
-    if words == 3:
-        return kind, parts[1], _parse_value(parts[2])
-    if words == 2:
-        return kind, _parse_count(parts[1])
-    return kind, parts[1], _parse_count(parts[3])
+    words = len(parts)
+    if head == "set" or head == "expect":
+        if words != 3:
+            raise ValueError(f"usage: {head} <net> <value>")
+        return SET if head == "set" else EXPECT, parts[1], _parse_value(parts[2])
+    if head == "run" or head == "tick":
+        if words != 2:
+            raise ValueError("usage: run <cycles>" if head == "run" else "usage: tick <n>")
+        return RUN if head == "run" else TICK, _parse_count(parts[1])
+    if head == "clock":
+        if words != 4 or parts[2] != "period":
+            raise ValueError("usage: clock <domain> period <ticks>")
+        return CLOCK, parts[1], _parse_count(parts[3])
+    raise ValueError(f"unknown directive {head!r}")
 
 
 def parse_stimulus(text: str) -> StimulusProgram:
@@ -114,26 +109,27 @@ def parse_stimulus(text: str) -> StimulusProgram:
     return StimulusProgram(lines, forms)
 
 
-def _resolve(sim: Simulator, form: tuple, line_no: int, run_domain: str | None) -> tuple:
+def _resolve(sim: Simulator, form: tuple, run_domain: str | None) -> tuple:
     """The action of a parsed line on `sim`: (SET, value index, coerced
-    value, driven slot) or (EXPECT, net index, wanted value, name); other
+    value, driven slot), (EXPECT, net index, wanted value, name) or
+    (FAIL, message) for a line that cannot run on this design; other
     forms run as parsed."""
     kind = form[0]
     if kind == SET:
         _, name, value = form
         entry = sim._inputs.get(name)
         if entry is None:
-            raise StimulusError(line_no, str(not_an_input(name)))
+            return FAIL, str(not_an_input(name))
         index, slot, coerce = entry
         return SET, index, coerce(value), slot
     if kind == EXPECT:
         _, name, want = form
         index = sim._names.get(name)
         if index is None:
-            raise StimulusError(line_no, str(unknown_net(name)))
+            return FAIL, str(unknown_net(name))
         return EXPECT, index, want, name
     if kind == RUN and run_domain is None:
-        raise StimulusError(line_no, "design has no clock domain to run")
+        return FAIL, "design has no clock domain to run"
     return form
 
 
@@ -145,18 +141,15 @@ def run_stimulus(image: SimImage, program: StimulusProgram,
     report = sim.report
     values, driven = sim.values, sim._driven
     async_resets = bool(sim._async_regs)
-    forms = program.forms
-    actions: dict[str, tuple] = {}  # line text -> resolved action
     run_domain = image.primary_domain or (image.domains[0] if image.domains else None)
+    actions = {line: _resolve(sim, form, run_domain) for line, form in program.forms.items()}
+    expects = 0
     try:
         if trace_path is not None:
             from .vcd import VcdTrace
             sim.settle()  # the first sample can abort too
             sim.trace = VcdTrace(image, sim.values)
-        for line_no, line in enumerate(program.lines, start=1):
-            action = actions.get(line)
-            if action is None:
-                action = actions[line] = _resolve(sim, forms[line], line_no, run_domain)
+        for line_no, action in enumerate(list(map(actions.__getitem__, program.lines)), 1):
             kind = action[0]
             if kind == SET:
                 _, index, value, slot = action
@@ -170,7 +163,7 @@ def run_stimulus(image: SimImage, program: StimulusProgram,
                     sim.settle()
                 _, index, want, name = action
                 got = values[index]
-                report.expect_count += 1
+                expects += 1
                 if got != want:
                     report.expect_failures += 1
                     report.events.append(SimEvent(
@@ -185,12 +178,15 @@ def run_stimulus(image: SimImage, program: StimulusProgram,
                     sim.set_period(action[1], action[2])
                 except (KeyError, ValueError) as exc:
                     raise StimulusError(line_no, str(exc))
+            elif kind == FAIL:
+                raise StimulusError(line_no, action[1])
     except _StopSim:
         pass
     except SimAbortError as e:
         event = SimEvent("ABORT", sim._max_cycle(), "", f"{e.kind}: {e.message}")
         report.events.append(event)
         report.aborted = event
+    report.expect_count = expects
     report.final_time = sim.time
     report.passed = (report.expect_failures == 0 and report.assert_failures == 0
                      and report.aborted is None)

@@ -1,12 +1,20 @@
 """VCD waveform output. The header carries no timestamp (pinned for
 byte-identical reruns); hierarchy follows the dotted flat names. Each
 trace samples through one generated function that compares every
-variable with its last value and formats the changes with f-strings."""
+variable with its last value and adds a line for each change (IEEE
+1800-2017 §21.7): a variable at most `TABLE_WIDTH` bits wide indexes a
+table of its whole change lines, built when the trace starts, so the
+lines a long run keeps share those strings; a wider one is formatted by
+an f-string."""
 
 from __future__ import annotations
 
 from ..types import SInt, Vec, width_of
 from .image import SimImage, mask_of
+
+# the widest variable whose change lines are tabled: at most 2 ** 8 = 256
+# strings per variable
+TABLE_WIDTH = 8
 
 
 def _id_of(n: int) -> str:
@@ -44,19 +52,25 @@ class VcdTrace:
         """`sample(time, v)` written out per variable: when the value
         differs from `prev[k]`, store it and add its change line."""
         lines = ["def sample(time, v):", "    out = []"]
+        ns = {"prev": self.prev, "changes": self.changes}
+        heads: dict[int, list[str]] = {}  # width -> change line up to the id, by value
         for k, (_name, idx, elem, width, _signed) in enumerate(self.vars):
-            ref = self.refs[k].replace("{", "{{").replace("}", "}}")
-            if width == 1:
-                text = f"{{x & 1}}{ref}"
+            ref = self.refs[k]
+            if width <= TABLE_WIDTH:
+                if width not in heads:
+                    heads[width] = ["0", "1"] if width == 1 else [
+                        f"b{x:0{width}b} " for x in range(1 << width)]
+                ns[f"t{k}"] = [head + ref for head in heads[width]]
+                text = f"t{k}[x & {mask_of(width)}]"
             else:
-                text = f"b{{x & {mask_of(width)}:0{width}b}} {ref}"
+                ref = ref.replace("{", "{{").replace("}", "}}")
+                text = "f" + repr(f"b{{x & {mask_of(width)}:0{width}b}} {ref}")
             lines += [f"    x = v[{idx}]" + (f"[{elem}]" if elem >= 0 else ""),
                       f"    if x != prev[{k}]:",
                       f"        prev[{k}] = x",
-                      f"        out.append(f{text!r})"]
+                      f"        out.append({text})"]
         lines += ["    if out:", "        changes.append(f'#{time}')",
                   "        changes.extend(out)\n"]
-        ns = {"prev": self.prev, "changes": self.changes}
         exec(compile("\n".join(lines), f"<archc vcd {self.image.top}>", "exec"), ns)
         return ns["sample"]
 

@@ -121,6 +121,24 @@ end module Oob
         assert rc == 3
         assert "OUT_OF_BOUNDS" in out and "oob.arch" in out
 
+    def test_clockless_tick_abort_exit3_untraced(self, tmp_path):
+        """A clockless `tick` settles, so a division by zero in comb logic
+        aborts without `--wave` as it does with it."""
+        design = tmp_path / "div.arch"
+        design.write_text("""\
+module Div
+  port num: in UInt<8>;
+  port den: in UInt<8>;
+  port y: out UInt<8>;
+  comb y = num / den;
+end module Div
+""")
+        stim = tmp_path / "div.stim"
+        stim.write_text("set num 5\nset den 0\ntick 1\n")
+        rc, out = run_cli("sim", str(design), "--stim", str(stim))
+        assert rc == 3
+        assert "DIV_BY_ZERO" in out and "div.arch" in out
+
     def test_todo_abort_exit3(self, tmp_path):
         stim = tmp_path / "t.stim"
         stim.write_text("set req_addr 1\nexpect resp 0\n")

@@ -14,6 +14,8 @@ from archc.sim import (
 from archc.sim.engine import Simulator
 from archc.sim.image import SimAbortError, wrap_signed
 from archc.sim.stimulus import RUN
+from archc.sim.vcd import VcdTrace
+from archc.types import SInt, Vec
 
 
 def sim_for(design, top, **kw):
@@ -503,6 +505,64 @@ class TestVcd:
         text = out.read_text()
         assert "sys_clk" in text and "usb_clk" in text
 
+    def test_change_lines_match_plain_formatting(self):
+        """The sampler's change lines, tabled or formatted, are what
+        `f"b{x & mask:0{w}b} {ref}"` and `f"{x & 1}{ref}"` give, for
+        every width, signed values and Vec elements, with ids that
+        contain `{` and `}`."""
+        widths = (1, 2, 7, 8, 9, 16, 17, 32, 33, 64)
+        ports = "".join(f"  port u{w}: in UInt<{w}>;\n" for w in widths)
+        ports += "".join(f"  port s{w}: in SInt<{w}>;\n" for w in (2, 8, 9, 33))
+        design, _ = build_text(f"""\
+module Widths
+{ports}  port flag: in Bool;
+  port vs: in Vec<SInt<3>, 96>;
+  port y: out UInt<8>;
+  comb y = u8;
+end module Widths
+""")
+        image = build_sim(design.cores, "Widths", SimFlags())
+        values = list(image.initial)
+        trace = VcdTrace(image, values)
+        assert {"{", "}"} <= set("".join(trace.refs))
+        rng = random.Random(7)
+        prev = [None] * len(trace.vars)
+        want = []
+
+        def plain(time):
+            out = []
+            for k, (_name, idx, elem, width, _signed) in enumerate(trace.vars):
+                x = values[idx] if elem < 0 else values[idx][elem]
+                if x != prev[k]:
+                    prev[k] = x
+                    ref = trace.refs[k]
+                    out.append(f"{x & 1}{ref}" if width == 1
+                               else f"b{x & (1 << width) - 1:0{width}b} {ref}")
+            if out:
+                want.append(f"#{time}")
+                want.extend(out)
+
+        def draw(ty):
+            w = ty.width
+            return rng.randrange(-(1 << w - 1), 1 << w - 1) if isinstance(ty, SInt) \
+                else rng.getrandbits(w)
+
+        plain(0)
+        for time in range(1, 60):
+            for name, net in image.inputs.items():
+                if rng.random() < 0.5:
+                    ty = net.ty
+                    values[net.index] = tuple(draw(ty.elem) for _ in range(ty.size)) \
+                        if isinstance(ty, Vec) else rng.getrandbits(1) \
+                        if name == "flag" else draw(ty)
+            trace.sample(time, values)
+            plain(time)
+        assert trace.changes == want
+        # negative Vec elements, and ids with braces, were written
+        elements = {trace.refs[k] for k, var in enumerate(trace.vars) if var[2] >= 0}
+        assert any(line[:2] == "b1" and line.split()[1] in elements for line in want)
+        assert any("{" in line or "}" in line for line in want if line[0] != "#")
+
     def test_empty_trace_header_only(self, tmp_path):
         from conftest import build_files
         design, _ = build_files([corpus_path("comb_alu.arch")])
@@ -726,6 +786,9 @@ class TestStimulusDirectives:
         ("expect nosuch 1", "'unknown net `nosuch`'"),
     ])
     def test_unknown_name_names_its_first_line(self, line, message, clean_corpus_designs):
+        """Every distinct line is resolved before the first runs, but a
+        line naming no net raises only when it is reached, after the
+        lines before it have run."""
         design = clean_corpus_designs["counter_wrap200.arch"][0]
         image = build_sim(design.cores, "EvtCounter", SimFlags())
         text = f"clock SysDomain period 2\nset en 1\nrun 2\n{line}\nrun 1\n{line}\n"
@@ -733,6 +796,7 @@ class TestStimulusDirectives:
             run_stimulus(image, parse_stimulus(text))
         assert str(e.value) == f"stimulus line 4: {message}"
         assert e.value.line_no == 4
+        assert image.steps != {}
 
     def test_peek_of_an_unknown_name(self, clean_corpus_designs):
         design = clean_corpus_designs["hier_top.arch"][0]
@@ -760,6 +824,41 @@ end module LowReset
         text = "set d 7\nset rst_n 1\nrun 1\nexpect q 7\nset rst_n 0\nexpect q 42\n"
         report = run_stimulus(image, parse_stimulus(text))
         assert report.passed and report.expect_count == 2, report.lines()
+
+    def test_set_asserts_an_async_reset_through_a_child_port(self):
+        """A child's async reset port copies its parent's, and a `set` of
+        the parent's takes effect at once, as in the flat module."""
+        design, _ = build_text("""\
+module Leaf
+  port clk: in Clock<D>;
+  port rst_n: in Reset<Async, Low>;
+  port d: in UInt<8>;
+  port q: out UInt<8>;
+  reg r: UInt<8> reset rst_n => 42;
+  seq on clk rising
+    r <= d;
+  end seq
+  comb q = r;
+end module Leaf
+
+module Top
+  port clk: in Clock<D>;
+  port rst_n: in Reset<Async, Low>;
+  port d: in UInt<8>;
+  port q: out UInt<8>;
+  inst leaf: Leaf
+    clk <- clk;
+    rst_n <- rst_n;
+    d <- d;
+    q -> q;
+  end inst leaf
+end module Top
+""")
+        image = build_sim(design.cores, "Top", SimFlags())
+        text = ("set d 7\nset rst_n 1\nrun 1\nexpect q 7\nset rst_n 0\nexpect q 42\n"
+                "expect leaf.r 42\n")
+        report = run_stimulus(image, parse_stimulus(text))
+        assert report.passed and report.expect_count == 3, report.lines()
 
     def test_hand_built_program_runs(self, clean_corpus_designs):
         """A program made from its lines and their parsed forms runs as
