@@ -8,7 +8,6 @@ NOT-REACHED), or 2 (inconclusive / solver missing / out of formal scope).
 
 from __future__ import annotations
 
-import argparse
 import os
 
 from .diagnostics import CompileError, render_all
@@ -181,6 +180,7 @@ def cmd_formal(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    import argparse  # here, so that importing the package does not load it
     parser = argparse.ArgumentParser(
         prog="archc",
         description="Compiler, simulator, and bounded model checker for the "

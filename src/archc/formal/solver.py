@@ -11,9 +11,7 @@ print a question stream the same way: `STREAM_HEAD`, then `question_lines`.
 from __future__ import annotations
 
 import os
-import select
 import shutil
-import subprocess
 import time
 
 from ..smt.sexpr import SmtParseError, parse_all, parse_bv_literal, read_form
@@ -80,7 +78,7 @@ class SolverPipe:
 
     def __init__(self, name: str, command: list[str]) -> None:
         self.name, self.command = name, command
-        self.proc: subprocess.Popen | None = None
+        self.proc = None  # the subprocess.Popen, once started
         self.values: dict[str, int] = {}
 
     def ask(self, builder, goal, deadline: float | None) -> str:
@@ -115,6 +113,7 @@ class SolverPipe:
 
     def _start(self) -> list[str]:
         """Start the process; the commands that open its stream."""
+        import subprocess  # here, as in `_wait`: only a pipe to a solver needs it
         try:
             self.proc = subprocess.Popen(self.command, stdin=subprocess.PIPE,
                                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
@@ -152,6 +151,7 @@ class SolverPipe:
 
 def _wait(reads: list[int], writes: list[int], deadline: float | None) -> None:
     """Until a descriptor is ready; TimeoutError past `deadline`."""
+    import select
     wait = None if deadline is None else max(0.0, deadline - time.monotonic())
     if not any(select.select(reads, writes, [], wait)):
         raise TimeoutError

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import random
+from functools import partial
 from itertools import groupby
 from typing import Optional
 
@@ -319,6 +320,19 @@ def _coercion(ty):
     return lambda value: value & m
 
 
+def _fire(kind: str, domain: str, message: str, name: str, rep: SimReport,
+          cycle: int) -> bool:
+    """Record property `name` failing (ASSERT_FAIL) or hit (COVER_HIT) at
+    `cycle`. Generated edge steps call it, bound to one property, only when
+    the property fires; True is the stop of --stop-on-assert."""
+    if kind == "ASSERT_FAIL":
+        rep.assert_failures += 1
+    else:
+        rep.cover_table[name] = cycle
+    rep.events.append(SimEvent(kind, cycle, domain, message, name))
+    return True
+
+
 def generate_step(image: SimImage, rising: tuple, falling: tuple):
     """Straight-line step function `step(v, sim) -> stop` for one set of
     clock edges, in the order the events happen: the settle when a data
@@ -352,26 +366,24 @@ def generate_step(image: SimImage, rising: tuple, falling: tuple):
     stops = flags.stop_on_assert and any(p.kind == "assert" for p in props)
     if stops:
         lines.append("    stop = False")
-    for p in props:
-        cycle = f"cyc[{p.domain!r}]" if p.domain is not None else "max(cyc.values(), default=0)"
-        cond = ExprCompiler(b).cond(p.expr)
+    # one line per property; properties on one reset share its test
+    for (reset_net, high), group in groupby(props, lambda p: (p.reset_net, p.reset_active_high)):
         pad = "    "
-        if p.reset_net is not None:
-            lines.append(f"    if v[{p.reset_net}] != {1 if p.reset_active_high else 0}:")
+        if reset_net is not None:
+            lines.append(f"    if v[{reset_net}] != {1 if high else 0}:")
             pad += "    "
-        domain = p.domain or ""
-        if p.kind == "assert":
-            lines += [f"{pad}if not {cond}:",
-                      f"{pad}    rep.assert_failures += 1",
-                      f"{pad}    rep.events.append(_Event('ASSERT_FAIL', {cycle}, {domain!r}, "
-                      f"{f'assertion `{p.name}` failed'!r}, {p.name!r}))"]
-            if flags.stop_on_assert:
-                lines.append(f"{pad}    stop = True")
-        else:
-            lines += [f"{pad}if {cond} and rep.cover_table.get({p.name!r}) is None:",
-                      f"{pad}    rep.cover_table[{p.name!r}] = {cycle}",
-                      f"{pad}    rep.events.append(_Event('COVER_HIT', {cycle}, {domain!r}, "
-                      f"{f'cover `{p.name}` hit'!r}, {p.name!r}))"]
+        for p in group:
+            cycle = f"cyc[{p.domain!r}]" if p.domain is not None else "max(cyc.values(), default=0)"
+            cond = ExprCompiler(b).cond(p.expr)
+            event = ("ASSERT_FAIL", f"assertion `{p.name}` failed") if p.kind == "assert" \
+                else ("COVER_HIT", f"cover `{p.name}` hit")
+            fire = b.bind(partial(_fire, event[0], p.domain or "", event[1], p.name), "_fire")
+            if p.kind == "assert":
+                stop = "stop = " if flags.stop_on_assert else ""
+                lines.append(f"{pad}if not {cond}: {stop}{fire}(rep, {cycle})")
+            else:
+                lines.append(f"{pad}if {cond} and rep.cover_table.get({p.name!r}) is None: "
+                             f"{fire}(rep, {cycle})")
 
     if guards:
         lines.append("    seen = s._guard_seen")

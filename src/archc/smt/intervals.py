@@ -3,14 +3,18 @@
 Used as a word-level preprocessing step: when the abstract value of every
 asserted constraint excludes `false`, the formula is satisfied by any
 assignment; when some constraint's abstract value excludes `true`, the
-formula is unsat. Branch-refined ite evaluation (narrowing a subterm's
-interval under `=`, `bvult`, ... conditions) is what lets long wrapping
-counter unrollings prove without bit-blasting.
+formula is unsat. Branch-refined ite evaluation (each arm evaluated under
+what its condition demands of the terms under it) is what lets long
+wrapping counter unrollings prove without bit-blasting.
 
-`invariant` runs the same evaluation over a frame in any state, to find
-register intervals that hold at every cycle. `backtrace` runs the other
-way, from a goal the pass leaves open down to the free constants it
-forces, to find a candidate model without search.
+One rule set, `_demands`, says what an interval required of a term
+demands of the terms directly under it. `IntervalEngine.narrow` moves a
+demand down through it, meeting (intersecting) every demand that lands
+on one term: the ite refinement asks it for the condition true and
+false, and `backtrace` for a goal the pass leaves open, down through
+definitions to the free constants the goal forces, which make a
+candidate model without search. `invariant` runs the evaluation over a
+frame in any state, to find register intervals that hold at every cycle.
 """
 
 from __future__ import annotations
@@ -18,9 +22,10 @@ from __future__ import annotations
 from .terms import BOOL_SORT, Term
 
 Interval = tuple[int, int]
-# a refinement of no term (`peek`): `eval` under it reads the cache and
-# gives what an unrefined eval gives, but caches nothing new apart from
-# the intervals of the vars it reaches
+# a refinement of no term: `eval` under it reads the cache and gives what
+# an unrefined eval gives, but caches nothing new apart from the intervals
+# of the vars it reaches (the cache is also the bit-blaster's source of
+# bound clauses, which must not depend on what was narrowed)
 _UNCACHED: dict = {None: (0, 1)}
 
 
@@ -45,7 +50,7 @@ class IntervalEngine:
                 # refinement narrows specific nodes only; other vars keep
                 # their cached global interval (sound, and keeps refined
                 # evaluation local to the current tree)
-                return self.eval(t, None)
+                return self.cache.get(t) or self.eval(t, None)
             if refine is _UNCACHED:
                 hit = self.cache.get(t)
                 if hit is not None:
@@ -58,11 +63,57 @@ class IntervalEngine:
         self.cache[t] = out
         return out
 
-    def peek(self, t: Term) -> Interval:
-        """`eval(t)` without caching `t` or the terms under it: the cache is
-        also the bit-blaster's source of bound clauses, which stay the same
-        whatever is peeked."""
-        return self.eval(t, _UNCACHED)
+    def narrow(self, t: Term, lo: int, hi: int, refine=None,
+               definitions: bool = False) -> dict[Term, Interval] | None:
+        """What `lo <= t <= hi` demands of `t` and of the terms under it:
+        their intervals by term, each the meet (intersection) of every
+        demand on it with its interval under `refine`. None when a meet is
+        empty, i.e. the demand cannot hold. Demands move down by
+        `_demands` and stop at a var, or with `definitions` go on into its
+        definition once no other term waits: a rule then reads the
+        demands of every term that sits above the definition it is in.
+        Nothing new is cached."""
+        refine = refine or _UNCACHED
+        out: dict[Term, Interval] = {t: (lo, hi)}
+
+        def known(y: Term) -> Interval:
+            return out.get(y) or self.eval(y, refine)
+
+        todo = [t] if t.op != "var" else []  # terms whose rules are still to run
+        defined = [t] if definitions and t.definition is not None else []
+        while todo or defined:
+            if todo:
+                x = todo.pop()
+                moves = _demands(x, *out[x], known)
+            else:
+                x = defined.pop()
+                moves = ((x.definition, out[x]),)
+            for y, (dlo, dhi) in moves:
+                old = out.get(y) or self.eval(y, refine)
+                if old[0] < dlo or dhi < old[1]:
+                    old = (max(old[0], dlo), min(old[1], dhi))
+                    if old[0] > old[1]:
+                        return None
+                elif y in out:
+                    continue
+                out[y] = old
+                if y.op != "var":
+                    todo.append(y)
+                elif definitions and y.definition is not None:
+                    defined.append(y)
+        return out
+
+    def _arm(self, cond: Term, truth: int, arm: Term, refine) -> Interval | None:
+        """`arm`'s interval where `cond == truth`; None where that cannot
+        hold. `cond` stays out of the refinement: an arm under a condition
+        that narrows nothing below it is evaluated, and cached, as is."""
+        narrowed = self.narrow(cond, truth, truth, refine)
+        if narrowed is None:
+            return None
+        del narrowed[cond]
+        if refine and narrowed:
+            narrowed = {**refine, **narrowed}
+        return self.eval(arm, narrowed or refine)
 
     def _compute(self, t: Term, refine) -> Interval:
         op = t.op
@@ -73,24 +124,53 @@ class IntervalEngine:
         if op == "ite":
             c, a, b = t.args
             ci = self.eval(c, refine)
-            if ci == (1, 1):
-                return self.eval(a, refine)
-            if ci == (0, 0):
-                return self.eval(b, refine)
-            # None from _refine_from = branch provably unreachable
-            then_ref = _refine_from(c, True, self, refine)
-            else_ref = _refine_from(c, False, self, refine)
-            ai = None if then_ref is None else self.eval(a, _merge(refine, then_ref))
-            bi = None if else_ref is None else self.eval(b, _merge(refine, else_ref))
-            if ai is None and bi is None:
-                return full(t.width)
-            if ai is None:
-                return bi
-            if bi is None:
-                return ai
+            if ci[0] == ci[1]:
+                return self.eval(a if ci[0] else b, refine)
+            ai, bi = self._arm(c, 1, a, refine), self._arm(c, 0, b, refine)
+            if ai is None or bi is None:
+                return ai or bi or full(t.width)
             return (min(ai[0], bi[0]), max(ai[1], bi[1]))
         args = [self.eval(a, refine) for a in t.args]
-        mask = (1 << t.width) - 1 if t.width else 1
+        if op == "=":
+            (a, b), (c, d) = args
+            if b < c or d < a:
+                return (0, 0)
+            if a == b == c == d:
+                return (1, 1)
+            return (0, 1)
+        if op in _NEGATE:  # the unsigned comparisons, as x < y or x <= y
+            (a, b), (c, d) = args if op in ("bvult", "bvule") else args[::-1]
+            strict = op in ("bvult", "bvugt")
+            if b < c or b == c and not strict:
+                return (1, 1)
+            if a > d or a == d and strict:
+                return (0, 0)
+            return (0, 1)
+        if op == "not":
+            (a, b) = args[0]
+            return (1 - b, 1 - a)
+        if op == "and":
+            hi = min(b for (_, b) in args)
+            lo = 1 if all(a == 1 for (a, _) in args) else 0
+            return (lo, hi)
+        if op == "or":
+            hi = max(b for (_, b) in args)
+            lo = 1 if any(a == 1 for (a, _) in args) else 0
+            return (lo, hi)
+        if op == "xor":
+            (a, b), (c, d) = args
+            if a == b and c == d:
+                v = a ^ c
+                return (v, v)
+            return (0, 1)
+        if op == "=>":
+            (a, b), (c, d) = args
+            if b == 0 or c == 1:
+                return (1, 1)
+            if a == 1 and d == 0:
+                return (0, 0)
+            return (0, 1)
+        mask = (1 << t.width) - 1
         if op == "bvadd":
             (a, b), (c, d) = args
             if b + d <= mask:
@@ -153,60 +233,6 @@ class IntervalEngine:
                 (a << low_w) + c,
                 (b << low_w) + d,
             )
-        if op == "=":
-            (a, b), (c, d) = args
-            if b < c or d < a:
-                return (0, 0)
-            if a == b == c == d:
-                return (1, 1)
-            return (0, 1)
-        if op in ("bvult", "bvule", "bvugt", "bvuge"):
-            (a, b), (c, d) = args
-            if op == "bvult":
-                if b < c:
-                    return (1, 1)
-                if a >= d:
-                    return (0, 0)
-            elif op == "bvule":
-                if b <= c:
-                    return (1, 1)
-                if a > d:
-                    return (0, 0)
-            elif op == "bvugt":
-                if a > d:
-                    return (1, 1)
-                if b <= c:
-                    return (0, 0)
-            else:
-                if a >= d:
-                    return (1, 1)
-                if b < c:
-                    return (0, 0)
-            return (0, 1)
-        if op == "not":
-            (a, b) = args[0]
-            return (1 - b, 1 - a)
-        if op == "and":
-            hi = min(b for (_, b) in args)
-            lo = 1 if all(a == 1 for (a, _) in args) else 0
-            return (lo, hi)
-        if op == "or":
-            hi = max(b for (_, b) in args)
-            lo = 1 if any(a == 1 for (a, _) in args) else 0
-            return (lo, hi)
-        if op == "xor":
-            (a, b), (c, d) = args
-            if a == b and c == d:
-                v = a ^ c
-                return (v, v)
-            return (0, 1)
-        if op == "=>":
-            (a, b), (c, d) = args
-            if b == 0 or c == 1:
-                return (1, 1)
-            if a == 1 and d == 0:
-                return (0, 0)
-            return (0, 1)
         # bvudiv/bvurem/bvsdiv/bvsrem/signed compares: conservative
         return full(t.width)
 
@@ -276,146 +302,96 @@ def constants(terms: list[Term]) -> set[int]:
     return values
 
 
-def backtrace(engine: IntervalEngine, goal: Term) -> dict[Term, int]:
+def backtrace(engine: IntervalEngine, goal: Term) -> dict[Term, int] | None:
     """The free constants that `goal == true` pins, by their values: the
     backtrace of test generation (Goel, *PODEM*, IEEE Trans. Computers
-    1981), run over the cached intervals. Starting from the goal, a
-    demanded interval moves down to the terms that it forces: through the
-    Bool connectives and comparisons with a constant (`_refine_from`),
-    through an `ite` one of whose branches cannot meet the demand (the
-    condition is then fixed too), through `bvadd`/`bvsub` with a constant
-    that cannot wrap, and into a defined constant's definition. Each term
-    keeps the intersection of its demands with its cached interval. Only
-    terms that a demand reaches are visited.
-
-    Every pin is implied by the goal, so a candidate that satisfies the
-    goal agrees with every model on the constants it pins; one that does
-    not proves nothing, and the backtrace never answers unsat. Empty when
-    nothing is pinned or two demands on a term do not meet."""
-    demand: dict[Term, Interval] = {goal: (1, 1)}
-    pinned: dict[Term, int] = {}
-    todo = [goal]
-    while todo:
-        t = todo.pop()
-        lo, hi = demand[t]
-        op = t.op
-        if op == "var":
-            if t.definition is None:
-                if lo == hi:
-                    pinned[t] = lo
-                continue
-            moves = {t.definition: (lo, hi)}
-        elif op == "ite":
-            c, a, b = t.args
-            if _misses(demand.get(b) or engine.peek(b), lo, hi):
-                moves = {c: (1, 1), a: (lo, hi)}
-            elif _misses(demand.get(a) or engine.peek(a), lo, hi):
-                moves = {c: (0, 0), b: (lo, hi)}
-            else:
-                continue
-        elif op in ("bvadd", "bvsub"):
-            moves = _arith_demand(engine, demand, t, lo, hi)
-        elif t.width == BOOL_SORT and lo == hi and op != "const":
-            moves = _refine_from(t, lo == 1, engine, _UNCACHED)
-            if moves is None:
-                return {}
-        else:
-            continue
-        for x, (nlo, nhi) in moves.items():
-            old = demand.get(x) or engine.peek(x)
-            new = (max(old[0], nlo), min(old[1], nhi))
-            if new[0] > new[1]:
-                return {}
-            if new != old or x not in demand:
-                demand[x] = new
-                todo.append(x)
-    return pinned
-
-
-def _misses(known: Interval, lo: int, hi: int) -> bool:
-    return known[1] < lo or hi < known[0]
-
-
-def _arith_demand(engine: IntervalEngine, demand: dict[Term, Interval], t: Term,
-                  lo: int, hi: int) -> dict[Term, Interval]:
-    """What `lo <= t <= hi` demands of the operand of `t`, a `bvadd` or
-    `bvsub` with one constant operand, when no value of it can wrap."""
-    a, b = t.args
-    if b.op == "const":
-        x, k, const_first = a, b.value, False
-    elif a.op == "const":
-        x, k, const_first = b, a.value, True
-    else:
-        return {}
-    xlo, xhi = demand.get(x) or engine.peek(x)
-    if t.op == "bvadd":
-        if xhi + k > (1 << t.width) - 1:
-            return {}
-        return {x: (lo - k, hi - k)}
-    if const_first:  # k - x
-        return {x: (k - hi, k - lo)} if xhi <= k else {}
-    return {x: (lo + k, hi + k)} if xlo >= k else {}
-
-
-def _merge(base: dict[Term, Interval] | None, extra: dict[Term, Interval]) -> dict:
-    if not base:
-        return extra
-    out = dict(base)
-    out.update(extra)
-    return out
-
-
-def _refine_from(cond: Term, truth: bool, eng: IntervalEngine,
-                 refine) -> dict[Term, Interval] | None:
-    """Interval narrowing implied by `cond == truth`; None = branch
-    provably unreachable."""
-    out: dict[Term, Interval] = {}
-    if cond.op == "not":
-        return _refine_from(cond.args[0], not truth, eng, refine)
-    if (cond.op == "and" and truth) or (cond.op == "or" and not truth):
-        for sub in cond.args:  # every conjunct holds / every disjunct fails
-            r = _refine_from(sub, truth, eng, refine)
-            if r is None:
-                return None
-            out.update(r)
-        return out
-    if cond.op not in ("=", "bvult", "bvule", "bvugt", "bvuge"):
-        return out
-    a, b = cond.args
-    if a.op == "const" and b.op != "const":
-        flip = {"bvult": "bvugt", "bvule": "bvuge", "bvugt": "bvult",
-                "bvuge": "bvule", "=": "="}
-        cond = Term(flip[cond.op], BOOL_SORT, (b, a))
-        a, b = cond.args
-    if b.op != "const":
-        return out
-    k = b.value
-    lo, hi = eng.eval(a, refine)
-    op = cond.op
-    if op == "=":
-        if truth:
-            if k < lo or k > hi:
-                return None
-            out[a] = (k, k)
-        else:
-            if lo == hi == k:
-                return None
-            if lo == k:
-                out[a] = (lo + 1, hi)
-            elif hi == k:
-                out[a] = (lo, hi - 1)
-        return out
-    # normalize to an inclusive bound [nlo, nhi] implied by the comparison
-    if op == "bvule":
-        nlo, nhi = (lo, k) if truth else (k + 1, hi)
-    elif op == "bvult":
-        nlo, nhi = (lo, k - 1) if truth else (k, hi)
-    elif op == "bvuge":
-        nlo, nhi = (k, hi) if truth else (lo, k - 1)
-    else:  # bvugt
-        nlo, nhi = (k + 1, hi) if truth else (lo, k)
-    bound = (max(lo, nlo), min(hi, nhi))
-    if bound[0] > bound[1]:
+    1981), as `IntervalEngine.narrow` from the goal into definitions too.
+    Every pin holds in every model of the goal; None when two demands do
+    not meet, which proves the goal unsat."""
+    demands = engine.narrow(goal, 1, 1, definitions=True)
+    if demands is None:
         return None
-    out[a] = bound
-    return out
+    return {x: lo for x, (lo, hi) in demands.items()
+            if lo == hi and x.op == "var" and x.definition is None}
+
+
+# `x op k` for a constant k, as `k op' x` reads it
+_FLIP = {"=": "=", "bvult": "bvugt", "bvule": "bvuge", "bvugt": "bvult", "bvuge": "bvule"}
+# `not (x op k)` as `x op' k`
+_NEGATE = {"bvult": "bvuge", "bvule": "bvugt", "bvugt": "bvule", "bvuge": "bvult"}
+
+
+def _demands(t: Term, lo: int, hi: int, known) -> list[tuple[Term, Interval]]:
+    """The one rule set of the interval pass's narrowing: what
+    `lo <= t <= hi` demands of the terms directly under `t`, as (term,
+    interval) pairs for the caller to meet with what it knows of each
+    (`known(x)`); a demand that cannot hold gives a pair whose meet is
+    empty. `bvand` is at most each operand and `bvor` at least each, so
+    all-ones and all-zeros pin their operands. Empty where no rule fits."""
+    op, args = t.op, t.args
+    if op in _FLIP:
+        x, y = args
+        if x.op == "const":
+            x, y, op = y, x, _FLIP[op]
+        if lo != hi or y.op != "const" or x.op == "const":
+            return []
+        k = y.value
+        if op == "=":
+            if lo:
+                return [(x, (k, k))]
+            xlo, xhi = known(x)  # only an end of x's interval can be cut off
+            return [(x, (k + 1, xhi))] if xlo == k else [(x, (xlo, k - 1))] if xhi == k else []
+        if not lo:
+            op = _NEGATE[op]
+        top = full(x.width)[1]
+        return [(x, {"bvult": (0, k - 1), "bvule": (0, k),
+                     "bvugt": (k + 1, top), "bvuge": (k, top)}[op])]
+    if op in ("not", "bvnot"):
+        top = full(t.width)[1]
+        return [(args[0], (top - hi, top - lo))]
+    if op == "and":
+        return [(x, (1, 1)) for x in args] if lo == 1 else []
+    if op == "or":
+        return [(x, (0, 0)) for x in args] if hi == 0 else []
+    if op == "ite":
+        c, a, b = args
+        clo, chi = known(c)
+        blo, bhi = known(b)
+        if clo == 1 or bhi < lo or hi < blo:  # the else-arm cannot meet the demand
+            return [(c, (1, 1)), (a, (lo, hi))]
+        alo, ahi = known(a)
+        if chi == 0 or ahi < lo or hi < alo:
+            return [(c, (0, 0)), (b, (lo, hi))]
+        return []
+    mask = (1 << t.width) - 1
+    if op in ("bvadd", "bvsub"):
+        a, b = args
+        if b.op == "const":
+            x, k, const_first = a, b.value, False
+        elif a.op == "const":
+            x, k, const_first = b, a.value, True
+        else:
+            return []
+        xlo, xhi = known(x)
+        if op == "bvadd":
+            return [(x, (lo - k, hi - k))] if xhi + k <= mask else []
+        if const_first:  # k - x
+            return [(x, (k - hi, k - lo))] if xhi <= k else []
+        return [(x, (lo + k, hi + k))] if xlo >= k else []
+    if op == "bvand":
+        return [(x, (lo, mask)) for x in args] if lo else []
+    if op == "bvor":
+        return [(x, (0, hi)) for x in args] if hi < mask else []
+    if op == "concat":
+        high, low = args
+        w = low.width
+        out = [(high, (lo >> w, hi >> w))]
+        if lo >> w == hi >> w:
+            out.append((low, (lo & ((1 << w) - 1), hi & ((1 << w) - 1))))
+        return out
+    if op == "extract":
+        x = args[0]
+        top, bottom = t.value >> 16, t.value & 0xFFFF
+        if top == x.width - 1:
+            return [(x, (lo << bottom, ((hi + 1) << bottom) - 1))]
+    return []

@@ -1,11 +1,10 @@
 """archc-smt: a standalone SMT-LIB2 (QF_BV) solver.
 
 Pipeline: branch-refined interval analysis (decides most BMC unrollings
-word-level) -> a backtrace of the undecided goal to its free constants
-over the interval cache (`intervals.backtrace`), whose candidate is the
-sat answer and its model when it pins every free constant of the goal's
-cone and the goal holds under it -> Tseitin bit-blasting of the goal's
-cone onto a CDCL SAT core. Supports (get-value ...) and (get-model)
+word-level) -> a backtrace of the undecided goal to the free constants it
+forces (`intervals.backtrace`), which answers when the goal reads only
+pinned constants -> Tseitin bit-blasting of the goal's cone onto a CDCL
+SAT core. Supports (get-value ...) and (get-model)
 after a sat answer. Reads a file argument whole, or stdin a command at a time,
 flushing each answer, so that it can serve a program on a pipe. Terms are
 sort-checked as they are read (`terms.OPS`); a command that cannot be
@@ -203,17 +202,17 @@ class Session:
         return self._solve(goal)
 
     def _solve(self, goal: Term) -> str:
-        """Sat with the backtrace's candidate (`intervals.backtrace`) when
-        it pins every free constant of the goal's cone and the goal holds
-        under it; else the SAT step. The candidate is evaluated only when
-        something is pinned, so a goal the backtrace cannot answer costs
-        only the terms its demands reached."""
+        """The backtrace (`intervals.backtrace`) first: its pins hold in
+        every model, so the goal evaluated through them alone answers, sat
+        with them as the model or unsat, as does a conflict. A goal that
+        reads a constant left unpinned goes to the SAT step."""
         pinned = backtrace(self.engine, goal)
         values: dict[Term, int] = {}
-        if pinned and concrete_value(goal, values, pinned.get) == 1:
+        value = pinned and concrete_value(goal, values, pinned.get)
+        if value == 1:
             self.pinned, self._model = pinned, values
             return "sat"
-        return self._sat_step(goal)
+        return "unsat" if pinned is None or value == 0 else self._sat_step(goal)
 
     def _sat_step(self, goal: Term) -> str:
         """The goal's cone bit-blasted and solved by the CDCL core under the
@@ -274,9 +273,11 @@ class ExternalSession(Session):
 
 def concrete_value(t: Term, cache: dict[Term, int], free) -> int | None:
     """Evaluate `t` with every undefined constant `v` at `free(v)`; `cache`
-    maps terms to values already known and keeps those worked out. Bottom
-    up on a stack of its own, so a deep cone never recurses. None as soon
-    as `free` gives None."""
+    maps terms to values already known and keeps those worked out. An
+    `ite` is evaluated through its taken arm only, so a constant that only
+    an arm not taken reads is never asked of `free`. Bottom up on a stack
+    of its own, so a deep cone never recurses. None as soon as `free`
+    gives None."""
     stack = [t]
     while stack:
         x = stack[-1]
@@ -292,12 +293,18 @@ def concrete_value(t: Term, cache: dict[Term, int], free) -> int | None:
                 return None
             cache[x] = v
         else:
-            kids = (x.definition,) if op == "var" else x.args
+            if op == "var":
+                kids = (x.definition,)
+            elif op == "ite":  # the condition first, then the arm it takes
+                c = x.args[0]
+                kids = (x.args[2 - cache[c]],) if c in cache else (c,)
+            else:
+                kids = x.args
             todo = [k for k in kids if k not in cache]
             if todo:
                 stack += todo
                 continue
-            cache[x] = (cache[x.definition] if op == "var"
+            cache[x] = (cache[kids[0]] if op in ("var", "ite")
                         else OPS[op].value(x, [cache[k] for k in x.args]))
         stack.pop()
     return cache[t]

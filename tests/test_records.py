@@ -67,6 +67,20 @@ class TestStartup:
                              env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")))
         assert out.stdout.splitlines() == ["[]", "[]"]
 
+    def test_command_line_and_pipe_modules_load_on_use(self):
+        """Importing the CLI, the simulator and the formal backend loads
+        neither `argparse` (only `cli.main` parses arguments) nor
+        `subprocess` and `select` (only a pipe to an external solver)."""
+        probe = (
+            "import sys\n"
+            "import archc.cli, archc.sim, archc.formal\n"
+            "print(sorted(m for m in ('argparse', 'subprocess', 'select') if m in sys.modules))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             timeout=60, check=True,
+                             env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")))
+        assert out.stdout.splitlines() == ["[]"]
+
 
 class TestAstEquality:
     @pytest.mark.parametrize("cls", LEAF_NODES, ids=lambda c: c.__name__)

@@ -202,11 +202,12 @@ class TestCdclAssumptions:
 
 class TestIncrementalQuestions:
     def test_level0_trail_is_propagated_once(self):
-        """Pinned width-4 `bvadd` questions to one session, each over fresh
-        constants: each unsat answer leaves a learned unit on the level-0
-        trail, and later questions must not propagate that trail again, so
-        a question late in the session costs no more propagation than the
-        same question early on."""
+        """Pinned width-4 `bvadd` questions to one session's SAT step, each
+        over fresh constants: each unsat answer leaves a learned unit on the
+        level-0 trail, and later questions must not propagate that trail
+        again, so a question late in the session costs no more propagation
+        than the same question early on. (`check_assuming` would answer
+        them from the backtrace's pins, so the SAT step is asked directly.)"""
         s = Session()
         tb = s.builder
         per_question = []
@@ -217,7 +218,8 @@ class TestIncrementalQuestions:
                 tb.app("=", [x, tb.const(a, 4)]), tb.app("=", [y, tb.const(b, 4)]),
                 tb.app("distinct", [tb.app("bvadd", [x, y]), tb.const(a + b, 4)])])
             before = s.blaster.sat.propagations if s.blaster else 0
-            assert s.check_assuming(goal) == "unsat"
+            s.range_definitions()
+            assert s._sat_step(goal) == "unsat"
             per_question.append(s.blaster.sat.propagations - before)
         sat = s.blaster.sat
         level0 = sat.trail_lim[0] if sat.trail_lim else len(sat.trail)
@@ -507,16 +509,50 @@ def _random_term(rng, tb, leaves, width, depth):
         return tb.app(op, args, *indices)
 
 
+_COMPARISONS = ["=", "bvult", "bvule", "bvugt", "bvuge"]
+
+
+def _narrowing_term(rng, tb, leaves, width, depth):
+    """A random term of `width` topped by a form the narrowing rules read:
+    an `ite` whose condition conjoins two comparisons of one operand with
+    constants (its then-arm that operand, or it plus a constant), or a
+    `bvadd`/`bvsub` with a constant; a Bool one compares such a term with
+    a constant. The operands come from `_random_term`."""
+    if width == BOOL_SORT:
+        w = rng.choice([1, 3, 5])
+        x, k = _narrowing_term(rng, tb, leaves, w, depth), tb.const(rng.randrange(1 << w), w)
+        return tb.app(rng.choice(_COMPARISONS), [x, k] if rng.random() < 0.5 else [k, x])
+    x = _random_term(rng, tb, leaves, width, depth - 1)
+
+    def const():
+        return tb.const(rng.randrange(1 << width), width)
+
+    def compare():
+        k = const()
+        return tb.app(rng.choice(_COMPARISONS), [x, k] if rng.random() < 0.5 else [k, x])
+
+    shape = rng.randrange(4)
+    if shape == 0:
+        then = x if rng.random() < 0.5 else tb.app("bvadd", [x, const()])
+        other = _random_term(rng, tb, leaves, width, depth - 1)
+        return tb.app("ite", [tb.app("and", [compare(), compare()]), then, other])
+    if shape == 1:
+        return tb.app("bvadd", [x, const()] if rng.random() < 0.5 else [const(), x])
+    return tb.app("bvsub", [x, const()] if shape == 2 else [const(), x])
+
+
 class TestIntervals:
     def test_random_terms_sound_vs_exhaustive(self):
         """Interval evaluation must contain every concrete value of random
-        terms over every operator, checked exhaustively over two 3-bit
-        constants."""
+        terms over every operator, and of terms topped by the forms the
+        narrowing rules read (`_narrowing_term`), checked exhaustively over
+        two 3-bit constants."""
         rng = random.Random(77)
-        for trial in range(150):
+        for trial in range(300):
             tb = TermBuilder()
             x, y = tb.declare("x", 3), tb.declare("y", 3)
-            t = _random_term(rng, tb, [x, y], rng.choice([BOOL_SORT, 1, 3, 5]), 3)
+            make = _random_term if trial % 2 else _narrowing_term
+            t = make(rng, tb, [x, y], rng.choice([BOOL_SORT, 1, 3, 5]), 3)
             lo, hi = IntervalEngine().eval(t)
             for vx in range(8):
                 for vy in range(8):
@@ -535,6 +571,55 @@ class TestIntervals:
         # under a refinement too: a constant is only ever its own value
         t = tb.app("ite", [tb.app("=", [x, five]), tb.app("bvadd", [x, five]), five])
         assert eng.eval(t) == (5, 10)
+
+    def test_narrowings_of_one_operand_meet(self):
+        """Under `x >= 3 and x <= 4` the then-arm `x` is (3, 4), in either
+        order of the conjuncts, so the ite is (3, 7). Conjuncts that cannot
+        meet make the then-arm unreachable."""
+        for swap in (False, True):
+            tb = TermBuilder()
+            x = tb.declare("x", 4)
+            conjuncts = [tb.app("bvuge", [x, tb.const(3, 4)]), tb.app("bvule", [x, tb.const(4, 4)])]
+            if swap:
+                conjuncts.reverse()
+            t = tb.app("ite", [tb.app("and", conjuncts), x, tb.const(7, 4)])
+            assert IntervalEngine().eval(t) == (3, 7), swap
+        never = tb.app("and", [tb.app("bvuge", [x, tb.const(5, 4)]), tb.app("bvule", [x, tb.const(4, 4)])])
+        assert IntervalEngine().eval(tb.app("ite", [never, x, tb.const(7, 4)])) == (7, 7)
+
+    def test_each_rule_narrows(self):
+        """What one demand moves to the terms under it, rule by rule."""
+        tb = TermBuilder()
+        x, y = tb.declare("x", 8), tb.declare("y", 8)
+        p, q = tb.declare("p", 1), tb.declare("q", 1)
+        lo4, hi4 = tb.declare("lo4", 4), tb.declare("hi4", 4)
+
+        def narrowed(t, lo, hi, *terms):
+            out = IntervalEngine().narrow(t, lo, hi)
+            return None if out is None else [out.get(u) for u in terms]
+
+        k = lambda v, w=8: tb.const(v, w)
+        assert narrowed(tb.app("not", [tb.app("bvult", [x, k(9)])]), 1, 1, x) == [(9, 255)]
+        assert narrowed(tb.app("bvugt", [k(9), x]), 1, 1, x) == [(0, 8)]
+        assert narrowed(tb.app("=", [x, k(0)]), 0, 0, x) == [(1, 255)]
+        assert narrowed(tb.app("=", [x, k(5)]), 0, 0, x) == [None]  # not an end
+        assert narrowed(tb.app("or", [tb.app("bvuge", [x, k(9)]), tb.app("=", [y, k(3)])]),
+                        0, 0, x, y) == [(0, 8), None]
+        assert narrowed(tb.app("bvadd", [x, k(10)]), 20, 30, x) == [None]  # x + 10 can wrap
+        wide = tb.app("zero_extend", [lo4], 4)
+        assert narrowed(tb.app("bvsub", [k(100), wide]), 90, 95, wide) == [(5, 10)]
+        assert narrowed(tb.app("bvsub", [wide, k(2)]), 0, 0, wide) == [None]  # can wrap below 0
+        assert narrowed(tb.app("bvnot", [x]), 0, 0, x) == [(255, 255)]
+        assert narrowed(tb.app("bvand", [p, q]), 1, 1, p, q) == [(1, 1), (1, 1)]
+        assert narrowed(tb.app("bvor", [x, y]), 0, 0, x, y) == [(0, 0), (0, 0)]
+        assert narrowed(tb.app("concat", [hi4, lo4]), 0x5A, 0x5A, hi4, lo4) == [(5, 5), (10, 10)]
+        assert narrowed(tb.app("concat", [hi4, lo4]), 0x4E, 0x52, hi4, lo4) == [(4, 5), None]
+        assert narrowed(tb.app("extract", [x], 7, 4), 5, 5, x) == [(0x50, 0x5F)]
+        assert narrowed(tb.app("extract", [x], 3, 0), 6, 6, x) == [None]  # not the top bits
+        ite = tb.app("ite", [tb.app("=", [p, k(1, 1)]), tb.app("bvadd", [wide, k(2)]), k(0)])
+        assert narrowed(ite, 9, 9, p, wide) == [(1, 1), (7, 7)]  # the else-arm cannot be 9
+        assert narrowed(tb.app("and", [tb.app("bvuge", [x, k(5)]), tb.app("bvule", [x, k(4)])]),
+                        1, 1, x) is None
 
 
 class TestIntervalBounds:
@@ -647,9 +732,40 @@ class TestBacktrace:
         assert [row["en"] for row in trace] == [1] * 22 + [0]
         assert [row["count_r"] for row in trace] == list(range(23))
 
-    def test_failing_candidate_goes_to_the_sat_step(self):
-        """The backtrace pins x = 3 and y = 5, and `y < x` fails under
-        them: the answer is the SAT step's unsat, not a sat."""
+    @pytest.mark.parametrize("fname, top, states", [
+        ("fsm_controller.arch", "Controller", ("Idle", "Active", "Done")),
+        ("fsm_reqack.arch", "ReqAck", ("Idle", "Wait", "Reply"))])
+    def test_verify_answers_the_fsms_without_bit_blasting(self, monkeypatch, fname, top, states):
+        """Every state and transition cover of the corpus FSMs is hit
+        within two cycles: the backtrace pins the inputs each hit needs
+        (through `bvand` demanded all-ones, and an `ite` evaluated through
+        its taken arm only), so no BitBlaster is built."""
+        import os
+        from conftest import CORPUS, build_files
+        from archc.formal import verify
+        import archc.smt.solve as solve
+        sessions = []
+
+        class Recorded(solve.Session):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                sessions.append(self)
+
+        monkeypatch.setattr(solve, "Session", Recorded)
+        core = build_files([os.path.join(CORPUS, fname)])[0].cores[top]
+        verdict = verify(core, 10, "builtin")
+        first, second, third = states
+        assert {r.name: (r.status, r.cycle) for r in verdict.results} == {
+            "_auto_legal_state": ("PROVED", None),
+            f"_auto_state_{first}": ("HIT", 0), f"_auto_state_{second}": ("HIT", 1),
+            f"_auto_state_{third}": ("HIT", 2), f"_auto_trans_{first}_{second}": ("HIT", 0),
+            f"_auto_trans_{second}_{third}": ("HIT", 1), f"_auto_trans_{third}_{first}": ("HIT", 2)}
+        [session] = sessions
+        assert session.blaster is None
+
+    def test_candidate_that_fails_under_its_pins_is_unsat(self):
+        """The backtrace pins x = 3 and y = 5, every model has those
+        values, and `y < x` fails under them: unsat, with no SAT step."""
         from archc.smt.intervals import backtrace
         s = Session()
         tb = s.builder
@@ -660,7 +776,35 @@ class TestBacktrace:
         assert s.engine.eval(goal) == (0, 1)
         assert backtrace(s.engine, goal) == {x: 3, y: 5}
         assert s.check_assuming(goal) == "unsat"
-        assert s.blaster is not None
+        assert s.blaster is None
+
+    def test_candidate_that_reads_an_unpinned_constant_goes_to_the_sat_step(self):
+        """x = 3 is pinned but y is not, and `y < x` reads y: the
+        candidate decides nothing, and the SAT step answers."""
+        from archc.smt.intervals import backtrace
+        s = Session()
+        tb = s.builder
+        x, y = tb.declare("x", 4), tb.declare("y", 4)
+        goal = tb.app("and", [tb.app("=", [x, tb.const(3, 4)]), tb.app("bvult", [y, x])])
+        s.range_definitions()
+        assert backtrace(s.engine, goal) == {x: 3}
+        assert s.check_assuming(goal) == "sat"
+        assert s.blaster is not None and s.model_value(y) < 3
+
+    def test_demands_that_do_not_meet_are_unsat(self):
+        """x >= 5 and x <= 4 cannot meet: the backtrace finds the conflict
+        (None) and the answer is unsat with no SAT step."""
+        from archc.smt.intervals import backtrace
+        s = Session()
+        tb = s.builder
+        x = tb.declare("x", 4)
+        goal = tb.app("and", [tb.app("bvuge", [x, tb.const(5, 4)]),
+                              tb.app("bvule", [x, tb.const(4, 4)])])
+        s.range_definitions()
+        assert s.engine.eval(goal) == (0, 1)
+        assert backtrace(s.engine, goal) is None
+        assert s.check_assuming(goal) == "unsat"
+        assert s.blaster is None
 
     def test_candidate_is_the_model_of_get_value(self):
         """Through the SMT-LIB text: the demand moves through a defined
@@ -694,19 +838,21 @@ class TestBacktrace:
 
     def test_pinned_random_goals_agree_with_enumeration(self):
         """Goals `x = a and y = b and p` for random Bool terms `p` over
-        two free 3-bit constants and one defined from them: the backtrace
-        pins x and y, and the answer is sat exactly when p holds at (a, b),
-        from the candidate or else from the SAT step."""
+        two free 3-bit constants and one defined from them, every other one
+        topped by the forms the narrowing rules read (`_narrowing_term`):
+        the backtrace pins x and y, so the candidate decides every goal
+        without the SAT step, sat exactly when p holds at (a, b)."""
         rng = random.Random(20)
-        by_backtrace = by_sat_step = 0
+        by_backtrace = unsat = 0
         for _ in range(12):
             s = Session()
             tb = s.builder
             x, y = tb.declare("x", 3), tb.declare("y", 3)
             z = tb.define("z", 3, _random_term(rng, tb, [x, y], 3, 2))
-            for _ in range(15):
+            for i in range(15):
                 a, b = rng.randrange(8), rng.randrange(8)
-                p = _random_term(rng, tb, [x, y, z], BOOL_SORT, 3)
+                make = _random_term if i % 2 else _narrowing_term
+                p = make(rng, tb, [x, y, z], BOOL_SORT, 3)
                 goal = tb.app("and", [tb.app("=", [x, tb.const(a, 3)]),
                                       tb.app("=", [y, tb.const(b, 3)]), p])
                 want = concrete_value(p, {x: a, y: b}, None)
@@ -715,8 +861,9 @@ class TestBacktrace:
                     assert (s.model_value(x), s.model_value(y), s.model_value(goal)) == (a, b, 1)
                     by_backtrace += bool(s.pinned)
                 else:
-                    by_sat_step += 1
-        assert by_backtrace >= 40 and by_sat_step >= 40
+                    unsat += 1
+            assert s.blaster is None
+        assert by_backtrace >= 40 and unsat >= 40
 
 
 class TestCheckSatAssuming:
