@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, --json, diagnostics rendering."""
 
+import hashlib
 import io
 import json
 import os
@@ -246,3 +247,37 @@ class TestFormal:
         rc, out = run_cli("formal", corpus_path("counter_cover8.arch"),
                           "--bound", "5", "--solver", "builtin")
         assert rc == 1 and "NOT-REACHED" in out
+
+
+def _tables(out, head):
+    """The trace tables of `out` whose first line starts with `head`,
+    each with its indented rows."""
+    lines, taking = [], False
+    for line in out.splitlines():
+        if line.startswith(head):
+            taking = True
+        elif not line.startswith("  "):
+            taking = False
+        if taking:
+            lines.append(line)
+    return lines
+
+
+# The counterexample tables `archc formal` prints for every core in formal
+# scope of the corpus at bounds 5, 12 and 20.
+REFUTED_TABLES_SHA256 = "f462c822c95c708eaaaf4c70a3142d11336e603b56eb67f2a32b23b90326707c"
+
+
+class TestFormalTables:
+    def test_refuted_tables_match_golden_digest(self):
+        from test_formal_golden import _formal_cores
+        lines = []
+        for fname, name, _core in _formal_cores():
+            for bound in ("5", "12", "20"):
+                _, out = run_cli("formal", corpus_path(fname), "--top", name,
+                                 "--bound", bound, "--solver", "builtin")
+                lines.append(f"{fname} {name} {bound}")
+                lines += _tables(out, "counterexample for ")
+        text = "\n".join(lines) + "\n"
+        assert text.count("counterexample for ") == 4
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REFUTED_TABLES_SHA256

@@ -154,3 +154,74 @@ end module Shr
         text = emit_module(design.cores["Shr"])
         assert "y = s >>> 8'(n);" in text
         assert "z = u >> 8'(n);" in text
+
+
+# Every Arch operator on UInt and SInt operands (Bool for the logical
+# ones): the wrapping ops at mixed widths, shifts by a constant and by a
+# net, `/` and `%` (with their generated asserts), every comparison and
+# `implies`.
+OPERATORS_ARCH = """\
+module Operators
+  port clk: in Clock<D>;
+  port rst: in Reset<Sync>;
+  port a: in UInt<8>;
+  port b: in UInt<8>;
+  port c: in UInt<4>;
+  port s: in SInt<8>;
+  port t: in SInt<8>;
+  port r: in SInt<4>;
+  port p: in Bool;
+  port q: in Bool;
+  port u_arith: out UInt<8>;
+  port s_arith: out SInt<8>;
+  port u_wrap: out UInt<8>;
+  port s_wrap: out SInt<8>;
+  port u_div: out UInt<8>;
+  port s_div: out SInt<8>;
+  port u_shift: out UInt<8>;
+  port s_shift: out SInt<8>;
+  port u_bits: out UInt<8>;
+  port s_bits: out SInt<8>;
+  port u_cmp: out Bool;
+  port s_cmp: out Bool;
+  port logic: out Bool;
+  reg acc: UInt<8> reset rst => 0;
+  reg sacc: SInt<8> reset rst => -1;
+  seq on clk rising
+    acc <= acc +% (a *% c);
+    sacc <= (sacc -% r) >> 1;
+  end seq
+  comb u_arith = (a + b) - (a * b) - ~a;
+  comb s_arith = (s + t) - (s * t) + -s - ~t;
+  comb u_wrap = (a +% c) -% (c *% b);
+  comb s_wrap = (s +% r) -% (r *% t);
+  comb u_div = a / b + a % (b | 1);
+  comb s_div = s / t - s % (t | 1);
+  comb u_shift = (a << 3) + (a >> 2) + (b << a) + (b >> a);
+  comb s_shift = (s << 3) + (s >> 2) + (t << a) + (t >> a);
+  comb u_bits = (a & b) | (a ^ b);
+  comb s_bits = (s & t) | (s ^ t);
+  comb u_cmp = a == b || a != b && a < b || a <= b && a > b || a >= b;
+  comb s_cmp = s == t || s != t && s < t || s <= t && s > t || s >= t;
+  comb logic = !p implies (p && q || q);
+  assert order: (a < b) implies (a != b);
+  cover wide: s_cmp && logic;
+end module Operators
+"""
+
+# The SV of every core of every clean corpus design, then of OPERATORS_ARCH,
+# hashed in `archc build` order: any byte of any emitted file changes it.
+SV_SHA256 = "83fa87d21b716743e81f27c284bafc71b0d28f9a636c6ff3110bfd5b4ebcd746"
+
+
+def test_sv_bytes_match_golden_digest():
+    digest = hashlib.sha256()
+    designs = [build_files([corpus_path(fname)])[0] for fname, *_ in CLEAN_CORPUS]
+    designs.append(build_text(OPERATORS_ARCH)[0])
+    files = 0
+    for design in designs:
+        for key in design.order:
+            digest.update(emit_module(design.cores[key]).encode("utf-8"))
+            files += 1
+    assert files == 30
+    assert digest.hexdigest() == SV_SHA256
