@@ -1,8 +1,9 @@
 """Compile-time constant evaluation.
 
-Signed 64-bit arithmetic: any intermediate outside [-2^63, 2^63) is
-E_CONST_OVERFLOW. Division and modulo truncate toward zero (matching the
-simulator and the SMT encoding); a constant zero divisor is E_CONST_DIV0.
+Signed 64-bit arithmetic on the values of `ops.py`: any intermediate
+outside [-2^63, 2^63) is E_CONST_OVERFLOW, as is a shift amount outside
+0..63, and a constant zero divisor is E_CONST_DIV0. The rhs of `&&`, `||`
+and `implies` is evaluated only where the lhs leaves the result open.
 
 `const_value_of` gives a register's reset value, as the simulator and the
 BMC unrolling both start from it.
@@ -14,6 +15,7 @@ from .ast_nodes import (
     Binary, BoolLit, EnumRef, Expr, IfExpr, IntLit, NameRef, Ternary, Unary,
 )
 from .diagnostics import CompileError, err
+from .ops import BINARY, UNARY
 from .types import SInt, Type, Vec
 
 I64_MIN = -(1 << 63)
@@ -26,18 +28,6 @@ def _check64(value: int, expr: Expr) -> int:
                                "constant expression overflows signed 64-bit range",
                                expr.span))
     return value
-
-
-def div_trunc(a: int, b: int) -> int:
-    """C-style truncating division (rounds toward zero)."""
-    q = abs(a) // abs(b)
-    return -q if (a < 0) != (b < 0) else q
-
-
-def rem_trunc(a: int, b: int) -> int:
-    """C-style remainder: sign follows the dividend."""
-    r = abs(a) % abs(b)
-    return -r if a < 0 else r
 
 
 def eval_const(expr: Expr, env: dict[str, int]) -> int:
@@ -56,66 +46,22 @@ def eval_const(expr: Expr, env: dict[str, int]) -> int:
                                    f"`{expr.name}` is a type param, not a const", expr.span))
         return value
     if isinstance(expr, Unary):
-        v = eval_const(expr.operand, env)
-        if expr.op == "-":
-            return _check64(-v, expr)
-        if expr.op == "~":
-            return _check64(~v, expr)
-        if expr.op == "!":
-            return 0 if v else 1
+        return _check64(UNARY[expr.op].value(eval_const(expr.operand, env)), expr)
     if isinstance(expr, (Ternary, IfExpr)):
         cond = eval_const(expr.cond, env)
         return eval_const(expr.then if cond else expr.els, env)
     if isinstance(expr, Binary):
-        if expr.op in ("&&", "||", "implies"):
-            a = eval_const(expr.lhs, env)
-            if expr.op == "&&":
-                return 1 if (a and eval_const(expr.rhs, env)) else 0
-            if expr.op == "||":
-                return 1 if (a or eval_const(expr.rhs, env)) else 0
-            return 1 if (not a or eval_const(expr.rhs, env)) else 0
+        row = BINARY[expr.op]
         a = eval_const(expr.lhs, env)
+        if row.group == "logic" and row.value(a, 0) == row.value(a, 1):
+            return row.value(a, 0)  # the lhs decides; the rhs is not evaluated
         b = eval_const(expr.rhs, env)
-        op = expr.op
-        if op in ("+", "+%"):
-            return _check64(a + b, expr)
-        if op in ("-", "-%"):
-            return _check64(a - b, expr)
-        if op in ("*", "*%"):
-            return _check64(a * b, expr)
-        if op in ("/", "%"):
-            if b == 0:
-                raise CompileError(err("E_CONST_DIV0",
-                                       "constant division by zero", expr.span))
-            return _check64(div_trunc(a, b) if op == "/" else rem_trunc(a, b), expr)
-        if op == "<<":
-            if b < 0 or b > 63:
-                raise CompileError(err("E_CONST_OVERFLOW",
-                                       f"shift amount {b} out of range 0..63", expr.span))
-            return _check64(a << b, expr)
-        if op == ">>":
-            if b < 0 or b > 63:
-                raise CompileError(err("E_CONST_OVERFLOW",
-                                       f"shift amount {b} out of range 0..63", expr.span))
-            return a >> b
-        if op == "&":
-            return a & b
-        if op == "|":
-            return a | b
-        if op == "^":
-            return a ^ b
-        if op == "==":
-            return 1 if a == b else 0
-        if op == "!=":
-            return 1 if a != b else 0
-        if op == "<":
-            return 1 if a < b else 0
-        if op == "<=":
-            return 1 if a <= b else 0
-        if op == ">":
-            return 1 if a > b else 0
-        if op == ">=":
-            return 1 if a >= b else 0
+        if row.group == "div" and b == 0:
+            raise CompileError(err("E_CONST_DIV0", "constant division by zero", expr.span))
+        if row.group == "shift" and (b < 0 or b > 63):
+            raise CompileError(err("E_CONST_OVERFLOW",
+                                   f"shift amount {b} out of range 0..63", expr.span))
+        return _check64(row.value(a, b), expr)
     raise CompileError(err("E_NONCONST_GENERATE",
                            "expression is not a compile-time constant", expr.span))
 

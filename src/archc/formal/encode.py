@@ -40,6 +40,7 @@ from ..ast_nodes import (
 )
 from ..consteval import const_value_of
 from ..ir import CoreModule, CoreProperty, VecStore, runtime_checks
+from ..ops import BINARY, BOOL_GROUPS, UNARY
 from ..source import Span
 from ..types import EnumType, Reset, SInt, Vec, width_of
 
@@ -83,15 +84,6 @@ def formal_scope_check(core: CoreModule) -> None:
 
 def inactive_level(ty: Reset) -> int:
     return 0 if ty.polarity == "High" else 1
-
-
-_CMP = {"<": ("bvult", "bvslt"), "<=": ("bvule", "bvsle"),
-        ">": ("bvugt", "bvsgt"), ">=": ("bvuge", "bvsge")}
-_ARITH = {"+": "bvadd", "-": "bvsub", "*": "bvmul", "<<": "bvshl",
-          "&": "bvand", "|": "bvor", "^": "bvxor",
-          "+%": "bvadd", "-%": "bvsub", "*%": "bvmul"}
-_SIGNED = {"/": ("bvudiv", "bvsdiv"), "%": ("bvurem", "bvsrem"),
-           ">>": ("bvlshr", "bvashr")}
 
 
 def _fixed(t: Term) -> Build:
@@ -294,7 +286,7 @@ class Unrolling:
         if isinstance(e, TodoExpr):
             raise FormalUnsupported("todo! in formal scope")
         if isinstance(e, Unary):
-            return _op1(app, "bvneg" if e.op == "-" else "bvnot", self._word(e.operand))
+            return _op1(app, _bitwise(UNARY[e.op].smt[0]), self._word(e.operand))
         if isinstance(e, Binary):
             return self._binary(e)
         if isinstance(e, (Ternary, IfExpr)):
@@ -332,18 +324,14 @@ class Unrolling:
         word-level so the solver's branch refinement can see them)."""
         app = self.tb.app
         if isinstance(e, Binary):
-            op = e.op
-            if op in ("==", "!="):
-                eq = _op2(app, "=", self._word(e.lhs), self._word(e.rhs))
-                return eq if op == "==" else _op1(app, "not", eq)
-            if op in _CMP:
-                name = _CMP[op][isinstance(e.lhs.ty, SInt)]
+            row = BINARY[e.op]
+            if row.group == "logic":
+                return _op2(app, row.smt[0], self._bool(e.lhs), self._bool(e.rhs))
+            if row.group in BOOL_GROUPS:
+                name = row.smt[isinstance(e.lhs.ty, SInt)]
                 return _op2(app, name, self._word(e.lhs), self._word(e.rhs))
-            if op in ("&&", "||", "implies"):
-                name = {"&&": "and", "||": "or", "implies": "=>"}[op]
-                return _op2(app, name, self._bool(e.lhs), self._bool(e.rhs))
         if isinstance(e, Unary) and e.op == "!":
-            return _op1(app, "not", self._bool(e.operand))
+            return _op1(app, UNARY["!"].smt[0], self._bool(e.operand))
         if isinstance(e, BoolLit):
             return _fixed(self.bools[e.value])
         word, one = self._word(e), self._const(1, 1)
@@ -351,18 +339,17 @@ class Unrolling:
 
     def _binary(self, e: Binary) -> Build:
         app = self.tb.app
-        op = e.op
-        if op in ("==", "!=") or op in _CMP:
+        row = BINARY[e.op]
+        if row.group in BOOL_GROUPS and row.group != "logic":
             cond, one, zero = self._bool(e), self._const(1, 1), self._const(0, 1)
             return lambda f: app("ite", [cond(f), one, zero])
         a, b = self._word(e.lhs), self._word(e.rhs)
-        if op == "&&":
-            return _op2(app, "bvand", a, b)
-        if op == "||":
-            return _op2(app, "bvor", a, b)
-        if op == "implies":
-            return _op2(app, "bvor", _op1(app, "bvnot", a), b)
-        if op in ("+%", "-%", "*%"):
+        name = row.smt[isinstance(e.lhs.ty, SInt)]
+        if row.group == "logic":  # a Bool as a 1-bit word
+            if e.op == "implies":
+                return _op2(app, "bvor", _op1(app, "bvnot", a), b)
+            name = _bitwise(name)
+        elif row.group == "wrap":
             w = width_of(e.ty)
             ext = "sign_extend" if isinstance(e.ty, SInt) else "zero_extend"
             lw, rw = width_of(e.lhs.ty), width_of(e.rhs.ty)
@@ -370,9 +357,13 @@ class Unrolling:
                 a = _op1(app, ext, a, w - lw)
             if rw < w:
                 b = _op1(app, ext, b, w - rw)
-        if op in _SIGNED:
-            return _op2(app, _SIGNED[op][isinstance(e.lhs.ty, SInt)], a, b)
-        return _op2(app, _ARITH[op], a, b)
+        return _op2(app, name, a, b)
+
+
+def _bitwise(op: str) -> str:
+    """The QF_BV operator that computes the Bool operator `op` on 1-bit
+    words: `bvand`, `bvor` or `bvnot`; a bit-vector operator is itself."""
+    return op if op.startswith("bv") else "bv" + op
 
 
 def encode_bmc(core: CoreModule, bound: int) -> str:

@@ -21,6 +21,7 @@ from .ast_nodes import (
 )
 from .diagnostics import CompileError, Note, err
 from .lexer import lex
+from .ops import BINARY, UNARY
 from .source import SourceFile, Span
 from .tokens import CONSTRUCT_KEYWORDS, TK, Token
 
@@ -40,23 +41,11 @@ _CONSTRUCT_END = {
     "pipeline": TK.END_PIPELINE,
 }
 
-# binary precedence levels, loosest first; each entry is left-associative
-_BIN_LEVELS: list[dict[TK, str]] = [
-    {TK.PIPEPIPE: "||"},
-    {TK.AMPAMP: "&&"},
-    {TK.PIPE: "|", TK.CARET: "^", TK.AMP: "&"},
-    {TK.EQ: "==", TK.NE: "!="},
-    {TK.LT: "<", TK.LE: "<=", TK.GT: ">", TK.GE: ">="},
-    {TK.SHL: "<<", TK.SHR: ">>"},
-    {TK.PLUS: "+", TK.MINUS: "-", TK.PLUS_WRAP: "+%", TK.MINUS_WRAP: "-%"},
-    {TK.STAR: "*", TK.SLASH: "/", TK.PERCENT: "%", TK.STAR_WRAP: "*%"},
-]
-_RELATIONAL_LEVEL = 4
-_IMPLIES_LEVEL = -1  # right-associative, looser than every level above
-_BIN_OPS: dict[TK, tuple[int, str]] = {
-    tk: (level, op) for level, ops in enumerate(_BIN_LEVELS) for tk, op in ops.items()}
-_BIN_OPS[TK.KW_IMPLIES] = (_IMPLIES_LEVEL, "implies")
-_UNARY_OPS = (TK.TILDE, TK.BANG, TK.MINUS)
+# binary operators by token: (precedence level, operator), see ops.py
+_BIN_OPS: dict[TK, tuple[int, str]] = {row.token: (row.level, op) for op, row in BINARY.items()}
+_RELATIONAL_LEVEL = BINARY["<"].level
+_IMPLIES_LEVEL = BINARY["implies"].level  # right-associative, looser than every other
+_UNARY_OPS = tuple(row.token for row in UNARY.values())
 
 # An expression nested deeper than this is refused with E_TOO_DEEP. Each
 # operator, conversion, index, slice, member access, if-expression and
@@ -672,8 +661,9 @@ class Parser:
         return cond, depth
 
     def _parse_binary(self, if_ok: bool, targ: bool) -> tuple[Expr, int]:
-        """Operator precedence over _BIN_LEVELS, with right-associative
-        `implies` below them all, on an explicit operand stack."""
+        """Operator precedence over the levels of `ops.BINARY`, with
+        right-associative `implies` below them all, on an explicit operand
+        stack."""
         operands = [self._parse_unary(if_ok, targ)]
         pending: list[tuple[int, str]] = []  # (level, op), levels increasing
         while True:

@@ -21,8 +21,9 @@ from ..ast_nodes import (
     EXPR_CHILDREN, Binary, BoolLit, Convert, EnumRef, Expr, IfExpr, Index, IntLit, NameRef,
     Slice, Ternary, TodoExpr, Unary,
 )
-from ..consteval import const_value_of, div_trunc, rem_trunc, wrap_signed, zero_of
+from ..consteval import const_value_of, wrap_signed, zero_of
 from ..ir import CoreModule, VecStore, build_comb_graph
+from ..ops import BINARY, BOOL_GROUPS, UNARY
 from ..source import Span
 from ..types import Clock, SInt, Type, Vec, width_of
 
@@ -153,19 +154,15 @@ class ExprCompiler:
         if depth >= SPLIT_DEPTH:
             return self.value(e, depth)
         if isinstance(e, Binary):
-            op = e.op
-            if op in ("&&", "||", "implies"):
+            row = BINARY[e.op]
+            if row.group == "logic":
                 a = self.cond(e.lhs, depth + 1)
-                b = self.cond(e.rhs, depth + 1)
-                if op == "&&":
-                    return f"({a} and {b})"
-                if op == "||":
-                    return f"({a} or {b})"
-                return f"(not {a} or {b})"
-            if op in ("==", "!=", "<", "<=", ">", ">="):
-                return f"({self.value(e.lhs, depth + 1)} {op} {self.value(e.rhs, depth + 1)})"
+                return "(" + row.py.format(a=a, b=self.cond(e.rhs, depth + 1)) + ")"
+            if row.group in BOOL_GROUPS:
+                a = self.value(e.lhs, depth + 1)
+                return "(" + row.py.format(a=a, b=self.value(e.rhs, depth + 1)) + ")"
         if isinstance(e, Unary) and e.op == "!":
-            return f"(not {self.cond(e.operand, depth + 1)})"
+            return "(" + UNARY["!"].py.format(a=self.cond(e.operand, depth + 1)) + ")"
         return self.value(e, depth)
 
     def value(self, e: Expr, depth: int = 0) -> str:
@@ -196,13 +193,8 @@ class ExprCompiler:
             w = width_of(ty)
             if e.op == "!":
                 return f"({a} & 1 ^ 1)"
-            if e.op == "~":
-                if isinstance(ty, SInt):
-                    return _wrap(f"~{a}", w)
-                return f"(~{a} & {mask_of(w)})"
-            if e.op == "-":
-                return _wrap(f"-{a}", w)
-            raise AssertionError(e.op)
+            text = UNARY[e.op].py.format(a=a)
+            return _wrap(text, w) if isinstance(ty, SInt) else f"({text} & {mask_of(w)})"
         if isinstance(e, Binary):
             return self._binary(e, d)
         if isinstance(e, (Ternary, IfExpr)):
@@ -265,54 +257,51 @@ class ExprCompiler:
 
     def _binary(self, e: Binary, d: int) -> str:
         op = e.op
-        if op in ("&&", "||", "implies", "==", "!=", "<", "<=", ">", ">="):
+        row = BINARY[op]
+        group = row.group
+        if group in BOOL_GROUPS:
             return f"(1 if {self.cond(e, d - 1)} else 0)"
         ty = e.ty
         w = width_of(ty)
         signed = isinstance(ty, SInt)
         m = mask_of(w)
-        if op in ("/", "%"):
+        if group == "div":
             # the divisor is evaluated (and checked) before the dividend
             t = self._temp()
             abort = self._abort("DIV_BY_ZERO", e.span,
                                 f"division by zero at {e.span.point()}")
             b = self.value(e.rhs, d)
             a = self.value(e.lhs, d)
-            if signed:
-                fn = self.b.bind(div_trunc if op == "/" else rem_trunc, "_f")
-                res = _wrap(f"{fn}({a}, {t})", w)
+            if signed:  # truncating, as Python's `//` and `%` are not
+                res = _wrap(f"{self.b.bind(row.value, '_f')}({a}, {t})", w)
             else:
-                res = f"{a} {'//' if op == '/' else '%'} {t}"
+                res = row.py.format(a=a, b=t)
             return f"({abort}() if ({t} := {b}) == 0 else {res})"
         if op == ">>" and not signed:
             # the shift amount is evaluated before the shifted value
             if isinstance(e.rhs, IntLit):
                 c = e.rhs.value
-                return f"({self.value(e.lhs, d)} >> {c})" if c < w else "0"
+                return "(" + row.py.format(a=self.value(e.lhs, d), b=c) + ")" if c < w else "0"
             t = self._temp()
             b = self.value(e.rhs, d)
-            return f"({self.value(e.lhs, d)} >> {t} if ({t} := {b}) < {w} else 0)"
+            return f"({row.py.format(a=self.value(e.lhs, d), b=t)} if ({t} := {b}) < {w} else 0)"
         a = self.value(e.lhs, d)
-        if op in ("<<", ">>"):
+        if group == "shift":
             if isinstance(e.rhs, IntLit):
                 amount = str(min(e.rhs.value, w))
             else:
                 t = self._temp()
                 amount = f"({t} if ({t} := {self.value(e.rhs, d)}) < {w} else {w})"
+            text = row.py.format(a=a, b=amount)
             if op == ">>":
-                return f"({a} >> {amount})"
-            return _wrap(f"({a} << {amount})", w) if signed else f"({a} << {amount} & {m})"
-        b = self.value(e.rhs, d)
-        if op in ("+", "+%", "-", "-%", "*", "*%"):
-            text = f"{a} {op[0]} {b}"
-            return _wrap(text, w) if signed else f"({text} & {m})"
-        if op in ("&", "|", "^"):
+                return f"({text})"
+            return _wrap(f"({text})", w) if signed else f"({text} & {m})"
+        text = row.py.format(a=a, b=self.value(e.rhs, d))
+        if group == "bitwise":
             if signed:
-                return _wrap(f"({a} {op} {b})", w)
-            if op == "^":
-                return f"(({a} ^ {b}) & {m})"
-            return f"({a} {op} {b})"
-        raise AssertionError(op)
+                return _wrap(f"({text})", w)
+            return f"(({text}) & {m})" if op == "^" else f"({text})"
+        return _wrap(text, w) if signed else f"({text} & {m})"
 
 
 def _wrap(text: str, w: int) -> str:

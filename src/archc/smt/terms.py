@@ -224,7 +224,7 @@ class TermBuilder:
             if simp is not None:
                 return simp
         elif op == "distinct":
-            return Term("not", BOOL_SORT, (Term("=", BOOL_SORT, tuple(args)),))
+            return Term("not", BOOL_SORT, (self.app("=", args),))
         elif op == "extract":
             return Term(op, width, tuple(args), value=(indices[0] << 16) | indices[1])
         return Term(op, width, tuple(args))

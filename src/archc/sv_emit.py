@@ -13,6 +13,7 @@ from .ast_nodes import (
     SAssign, SIf, SMatch, Slice, Stmt, Ternary, TodoExpr, Unary,
 )
 from .ir import CoreModule, CoreReg, CoreSeqBlock
+from .ops import BINARY, UNARY
 from .types import Bit, Bool, Clock, EnumType, Reset, SInt, Type, UInt, Vec
 
 SV_KEYWORDS = frozenset("""
@@ -41,16 +42,7 @@ var vectored virtual void wait wait_order wand weak0 weak1 while wildcard wire
 with within wor xnor xor
 """.split())
 
-_PREC = {
-    "?:": 1, "implies": 2, "||": 3, "&&": 4,
-    "|": 5, "^": 6, "&": 7,
-    "==": 8, "!=": 8,
-    "<": 9, "<=": 9, ">": 9, ">=": 9,
-    "<<": 10, ">>": 10,
-    "+": 11, "-": 11,
-    "*": 12, "/": 12, "%": 12,
-}
-_UNARY = 13
+_UNARY = UNARY["!"].sv_prec  # SV's precedence of the prefix operators
 
 
 class SvNamer:
@@ -151,18 +143,18 @@ class Emitter:
         if isinstance(e, TodoExpr):
             raise AssertionError("todo! reached SV emission; build refuses earlier")
         if isinstance(e, Unary):
-            return f"{e.op}{self.expr(e.operand, _UNARY)}", _UNARY
+            row = UNARY[e.op]
+            return f"{row.sv[0]}{self.expr(e.operand, row.sv_prec)}", row.sv_prec
         if isinstance(e, Binary):
-            if e.op == "implies":
-                return f"(!{self.expr(e.lhs, _UNARY)} || {self.expr(e.rhs, 3)})", 99
-            if e.op in ("+%", "-%", "*%"):
-                w = e.ty.width
-                inner = f"{self.expr(e.lhs, 11)} {e.op[0]} {self.expr(e.rhs, 12)}"
-                return f"{w}'({inner})", 99
-            p = _PREC[e.op]
-            # Arch's `>>` on SInt is arithmetic; SV's `>>` is always logical
-            op = ">>>" if e.op == ">>" and isinstance(e.lhs.ty, SInt) else e.op
-            return f"{self.expr(e.lhs, p)} {op} {self.expr(e.rhs, p + 1)}", p
+            row = BINARY[e.op]
+            p = row.sv_prec
+            op = row.sv[isinstance(e.lhs.ty, SInt)]
+            if e.op == "implies":  # `(!a || b)`
+                return f"(!{self.expr(e.lhs, _UNARY)} {op} {self.expr(e.rhs, p)})", 99
+            text = f"{self.expr(e.lhs, p)} {op} {self.expr(e.rhs, p + 1)}"
+            if row.group == "wrap":  # modulo the result width
+                return f"{e.ty.width}'({text})", 99
+            return text, p
         if isinstance(e, (Ternary, IfExpr)):
             return (f"{self.expr(e.cond, 2)} ? {self.expr(e.then, 2)} : "
                     f"{self.expr(e.els, 1)}"), 1

@@ -21,6 +21,7 @@ from .elaborate import ElabConstruct
 from .ir import (
     CombGraph, CoreModule, Unassigned, build_comb_graph, const_int, expr_reads, muxify,
 )
+from .ops import BINARY, BOOL_GROUPS
 from .source import Span
 from .types import (
     BIT, BOOL, Bit, Bool, Clock, EnumType, Reset, SInt, Type, UInt, Vec,
@@ -114,8 +115,7 @@ class Ctx:
             return self.is_poly(e.operand)
         if isinstance(e, (Ternary, IfExpr)):
             return self.is_poly(e.then) and self.is_poly(e.els)
-        if isinstance(e, Binary) and e.op in ("+", "-", "*", "/", "%", "+%", "-%",
-                                              "*%", "&", "|", "^", "<<", ">>"):
+        if isinstance(e, Binary) and BINARY[e.op].group not in BOOL_GROUPS:
             return self.is_poly(e.lhs) and self.is_poly(e.rhs)
         return False
 
@@ -304,34 +304,27 @@ class Ctx:
             return self._check_expected(new, ty, expected)
         raise AssertionError(e.op)
 
-    _ARITH = ("+", "-", "*", "/", "%")
-    _WRAP = ("+%", "-%", "*%")
-    _SHIFT = ("<<", ">>")
-    _BITWISE = ("&", "|", "^")
-    _EQ = ("==", "!=")
-    _REL = ("<", "<=", ">", ">=")
-    _LOGIC = ("&&", "||", "implies")
-
     def _infer_binary(self, e: Binary, expected: Type | None) -> tuple[Expr, Type]:
         op = e.op
-        if op in self._LOGIC:
+        group = BINARY[op].group
+        if group == "logic":
             lhs, _ = self.infer(e.lhs, BOOL)
             rhs, _ = self.infer(e.rhs, BOOL)
             return self._check_expected(Binary(e.span, op, lhs, rhs), BOOL, expected)
 
-        if op in self._EQ or op in self._REL:
+        if group == "eq" or group == "rel":
             lhs, rhs, ty = self._unify_operands(e, expected=None)
             if isinstance(ty, ErrorTy):
                 return self._type_err_silent(e.span)
-            if op in self._REL and not isinstance(ty, (UInt, SInt, Bool, Bit)):
+            if group == "rel" and not isinstance(ty, (UInt, SInt, Bool, Bit)):
                 return self._type_err("E_WIDTH_MISMATCH",
                                       f"`{op}` needs integer operands, found {ty}", e.span)
-            if op in self._EQ and isinstance(ty, Vec):
+            if group == "eq" and isinstance(ty, Vec):
                 return self._type_err("E_WIDTH_MISMATCH",
                                       "Vec values cannot be compared directly", e.span)
             return self._check_expected(Binary(e.span, op, lhs, rhs), BOOL, expected)
 
-        if op in self._WRAP:
+        if group == "wrap":
             lhs, lty = self.infer(e.lhs, None) if not self.is_poly(e.lhs) else (None, None)
             rhs, rty = self.infer(e.rhs, None) if not self.is_poly(e.rhs) else (None, None)
             if lty is None and rty is None:
@@ -361,7 +354,7 @@ class Ctx:
             ty = SInt(w) if is_signed(lty) else UInt(w)
             return self._check_expected(Binary(e.span, op, lhs, rhs), ty, expected)
 
-        if op in self._SHIFT:
+        if group == "shift":
             # non-widening: equal widths, but the amount is always unsigned
             if self.is_poly(e.lhs):
                 if expected is not None and isinstance(expected, (UInt, SInt, Bool)):
@@ -399,11 +392,11 @@ class Ctx:
             new = Binary(e.span, op, lhs, rhs)
             return self._check_expected(new, lty, expected)
 
-        if op in self._ARITH or op in self._BITWISE:
+        if group == "arith" or group == "div" or group == "bitwise":
             lhs, rhs, ty = self._unify_operands(e, expected)
             if isinstance(ty, ErrorTy):
                 return self._type_err_silent(e.span)
-            if op in self._ARITH:
+            if group != "bitwise":
                 if isinstance(ty, (Bit,)):
                     return self._type_err("E_WIDTH_MISMATCH",
                                           f"`{op}` is not defined on Bit (logic ops only)",

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import build_text
 
-from archc.consteval import div_trunc, rem_trunc
 from archc.lexer import lex
+from archc.ops import div_trunc, rem_trunc
 from archc.parser import parse_source
 from archc.printer import pretty_print
 from archc.sim.image import wrap_signed

@@ -155,6 +155,24 @@ end module Shr
         assert "y = s >>> 8'(n);" in text
         assert "z = u >> 8'(n);" in text
 
+    def test_wrapping_multiply_keeps_its_precedence(self):
+        """`*%` binds as `*` does: a sum on its left and a quotient on its
+        right keep their parentheses inside the size cast."""
+        design, _ = build_text("""\
+module MulWrap
+  port a: in UInt<8>;
+  port b: in UInt<8>;
+  port c: in UInt<8>;
+  port y: out UInt<8>;
+  port z: out UInt<8>;
+  comb y = (a + b) *% c;
+  comb z = a *% (b / c) +% (a - b) *% c;
+end module MulWrap
+""")
+        text = emit_module(design.cores["MulWrap"])
+        assert "y = 8'((a + b) * c);" in text
+        assert "z = 8'(8'(a * (b / c)) + 8'((a - b) * c));" in text
+
 
 # Every Arch operator on UInt and SInt operands (Bool for the logical
 # ones): the wrapping ops at mixed widths, shifts by a constant and by a
