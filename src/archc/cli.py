@@ -170,8 +170,8 @@ def cmd_formal(args) -> int:
     for line in verdict.summary_lines():
         print(line)
     for r in verdict.results:
-        if r.status == "REFUTED" and r.trace is not None:
-            print(f"counterexample for {r.name}:")
+        if r.status in ("REFUTED", "HIT") and r.trace is not None:
+            print(f"{'counterexample' if r.status == 'REFUTED' else 'witness'} for {r.name}:")
             header = sorted({k for row in r.trace for k in row})
             print("  cycle  " + "  ".join(header))
             for k, row in enumerate(r.trace):

@@ -325,11 +325,10 @@ class Unrolling:
         app = self.tb.app
         if isinstance(e, Binary):
             row = BINARY[e.op]
-            if row.group == "logic":
-                return _op2(app, row.smt[0], self._bool(e.lhs), self._bool(e.rhs))
-            if row.group in BOOL_GROUPS:
+            if row.group in BOOL_GROUPS:  # operands: Bool terms for `logic`
+                sub = self._bool if row.group == "logic" else self._word
                 name = row.smt[isinstance(e.lhs.ty, SInt)]
-                return _op2(app, name, self._word(e.lhs), self._word(e.rhs))
+                return _op2(app, name, sub(e.lhs), sub(e.rhs))
         if isinstance(e, Unary) and e.op == "!":
             return _op1(app, UNARY["!"].smt[0], self._bool(e.operand))
         if isinstance(e, BoolLit):

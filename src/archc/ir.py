@@ -23,6 +23,7 @@ from .ast_nodes import (
 )
 from .diagnostics import CompileError, err
 from .elaborate import ParamInfo
+from .ops import BINARY
 from .source import DUMMY_SPAN, Span
 from .types import BOOL, Bool, EnumType, SInt, Type, UInt, Vec
 
@@ -173,7 +174,7 @@ def runtime_checks(e: Expr, path: Expr | None = None):
     (the rhs when the lhs holds) and `||` (the rhs when it does not).
     Sites come in pre-order, parents before their operands."""
     if isinstance(e, Binary):
-        if e.op in ("/", "%") and const_int(e.rhs) is None:
+        if BINARY[e.op].group == "div" and const_int(e.rhs) is None:
             zero = lit(0, e.rhs.ty, e.span)
             yield path, bin_op("!=", e.rhs, zero, BOOL, e.span), "div0", e.span
         yield from runtime_checks(e.lhs, path)

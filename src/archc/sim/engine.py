@@ -224,6 +224,8 @@ class Simulator:
                 self.time = t
             return
         clockless, trace = self._clockless, self.trace
+        if trace is not None and not trace.changes:
+            self.sample_trace()  # the first sample: the state this tick starts from
         sample = trace._sample if trace is not None else None
         for t in range(t + 1, t + n + 1):
             self.time = t
@@ -236,8 +238,22 @@ class Simulator:
                 self._check_clockless()
             if sample is not None:
                 if self._dirty:
-                    self.settle()
+                    try:
+                        self.settle()
+                    except SimAbortError:
+                        continue  # left out, as `sample_trace` says
                 sample(t, values)
+
+    def sample_trace(self) -> None:
+        """Sample the trace at the current time. A trace only observes: a
+        settle that aborts leaves the sample out, and the run aborts where
+        and when it would untraced (at the next edge step or `expect`)."""
+        if self._dirty:
+            try:
+                self.settle()
+            except SimAbortError:
+                return
+        self.trace.sample(self.time, self.values)
 
     def _check_clockless(self) -> None:
         """Pure-comb constructs have no sampling edge; their properties are

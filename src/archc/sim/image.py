@@ -155,12 +155,10 @@ class ExprCompiler:
             return self.value(e, depth)
         if isinstance(e, Binary):
             row = BINARY[e.op]
-            if row.group == "logic":
-                a = self.cond(e.lhs, depth + 1)
-                return "(" + row.py.format(a=a, b=self.cond(e.rhs, depth + 1)) + ")"
-            if row.group in BOOL_GROUPS:
-                a = self.value(e.lhs, depth + 1)
-                return "(" + row.py.format(a=a, b=self.value(e.rhs, depth + 1)) + ")"
+            if row.group in BOOL_GROUPS:  # operands: truth values for `logic`
+                sub = self.cond if row.group == "logic" else self.value
+                a = sub(e.lhs, depth + 1)
+                return "(" + row.py.format(a=a, b=sub(e.rhs, depth + 1)) + ")"
         if isinstance(e, Unary) and e.op == "!":
             return "(" + UNARY["!"].py.format(a=self.cond(e.operand, depth + 1)) + ")"
         return self.value(e, depth)

@@ -147,8 +147,7 @@ def run_stimulus(image: SimImage, program: StimulusProgram,
     try:
         if trace_path is not None:
             from .vcd import VcdTrace
-            sim.settle()  # the first sample can abort too
-            sim.trace = VcdTrace(image, sim.values)
+            sim.trace = VcdTrace(image)
         for line_no, action in enumerate(list(map(actions.__getitem__, program.lines)), 1):
             kind = action[0]
             if kind == SET:
@@ -186,6 +185,8 @@ def run_stimulus(image: SimImage, program: StimulusProgram,
         event = SimEvent("ABORT", sim._max_cycle(), "", f"{e.kind}: {e.message}")
         report.events.append(event)
         report.aborted = event
+    if sim.trace is not None and not sim.trace.changes:
+        sim.sample_trace()  # no tick ran: the one sample, at the end
     report.expect_count = expects
     report.final_time = sim.time
     report.passed = (report.expect_failures == 0 and report.assert_failures == 0

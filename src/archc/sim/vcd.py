@@ -27,7 +27,12 @@ def _id_of(n: int) -> str:
 
 
 class VcdTrace:
-    def __init__(self, image: SimImage, values: list) -> None:
+    """The waveform of one run. It takes no sample of its own: the
+    simulator takes the first (`Simulator.sample_trace`) when the run
+    first advances time, after its time-0 `set`s, and one per tick
+    after that."""
+
+    def __init__(self, image: SimImage) -> None:
         self.image = image
         self.vars: list[tuple[str, int, int, int, bool]] = []
         # (display name, value index, element index or -1, width, signed)
@@ -46,7 +51,6 @@ class VcdTrace:
         self.changes: list[str] = []
         self.prev: list[int | None] = [None] * len(self.vars)
         self._sample = self._generate_sampler()
-        self.sample(0, values)
 
     def _generate_sampler(self):
         """`sample(time, v)` written out per variable: when the value

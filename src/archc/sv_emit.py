@@ -170,6 +170,13 @@ class Emitter:
 
     # ── statements ───────────────────────────────────────────────
 
+    def block(self, stmts: list[Stmt]) -> None:
+        """`stmts`, one level deeper."""
+        self.depth += 1
+        for s in stmts:
+            self.stmt(s)
+        self.depth -= 1
+
     def stmt(self, s: Stmt) -> None:
         if isinstance(s, SAssign):
             op = "<=" if s.kind == "<=" else "="
@@ -182,23 +189,14 @@ class Emitter:
             if not s.then and s.els:
                 # empty taken-branch (stall-style hold): invert for readability
                 self.out(f"if (!{self.expr(s.cond, _UNARY)}) begin")
-                self.depth += 1
-                for sub in s.els:
-                    self.stmt(sub)
-                self.depth -= 1
+                self.block(s.els)
                 self.out("end")
                 return
             self.out(f"if ({self.expr(s.cond)}) begin")
-            self.depth += 1
-            for sub in s.then:
-                self.stmt(sub)
-            self.depth -= 1
+            self.block(s.then)
             if s.els is not None:
                 self.out("end else begin")
-                self.depth += 1
-                for sub in s.els:
-                    self.stmt(sub)
-                self.depth -= 1
+                self.block(s.els)
             self.out("end")
         elif isinstance(s, SMatch):
             self.out(f"unique case ({self.expr(s.subject)})")
@@ -212,17 +210,11 @@ class Emitter:
                 cases = cases[:-1]
             for c in cases:
                 self.out(f"{self.expr(c.patterns[0])}: begin")
-                self.depth += 1
-                for sub in c.stmts:
-                    self.stmt(sub)
-                self.depth -= 1
+                self.block(c.stmts)
                 self.out("end")
             if default is not None:
                 self.out(f"{default_label}: begin")
-                self.depth += 1
-                for sub in default:
-                    self.stmt(sub)
-                self.depth -= 1
+                self.block(default)
                 self.out("end")
             self.depth -= 1
             self.out("endcase")
@@ -286,10 +278,7 @@ class Emitter:
                     self.out(f"{self.names[t]} {'<='} {self._reset_text(reg)};")
                 self.depth -= 1
                 self.out("end else begin")
-                self.depth += 1
-                for s in body:
-                    self.stmt(s)
-                self.depth -= 1
+                self.block(body)
                 self.out("end")
             else:
                 for s in body:
@@ -342,10 +331,7 @@ class Emitter:
                 self.out(f"assign {self.names[s.lhs.name]} = {self.expr(s.rhs)};")
             else:
                 self.out("always_comb begin")
-                self.depth += 1
-                for s in block.stmts:
-                    self.stmt(s)
-                self.depth -= 1
+                self.block(block.stmts)
                 self.out("end")
             self.out()
 

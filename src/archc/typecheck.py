@@ -21,7 +21,7 @@ from .elaborate import ElabConstruct
 from .ir import (
     CombGraph, CoreModule, Unassigned, build_comb_graph, const_int, expr_reads, muxify,
 )
-from .ops import BINARY, BOOL_GROUPS
+from .ops import BINARY, BOOL_GROUPS, UNARY
 from .source import Span
 from .types import (
     BIT, BOOL, Bit, Bool, Clock, EnumType, Reset, SInt, Type, UInt, Vec,
@@ -111,7 +111,7 @@ class Ctx:
         """Width-polymorphic subtree: adopts the width demanded by context."""
         if isinstance(e, IntLit):
             return True
-        if isinstance(e, Unary) and e.op in ("-", "~"):
+        if isinstance(e, Unary) and UNARY[e.op].group != "not":
             return self.is_poly(e.operand)
         if isinstance(e, (Ternary, IfExpr)):
             return self.is_poly(e.then) and self.is_poly(e.els)
@@ -283,26 +283,19 @@ class Ctx:
         pass  # overridden by the translator to materialize inst-out nets
 
     def _infer_unary(self, e: Unary, expected: Type | None) -> tuple[Expr, Type]:
-        if e.op == "!":
-            operand, ty = self.infer(e.operand, BOOL)
-            new = Unary(e.span, "!", operand)
-            return self._check_expected(new, BOOL, expected)
-        if e.op == "~":
-            operand, ty = self.infer(e.operand, expected)
-            if not isinstance(ty, (UInt, SInt, Bit, Bool, ErrorTy)):
-                return self._type_err("E_WIDTH_MISMATCH",
-                                      f"`~` needs an integer or bit type, found {ty}", e.span)
-            new = Unary(e.span, "~", operand)
-            return self._check_expected(new, ty, expected)
-        if e.op == "-":
-            operand, ty = self.infer(e.operand, expected)
-            if not isinstance(ty, (SInt, ErrorTy)):
-                return self._type_err(
-                    "E_WIDTH_MISMATCH",
-                    f"unary `-` needs SInt, found {ty} (negate UInt with `~x + 1`)", e.span)
-            new = Unary(e.span, "-", operand)
-            return self._check_expected(new, ty, expected)
-        raise AssertionError(e.op)
+        group = UNARY[e.op].group
+        if group == "not":
+            operand, _ = self.infer(e.operand, BOOL)
+            return self._check_expected(Unary(e.span, e.op, operand), BOOL, expected)
+        operand, ty = self.infer(e.operand, expected)
+        if group == "bitnot" and not isinstance(ty, (UInt, SInt, Bit, Bool, ErrorTy)):
+            return self._type_err("E_WIDTH_MISMATCH",
+                                  f"`~` needs an integer or bit type, found {ty}", e.span)
+        if group == "neg" and not isinstance(ty, (SInt, ErrorTy)):
+            return self._type_err(
+                "E_WIDTH_MISMATCH",
+                f"unary `-` needs SInt, found {ty} (negate UInt with `~x + 1`)", e.span)
+        return self._check_expected(Unary(e.span, e.op, operand), ty, expected)
 
     def _infer_binary(self, e: Binary, expected: Type | None) -> tuple[Expr, Type]:
         op = e.op
@@ -389,29 +382,23 @@ class Ctx:
                     f"`{op}` operands have mismatched widths {width_of(lty)} and "
                     f"{width_of(rty)} (shifts are non-widening)", e.span,
                     help=f"use `.zext<{width_of(lty)}>()` on the shift amount")
-            new = Binary(e.span, op, lhs, rhs)
-            return self._check_expected(new, lty, expected)
+            return self._check_expected(Binary(e.span, op, lhs, rhs), lty, expected)
 
-        if group == "arith" or group == "div" or group == "bitwise":
-            lhs, rhs, ty = self._unify_operands(e, expected)
-            if isinstance(ty, ErrorTy):
-                return self._type_err_silent(e.span)
-            if group != "bitwise":
-                if isinstance(ty, (Bit,)):
-                    return self._type_err("E_WIDTH_MISMATCH",
-                                          f"`{op}` is not defined on Bit (logic ops only)",
-                                          e.span)
-                if not isinstance(ty, (UInt, SInt, Bool)):
-                    return self._type_err("E_WIDTH_MISMATCH",
-                                          f"`{op}` needs integer operands, found {ty}", e.span)
-            else:
-                if not isinstance(ty, (UInt, SInt, Bit, Bool)):
-                    return self._type_err("E_WIDTH_MISMATCH",
-                                          f"`{op}` needs bit or integer operands, found {ty}",
-                                          e.span)
-            new = Binary(e.span, op, lhs, rhs)
-            return self._check_expected(new, ty, expected)
-        raise AssertionError(op)
+        # arith, div and bitwise: one type for both operands and the result
+        lhs, rhs, ty = self._unify_operands(e, expected)
+        if isinstance(ty, ErrorTy):
+            return self._type_err_silent(e.span)
+        if group == "bitwise":
+            if not isinstance(ty, (UInt, SInt, Bit, Bool)):
+                return self._type_err("E_WIDTH_MISMATCH",
+                                      f"`{op}` needs bit or integer operands, found {ty}", e.span)
+        elif isinstance(ty, Bit):
+            return self._type_err("E_WIDTH_MISMATCH",
+                                  f"`{op}` is not defined on Bit (logic ops only)", e.span)
+        elif not isinstance(ty, (UInt, SInt, Bool)):
+            return self._type_err("E_WIDTH_MISMATCH",
+                                  f"`{op}` needs integer operands, found {ty}", e.span)
+        return self._check_expected(Binary(e.span, op, lhs, rhs), ty, expected)
 
     def _type_err_silent(self, span: Span) -> tuple[Expr, Type]:
         poison = IntLit(span, 0, "0")

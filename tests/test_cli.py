@@ -140,6 +140,27 @@ end module Div
         assert rc == 3
         assert "DIV_BY_ZERO" in out and "div.arch" in out
 
+    @pytest.mark.parametrize("clock_port,stim,rc,last", [
+        ("", "set num 5\nset den 3\ntick 1\nexpect y 1\n", 0,
+         "PASS: 1/1 expects, 0 assertion failures, time 1"),
+        ("  port clk: in Clock<D>;\n", "set num 5\nset den 0\ntick 1\n", 3,
+         "ABORT: 0/0 expects, 0 assertion failures, time 1"),
+    ], ids=["clockless_pass", "clock_port_abort"])
+    def test_trace_does_not_change_the_report(self, tmp_path, clock_port, stim, rc, last):
+        """The first VCD sample is taken after the time-0 `set`s, and a
+        sample cannot abort the run, so `--wave` prints what the untraced
+        run prints: no DIV_BY_ZERO on the all-zero inputs before the
+        `set`s, and an abort at the time the untraced run reports."""
+        design = tmp_path / "div.arch"
+        design.write_text(f"module Div\n{clock_port}  port num: in UInt<8>;\n"
+                          "  port den: in UInt<8>;\n  port y: out UInt<8>;\n"
+                          "  comb y = num / den;\nend module Div\n")
+        (tmp_path / "div.stim").write_text(stim)
+        args = ("sim", str(design), "--stim", str(tmp_path / "div.stim"))
+        untraced = run_cli(*args)
+        assert untraced[0] == rc and untraced[1].splitlines()[-1] == last
+        assert run_cli(*args, "--wave", str(tmp_path / "w.vcd")) == untraced
+
     def test_todo_abort_exit3(self, tmp_path):
         stim = tmp_path / "t.stim"
         stim.write_text("set req_addr 1\nexpect resp 0\n")
@@ -230,6 +251,14 @@ class TestFormal:
         assert "never_full: REFUTED at cycle 15" in out
         assert "counterexample for never_full:" in out
         assert "cycle" in out and "en" in out
+
+    def test_hit_prints_its_witness(self):
+        rc, out = run_cli("formal", corpus_path("counter_cover8.arch"),
+                          "--bound", "10", "--solver", "builtin")
+        assert rc == 0
+        assert _tables(out, "witness for ") == [
+            "witness for reach_eight:", "  cycle  count_r  en",
+            *(f"  {k:>5}  {k}  1" for k in range(8)), "      8  8  0"]
 
     def test_solver_missing_exit2(self, monkeypatch):
         monkeypatch.setenv("PATH", "/nonexistent")

@@ -523,7 +523,8 @@ end module Widths
 """)
         image = build_sim(design.cores, "Widths", SimFlags())
         values = list(image.initial)
-        trace = VcdTrace(image, values)
+        trace = VcdTrace(image)
+        trace.sample(0, values)
         assert {"{", "}"} <= set("".join(trace.refs))
         rng = random.Random(7)
         prev = [None] * len(trace.vars)
