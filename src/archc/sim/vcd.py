@@ -27,10 +27,10 @@ def _id_of(n: int) -> str:
 
 
 class VcdTrace:
-    """The waveform of one run. It takes no sample of its own: the
-    simulator takes the first (`Simulator.sample_trace`) when the run
-    first advances time, after its time-0 `set`s, and one per tick
-    after that."""
+    """The waveform of one run. It takes no sample of its own, and
+    `changes` stays empty until the first: the simulator takes that one
+    (`Simulator.sample_trace`) when the run first advances time, after
+    its time-0 `set`s, or at its end, and one per tick after that."""
 
     def __init__(self, image: SimImage) -> None:
         self.image = image
