@@ -20,6 +20,25 @@ def run_cli(*args):
     return rc, buf.getvalue()
 
 
+def _tables(out, head):
+    """The trace tables of `out` whose first line starts with `head`,
+    each with its indented rows."""
+    lines, taking = [], False
+    for line in out.splitlines():
+        if line.startswith(head):
+            taking = True
+        elif not line.startswith("  "):
+            taking = False
+        if taking:
+            lines.append(line)
+    return lines
+
+
+# The counterexample tables `archc formal` prints for every core in formal
+# scope of the corpus at bounds 5, 12 and 20.
+REFUTED_TABLES_SHA256 = "f462c822c95c708eaaaf4c70a3142d11336e603b56eb67f2a32b23b90326707c"
+
+
 class TestCheck:
     def test_clean_counter_silent_exit0(self):
         rc, out = run_cli("check", corpus_path("counter_wrap200.arch"))
@@ -277,27 +296,6 @@ class TestFormal:
                           "--bound", "5", "--solver", "builtin")
         assert rc == 1 and "NOT-REACHED" in out
 
-
-def _tables(out, head):
-    """The trace tables of `out` whose first line starts with `head`,
-    each with its indented rows."""
-    lines, taking = [], False
-    for line in out.splitlines():
-        if line.startswith(head):
-            taking = True
-        elif not line.startswith("  "):
-            taking = False
-        if taking:
-            lines.append(line)
-    return lines
-
-
-# The counterexample tables `archc formal` prints for every core in formal
-# scope of the corpus at bounds 5, 12 and 20.
-REFUTED_TABLES_SHA256 = "f462c822c95c708eaaaf4c70a3142d11336e603b56eb67f2a32b23b90326707c"
-
-
-class TestFormalTables:
     def test_refuted_tables_match_golden_digest(self):
         from test_formal_golden import _formal_cores
         lines = []
