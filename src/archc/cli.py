@@ -149,6 +149,7 @@ def cmd_sim(args) -> int:
 
 
 def cmd_formal(args) -> int:
+    from .flatten import flatten
     from .formal import (FormalUnsupported, SolverError, verify)
     loaded = _load(args.files, args.json, args.fsm_encoding)
     if isinstance(loaded, int):
@@ -157,9 +158,8 @@ def cmd_formal(args) -> int:
     top = _pick_top(design, args.top)
     if isinstance(top, int):
         return top
-    core = design.cores[top]
     try:
-        verdict = verify(core, args.bound, args.solver,
+        verdict = verify(flatten(design.cores, top), args.bound, args.solver,
                          timeout=args.timeout, emit_smt=args.emit_smt)
     except FormalUnsupported as e:
         print(f"error[E_FORMAL_UNSUPPORTED]: {e.reason}")

@@ -23,8 +23,9 @@ aborting step reaches is never reported failing or hit; the abort is the
 failure of its site's assert. Other checks are not assumed: a trace
 through one fails its replay.
 
-Scope: flat single-clock modules with scalar signals (no sub-instances,
-no Vec, no enum-typed nets, no todo!), as `formal_scope_check` decides;
+Scope: single-clock designs with scalar signals (no Vec, no todo!), an
+enum as its variant index, as `formal_scope_check` decides. A hierarchy
+comes flattened (`flatten`): the check refuses a module with instances.
 `Unrolling` and `encode_bmc` take a module that passed it (`verify`
 checks once per call).
 """
@@ -42,7 +43,7 @@ from ..consteval import const_value_of
 from ..ir import CoreModule, CoreProperty, VecStore, runtime_checks
 from ..ops import BINARY, BOOL_GROUPS, UNARY
 from ..source import Span
-from ..types import EnumType, Reset, SInt, Vec, width_of
+from ..types import Reset, SInt, Vec, width_of
 
 if TYPE_CHECKING:  # the solver's modules load on first use, as in solver.py
     from ..smt.terms import Term, TermBuilder
@@ -59,7 +60,7 @@ class FormalUnsupported(Exception):
 def formal_scope_check(core: CoreModule) -> None:
     if core.instances:
         raise FormalUnsupported(
-            f"`{core.name}` instantiates sub-modules (no sub-inst in formal v1)")
+            f"`{core.name}` instantiates sub-modules; formal takes it flattened (`flatten`)")
     clocks = core.clock_ports()
     if len(clocks) != 1:
         raise FormalUnsupported(
@@ -70,10 +71,8 @@ def formal_scope_check(core: CoreModule) -> None:
     for name, net in core.nets.items():
         if isinstance(net.ty, Vec):
             raise FormalUnsupported(f"net `{name}` has a Vec type")
-        if isinstance(net.ty, EnumType):
-            raise FormalUnsupported(f"net `{name}` has an enum type")
     for name, reg in core.regs.items():
-        if isinstance(reg.ty, (Vec, EnumType)):
+        if isinstance(reg.ty, Vec):
             raise FormalUnsupported(f"register `{name}` has type {reg.ty}")
         if reg.edge != "rising":
             raise FormalUnsupported(f"register `{name}` uses a falling-edge clock")
@@ -153,21 +152,28 @@ class Unrolling:
         # comb bit index, a division in a property) is not assumed, so that
         # no abort goes unreported: a trace through it fails its replay.
         reported = {p.site for p in core.properties if p.site is not None}
-        self._found: dict[Span, int] = {}  # site -> how many of `_here` come first
+        # site -> (net or register, how many of `_here` come before it)
+        self._found: dict[Span, list[tuple[str, int]]] = {}
         self._here: list[list[Build]] = []
         for name in core.comb_order:
-            builds = self._checks(core.nets[name].expr, reported)
+            builds = self._checks(name, core.nets[name].expr, reported)
             if builds:
                 self._here.append(builds)
-        self._steps = [c for reg in core.regs.values() for c in self._checks(reg.next, reported)]
+        self._steps = [c for name, reg in core.regs.items()
+                       for c in self._checks(name, reg.next, reported)]
         # how many of `_here` each property is asked under: all of them, or,
         # for a generated assert on a comb site, which stands for its site
-        # firing, those before the site's net
+        # firing, those before the site's net. Instances of one module share
+        # its spans: an instance's assert (`d._auto_div0_q`) stands for the site
+        # under its own path (`d.`).
+        self._cut = {}
         for p in core.properties:
-            if p.site is not None and p.site not in self._found:
+            path = p.name[:p.name.rfind(".") + 1]
+            self._cut[id(p)] = len(self._here) if p.site is None else next(
+                (i for owner, i in self._found.get(p.site, ()) if owner.startswith(path)), None)
+            if self._cut[id(p)] is None:
                 raise FormalUnsupported(f"the runtime check that `{p.name}` reports "
                                         "is in no next state or comb net")
-        self._cut = {id(p): self._found.get(p.site, len(self._here)) for p in core.properties}
         self.oks: list[Term | None] = []  # per frame: no check fired up to its sample
         self._assumed: list[list[Term | None]] = []  # per frame, by cut
 
@@ -247,15 +253,16 @@ class Unrolling:
             got = self._consts[value, width] = self.tb.const(value, width)
         return got
 
-    def _checks(self, e: Expr, reported: set[Span]) -> list[Build]:
+    def _checks(self, owner: str, e: Expr, reported: set[Span]) -> list[Build]:
         """Builders of the Bool term "the check holds" for each runtime
-        check of `e` whose site is in `reported`: `path => check`, or the
-        check where its site is unconditional. Each site is noted in
-        `_found` with the number of `_here` before it."""
+        check of `e`, the expression of net or register `owner`, whose site
+        is in `reported`: `path => check`, or the check where its site is
+        unconditional. Each site is noted in `_found` with `owner` and the
+        number of `_here` before it."""
         out = []
         for path, check, _, span in runtime_checks(e):
             if span in reported:
-                self._found.setdefault(span, len(self._here))
+                self._found.setdefault(span, []).append((owner, len(self._here)))
                 index = check.lhs.base if isinstance(check.lhs, Convert) else check.lhs
                 if 1 << width_of(index.ty) <= check.rhs.value:
                     continue  # the index's type keeps it in range

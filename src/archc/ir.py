@@ -106,7 +106,8 @@ class CoreProperty:
 
 
 class NetDef:
-    """Derived: one net, one defining expression."""
+    """Derived: one net, one defining expression. In a flattened core
+    (`flatten`) an instance's input port and output port have one too."""
 
     def __init__(self, name: str, ty: Type,
                  kind: str,  # port-in | port-out | let | internal | inst-out

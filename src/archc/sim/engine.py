@@ -2,13 +2,13 @@
 property sampling, and CDC latency randomization.
 
 The comb state is settled (one pass of the image's schedule) only when
-it is about to be observed, by an edge step, `peek`, a clockless property
-or a VCD sample, and only if a data net changed since the last settle: a
-`set_input`, an async reset, or an edge step that committed registers.
-Each generated edge step opens with that settle itself, so a tick without
-a trace or clockless properties is one table lookup, one step call and
-the clock writes. A design with no clock domain gets the settle-only step
-at every tick, so a tick after a `set` settles there too, and a runtime
+it is about to be observed, by a step, `peek` or a VCD sample, and only
+if a data net changed since the last settle: a `set_input`, an async
+reset, or an edge step that committed registers. Each generated step
+opens with that settle itself, so a tick without a trace is one table
+lookup, one step call and the clock writes. A design with no clock
+domain gets a step at every tick that settles and samples its
+properties, so a tick after a `set` settles there too, and a runtime
 check in its comb logic fires whether or not the run is observed. Clock
 nets are not data, and the clock schedule writes every one of them, child
 instance clocks included, so changing a clock leaves the state settled.
@@ -91,10 +91,7 @@ class Simulator:
         for p in image.props:
             if p.kind == "cover":
                 self.report.cover_table[p.name] = None
-        # properties of clockless (pure-comb) constructs sample per tick
-        self._clockless = [p for p in image.props if p.domain is None] \
-            if not image.domains else []
-        self._clockless_state: dict[str, int] = {}
+        self._failing: set[str] = set()  # clockless asserts that fail now
         # this run's state for the read checks and the guards: written
         # registers, driven inputs, the sites already warned of
         self._written = [False] * len(image.regs)
@@ -181,7 +178,7 @@ class Simulator:
 
     def _phase(self, phase: int) -> tuple:
         """The schedule entry of a phase; the step function of its edge set
-        (the settle alone in a design with no clock domain) is generated on
+        (in a design with no clock domain, of every tick) is generated on
         first use and kept on the image."""
         rising, falling = [], []
         for d in self.image.domains:
@@ -208,25 +205,22 @@ class Simulator:
         An edge step settles, samples properties, checks guards and
         commits the registers of the edges that fired (rising edges also
         count cycles)."""
-        values, table, lcm = self.values, self._table, self._lcm
+        values, table, lcm, trace = self.values, self._table, self._lcm, self.trace
         t = self.time
-        if self.trace is None and not self._clockless:
+        if trace is None:
             end = t + n
-            try:
-                while t < end:
-                    t += 1
-                    step, clocks = table.get(t % lcm) or self._phase(t % lcm)
-                    if step is not None and step(values, self):
-                        raise _StopSim()
-                    for idx, value in clocks:
-                        values[idx] = value
-            finally:
+            while t < end:
+                t += 1
                 self.time = t
+                step, clocks = table.get(t % lcm) or self._phase(t % lcm)
+                if step is not None and step(values, self):
+                    raise _StopSim()
+                for idx, value in clocks:
+                    values[idx] = value
             return
-        clockless, trace = self._clockless, self.trace
-        if trace is not None and not trace.changes:
+        if not trace.changes:
             self.sample_trace()  # the first sample: the state this tick starts from
-        sample = trace._sample if trace is not None else None
+        sample = trace._sample
         for t in range(t + 1, t + n + 1):
             self.time = t
             step, clocks = table.get(t % lcm) or self._phase(t % lcm)
@@ -234,15 +228,12 @@ class Simulator:
                 raise _StopSim()
             for idx, value in clocks:
                 values[idx] = value
-            if clockless:
-                self._check_clockless()
-            if sample is not None:
-                if self._dirty:
-                    try:
-                        self.settle()
-                    except SimAbortError:
-                        continue  # left out, as `sample_trace` says
-                sample(t, values)
+            if self._dirty:
+                try:
+                    self.settle()
+                except SimAbortError:
+                    continue  # left out, as `sample_trace` says
+            sample(t, values)
 
     def sample_trace(self) -> None:
         """Sample the trace at the current time. A trace only observes: a
@@ -254,26 +245,6 @@ class Simulator:
             except SimAbortError:
                 return
         self.trace.sample(self.time, self.values)
-
-    def _check_clockless(self) -> None:
-        """Pure-comb constructs have no sampling edge; their properties are
-        checked per tick, reporting each new violation once."""
-        self.settle()
-        for prop in self._clockless:
-            val = prop.fn(self.values)
-            if prop.kind == "assert":
-                prev = self._clockless_state.get(prop.name, 1)
-                if not val and prev:
-                    self.report.assert_failures += 1
-                    self.report.events.append(SimEvent(
-                        "ASSERT_FAIL", self.time, "",
-                        f"assertion `{prop.name}` failed", prop.name))
-                self._clockless_state[prop.name] = 1 if val else 0
-            elif val and self.report.cover_table.get(prop.name) is None:
-                self.report.cover_table[prop.name] = self.time
-                self.report.events.append(SimEvent(
-                    "COVER_HIT", self.time, "",
-                    f"cover `{prop.name}` hit", prop.name))
 
     def run_cycles(self, domain: str, n: int) -> None:
         """Advance until `domain` has seen n more posedges."""
@@ -353,7 +324,8 @@ def generate_step(image: SimImage, rising: tuple, falling: tuple):
     """Straight-line step function `step(v, sim) -> stop` for one set of
     clock edges, in the order the events happen: the settle when a data
     net changed since the last one (`image.settle` as it is when the step
-    is made), property sampling on pre-edge values (with `disable iff`),
+    is made), property sampling on pre-edge values (with `disable iff`;
+    in a design with no clock domain, at every tick, by time),
     guard checks (--check-uninit), every next value of the registers
     clocked by these edges (reset, `assigned`), then the commit
     (--cdc-random capture, written bookkeeping, and the dirty mark when any
@@ -363,8 +335,9 @@ def generate_step(image: SimImage, rising: tuple, falling: tuple):
     flags = image.flags
     track_written = flags.check_uninit  # only the uninit checks read it
     b.ns["_Event"] = SimEvent
-    props = [p for p in image.props
-             if (p.domain in rising if p.domain is not None else rising)]
+    clockless = not image.domains  # its properties sample at every tick
+    props = image.props if clockless else [
+        p for p in image.props if (p.domain in rising if p.domain is not None else rising)]
     guards = [r for r in image.regs.values()
               if flags.check_uninit and r.guard_index is not None and r.domain in rising]
     regs = [r for d in rising for r in image.regs_by_domain.get(d, ()) if r.edge == "rising"]
@@ -379,9 +352,11 @@ def generate_step(image: SimImage, rising: tuple, falling: tuple):
         lines.append("    cyc = s.cycles")
     if props or guards:
         lines.append("    rep = s.report")
-    stops = flags.stop_on_assert and any(p.kind == "assert" for p in props)
+    stops = flags.stop_on_assert and not clockless and any(p.kind == "assert" for p in props)
     if stops:
         lines.append("    stop = False")
+    if clockless and props:
+        lines.append("    failing = s._failing")
     # one line per property; properties on one reset share its test
     for (reset_net, high), group in groupby(props, lambda p: (p.reset_net, p.reset_active_high)):
         pad = "    "
@@ -389,12 +364,17 @@ def generate_step(image: SimImage, rising: tuple, falling: tuple):
             lines.append(f"    if v[{reset_net}] != {1 if high else 0}:")
             pad += "    "
         for p in group:
-            cycle = f"cyc[{p.domain!r}]" if p.domain is not None else "max(cyc.values(), default=0)"
+            cycle = "s.time" if clockless else (
+                f"cyc[{p.domain!r}]" if p.domain is not None else "max(cyc.values(), default=0)")
             cond = ExprCompiler(b).cond(p.expr)
             event = ("ASSERT_FAIL", f"assertion `{p.name}` failed") if p.kind == "assert" \
                 else ("COVER_HIT", f"cover `{p.name}` hit")
             fire = b.bind(partial(_fire, event[0], p.domain or "", event[1], p.name), "_fire")
-            if p.kind == "assert":
+            if p.kind == "assert" and clockless:  # reported when a violation starts
+                lines += [f"{pad}if {cond}: failing.discard({p.name!r})",
+                          f"{pad}elif {p.name!r} not in failing: "
+                          f"failing.add({p.name!r}); {fire}(rep, {cycle})"]
+            elif p.kind == "assert":
                 stop = "stop = " if flags.stop_on_assert else ""
                 lines.append(f"{pad}if not {cond}: {stop}{fire}(rep, {cycle})")
             else:

@@ -1,13 +1,11 @@
-"""SimImage: the flattened executable model.
+"""SimImage: the executable model of a flattened design (`flatten`).
 
-Hierarchy is flattened with dotted instance paths ("f.mem"). The design
-compiles to straight-line Python source over a flat value list `v`, run
-through compile()/exec: the comb schedule is one `settle` function that
-assigns every flat net once, in the global topological order of all net
-definitions (comb loops are refused before this, so one pass settles).
+The design compiles to straight-line Python source over a flat value list
+`v`, run through compile()/exec: the comb schedule is one `settle`
+function that assigns every flat net once, in the core's global
+`comb_order` (comb loops are refused before this, so one pass settles).
 The engine generates one step function per set of clock edges from the
-same expression compiler, a property read on its own (`FlatProp.fn`) is
-compiled on first use, and a VCD trace generates one sampler function.
+same expression compiler, and a VCD trace generates one sampler function.
 Ternary/&&/|| stay lazy (conditional expressions and `and`/`or`), so
 runtime checks fire only on taken paths, exactly like the generated-code
 backend they model.
@@ -18,11 +16,12 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..ast_nodes import (
-    EXPR_CHILDREN, Binary, BoolLit, Convert, EnumRef, Expr, IfExpr, Index, IntLit, NameRef,
-    Slice, Ternary, TodoExpr, Unary,
+    Binary, BoolLit, Convert, EnumRef, Expr, IfExpr, Index, IntLit, NameRef, Slice, Ternary,
+    TodoExpr, Unary,
 )
 from ..consteval import const_value_of, wrap_signed, zero_of
-from ..ir import CoreModule, VecStore, build_comb_graph
+from ..flatten import flatten
+from ..ir import CoreModule, VecStore
 from ..ops import BINARY, BOOL_GROUPS, UNARY
 from ..source import Span
 from ..types import Clock, SInt, Type, Vec, width_of
@@ -72,23 +71,9 @@ class FlatReg:
 
 class FlatProp:
     def __init__(self, kind: str, name: str, domain: Optional[str], expr: Expr,
-                 reset_net: Optional[int], reset_active_high: bool, span: Span,
-                 builder: "ImageBuilder") -> None:
+                 reset_net: Optional[int], reset_active_high: bool, span: Span) -> None:
         self.kind, self.name, self.domain, self.expr = kind, name, domain, expr
         self.reset_net, self.reset_active_high, self.span = reset_net, reset_active_high, span
-        self.builder = builder
-        self._fn = None
-
-    @property
-    def fn(self) -> Callable:
-        """`fn(v)`, the property's value on the value list, compiled on
-        first use: the edge steps inline their properties, so only the
-        properties of a clockless design are called through it."""
-        if self._fn is None:
-            name = self.builder.fresh("_p")
-            text = ExprCompiler(self.builder).value(self.expr)
-            self._fn = self.builder.run(f"def {name}(v):\n    return {text}\n")[name]
-        return self._fn
 
 
 class SimImage:
@@ -98,9 +83,8 @@ class SimImage:
                  regs_by_domain: dict[str, list[FlatReg]], domains: list[str],
                  clock_nets: dict[str, list[int]],  # domain -> clock net indices
                  inputs: dict[str, FlatNet],        # primary inputs (settable)
-                 value_count: int, flags: SimFlags, initial: list[object],
+                 flags: SimFlags, initial: list[object],
                  visible: list[str],                # stable net order for VCD/report
-                 todo_sites: list[Span],
                  primary_domain: Optional[str] = None,  # first-declared clock of the top
                  builder: object = None,                # ImageBuilder (names, generated code)
                  steps: dict = None,                    # engine: edge set -> step fn
@@ -108,8 +92,7 @@ class SimImage:
                  ) -> None:
         self.top, self.nets, self.regs, self.props, self.settle = top, nets, regs, props, settle
         self.regs_by_domain, self.domains, self.clock_nets = regs_by_domain, domains, clock_nets
-        self.inputs, self.value_count, self.flags = inputs, value_count, flags
-        self.initial, self.visible, self.todo_sites = initial, visible, todo_sites
+        self.inputs, self.flags, self.initial, self.visible = inputs, flags, initial, visible
         self.primary_domain, self.builder, self.run_slot = primary_domain, builder, run_slot
         self.steps = {} if steps is None else steps
 
@@ -295,10 +278,8 @@ class ExprCompiler:
                 return f"({text})"
             return _wrap(f"({text})", w) if signed else f"({text} & {m})"
         text = row.py.format(a=a, b=self.value(e.rhs, d))
-        if group == "bitwise":
-            if signed:
-                return _wrap(f"({text})", w)
-            return f"(({text}) & {m})" if op == "^" else f"({text})"
+        if group == "bitwise":  # in range whenever both operands are
+            return f"({text})"
         return _wrap(text, w) if signed else f"({text} & {m})"
 
 
@@ -309,24 +290,21 @@ def _wrap(text: str, w: int) -> str:
     return f"(({text} + {h} & {mask_of(w)}) - {h})"
 
 
-# ── flattening ───────────────────────────────────────────────────
+# ── the image ────────────────────────────────────────────────────
 
 
 class ImageBuilder:
-    def __init__(self, cores: dict[str, CoreModule], top: str, flags: SimFlags) -> None:
-        self.cores = cores
+    def __init__(self, core: CoreModule, flags: SimFlags) -> None:
+        self.core = core  # instance-free (`flatten`)
         self.flags = flags
-        self.top = top
+        self.top = core.key
         self.indices: dict[str, int] = {}
         self.initial: list[object] = []
         self.nets: dict[str, FlatNet] = {}
         self.regs: dict[str, FlatReg] = {}
         self.props: list[FlatProp] = []
-        self.defs: dict[str, Expr] = {}       # flat net -> rewritten expr
-        self.def_spans: dict[str, Span] = {}
         self.inputs: dict[str, FlatNet] = {}
         self.clock_nets: dict[str, list[int]] = {}
-        self.todo_sites: list[Span] = []
         self.run_slot: int | None = None
         self.ns: dict[str, object] = {}       # globals of the generated code
         self._pending: list[str] = []         # helper functions not yet compiled
@@ -394,20 +372,49 @@ class ImageBuilder:
         return hook
 
     def build(self) -> SimImage:
-        self._declare("", self.top)
+        core = self.core
+        for name, net in core.nets.items():
+            idx = self.alloc(name, zero_of(net.ty))
+            kind = net.kind
+            if isinstance(net.ty, Clock):
+                kind = "clock"
+                self.clock_nets.setdefault(net.ty.domain, []).append(idx)
+            fnet = self.nets[name] = FlatNet(name, net.ty, kind, idx, net.span)
+            if kind == "port-in" and net.expr is None:  # an input of the top
+                self.inputs[name] = fnet
+        for name, reg in core.regs.items():
+            init = (const_value_of(reg.reset_value, reg.ty)
+                    if reg.reset_value is not None else zero_of(reg.ty))
+            self.regs[name] = FlatReg(
+                name, reg.ty, reg.domain, self.alloc(name, init), edge=reg.edge,
+                next_expr=reg.next, assigned_expr=reg.assigned,
+                # a Reset port is connected straight to its parent's, so
+                # an async reset is read where it is set, without a settle
+                reset_net=(self.indices[self._alias_root(reg.reset_sig)]
+                           if reg.reset_sig is not None else None),
+                reset_active_high=(reg.reset_polarity != "Low"),
+                reset_async=(reg.reset_sync == "Async"),
+                reset_value=init if reg.reset_value is not None else None,
+                uninit_exempt=reg.uninit_exempt,
+                reset_none=reg.reset_sig is None and reg.guard is None,
+                cdc_chain=reg.cdc_chain,
+                width=width_of(reg.ty) if not isinstance(reg.ty, Vec) else 0,
+                written_index=len(self.regs), span=reg.span)
+        for name, reg in core.regs.items():
+            if reg.guard is not None:
+                self.regs[name].guard_index = self.indices[reg.guard]
+        for prop in core.properties:
+            reset_net = self.indices[prop.reset_sig] if prop.reset_sig is not None else None
+            self.props.append(FlatProp(prop.kind, prop.name, prop.domain, prop.expr, reset_net,
+                                       prop.reset_polarity != "Low", prop.span))
         # the read hooks need the register numbering and the simulator's slot
-        for i, reg in enumerate(self.regs.values()):
-            reg.written_index = i
         if self.flags.check_uninit or self.flags.inputs_start_uninit:
             self.run_slot = len(self.initial)
             self.initial.append(None)
-        self._collect("", self.top)
-
-        graph = build_comb_graph({n: e for n, e in self.defs.items()},
-                                 [], set(self.regs), self.def_spans)
-        order = [(self.indices[n], self.defs[n]) for n in graph.order if n in self.defs]
         ns = self.run("def _settle(v):\n"
-                      + "".join(f"    v[{i}] = {ExprCompiler(self).value(e)}\n" for i, e in order)
+                      + "".join(f"    v[{self.indices[n]}] = "
+                                f"{ExprCompiler(self).value(core.nets[n].expr)}\n"
+                                for n in core.comb_order)
                       + "    return None\n")
 
         regs_by_domain: dict[str, list[FlatReg]] = {}
@@ -420,118 +427,25 @@ class ImageBuilder:
                 if d not in domains:
                     domains.append(d)
         visible = list(self.nets) + list(self.regs)
-        top_clocks = self.cores[self.top].clock_ports()
+        top_clocks = core.clock_ports()
         return SimImage(
             top=self.top, nets=self.nets, regs=self.regs, props=self.props,
             settle=ns["_settle"], regs_by_domain=regs_by_domain, domains=domains,
-            clock_nets=self.clock_nets, inputs=self.inputs,
-            value_count=len(self.initial), flags=self.flags,
-            initial=self.initial, visible=visible, todo_sites=self.todo_sites,
+            clock_nets=self.clock_nets, inputs=self.inputs, flags=self.flags,
+            initial=self.initial, visible=visible,
             primary_domain=top_clocks[0][1] if top_clocks else None, run_slot=self.run_slot)
 
-    def _declare(self, prefix: str, key: str) -> None:
-        core = self.cores[key]
-        self.todo_sites.extend(core.has_todo)
-        clock_domains = dict(core.clock_ports())
-        for name, net in core.nets.items():
-            flat = prefix + name
-            if flat in self.indices:
-                continue  # child port net merged with parent inst-out alias
-            idx = self.alloc(flat, zero_of(net.ty))
-            kind = net.kind
-            if isinstance(net.ty, Clock):
-                kind = "clock"
-                domain = net.ty.domain
-                self.clock_nets.setdefault(domain, []).append(idx)
-            fnet = FlatNet(flat, net.ty, kind, idx, net.span)
-            self.nets[flat] = fnet
-            if prefix == "" and kind == "port-in":  # clocks are schedule-driven
-                self.inputs[flat] = fnet
-        for name, reg in core.regs.items():
-            flat = prefix + name
-            init = (const_value_of(reg.reset_value, reg.ty)
-                    if reg.reset_value is not None else zero_of(reg.ty))
-            idx = self.alloc(flat, init)
-            self.regs[flat] = FlatReg(
-                flat, reg.ty, reg.domain, idx, edge=reg.edge,
-                reset_active_high=(reg.reset_polarity != "Low"),
-                reset_async=(reg.reset_sync == "Async"),
-                reset_value=init if reg.reset_value is not None else None,
-                uninit_exempt=reg.uninit_exempt,
-                reset_none=reg.reset_sig is None and reg.guard is None,
-                cdc_chain=(prefix + reg.cdc_chain) if reg.cdc_chain else None,
-                width=width_of(reg.ty) if not isinstance(reg.ty, Vec) else 0,
-                span=reg.span)
-        for inst in core.instances:
-            self._declare(prefix + inst.name + ".", inst.module_key)
-
-    def _collect(self, prefix: str, key: str) -> None:
-        core = self.cores[key]
-        for name, net in core.nets.items():
-            flat = prefix + name
-            if net.expr is not None and flat not in self.defs:
-                self.defs[flat] = _prefix_expr(net.expr, prefix)
-                self.def_spans[flat] = net.span
-        for name, reg in core.regs.items():
-            freg = self.regs[prefix + name]
-            freg.next_expr = _prefix_expr(reg.next, prefix)
-            if reg.assigned is not None:
-                freg.assigned_expr = _prefix_expr(reg.assigned, prefix)
-            if reg.reset_sig is not None:
-                # a Reset port is connected straight to its parent's, so
-                # an async reset is read where it is set, without a settle
-                freg.reset_net = self.indices[self._alias_root(prefix + reg.reset_sig)]
-            if reg.guard is not None:
-                freg.guard_index = self.indices[prefix + reg.guard]
-        for prop in core.properties:
-            reset_net = (self.indices[prefix + prop.reset_sig]
-                         if prop.reset_sig is not None else None)
-            self.props.append(FlatProp(
-                prop.kind, prefix + prop.name, prop.domain,
-                _prefix_expr(prop.expr, prefix), reset_net,
-                prop.reset_polarity != "Low", prop.span, self))
-        for inst in core.instances:
-            child_prefix = prefix + inst.name + "."
-            for port, expr in inst.in_map.items():
-                flat = child_prefix + port
-                self.defs[flat] = _prefix_expr(expr, prefix)
-                self.def_spans[flat] = inst.span
-            self._collect(child_prefix, inst.module_key)
-
-    def _alias_root(self, flat: str) -> str:
-        """The net that `flat` copies through a chain of plain aliases
-        (instance ports connected to a parent's net); `flat` if none."""
-        e = self.defs.get(flat)
-        while isinstance(e, NameRef):
-            flat = e.name
-            e = self.defs.get(flat)
-        return flat
-
-
-def _prefix_expr(e: Expr, prefix: str) -> Expr:
-    if not prefix:
-        return e
-    import copy
-
-    def walk(x: Expr) -> Expr:
-        if isinstance(x, NameRef):
-            n = NameRef(x.span, prefix + x.name)
-            n.ty = x.ty
-            return n
-        c = copy.copy(x)
-        c.ty = x.ty
-        for attr in EXPR_CHILDREN:
-            sub = getattr(x, attr, None)
-            if isinstance(sub, Expr):
-                setattr(c, attr, walk(sub))
-        return c
-
-    return walk(e)
+    def _alias_root(self, name: str) -> str:
+        """The net that `name` copies through a chain of plain aliases
+        (instance ports connected to a parent's net); `name` if none."""
+        while (net := self.core.nets.get(name)) is not None and isinstance(net.expr, NameRef):
+            name = net.expr.name
+        return name
 
 
 def build_sim(cores: dict[str, CoreModule], top: str, flags: SimFlags) -> SimImage:
-    """Flatten the design under `top` into an executable image."""
-    builder = ImageBuilder(cores, top, flags)
+    """The design under `top`, flattened, as an executable image."""
+    builder = ImageBuilder(flatten(cores, top), flags)
     image = builder.build()
     image.builder = builder  # the engine generates its steps through it
     return image

@@ -36,7 +36,7 @@ def _tables(out, head):
 
 # The counterexample tables `archc formal` prints for every core in formal
 # scope of the corpus at bounds 5, 12 and 20.
-REFUTED_TABLES_SHA256 = "f462c822c95c708eaaaf4c70a3142d11336e603b56eb67f2a32b23b90326707c"
+REFUTED_TABLES_SHA256 = "7cdbb44a5ba1ec145541785d8d2e0d51acb2ae842c37e72e270d889383667c00"
 
 
 class TestCheck:
@@ -287,9 +287,21 @@ class TestFormal:
         assert rc == 2 and "E_SOLVER_MISSING" in out
 
     def test_unsupported_exit2(self):
-        rc, out = run_cli("formal", corpus_path("hier_top.arch"),
-                          "--top", "HierTop", "--bound", "5", "--solver", "builtin")
+        rc, out = run_cli("formal", corpus_path("fifo_sync3.arch"),
+                          "--bound", "5", "--solver", "builtin")
         assert rc == 2 and "E_FORMAL_UNSUPPORTED" in out
+
+    def test_flattened_hierarchy_exit0(self):
+        for fname, top in (("hier_top.arch", "HierTop"), ("gen_condport.arch", "DebugTop")):
+            rc, out = run_cli("formal", corpus_path(fname), "--top", top,
+                              "--bound", "5", "--solver", "builtin")
+            assert rc == 0, out
+
+    def test_two_clocks_and_no_clock_still_refused(self):
+        for fname, top in (("cdc_flag.arch", "CdcTop"), ("comb_alu.arch", "Alu8")):
+            rc, out = run_cli("formal", corpus_path(fname), "--top", top,
+                              "--bound", "5", "--solver", "builtin")
+            assert rc == 2 and "E_FORMAL_UNSUPPORTED" in out and "clock ports" in out
 
     def test_not_reached_exit1(self):
         rc, out = run_cli("formal", corpus_path("counter_cover8.arch"),

@@ -14,6 +14,8 @@ import pytest
 from conftest import ROOT, build_files, build_text, corpus_path
 
 from archc import cli
+from archc.ast_nodes import expr_reads
+from archc.flatten import flatten
 from archc.formal import (
     FormalUnsupported, SolverError, available_solvers, encode_bmc,
     formal_scope_check, run_solver, trace_to_stimulus, verify,
@@ -606,6 +608,136 @@ class TestVerdicts:
         v = verify(bad, 12, "builtin")
         ref = {r.name: r for r in v.results}["guard_contract"]
         assert ref.status == "REFUTED"
+
+    def test_enum_typed_register_in_scope(self):
+        """An enum is its variant index, as in the simulator."""
+        text = open(corpus_path("enum_match.arch")).read().replace(
+            "end module EnumDemo", "  cover fast: mode == Mode::Fast;\n"
+            "  assert never_fast: rate != 15;\nend module EnumDemo")
+        design, _ = build_text(text)
+        v = verify(design.cores["EnumDemo"], 5, "builtin")  # each sat answer replayed
+        assert [r.line(5) for r in v.results] == [
+            "cover fast: HIT at cycle 2", "assert never_fast: REFUTED at cycle 2"]
+
+
+# two wrapping 4-bit counters; `b` counts every other cycle that `a` does
+PAIR_ARCH = open(corpus_path("counter_wrap15.arch")).read() + """\
+module Pair
+  port clk: in Clock<SysDomain>;
+  port rst: in Reset<Sync>;
+  port en: in Bool;
+  port total: out UInt<4>;
+  inst a: Nibble
+    clk <- clk;
+    rst <- rst;
+    en <- en;
+  end inst a
+  inst b: Nibble
+    clk <- clk;
+    rst <- rst;
+    en <- en && a.count[0];
+  end inst b
+  comb total = a.count +% b.count;
+  assert same: a.count >= b.count;
+end module Pair
+"""
+
+
+# two instances of one divider, both dividing by `y`
+DIV_PAIR_ARCH = """\
+module Div
+  port clk: in Clock<SysDomain>;
+  port a: in UInt<8>;
+  port b: in UInt<8>;
+  port q: out UInt<8>;
+  comb q = a / b;
+end module Div
+
+module Two
+  port clk: in Clock<SysDomain>;
+  port x: in UInt<8>;
+  port y: in UInt<8>;
+  port o: out UInt<8>;
+  inst d1: Div
+    clk <- clk;
+    a <- x;
+    b <- y;
+  end inst d1
+  inst d2: Div
+    clk <- clk;
+    a <- y;
+    b <- y;
+  end inst d2
+  comb o = d1.q +% d2.q;
+end module Two
+"""
+
+
+class TestHierarchy:
+    """A hierarchy comes to formal flattened: the properties of an
+    instance under its dotted path, its ports nets of the flat core."""
+
+    def test_flat_top_is_its_own_core(self):
+        design, core = core_of("counter_wrap15.arch", "Nibble")
+        assert flatten(design.cores, "Nibble") is core
+
+    def test_ports_become_nets(self):
+        design, _ = build_text(PAIR_ARCH)
+        core = flatten(design.cores, "Pair")
+        assert not core.instances and list(core.regs) == ["a.count_r", "b.count_r"]
+        assert sorted(expr_reads(core.nets["b.en"].expr)) == ["a.count", "en"]
+        assert core.nets["a.count"].kind == "inst-out"
+        assert expr_reads(core.nets["a.count"].expr) == {"a.count_r"}
+        assert core.nets["a.clk"].expr is None  # driven by the clock schedule
+        assert [p.name for p in core.properties] == [
+            "same", "a._auto_count_range", "a.never_full", "b._auto_count_range",
+            "b.never_full"]
+
+    def test_two_counters(self):
+        design, _ = build_text(PAIR_ARCH)
+        core = flatten(design.cores, "Pair")
+        got = {r.name: (r.status, r.cycle) for r in verify(core, 20, "builtin").results}
+        assert got == {"same": ("REFUTED", 16), "a.never_full": ("REFUTED", 15),
+                       "b.never_full": ("PROVED", None),
+                       "a._auto_count_range": ("PROVED", None),
+                       "b._auto_count_range": ("PROVED", None)}
+        v = verify(core, 40, "builtin")
+        found = [r for r in v.results if r.status == "REFUTED"]
+        assert [(r.name, r.cycle) for r in found] == [
+            ("same", 16), ("a.never_full", 15), ("b.never_full", 30)]
+        # each trace also replays on the simulator's image of the hierarchy
+        image = build_sim(design.cores, "Pair", SimFlags())
+        for r in found:
+            report = run_stimulus(image, parse_stimulus(trace_to_stimulus(core, r)))
+            fails = [e.cycle for e in report.events
+                     if e.kind == "ASSERT_FAIL" and e.name == r.name]
+            assert report.expect_failures == 0 and fails[:1] == [r.cycle], r.name
+
+    def test_each_instance_reports_its_own_site(self):
+        """Both instances' `_auto_div0_q` have the same site span; each is
+        cut at its own instance's net, so, as of two divisions by one
+        divisor in a flat module, only the one evaluated first fails."""
+        design, _ = build_text(DIV_PAIR_ARCH)
+        v = verify(flatten(design.cores, "Two"), 3, "builtin")
+        assert [r.line(3) for r in v.results] == [
+            "assert d1._auto_div0_q: REFUTED at cycle 0",
+            "assert d2._auto_div0_q: PROVED (bound 3)"]
+
+    def test_archc_smt_answers_the_flat_stream(self, tmp_path):
+        """Each property's first sat in archc-smt's answers to the
+        `--emit-smt` stream is at its reported cycle."""
+        design, _ = build_text(PAIR_ARCH)
+        path = tmp_path / "pair.smt2"
+        v = verify(flatten(design.cores, "Pair"), 20, "builtin", emit_smt=str(path))
+        assert "(define-fun a.count_r__3 " in path.read_text()
+        proc = subprocess.run(
+            [sys.executable, "-m", "archc.smt.solve", str(path)], capture_output=True,
+            text=True, env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")), timeout=120)
+        answers, n = proc.stdout.split(), len(v.results)
+        assert len(answers) == 21 * n
+        for i, r in enumerate(v.results):
+            column = answers[i::n]
+            assert (column.index("sat") if "sat" in column else None) == r.cycle, r.name
 
 
 class TestSimFormalAgreement:

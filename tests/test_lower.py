@@ -10,6 +10,7 @@ from conftest import build_text, corpus_path, diag_codes
 from archc.diagnostics import CompileError
 from archc.sim import SimFlags, build_sim
 from archc.sim.engine import Simulator
+from archc.sim.image import ExprCompiler
 
 
 def sim_for(design, top, **flag_kw):
@@ -107,12 +108,13 @@ end fsm One
         prop = [p for p in core.properties if p.name == "_auto_legal_state"][0]
         image = build_sim(design.cores, "Hot3", SimFlags())
         fprop = [p for p in image.props if p.name == "_auto_legal_state"][0]
+        fn = compile(ExprCompiler(image.builder).value(fprop.expr), fprop.name, "eval")
         sim = Simulator(image)
         idx = image.regs["state_r"].index
         for encoding in range(8):
             sim.values[idx] = encoding
             want = 1 if bin(encoding).count("1") == 1 else 0
-            assert fprop.fn(sim.values) == want, encoding
+            assert eval(fn, image.builder.ns, {"v": sim.values}) == want, encoding
 
     def test_no_default_state(self):
         with pytest.raises(CompileError) as e:

@@ -97,7 +97,11 @@ def test_every_row_agrees_across_consteval_sim_and_formal(signed):
     for op, row, unary in _rows(signed):
         net = _name(op) + ("_u" if unary else "")
         names = _operands(op, row)[:1 if unary else 2]
-        sim_code = compile(ExprCompiler(builder).value(builder.defs[net]), net, "eval")
+        sim_text = ExprCompiler(builder).value(builder.core.nets[net].expr)
+        if row.group == "bitwise" and not unary:  # in range as its operands: no mask, no wrap
+            v = [f"v[{builder.index_of(n)}]" for n in names]
+            assert sim_text == "(" + row.py.format(a=v[0], b=v[1]) + ")", sim_text
+        sim_code = compile(sim_text, net, "eval")
         term = frame[net]
         bool_result = row.group in BOOL_GROUPS or op == "!"
         for vals in itertools.product(*(_values(n, signed) for n in names)):

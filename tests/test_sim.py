@@ -272,7 +272,9 @@ class TestSettle:
                 super().__setitem__(index, value)
 
         image.settle(Recording(image.initial))
-        defined = {image.builder.index_of(name) for name in image.builder.defs}
+        builder = image.builder
+        defined = {builder.index_of(name) for name, net in builder.core.nets.items()
+                   if net.expr is not None}
         assert sorted(writes) == sorted(defined)
         program = parse_stimulus(open(corpus_path("hier_top.stim")).read())
         assert run_stimulus(settle_checked(image), program).passed
@@ -601,6 +603,11 @@ end module Claim
         sim.set_input("b", 0x01)
         sim.tick(1)  # a new violation after recovery reports again
         assert sim.report.assert_failures == 2
+        assert sim.report.lines() == [
+            "[ASSERT_FAIL] cycle 3 (): assertion `disjoint` failed",
+            "[COVER_HIT] cycle 3 (): cover `overlap_seen` hit",
+            "[ASSERT_FAIL] cycle 6 (): assertion `disjoint` failed",
+            "PASS: 0/0 expects, 2 assertion failures, time 0"]
 
 
 class TestFallingEdge:
