@@ -4,8 +4,8 @@ The design compiles to straight-line Python source over a flat value list
 `v`, run through compile()/exec: the comb schedule is one `settle`
 function that assigns every flat net once, in the core's global
 `comb_order` (comb loops are refused before this, so one pass settles).
-The engine generates one step function per set of clock edges from the
-same expression compiler, and a VCD trace generates one sampler function.
+The engine generates one tick loop per clock schedule from the same
+expression compiler, and a VCD trace generates one sampler function.
 Ternary/&&/|| stay lazy (conditional expressions and `and`/`or`), so
 runtime checks fire only on taken paths, exactly like the generated-code
 backend they model.
@@ -45,10 +45,8 @@ class SimFlags:
 
 
 class FlatNet:
-    def __init__(self, name: str, ty: Type,
-                 kind: str,  # port-in | port-out | let | internal | inst-out | clock
-                 index: int, span: Span = None) -> None:
-        self.name, self.ty, self.kind, self.index, self.span = name, ty, kind, index, span
+    def __init__(self, name: str, ty: Type, index: int) -> None:
+        self.name, self.ty, self.index = name, ty, index
 
 
 class FlatReg:
@@ -59,21 +57,21 @@ class FlatReg:
                  reset_value: Optional[object] = None,
                  guard_index: Optional[int] = None,  # value index of the guard register
                  uninit_exempt: bool = False, reset_none: bool = False,
-                 cdc_chain: Optional[str] = None, width: int = 1, written_index: int = -1,
-                 span: Span = None) -> None:
+                 cdc_chain: Optional[str] = None, width: int = 1,
+                 written_index: int = -1) -> None:
         self.name, self.ty, self.domain, self.index, self.edge = name, ty, domain, index, edge
         self.next_expr, self.assigned_expr, self.reset_net = next_expr, assigned_expr, reset_net
         self.reset_active_high, self.reset_async = reset_active_high, reset_async
         self.reset_value, self.guard_index = reset_value, guard_index
         self.uninit_exempt, self.reset_none, self.cdc_chain = uninit_exempt, reset_none, cdc_chain
-        self.width, self.written_index, self.span = width, written_index, span
+        self.width, self.written_index = width, written_index
 
 
 class FlatProp:
     def __init__(self, kind: str, name: str, domain: Optional[str], expr: Expr,
-                 reset_net: Optional[int], reset_active_high: bool, span: Span) -> None:
+                 reset_net: Optional[int], reset_active_high: bool) -> None:
         self.kind, self.name, self.domain, self.expr = kind, name, domain, expr
-        self.reset_net, self.reset_active_high, self.span = reset_net, reset_active_high, span
+        self.reset_net, self.reset_active_high = reset_net, reset_active_high
 
 
 class SimImage:
@@ -87,18 +85,46 @@ class SimImage:
                  visible: list[str],                # stable net order for VCD/report
                  primary_domain: Optional[str] = None,  # first-declared clock of the top
                  builder: object = None,                # ImageBuilder (names, generated code)
-                 steps: dict = None,                    # engine: edge set -> step fn
                  run_slot: Optional[int] = None,        # value slot holding the Simulator
                  ) -> None:
         self.top, self.nets, self.regs, self.props, self.settle = top, nets, regs, props, settle
         self.regs_by_domain, self.domains, self.clock_nets = regs_by_domain, domains, clock_nets
         self.inputs, self.flags, self.initial, self.visible = inputs, flags, initial, visible
         self.primary_domain, self.builder, self.run_slot = primary_domain, builder, run_slot
-        self.steps = {} if steps is None else steps
+        # what `set_input` writes: name -> (value index, driven slot, coercion)
+        self.setters = {name: (net.index, slot, _coercion(net.ty))
+                        for slot, (name, net) in enumerate(inputs.items())}
+        # what `peek` reads: a net shadows a register of the same name
+        self.names = {name: reg.index for name, reg in regs.items()}
+        self.names.update((name, net.index) for name, net in nets.items())
+        self.loops: dict = {}  # engine: (periods, traced) -> tick loop
+        self._quiet_settle: Optional[Callable] = None
+
+    def sample_settle(self) -> Callable:
+        """The settle a trace sample runs: `settle` itself, or, when the
+        settle holds read checks (--check-uninit, --inputs-start-uninit),
+        a copy without them, made on first use, so that observing a run
+        reads nothing in the run's name."""
+        if self.run_slot is None:
+            return self.settle
+        if self._quiet_settle is None:
+            self._quiet_settle = self.builder.settle_function(hooks=False)
+        return self._quiet_settle
 
 
 def mask_of(width: int) -> int:
     return (1 << width) - 1
+
+
+def _coercion(ty):
+    """The wrap or mask `set_input` applies to a value for an input of `ty`."""
+    if isinstance(ty, SInt):
+        w = ty.width
+        return lambda value: wrap_signed(value, w)
+    if isinstance(ty, Vec):
+        return lambda value: value
+    m = mask_of(width_of(ty))
+    return lambda value: value & m
 
 
 # ── expression compilation ───────────────────────────────────────
@@ -112,13 +138,15 @@ class ExprCompiler:
     """Compiles typed expressions (already rewritten to flat names) to
     Python expression text over the value list `v`. `suppress_hook_for`
     keeps a register's own hold reference inside its
-    next-value expression from counting as a user read site. `impure`
-    becomes true once the text can raise or warn."""
+    next-value expression from counting as a user read site, and
+    `hooks=False` keeps every read from counting. `impure` becomes true
+    once the text can raise or warn."""
 
     def __init__(self, image_builder: "ImageBuilder",
-                 suppress_hook_for: str | None = None) -> None:
+                 suppress_hook_for: str | None = None, hooks: bool = True) -> None:
         self.b = image_builder
         self.suppress_hook_for = suppress_hook_for
+        self.hooks = hooks
         self.impure = False
 
     def _abort(self, kind: str, span: Span, message: str) -> str:
@@ -162,8 +190,8 @@ class ExprCompiler:
                                f"todo! reached at {e.span.point()}") + "()"
         if isinstance(e, NameRef):
             text = f"v[{self.b.index_of(e.name)}]"
-            hook = None if e.name == self.suppress_hook_for \
-                else self.b.read_hook(e.name, e.span)
+            hook = self.b.read_hook(e.name, e.span) \
+                if self.hooks and e.name != self.suppress_hook_for else None
             if hook is not None:
                 self.impure = True
                 return f"{self.b.bind(hook, '_h')}({text}, v[{self.b.run_slot}])"
@@ -325,7 +353,7 @@ class ImageBuilder:
 
     def helper(self, e: Expr, parent: "ExprCompiler") -> str:
         """Move `e` into a generated function of its own; returns the call."""
-        sub = ExprCompiler(self, parent.suppress_hook_for)
+        sub = ExprCompiler(self, parent.suppress_hook_for, parent.hooks)
         text = sub.value(e)
         parent.impure |= sub.impure
         name = self.fresh("_e")
@@ -375,12 +403,10 @@ class ImageBuilder:
         core = self.core
         for name, net in core.nets.items():
             idx = self.alloc(name, zero_of(net.ty))
-            kind = net.kind
+            fnet = self.nets[name] = FlatNet(name, net.ty, idx)
             if isinstance(net.ty, Clock):
-                kind = "clock"
                 self.clock_nets.setdefault(net.ty.domain, []).append(idx)
-            fnet = self.nets[name] = FlatNet(name, net.ty, kind, idx, net.span)
-            if kind == "port-in" and net.expr is None:  # an input of the top
+            elif net.kind == "port-in" and net.expr is None:  # an input of the top
                 self.inputs[name] = fnet
         for name, reg in core.regs.items():
             init = (const_value_of(reg.reset_value, reg.ty)
@@ -399,23 +425,19 @@ class ImageBuilder:
                 reset_none=reg.reset_sig is None and reg.guard is None,
                 cdc_chain=reg.cdc_chain,
                 width=width_of(reg.ty) if not isinstance(reg.ty, Vec) else 0,
-                written_index=len(self.regs), span=reg.span)
+                written_index=len(self.regs))
         for name, reg in core.regs.items():
             if reg.guard is not None:
                 self.regs[name].guard_index = self.indices[reg.guard]
         for prop in core.properties:
             reset_net = self.indices[prop.reset_sig] if prop.reset_sig is not None else None
             self.props.append(FlatProp(prop.kind, prop.name, prop.domain, prop.expr, reset_net,
-                                       prop.reset_polarity != "Low", prop.span))
+                                       prop.reset_polarity != "Low"))
         # the read hooks need the register numbering and the simulator's slot
         if self.flags.check_uninit or self.flags.inputs_start_uninit:
             self.run_slot = len(self.initial)
             self.initial.append(None)
-        ns = self.run("def _settle(v):\n"
-                      + "".join(f"    v[{self.indices[n]}] = "
-                                f"{ExprCompiler(self).value(core.nets[n].expr)}\n"
-                                for n in core.comb_order)
-                      + "    return None\n")
+        settle = self.settle_function()
 
         regs_by_domain: dict[str, list[FlatReg]] = {}
         for reg in self.regs.values():
@@ -430,10 +452,20 @@ class ImageBuilder:
         top_clocks = core.clock_ports()
         return SimImage(
             top=self.top, nets=self.nets, regs=self.regs, props=self.props,
-            settle=ns["_settle"], regs_by_domain=regs_by_domain, domains=domains,
+            settle=settle, regs_by_domain=regs_by_domain, domains=domains,
             clock_nets=self.clock_nets, inputs=self.inputs, flags=self.flags,
             initial=self.initial, visible=visible,
             primary_domain=top_clocks[0][1] if top_clocks else None, run_slot=self.run_slot)
+
+    def settle_function(self, hooks: bool = True) -> Callable:
+        """The comb schedule as one function `settle(v)` that assigns every
+        net once; with `hooks=False` its reads run no read checks."""
+        name = "_settle" if hooks else "_sample_settle"
+        return self.run(f"def {name}(v):\n"
+                        + "".join(f"    v[{self.indices[n]}] = "
+                                  f"{ExprCompiler(self, hooks=hooks).value(self.core.nets[n].expr)}\n"
+                                  for n in self.core.comb_order)
+                        + "    return None\n")[name]
 
     def _alias_root(self, name: str) -> str:
         """The net that `name` copies through a chain of plain aliases
@@ -447,5 +479,5 @@ def build_sim(cores: dict[str, CoreModule], top: str, flags: SimFlags) -> SimIma
     """The design under `top`, flattened, as an executable image."""
     builder = ImageBuilder(flatten(cores, top), flags)
     image = builder.build()
-    image.builder = builder  # the engine generates its steps through it
+    image.builder = builder  # the engine generates its tick loops through it
     return image

@@ -136,10 +136,11 @@ def _resolve(sim: Simulator, form: tuple, run_domain: str | None) -> tuple:
 def run_stimulus(image: SimImage, program: StimulusProgram,
                  trace_path: str | None = None) -> SimReport:
     """Run `program` on a new simulator. A `set` does what `set_input`
-    does and an `expect` reads what `peek` reads, written out here."""
+    does and an `expect` reads what `peek` reads, written out here; a
+    `run` or `tick` calls the simulator's tick loop for its whole span."""
     sim = Simulator(image)
     report = sim.report
-    values, driven = sim.values, sim._driven
+    values, driven, periods = sim.values, sim._driven, sim.periods
     async_resets = bool(sim._async_regs)
     run_domain = image.primary_domain or (image.domains[0] if image.domains else None)
     actions = {line: _resolve(sim, form, run_domain) for line, form in program.forms.items()}
@@ -169,9 +170,14 @@ def run_stimulus(image: SimImage, program: StimulusProgram,
                         "EXPECT_MISMATCH", sim._max_cycle(), "",
                         f"line {line_no}: `{name}` expected {want}, got {got}"))
             elif kind == RUN:
-                sim.run_cycles(run_domain, action[1])
+                n = action[1]
+                if n > 0:  # to the n-th next rising edge, as `run_cycles` goes
+                    t, p = sim.time, periods[run_domain]
+                    (sim._loop or sim._schedule())(
+                        values, sim, t, t + 1 + ((p - p // 2) % p - t - 1) % p + (n - 1) * p)
             elif kind == TICK:
-                sim.tick(action[1])
+                t = sim.time
+                (sim._loop or sim._schedule())(values, sim, t, t + action[1])
             elif kind == CLOCK:
                 try:
                     sim.set_period(action[1], action[2])

@@ -180,6 +180,20 @@ end module Div
         assert untraced[0] == rc and untraced[1].splitlines()[-1] == last
         assert run_cli(*args, "--wave", str(tmp_path / "w.vcd")) == untraced
 
+    def test_trace_adds_no_warning(self, tmp_path):
+        """`stall_in` is set after the first tick, before the first edge
+        step reads it. A trace samples (and settles) at every tick, but
+        its settles read nothing in the run's name, so `--wave` warns of
+        no undriven input that the untraced run does not read."""
+        (tmp_path / "p.stim").write_text(
+            "clock SysDomain period 6\nset rst 1\nset din 5\nset flush_in 0\ntick 1\n"
+            "set stall_in 0\ntick 5\nset rst 0\nrun 3\n")
+        args = ("sim", corpus_path("pipe3.arch"), "--stim", str(tmp_path / "p.stim"),
+                "--inputs-start-uninit")
+        want = (0, "PASS: 0/0 expects, 0 assertion failures, time 21\n")
+        assert run_cli(*args) == want
+        assert run_cli(*args, "--wave", str(tmp_path / "p.vcd")) == want
+
     def test_todo_abort_exit3(self, tmp_path):
         stim = tmp_path / "t.stim"
         stim.write_text("set req_addr 1\nexpect resp 0\n")

@@ -804,7 +804,7 @@ class TestStimulusDirectives:
             run_stimulus(image, parse_stimulus(text))
         assert str(e.value) == f"stimulus line 4: {message}"
         assert e.value.line_no == 4
-        assert image.steps != {}
+        assert image.loops != {}
 
     def test_peek_of_an_unknown_name(self, clean_corpus_designs):
         design = clean_corpus_designs["hier_top.arch"][0]
@@ -899,7 +899,7 @@ end module Top
             run_stimulus(image, parse_stimulus(
                 "set en 1\nrun 2\nexpect count 99\nrun 1\ntick abc\n"))
         assert str(e.value) == "stimulus line 5: bad count 'abc'"
-        assert calls == [] and image.steps == {}
+        assert calls == [] and image.loops == {}
 
     def test_mismatches_keep_their_source_line_numbers(self, clean_corpus_designs):
         """Blank and comment lines count, and a repeated `expect` line
@@ -969,8 +969,8 @@ end module Deep
 
     def test_clock_schedule_follows_period_changes(self):
         """Edge counts equal the clocking rule (rise at t % P == P - P//2)
-        across co-prime periods whose schedule is longer than the table
-        keeps, and across a period change mid-run."""
+        across co-prime periods whose schedule is longer than a per-phase
+        table may be, and across a period change mid-run."""
         from conftest import build_files
         from archc.sim.engine import _TABLE_LIMIT
         design, _ = build_files([corpus_path("cdc_flag.arch")])
@@ -985,7 +985,8 @@ end module Deep
                     want[d] += t % p == (0 if p == 1 else p - p // 2)
             sim.tick(ticks)
             assert sim.cycles == want
-            assert len(sim._table) <= _TABLE_LIMIT
+            ns = sim.image.builder.ns
+            assert all(len(ns[name]) <= _TABLE_LIMIT for name in ns if name.startswith("_ids"))
 
         run({"SysDomain": 97, "UsbDomain": 89}, 9000)
         run({"SysDomain": 1, "UsbDomain": 4}, 37)
